@@ -10,12 +10,11 @@ directory for provenance.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, noise as noise_mod
+from . import harness
 from .estimators import (
     estimate_monte_carlo,
     estimate_qcoin,
@@ -77,23 +76,40 @@ def _require_seed(args, cfg) -> int:
     raise CliError("a seed is required (flag --seed or config key 'seed')", EXIT_VALIDATION)
 
 
+def _config_value(parse, cfg: dict, key: str, default):
+    """One value of a config key, parsed by harness.config_ints / config_floats."""
+    values = parse(cfg, key, [default])
+    if len(values) != 1:
+        raise ConfigError(f"key {key!r} takes one value, got {cfg[key]!r}")
+    return values[0]
+
+
+def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qcoin")):
+    """Noise takes effect or is rejected; it is never silently dropped."""
+    ignored = [a for a in algorithms if a not in supported]
+    if not noise.is_zero and ignored:
+        raise CliError(f"{command} applies no noise to {', '.join(ignored)}", EXIT_VALIDATION)
+
+
 def cmd_estimate(args):
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    f = args.f if args.f is not None else float(cfg.get("f", "nan"))
+    f = args.f if args.f is not None else _config_value(harness.config_floats, cfg, "f", math.nan)
     if not 0.0 <= f <= 1.0:
         raise CliError(f"target mean must lie in [0, 1], got {f}", EXIT_VALIDATION)
     oracle = OracleSpec([f])
-    noise = harness.noise_from_config(cfg) if "noise" in cfg else None
+    noise = harness.noise_from_config(cfg)
+    _check_noise(noise, [args.algorithm], "estimate")
 
-    if args.algorithm == "monte-carlo":
-        est = estimate_monte_carlo(oracle, args.trials, seed, noise)
-    elif args.algorithm == "qss":
-        est = estimate_qss(oracle, args.P, seed)
-    elif args.algorithm == "qcoin":
-        est = estimate_qcoin(oracle, args.k, args.L, seed, noise)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown algorithm {args.algorithm}", EXIT_VALIDATION)
+    try:
+        if args.algorithm == "monte-carlo":
+            est = estimate_monte_carlo(oracle, args.trials, seed, noise)
+        elif args.algorithm == "qss":
+            est = estimate_qss(oracle, args.P, seed)
+        else:
+            est = estimate_qcoin(oracle, args.k, args.L, seed, noise)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
     rec = est.to_record(f_true=f)
     print(",".join(f"{k}={v}" for k, v in rec.items()))
     return 0
@@ -102,17 +118,23 @@ def cmd_estimate(args):
 def cmd_sweep_value(args):
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
+    algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
+    noise = harness.noise_from_config(cfg)
+    _check_noise(noise, algorithms, "sweep-value")
     out = _out_dir(args)
-    spec = SweepSpec(
-        algorithms=cfg.get("algorithms", "monte-carlo,qss,qcoin").split(","),
-        budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000]),
-        repetitions=int(cfg.get("repetitions", "1000")),
-        f_values=harness.config_floats(cfg, "f_values", [0.1, 0.3, 0.5, 0.7, 0.9]),
-        qcoin_k=harness.config_ints(cfg, "k_values", [3]),
-        noise=harness.noise_from_config(cfg),
-        seed_base=seed,
-    )
-    rows = harness.run_value_sweep(spec)
+    try:
+        spec = SweepSpec(
+            algorithms=algorithms,
+            budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000]),
+            repetitions=_config_value(harness.config_ints, cfg, "repetitions", 1000),
+            f_values=harness.config_floats(cfg, "f_values", [0.1, 0.3, 0.5, 0.7, 0.9]),
+            qcoin_k=harness.config_ints(cfg, "k_values", [3]),
+            noise=noise,
+            seed_base=seed,
+        )
+        rows = harness.run_value_sweep(spec)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
     harness.write_csv(out / "value-sweep.csv", rows)
     _echo_config(out, {**cfg, "seed": seed})
     print(f"wrote {out / 'value-sweep.csv'} ({len(rows)} rows)")
@@ -122,16 +144,20 @@ def cmd_sweep_value(args):
 def cmd_sweep_convergence(args):
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
+    algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
+    _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
     out = _out_dir(args)
-    spec = SweepSpec(
-        algorithms=cfg.get("algorithms", "monte-carlo,qss,qcoin").split(","),
-        budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000, 100000]),
-        repetitions=int(cfg.get("repetitions", "3000")),
-        qcoin_k=harness.config_ints(cfg, "k_values", [3, 4, 5, 6]),
-        noise=harness.noise_from_config(cfg),
-        seed_base=seed,
-    )
-    result = harness.run_convergence_sweep(spec)
+    try:
+        spec = SweepSpec(
+            algorithms=algorithms,
+            budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000, 100000]),
+            repetitions=_config_value(harness.config_ints, cfg, "repetitions", 3000),
+            qcoin_k=harness.config_ints(cfg, "k_values", [3, 4, 5, 6]),
+            seed_base=seed,
+        )
+        result = harness.run_convergence_sweep(spec)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
     harness.write_csv(out / "convergence.csv", result["rows"])
     if result["optimal_k_table"]:
         harness.write_csv(out / "optimal-k.csv",
@@ -147,24 +173,28 @@ def cmd_sweep_convergence(args):
 def cmd_supersample(args):
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
+    noise = harness.noise_from_config(cfg)
+    _check_noise(noise, [args.algorithm], "supersample")
     out = _out_dir(args)
+    width, height, qcoin_k, qss_p = (
+        _config_value(harness.config_ints, cfg, key, default)
+        for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))
+    )
     if args.image:
         try:
             image = harness.read_pgm(args.image)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read image {args.image}: {exc}", EXIT_IO)
-    else:
-        image = harness.build_teaser_image(
-            int(cfg.get("width", "128")), int(cfg.get("height", "128"))
-        )
     try:
+        if not args.image:
+            image = harness.build_teaser_image(width, height)
         job = SupersampleJob(
             image=image,
             algorithm=args.algorithm,
             per_pixel_budget=args.budget,
-            qcoin_k=int(cfg.get("qcoin_k", "3")),
-            qss_resolution=int(cfg.get("qss_P", "128")),
-            noise=harness.noise_from_config(cfg),
+            qcoin_k=qcoin_k,
+            qss_resolution=qss_p,
+            noise=noise,
             seed_base=seed,
         )
         result = harness.run_supersample(job)
@@ -221,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override (mandatory if absent from config)")
         if needs_out:
             p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (reserved)")
 
     p = sub.add_parser("estimate", help="single estimate of a scalar target mean")
     p.add_argument("--algorithm", required=True, choices=["monte-carlo", "qss", "qcoin"])
@@ -273,6 +302,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConfigError as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OracleError, SimulatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

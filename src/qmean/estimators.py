@@ -18,18 +18,17 @@ from . import noise as noise_mod
 from .primitives import (
     AAOperator,
     LINEAR_AMPLITUDE,
-    OracleError,
     OracleSpec,
     QueryLedger,
     SQRT_AMPLITUDE,
     apply_aa,
     head_state_index,
+    oracle_gate,
     prepare_coin,
     prepare_qss_state,
     qft,
 )
 from .statevector import H_GATE, StateVector, apply_gate, measure
-from .primitives import oracle_gate
 
 
 @dataclass
@@ -83,32 +82,20 @@ def estimate_monte_carlo(
     noise: "noise_mod.NoiseModel | None" = None,
     rng: np.random.Generator | None = None,
 ) -> Estimate:
-    """Head-fraction estimate from repeated single-shot coin measurements.
+    """Head-fraction estimate from repeated single-shot coin measurements:
+    step 0 of the shift-and-scale loop, one query per trial.
 
-    Noiseless trials are i.i.d. Bernoulli with the head probability read off
-    the prepared statevector, so they are drawn as one binomial.  One query
-    per trial.  With a noise model the hardware-style single-qubit coin
-    (head probability f^2, square-root recovery) is used instead.
+    Noiseless trials use the head probability of the prepared statevector.
+    With a noise model the hardware-style single-qubit coin (head probability
+    f^2, square-root recovery) is used instead.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
-
-    if noise is None or noise.is_zero:
-        state = prepare_qss_state(_sqrt_oracle(oracle))
-        p_head = float(np.sum(state.probabilities()[head_state_index(oracle):]))
-        heads = int(rng.binomial(trials, p_head))
-        value = heads / trials
-    else:
-        p_head = noise_mod.head_probability(
-            noise_mod.simple_coin_circuit(oracle.mean), noise
-        )
-        heads = int(rng.binomial(trials, p_head))
-        value = math.sqrt(heads / trials)
-    ledger.add(monte_carlo_queries(trials))
-    return Estimate("monte-carlo", value, ledger.count, seed)
+    value, _ = run_shift_scale(
+        np.array([oracle.mean]), [], trials, rng, noise, integrand=oracle, ledger=ledger
+    )
+    return Estimate("monte-carlo", float(value[0]), ledger.count, seed)
 
 
 def qss_pre_measurement_state(
@@ -204,85 +191,107 @@ def estimate_qss(
 
 def shift_scale_schedule(k: int) -> list[tuple[float, int]]:
     """Per-step (hypothetical error delta, amplification count m) pairs."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     return [(math.sin(math.pi / (1 << (i + 1))), 1 << (i - 1)) for i in range(1, k + 1)]
 
 
-def _coin_head_probability(
-    values: np.ndarray,
-    offset: float,
-    repetitions: int,
-    noise: "noise_mod.NoiseModel | None",
-) -> tuple[float, int]:
-    """Head probability of one shifted, amplified coin shot plus its query cost."""
-    per_shot = 1 + 2 * repetitions
-    if noise is None or noise.is_zero:
-        coin_oracle = OracleSpec(values, offset, LINEAR_AMPLITUDE)
-        state = prepare_coin(coin_oracle)
-        if repetitions:
-            state = apply_aa(state, AAOperator(coin_oracle, "qcoin"), repetitions)
-        p = float(state.probabilities()[head_state_index(coin_oracle)])
-    else:
-        f = float(np.mean(values))
-        circuit = noise_mod.simple_qcoin_circuit(f, offset, repetitions)
-        p = noise_mod.head_probability(circuit, noise)
-    return p, per_shot
+def _asin(x: np.ndarray) -> np.ndarray:
+    # math.asin per element, not np.arcsin: NumPy's SIMD arcsin can differ from
+    # libm in the last bit, which would change fixed-seed single estimates.
+    return np.fromiter(map(math.asin, x.tolist()), float, x.size)
+
+
+def _statevector_coin_probability(values: np.ndarray, offset: float, repetitions: int) -> float:
+    """Head probability of the shifted coin after m amplifications, simulated."""
+    coin_oracle = OracleSpec(values, offset, LINEAR_AMPLITUDE)
+    state = prepare_coin(coin_oracle)
+    if repetitions:
+        state = apply_aa(state, AAOperator(coin_oracle, "qcoin"), repetitions)
+    return float(state.probabilities()[head_state_index(coin_oracle)])
 
 
 def run_shift_scale(
-    oracle: OracleSpec,
+    f: np.ndarray,
     schedule: Sequence[tuple[float, int]],
     trials_per_step: int | Sequence[int],
     rng: np.random.Generator,
-    ledger: QueryLedger,
     noise: "noise_mod.NoiseModel | None" = None,
-    exact_divisor: bool = True,
-    asin_on_fraction: bool = False,
-) -> tuple[float, list[dict]]:
-    """Core shift-and-scale loop shared by the k-step estimator and the
-    delta-sweep harness.
+    integrand: OracleSpec | None = None,
+    ledger: QueryLedger | None = None,
+    head_prob_cache: dict | None = None,
+) -> tuple[np.ndarray, list[dict]]:
+    """The shift-and-scale loop, vectorised over repetitions.
 
-    Step 0 measures the direct coin; each scheduled step (delta, m) shifts by
-    the interval's lower bound, amplifies m times and recovers the angle with
-    divisor 2m+1 (exact) or 2^i (compatibility mode).
+    ``f`` holds one target mean per repetition; the result has its shape.
+    Step 0 samples the direct coin, which alone is the Monte Carlo estimate.
+    Each scheduled step (delta, m) shifts the coin by the interval's lower
+    bound E, amplifies it m times and recovers the angle with divisor 2m+1.
+
+    Head probabilities come from the single-qubit hardware circuits under a
+    non-zero noise model (one target mean per call; ``head_prob_cache`` maps
+    (offset, m) to a probability), from the statevector when an ``integrand``
+    is given, and otherwise from the closed form sin^2((2m+1) asin(f - E)).
+    Draws are batched per step, so one repetition draws exactly as the scalar
+    loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
+    estimates and a per-step trace of e_minus, e_plus, fraction and f_i.
     """
+    shape = np.shape(f)
+    f = np.ravel(np.asarray(f, dtype=float))
     n_steps = len(schedule) + 1
-    if isinstance(trials_per_step, int):
-        trials = [trials_per_step] * n_steps
-    else:
-        trials = list(trials_per_step)
-        if len(trials) != n_steps:
-            raise ValueError("trial schedule must cover step 0 and every scaling step")
+    trials = [trials_per_step] * n_steps if np.ndim(trials_per_step) == 0 else list(trials_per_step)
+    if len(trials) != n_steps:
+        raise ValueError("trial schedule must cover step 0 and every scaling step")
     if any(t < 1 for t in trials):
         raise ValueError("every step needs at least one trial")
 
-    if noise is None or noise.is_zero:
-        state = prepare_qss_state(_sqrt_oracle(oracle))
-        p0 = float(np.sum(state.probabilities()[head_state_index(oracle):]))
-        f_cur = rng.binomial(trials[0], p0) / trials[0]
+    noisy = noise is not None and not noise.is_zero
+    if noisy:
+        if np.any(f != f[0]):
+            raise ValueError("noisy estimation needs a single target mean per call")
+        cache = {} if head_prob_cache is None else head_prob_cache
+
+        def head_prob(offset, reps):
+            key = (round(offset, 12), reps)
+            if key not in cache:
+                circuit = noise_mod.simple_qcoin_circuit(f[0], offset, reps)
+                cache[key] = noise_mod.head_probability(circuit, noise)
+            return cache[key]
+
+        p0 = noise_mod.head_probability(noise_mod.simple_coin_circuit(f[0]), noise)
+    elif integrand is not None:
+
+        def head_prob(offset, reps):
+            return _statevector_coin_probability(integrand.values, offset, reps)
+
+        state = prepare_qss_state(_sqrt_oracle(integrand))
+        p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
     else:
-        circuit = noise_mod.simple_coin_circuit(oracle.mean)
-        p0 = noise_mod.head_probability(circuit, noise)
-        f_cur = math.sqrt(rng.binomial(trials[0], p0) / trials[0])
-    ledger.add(trials[0])
-    trace = [{"step": 0, "e_minus": 0.0, "e_plus": 1.0, "fraction": f_cur, "f_i": f_cur}]
+        head_prob, p0 = None, f
 
+    fraction = rng.binomial(trials[0], p0, size=f.size) / trials[0]
+    # the noisy coin has amplitude f, so its head fraction estimates f^2
+    f_cur = np.sqrt(fraction) if noisy else fraction
     e_minus, e_plus = 0.0, 1.0
-    for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
-        e_minus = max(f_cur - delta / 2.0, e_minus)
-        e_plus = min(f_cur + delta / 2.0, e_plus)
-        p, per_shot = _coin_head_probability(oracle.values, e_minus, reps, noise)
-        fraction = rng.binomial(n_trials, p) / n_trials
-        ledger.add(n_trials * per_shot)
+    trace = [{"step": 0, "e_minus": e_minus, "e_plus": e_plus, "fraction": fraction, "f_i": f_cur}]
+    queries = trials[0]
 
-        amp = fraction if asin_on_fraction else math.sqrt(fraction)
-        amp = min(max(amp, 0.0), 1.0)
-        divisor = (2 * reps + 1) if exact_divisor else 2 * reps
-        f_cur = min(e_minus + math.sin(math.asin(amp) / divisor), e_plus)
-        trace.append(
-            {"step": step, "e_minus": e_minus, "e_plus": e_plus,
-             "fraction": fraction, "f_i": f_cur}
-        )
-    return f_cur, trace
+    for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
+        e_minus = np.maximum(f_cur - delta / 2.0, e_minus)
+        e_plus = np.minimum(f_cur + delta / 2.0, e_plus)
+        if head_prob is None:
+            p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
+        else:
+            p = np.array([head_prob(e, reps) for e in e_minus.tolist()])
+        fraction = rng.binomial(n_trials, np.clip(p, 0.0, 1.0)) / n_trials
+        f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
+        trace.append({"step": step, "e_minus": e_minus, "e_plus": e_plus,
+                      "fraction": fraction, "f_i": f_cur})
+        queries += n_trials * (1 + 2 * reps)
+
+    if ledger is not None:
+        ledger.add(queries * f.size)
+    return f_cur.reshape(shape), trace
 
 
 def estimate_qcoin(
@@ -292,30 +301,23 @@ def estimate_qcoin(
     seed: int | None = None,
     noise: "noise_mod.NoiseModel | None" = None,
     rng: np.random.Generator | None = None,
-    exact_divisor: bool = True,
-    asin_on_fraction: bool = False,
 ) -> Estimate:
     """Hybrid coin estimator with k shift-and-scale steps of L trials each.
 
     With k = 0 this reduces to the Monte Carlo estimator and, given the same
     seed, produces the identical estimate.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    schedule = shift_scale_schedule(k)
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
     value, trace = run_shift_scale(
-        oracle,
-        shift_scale_schedule(k),
-        trials_per_step,
-        rng,
-        ledger,
-        noise=noise,
-        exact_divisor=exact_divisor,
-        asin_on_fraction=asin_on_fraction,
+        np.array([oracle.mean]), schedule, trials_per_step, rng, noise,
+        integrand=oracle, ledger=ledger,
     )
-    return Estimate("qcoin", value, ledger.count, seed, trace)
+    trace = [{key: v if key == "step" else float(np.ravel(v)[0]) for key, v in t.items()}
+             for t in trace]
+    return Estimate("qcoin", float(value[0]), ledger.count, seed, trace)
 
 
 def select_optimal_k(budget: int, error_table: dict[int, dict[int, float]]) -> int:

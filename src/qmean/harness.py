@@ -8,23 +8,20 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import noise as noise_mod
 from .estimators import (
-    Estimate,
-    estimate_qcoin,
     qcoin_queries,
     qss_queries,
     qss_value_grid,
-    select_optimal_k,
+    run_shift_scale,
     shift_scale_schedule,
 )
 from .noise import NoiseModel
-from .primitives import OracleSpec
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +71,9 @@ def nearest_power_of_two_resolution(budget: int) -> int:
 # per-trial simulation so that multi-decade sweeps finish in seconds.
 
 def sample_monte_carlo(f, trials, rng, noise=None):
-    """Vectorized Monte Carlo estimates; f may be an array (one per rep)."""
-    f = np.asarray(f, dtype=float)
-    if noise is None or noise.is_zero:
-        return rng.binomial(trials, f) / trials
-    if f.size > 1 and not np.all(f == f.flat[0]):
-        raise ValueError("noisy Monte Carlo sampling needs a single target mean")
-    p = noise_mod.head_probability(noise_mod.simple_coin_circuit(float(f.flat[0])), noise)
-    return np.sqrt(rng.binomial(trials, p, size=f.shape) / trials)
+    """Vectorized Monte Carlo estimates (step 0 of the shift-and-scale loop);
+    f may be an array (one per rep)."""
+    return run_shift_scale(f, [], trials, rng, noise)[0]
 
 
 def sample_qss(f: float, resolution: int, rng, size=None):
@@ -92,48 +84,24 @@ def sample_qss(f: float, resolution: int, rng, size=None):
 
 
 def fast_qcoin_estimate(
-    f: float,
+    f,
     k: int,
     trials_per_step: int,
     rng: np.random.Generator,
     noise: NoiseModel | None = None,
     head_prob_cache: dict | None = None,
-) -> float:
-    """Shift-and-scale estimate using the closed-form head probability
-    sin^2((2m+1) asin(f - E)).
+) -> float | np.ndarray:
+    """Shift-and-scale estimates using the closed-form head probability
+    sin^2((2m+1) asin(f - E)), or the single-qubit hardware circuits under
+    noise; f may be an array (one per rep), and a float gives a float.
 
     Exact for any integrand because amplification is an exact rotation in
     the coin plane; agreement with the statevector path is asserted in the
     test suite.
     """
-    noisy = noise is not None and not noise.is_zero
-
-    def head_prob(offset, reps):
-        if not noisy:
-            return math.sin((2 * reps + 1) * math.asin(f - offset)) ** 2
-        key = (round(offset, 12), reps)
-        if head_prob_cache is not None and key in head_prob_cache:
-            return head_prob_cache[key]
-        p = noise_mod.head_probability(noise_mod.simple_qcoin_circuit(f, offset, reps), noise)
-        if head_prob_cache is not None:
-            head_prob_cache[key] = p
-        return p
-
-    if not noisy:
-        f_cur = rng.binomial(trials_per_step, f) / trials_per_step
-    else:
-        p0 = noise_mod.head_probability(noise_mod.simple_coin_circuit(f), noise)
-        f_cur = math.sqrt(rng.binomial(trials_per_step, p0) / trials_per_step)
-
-    e_minus, e_plus = 0.0, 1.0
-    for delta, reps in shift_scale_schedule(k):
-        e_minus = max(f_cur - delta / 2.0, e_minus)
-        e_plus = min(f_cur + delta / 2.0, e_plus)
-        p = min(max(head_prob(e_minus, reps), 0.0), 1.0)
-        fraction = rng.binomial(trials_per_step, p) / trials_per_step
-        amp = min(math.sqrt(fraction), 1.0)
-        f_cur = min(e_minus + math.sin(math.asin(amp) / (2 * reps + 1)), e_plus)
-    return f_cur
+    est, _ = run_shift_scale(f, shift_scale_schedule(k), trials_per_step, rng, noise,
+                             head_prob_cache=head_prob_cache)
+    return float(est) if np.ndim(f) == 0 else est
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +172,9 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                     trials = budget // (qcoin_queries(k, 1))
                     if trials < 1:
                         continue
-                    est = np.array([
-                        fast_qcoin_estimate(f, k, trials, rng, spec.noise)
-                        for _ in range(spec.repetitions)
-                    ])
+                    est = fast_qcoin_estimate(
+                        np.full(spec.repetitions, f), k, trials, rng, spec.noise
+                    )
                     mae = float(np.mean(np.abs(est - f)))
                     queries = qcoin_queries(k, trials)
                 else:
@@ -239,10 +206,7 @@ def calibrate_optimal_k(
                 continue
             rng = np.random.default_rng(np.random.SeedSequence([seed, budget, k]))
             fs = rng.uniform(0.0, 1.0, size=repetitions)
-            errs = [
-                abs(fast_qcoin_estimate(float(f), k, trials, rng) - f) for f in fs
-            ]
-            row[k] = float(np.mean(errs))
+            row[k] = float(np.mean(np.abs(fast_qcoin_estimate(fs, k, trials, rng) - fs)))
         table[int(budget)] = row
     return table
 
@@ -337,24 +301,14 @@ def run_delta_scaling_sweep(
     rows = []
     queries, errors = [], []
     for i in step_indices:
-        delta = math.sin(math.pi / (1 << (i + 1)))
-        reps_aa = 1 << (i - 1)
+        delta, reps_aa = shift_scale_schedule(i)[-1]
         trials = max(int(math.ceil(trials_scale / delta**2)), 2)
         prior_trials = max(int(math.ceil(prior_trials_scale / delta**2)), 2)
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        errs = []
         used = trials * (1 + 2 * reps_aa)
-        for _ in range(repetitions):
-            f = float(rng.uniform(0.0, 1.0))
-            f0 = rng.binomial(prior_trials, f) / prior_trials
-            e_minus = max(f0 - delta / 2.0, 0.0)
-            e_plus = min(f0 + delta / 2.0, 1.0)
-            p = math.sin((2 * reps_aa + 1) * math.asin(f - e_minus)) ** 2
-            fraction = rng.binomial(trials, p) / trials
-            amp = min(math.sqrt(fraction), 1.0)
-            est = min(e_minus + math.sin(math.asin(amp) / (2 * reps_aa + 1)), e_plus)
-            errs.append(abs(est - f))
-        mae = float(np.mean(errs))
+        fs = rng.uniform(0.0, 1.0, size=repetitions)
+        est, _ = run_shift_scale(fs, [(delta, reps_aa)], [prior_trials, trials], rng)
+        mae = float(np.mean(np.abs(est - fs)))
         rows.append({"step_index": i, "delta": delta, "aa_repetitions": reps_aa,
                      "trials": trials, "prior_trials": prior_trials,
                      "queries": used, "mae": mae, "repetitions": repetitions})
@@ -470,22 +424,23 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
     blocks = job.image.reshape(ph, SUBPIXEL_GRID, pw, SUBPIXEL_GRID).swapaxes(1, 2)
     ideal = blocks.mean(axis=(2, 3))
     out = np.zeros((ph, pw))
+    rng = np.random.default_rng(job.seed_base)
 
-    for py in range(ph):
-        for px in range(pw):
-            f = float(ideal[py, px])
-            rng = np.random.default_rng(np.random.SeedSequence([job.seed_base, py, px]))
-            if job.algorithm == "monte-carlo":
-                out[py, px] = float(sample_monte_carlo(f, job.per_pixel_budget, rng, job.noise))
-            elif job.algorithm == "qcoin":
-                trials = job.per_pixel_budget // qcoin_queries(job.qcoin_k, 1)
-                out[py, px] = fast_qcoin_estimate(f, job.qcoin_k, trials, rng, job.noise)
-            elif job.algorithm == "qss":
-                out[py, px] = float(sample_qss(f, job.qss_resolution, rng))
-            elif job.algorithm == "ideal":
-                out[py, px] = f
-            else:
-                raise ValueError(f"unknown algorithm {job.algorithm!r}")
+    # pixels with the same block mean are repetitions of one estimate
+    for f in np.unique(ideal):
+        same = ideal == f
+        fs = np.full(int(same.sum()), f)
+        if job.algorithm == "monte-carlo":
+            out[same] = sample_monte_carlo(fs, job.per_pixel_budget, rng, job.noise)
+        elif job.algorithm == "qcoin":
+            trials = job.per_pixel_budget // qcoin_queries(job.qcoin_k, 1)
+            out[same] = fast_qcoin_estimate(fs, job.qcoin_k, trials, rng, job.noise)
+        elif job.algorithm == "qss":
+            out[same] = sample_qss(f, job.qss_resolution, rng, size=fs.size)
+        elif job.algorithm == "ideal":
+            out[same] = f
+        else:
+            raise ValueError(f"unknown algorithm {job.algorithm!r}")
 
     if regions is None:
         regions = default_regions(w, h)
@@ -644,12 +599,22 @@ def write_pgm(path, image: np.ndarray):
         fh.write(data.tobytes())
 
 
+# magic number, width, height and maxval, each after whitespace or '#' comment
+# lines, then exactly one whitespace byte before the pixels
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
+    """Binary portable graymap (P5) with 8-bit samples, scaled to [0, 1]."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    parts = blob.split(maxsplit=4)
-    if parts[0] != b"P5":
+    header = _PGM_HEADER.match(blob)
+    if header is None:
         raise ValueError("not a binary P5 graymap")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    data = np.frombuffer(parts[4][: w * h], dtype=np.uint8).reshape(h, w)
-    return data.astype(float) / maxval
+    w, h, maxval = (int(v) for v in header.groups())
+    if not 0 < maxval <= 255:
+        raise ValueError(f"maxval {maxval} is not an 8-bit graymap")
+    data = blob[header.end(): header.end() + w * h]
+    if len(data) < w * h:
+        raise ValueError(f"graymap data holds {len(data)} of {w * h} pixels")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(float) / maxval

@@ -8,8 +8,8 @@ in this package rely on this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
 class GateMatrix:

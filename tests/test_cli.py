@@ -80,6 +80,44 @@ class TestExitCodes:
         assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv,config,code,named", [
+    # malformed config numbers
+    (["sweep-value"], "repetitions = abc\n", EXIT_CONFIG, "repetitions"),
+    (["supersample", "--algorithm", "qcoin"], "width = 12x\n", EXIT_CONFIG, "width"),
+    (["estimate", "--algorithm", "qss"], "f = zz\n", EXIT_CONFIG, "'f'"),
+    # invalid estimator parameters
+    (["estimate", "--algorithm", "qss", "--f", "0.5", "--P", "12"], "", EXIT_VALIDATION,
+     "power of two"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--L", "0"], "", EXIT_VALIDATION,
+     "trial"),
+    (["estimate", "--algorithm", "monte-carlo", "--f", "0.5", "--trials", "0"], "",
+     EXIT_VALIDATION, "trial"),
+    # noise that an algorithm would ignore
+    (["estimate", "--algorithm", "qss", "--f", "0.5"], "noise = hardware\n",
+     EXIT_VALIDATION, "qss"),
+    (["sweep-value"], "algorithms = qcoin,qss\nnoise = hardware\n", EXIT_VALIDATION, "qss"),
+    (["supersample", "--algorithm", "qss"], "noise = hardware\n", EXIT_VALIDATION, "qss"),
+    (["supersample", "--algorithm", "ideal"], "noise = hardware\n", EXIT_VALIDATION, "ideal"),
+    (["sweep-convergence"], "algorithms = qcoin\nnoise = hardware\n", EXIT_VALIDATION,
+     "qcoin"),
+    (["sweep-convergence"], "algorithms = monte-carlo\nnoise = hardware\n",
+     EXIT_VALIDATION, "monte-carlo"),
+    # an empty graymap
+    (["supersample", "--algorithm", "ideal", "--image", "{empty}"], "", EXIT_IO,
+     "cannot read image"),
+])
+def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    (tmp_path / "empty.pgm").write_bytes(b"")
+    argv = [a.format(empty=tmp_path / "empty.pgm") for a in argv]
+    out = [] if argv[0] == "estimate" else ["--out", str(tmp_path / "out")]
+    assert main(argv + ["--seed", "1", "--config", str(cfg)] + out) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
 class TestSweeps:
     def test_value_sweep_artifacts(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -23,7 +23,6 @@ from qmean.primitives import (
     AAOperator,
     LINEAR_AMPLITUDE,
     OracleSpec,
-    QueryLedger,
     apply_aa,
     head_state_index,
     prepare_coin,
@@ -165,19 +164,9 @@ class TestQcoin:
             estimate_qcoin(OracleSpec([0.5]), -1, 10)
 
     def test_trial_schedule_length_checked(self):
-        oracle = OracleSpec([0.5])
         with pytest.raises(ValueError):
-            run_shift_scale(oracle, shift_scale_schedule(2), [10, 10],
-                            np.random.default_rng(0), QueryLedger())
-
-    def test_compat_flags_run(self):
-        oracle = OracleSpec([0.62])
-        default = estimate_qcoin(oracle, 3, 50, seed=4)
-        legacy_div = estimate_qcoin(oracle, 3, 50, seed=4, exact_divisor=False)
-        legacy_asin = estimate_qcoin(oracle, 3, 50, seed=4, asin_on_fraction=True)
-        for est in (default, legacy_div, legacy_asin):
-            assert 0.0 <= est.value <= 1.0
-        assert default.value != legacy_asin.value
+            run_shift_scale(np.array([0.5]), shift_scale_schedule(2), [10, 10],
+                            np.random.default_rng(0))
 
 
 class TestAmplifiedCoinHeadProbability:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmean.estimators import qcoin_queries, qss_queries
 from qmean.harness import (
@@ -115,6 +116,24 @@ class TestSamplers:
             fast = fast_qcoin_estimate(f, 3, 30, np.random.default_rng(seed))
             slow = estimate_qcoin(oracle, 3, 30, seed=seed).value
             assert abs(fast - slow) < 1e-9
+
+    def test_noisy_fast_qcoin_matches_estimator(self):
+        f = 0.43
+        oracle = OracleSpec([f])
+        for seed in range(10):
+            fast = fast_qcoin_estimate(f, 3, 30, np.random.default_rng(seed), HARDWARE_PRESET)
+            slow = estimate_qcoin(oracle, 3, 30, seed=seed, noise=HARDWARE_PRESET).value
+            assert abs(fast - slow) < 1e-9
+
+    def test_fast_qcoin_array_matches_scalar_calls(self):
+        f, n = 0.62, 2000
+        est = fast_qcoin_estimate(np.full(n, f), 3, 20, np.random.default_rng(0))
+        assert est.shape == (n,)
+        rng = np.random.default_rng(1)
+        scalar = np.array([fast_qcoin_estimate(f, 3, 20, rng) for _ in range(n)])
+        err_a, err_s = np.abs(est - f), np.abs(scalar - f)
+        stderr = math.sqrt((err_a.var() + err_s.var()) / n)
+        assert abs(err_a.mean() - err_s.mean()) < 4 * stderr
 
 
 class TestSweepSpec:
@@ -334,6 +353,30 @@ class TestFileIo:
         back = read_pgm(path)
         assert back.shape == img.shape
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_pgm_roundtrip_any_pixels(self, tmp_path_factory, h, w, data):
+        # a first pixel that is an ASCII whitespace byte must not merge into the header
+        first = data.draw(st.sampled_from([9, 10, 11, 12, 13, 32]) | st.integers(0, 255))
+        pixels = data.draw(st.lists(st.integers(0, 255), min_size=h * w - 1,
+                                    max_size=h * w - 1))
+        img = np.array([first] + pixels).reshape(h, w)
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        write_pgm(path, img / 255.0)
+        np.testing.assert_array_equal(np.round(read_pgm(path) * 255), img)
+
+    def test_pgm_header_comments(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# made by hand\n2 # width\n1\n255\n\x0a\xff")
+        np.testing.assert_array_equal(read_pgm(path), [[10 / 255, 1.0]])
+
+    @pytest.mark.parametrize("blob", [b"", b"P5\n1 1\n65535\n\0\0", b"P5\n2 2\n255\n\0"])
+    def test_pgm_rejects_empty_wide_or_short(self, tmp_path, blob):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            read_pgm(path)
 
     def test_pgm_rejects_other_formats(self, tmp_path):
         path = tmp_path / "bad.pgm"
