@@ -16,19 +16,16 @@ import numpy as np
 
 from . import noise as noise_mod
 from .primitives import (
-    AAOperator,
     LINEAR_AMPLITUDE,
     OracleSpec,
     QueryLedger,
     SQRT_AMPLITUDE,
-    apply_aa,
+    coin_circuit,
     head_state_index,
-    oracle_gate,
-    prepare_coin,
     prepare_qss_state,
-    qft,
+    qss_circuit,
+    run_circuit,
 )
-from .statevector import H_GATE, StateVector, apply_gate, measure
 
 
 @dataclass
@@ -98,56 +95,15 @@ def estimate_monte_carlo(
     return Estimate("monte-carlo", float(value[0]), ledger.count, seed)
 
 
-def qss_pre_measurement_state(
-    oracle: OracleSpec, resolution: int, ledger: QueryLedger | None = None
-) -> StateVector:
-    """Full statevector after the controlled amplification cascade.
-
-    Layout: input qubits low, target at n_input, register on top with its
-    qubit j controlling G^(2^j).  Query cost 2P - 1 including preparation.
-    """
-    if resolution < 2 or resolution & (resolution - 1):
-        raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
-    oracle = _sqrt_oracle(oracle)
-    n_in = oracle.n_input_qubits
-    target = n_in
-    n_reg = resolution.bit_length() - 1
-    register = [target + 1 + j for j in range(n_reg)]
-
-    state = StateVector.zero(n_in + 1 + n_reg)
-    for q in range(n_in):
-        state = apply_gate(state, H_GATE, [q])
-    for q in register:
-        state = apply_gate(state, H_GATE, [q])
-    state = apply_gate(state, oracle_gate(oracle), list(range(n_in)) + [target])
-    if ledger is not None:
-        ledger.add(1)
-
-    op = AAOperator(oracle, "qss")
-    for j, ctrl in enumerate(register):
-        state = apply_aa(
-            state,
-            op,
-            1 << j,
-            ledger,
-            controls=[ctrl],
-            input_qubits=range(n_in),
-            target_qubit=target,
-        )
-    return state
-
-
 def qss_exact_distribution(oracle: OracleSpec, resolution: int) -> np.ndarray:
     """Exact readout distribution over register outcomes t = 0..P-1.
 
-    Deterministic: the Fourier transform is applied to the pre-measurement
-    statevector and the register index is marginalized.
+    Deterministic: the Fourier-readout circuit runs without its measurements
+    and the register index is marginalized.
     """
-    state = qss_pre_measurement_state(oracle, resolution)
-    n_in = _sqrt_oracle(oracle).n_input_qubits
-    n_reg = resolution.bit_length() - 1
-    register = [n_in + 1 + j for j in range(n_reg)]
-    state = qft(state, register)
+    oracle = _sqrt_oracle(oracle)
+    n_in = oracle.n_input_qubits
+    state, _ = run_circuit(qss_circuit(n_in, resolution).bind(oracle))
     probs = state.probabilities()
     reg_index = (np.arange(probs.shape[0]) >> (n_in + 1)) & (resolution - 1)
     dist = np.zeros(resolution)
@@ -172,18 +128,10 @@ def estimate_qss(
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
-    state = qss_pre_measurement_state(oracle, resolution, ledger)
-    n_in = _sqrt_oracle(oracle).n_input_qubits
-    target = n_in
-    n_reg = resolution.bit_length() - 1
-    register = [target + 1 + j for j in range(n_reg)]
-
-    out = measure(state, [target], rng)
-    state = qft(out.post_state, register)
-    out = measure(state, register, rng)
-    t = 0
-    for j, bit in enumerate(out.observed_bits):
-        t |= bit << j
+    oracle = _sqrt_oracle(oracle)
+    circuit = qss_circuit(oracle.n_input_qubits, resolution).bind(oracle)
+    _, (_, readout) = run_circuit(circuit, rng=rng, ledger=ledger)
+    t = sum(bit << j for j, bit in enumerate(readout.observed_bits))
     value = math.sin(t * math.pi / resolution) ** 2
     trace = [{"step": 0, "t": t, "target_bit": None}]
     return Estimate("qss", value, ledger.count, seed, trace)
@@ -205,9 +153,7 @@ def _asin(x: np.ndarray) -> np.ndarray:
 def _statevector_coin_probability(values: np.ndarray, offset: float, repetitions: int) -> float:
     """Head probability of the shifted coin after m amplifications, simulated."""
     coin_oracle = OracleSpec(values, offset, LINEAR_AMPLITUDE)
-    state = prepare_coin(coin_oracle)
-    if repetitions:
-        state = apply_aa(state, AAOperator(coin_oracle, "qcoin"), repetitions)
+    state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, repetitions).bind(coin_oracle))
     return float(state.probabilities()[head_state_index(coin_oracle)])
 
 
@@ -246,6 +192,9 @@ def run_shift_scale(
         raise ValueError("every step needs at least one trial")
 
     noisy = noise is not None and not noise.is_zero
+    if schedule and (noisy or integrand is not None):
+        # the last step runs the largest circuit: refuse it before any gate runs
+        coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1]).check_size()
     if noisy:
         if np.any(f != f[0]):
             raise ValueError("noisy estimation needs a single target mean per call")
@@ -258,7 +207,7 @@ def run_shift_scale(
                 cache[key] = noise_mod.head_probability(circuit, noise)
             return cache[key]
 
-        p0 = noise_mod.head_probability(noise_mod.simple_coin_circuit(f[0]), noise)
+        p0 = noise_mod.head_probability(noise_mod.simple_qcoin_circuit(f[0], 0.0, 0), noise)
     elif integrand is not None:
 
         def head_prob(offset, reps):

@@ -22,6 +22,7 @@ from .estimators import (
     shift_scale_schedule,
 )
 from .noise import NoiseModel
+from .primitives import Circuit, coin_circuit, qss_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,8 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
     """Mean absolute error per (algorithm, f, budget) at fixed target means."""
     if spec.f_values is None:
         raise ValueError("value sweep needs an explicit f grid")
+    if "qcoin" in spec.algorithms and len(spec.qcoin_k) != 1:
+        raise ValueError(f"key 'k_values' takes one value in the value sweep, got {spec.qcoin_k}")
     rows = []
     for algorithm in spec.algorithms:
         for f in spec.f_values:
@@ -466,8 +469,24 @@ class ResourceReport:
     connectivity_edges: int
 
 
+def _count_resources(algorithm: str, circuit: Circuit, n_bins: int, resolution: int):
+    """Qubits touched, multi-qubit gates (any non-M op on more than one qubit)
+    and connectivity edges: each control is linked to each target, and the
+    last target to the other targets.  Repeated blocks count ``count`` times."""
+    qubits, edges, multi_qubit = set(), set(), 0
+    for op, count in circuit.counted_ops():
+        qubits.update(op.touched)
+        if op.name == "M":
+            continue
+        multi_qubit += count * op.is_multi_qubit
+        edges.update(frozenset((c, t)) for c in op.controls for t in op.targets)
+        edges.update(frozenset((op.targets[-1], t)) for t in op.targets[:-1])
+    return ResourceReport(algorithm, n_bins, resolution, len(qubits), len(qubits) - 1,
+                          multi_qubit, len(edges))
+
+
 def report_resources(n_bins: int, resolution: int) -> dict[str, ResourceReport]:
-    """Closed-form qubit / multi-qubit-gate / connectivity counts.
+    """Qubit / multi-qubit-gate / connectivity counts of the circuits that run.
 
     Qubit counts are reported both with and without the target qubit (the
     circuit diagrams include it; coarse algorithmic accounting omits it).
@@ -475,40 +494,13 @@ def report_resources(n_bins: int, resolution: int) -> dict[str, ResourceReport]:
     amplifications plus the register transform) and, for the coin method,
     the matched number of amplification applications.
     """
-    for v, name in ((n_bins, "n_bins"), (resolution, "resolution")):
-        if v < 1 or v & (v - 1):
-            raise ValueError(f"{name} must be a power of two, got {v}")
-    log_n = n_bins.bit_length() - 1
-    log_p = resolution.bit_length() - 1
-
-    oracle_is_mq = 1 if log_n >= 1 else 0
-    per_block = 4 + 2 * log_n  # ctrl-Z, 2 ctrl-oracles, ctrl-reflection, 2*logN ctrl-H
-    qft_mq = log_p * (log_p - 1) // 2 + log_p // 2  # controlled phases + swaps
-    qss = ResourceReport(
-        algorithm="qss",
-        n_bins=n_bins,
-        resolution=resolution,
-        qubits=log_n + log_p + 1,
-        qubits_excluding_target=log_n + log_p,
-        multi_qubit_gates=oracle_is_mq + (resolution - 1) * per_block + qft_mq,
-        connectivity_edges=(
-            log_p * (log_p - 1) // 2        # register clique (transform)
-            + log_p * (1 + log_n)           # register to target and inputs
-            + log_n                         # target to inputs (oracle)
-        ),
-    )
-    # per amplification: 2 oracles + 2 reflections; all single-qubit when N = 1
-    per_g = (2 * oracle_is_mq + 2) if log_n >= 1 else 0
-    qcoin = ResourceReport(
-        algorithm="qcoin",
-        n_bins=n_bins,
-        resolution=resolution,
-        qubits=log_n + 1,
-        qubits_excluding_target=log_n,
-        multi_qubit_gates=oracle_is_mq + (resolution - 1) * per_g,
-        connectivity_edges=log_n,
-    )
-    return {"qss": qss, "qcoin": qcoin}
+    if n_bins < 1 or n_bins & (n_bins - 1):
+        raise ValueError(f"n_bins must be a power of two, got {n_bins}")
+    n_in = n_bins.bit_length() - 1
+    return {
+        "qss": _count_resources("qss", qss_circuit(n_in, resolution), n_bins, resolution),
+        "qcoin": _count_resources("qcoin", coin_circuit(n_in, resolution - 1), n_bins, resolution),
+    }
 
 
 def format_resource_report(reports: dict[str, ResourceReport]) -> str:

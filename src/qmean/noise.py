@@ -1,18 +1,16 @@
 """NISQ-style error injection: stochastic Pauli gate noise plus readout
-bit flips, and the simplified single-qubit hardware circuits used for the
-noisy-machine emulation experiments.
+bit flips, evaluated on the package's bound circuits (``primitives.Circuit``).
+The noisy-machine emulation uses the qcoin circuit with no input qubits.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from .primitives import LINEAR_AMPLITUDE, Circuit, CircuitOp, OracleSpec, coin_circuit
 from .statevector import (
-    GateMatrix,
     MeasurementOutcome,
     StateVector,
     X_GATE,
@@ -21,7 +19,6 @@ from .statevector import (
     apply_gate,
     gate_to_full_matrix,
     measure,
-    rotation_gate,
 )
 
 _PAULIS = (X_GATE, Y_GATE, Z_GATE)
@@ -56,34 +53,6 @@ PRESETS = {
 }
 
 
-@dataclass
-class CircuitOp:
-    gate: GateMatrix
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-
-    @property
-    def touched(self) -> tuple[int, ...]:
-        return self.targets + self.controls
-
-    @property
-    def is_multi_qubit(self) -> bool:
-        return len(self.touched) > 1
-
-
-@dataclass
-class Circuit:
-    """A straight-line gate sequence with a final measurement."""
-
-    n_qubits: int
-    ops: list[CircuitOp] = field(default_factory=list)
-    measured_qubits: Sequence[int] = ()
-
-    def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
-        self.ops.append(CircuitOp(gate, tuple(targets), tuple(controls)))
-        return self
-
-
 def noisy_execute(
     circuit: Circuit,
     model: NoiseModel,
@@ -92,14 +61,15 @@ def noisy_execute(
     """One stochastic trajectory of the circuit under the noise model.
 
     After each gate, each touched qubit suffers a uniformly random Pauli with
-    the corresponding gate-error probability; each measured bit then flips
+    the corresponding gate-error probability; ``M`` ops are not gates, and
+    the readout is ``circuit.measured_qubits``, whose bits then flip
     independently with the readout probability.  With an all-zero model no
     random draws happen before measurement, so the trajectory is bit-identical
     to the noiseless path for any seed.  The returned post_state is the
     collapsed pre-readout state; only the observed bits carry readout flips.
     """
     state = StateVector.zero(circuit.n_qubits)
-    for op in circuit.ops:
+    for op in _gates(circuit):
         state = apply_gate(state, op.gate, op.targets, op.controls)
         g = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
         if g > 0:
@@ -115,6 +85,12 @@ def noisy_execute(
         ]
         outcome = MeasurementOutcome(outcome.qubit_indices, flipped, outcome.post_state)
     return outcome
+
+
+def _gates(circuit: Circuit) -> list[CircuitOp]:
+    # M ops are skipped: the package's circuits measure mid-circuit only qubits
+    # that no later gate touches, which leaves the readout distribution unchanged
+    return [op for op in circuit.expand() if op.name != "M"]
 
 
 def _pauli_channel(rho: np.ndarray, qubit: int, g: float, n: int) -> np.ndarray:
@@ -138,7 +114,7 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[0, 0] = 1.0
-    for op in circuit.ops:
+    for op in _gates(circuit):
         full = gate_to_full_matrix(op.gate, op.targets, op.controls, n)
         rho = full @ rho @ full.conj().T
         g = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
@@ -180,67 +156,7 @@ def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | No
     return float(probs[head_outcome])
 
 
-def direct_value_gate(amplitude: float) -> GateMatrix:
-    """Single-qubit oracle holding the target value directly:
-    |0> -> sqrt(1 - a^2)|0> + a|1>."""
-    if not -1.0 <= amplitude <= 1.0:
-        raise ValueError(f"amplitude must lie in [-1, 1], got {amplitude}")
-    return rotation_gate(math.asin(amplitude))
-
-
-def simple_coin_circuit(f: float) -> Circuit:
-    """Minimal 1-qubit coin with head probability f^2 (amplitude f)."""
-    circuit = Circuit(1, measured_qubits=[0])
-    circuit.add(direct_value_gate(f), [0])
-    return circuit
-
-
-def simple_sqrt_coin_circuit(f: float) -> Circuit:
-    """Minimal 1-qubit coin with head probability f (amplitude sqrt(f))."""
-    circuit = Circuit(1, measured_qubits=[0])
-    circuit.add(direct_value_gate(math.sqrt(f)), [0])
-    return circuit
-
-
 def simple_qcoin_circuit(f: float, offset: float, repetitions: int) -> Circuit:
-    """Shifted 1-qubit coin followed by m amplifications G = Q Z Q^-1 Z.
-
-    With no input qubits both reflections collapse to Pauli Z.
-    """
-    q = direct_value_gate(f - offset)
-    circuit = Circuit(1, measured_qubits=[0])
-    circuit.add(q, [0])
-    for _ in range(repetitions):
-        circuit.add(Z_GATE, [0])
-        circuit.add(q.inverse(), [0])
-        circuit.add(Z_GATE, [0])
-        circuit.add(q, [0])
-    return circuit
-
-
-def simple_qss_circuit(f: float, resolution: int) -> Circuit:
-    """Minimal Fourier-readout circuit: no input qubits, target plus register.
-
-    Register qubit j controls G^(2^j) with G = Q Z Q^-1 Z.  Measurement
-    covers target then register; the Fourier transform on the register is
-    part of the circuit.
-    """
-    if resolution < 2 or resolution & (resolution - 1):
-        raise ValueError("resolution must be a power of two >= 2")
-    n_reg = resolution.bit_length() - 1
-    q = direct_value_gate(math.sqrt(f))
-    from .statevector import H_GATE
-    from .primitives import dft_matrix
-
-    circuit = Circuit(1 + n_reg, measured_qubits=list(range(1 + n_reg)))
-    for j in range(n_reg):
-        circuit.add(H_GATE, [1 + j])
-    circuit.add(q, [0])
-    for j in range(n_reg):
-        for _ in range(1 << j):
-            circuit.add(Z_GATE, [0], [1 + j])
-            circuit.add(q.inverse(), [0], [1 + j])
-            circuit.add(Z_GATE, [0], [1 + j])
-            circuit.add(q, [0], [1 + j])
-    circuit.add(GateMatrix(dft_matrix(resolution), "QFT"), list(range(1, 1 + n_reg)))
-    return circuit
+    """The qcoin circuit with no input qubits, bound to the amplitude f - offset:
+    with one qubit both reflections are Pauli Z, so G = Q Z Q^-1 Z."""
+    return coin_circuit(0, repetitions).bind(OracleSpec([f], offset, LINEAR_AMPLITUDE))

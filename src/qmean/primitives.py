@@ -1,5 +1,12 @@
-"""Algorithmic building blocks: oracle gates, coin preparation, amplitude
-amplification operators, reflections and the quantum Fourier transform.
+"""Algorithmic building blocks: oracle gates, reflections, and the one
+description of each circuit.
+
+``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
+ops; ``Circuit.bind`` attaches the matrices for an oracle and ``run_circuit``
+applies them to a statevector.  Coin preparation, amplification and the
+Fourier transform are calls into that runner; the noise layer evaluates the
+same bound circuits, ``dump_circuit`` prints them and the resource report
+counts them.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -10,7 +17,7 @@ occupies the indices above the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +25,12 @@ import numpy as np
 from .statevector import (
     GateMatrix,
     H_GATE,
+    MeasurementOutcome,
     SimulatorError,
     StateVector,
     Z_GATE,
     apply_gate,
+    measure,
 )
 
 SQRT_AMPLITUDE = "sqrt-amplitude"
@@ -128,13 +137,8 @@ def flip_basis_state(n_qubits: int, index: int) -> GateMatrix:
 
 @dataclass
 class AAOperator:
-    """Amplitude-amplification operator G for one of the two coin variants.
-
-    ``qss``: G = Q (H on inputs) (2|0><0| - I) (H on inputs) Q^-1 Z_target.
-    ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}
-    where F flips the amplitude of the head state |1> (x) |0).
-    Each application costs two oracle queries.
-    """
+    """Amplitude-amplification operator G for one of the two coin variants
+    (gate sequences in ``_g_block``).  Each application costs two queries."""
 
     oracle: OracleSpec
     variant: str
@@ -152,9 +156,229 @@ class AAOperator:
         return self.oracle.n_input_qubits + 1
 
 
-def _coin_qubits(oracle: OracleSpec) -> tuple[list[int], int]:
-    n_in = oracle.n_input_qubits
-    return list(range(n_in)), n_in
+# Largest number of ops, repeats expanded, that a circuit may have before it is
+# run, evaluated under noise or printed; about a million gate applications.
+MAX_CIRCUIT_OPS = 1 << 20
+
+_FIXED_GATES = {"H": H_GATE, "Z": Z_GATE, "SWAP": GateMatrix(np.eye(4)[[0, 2, 1, 3]], "SWAP")}
+
+
+@dataclass(frozen=True)
+class CircuitOp:
+    """One op: a gate name, target and control qubits, and an optional angle.
+
+    ``gate`` is the matrix once the op is bound.  ``M`` measures its targets
+    and has no matrix.
+    """
+
+    name: str
+    targets: tuple[int, ...]
+    controls: tuple[int, ...] = ()
+    angle: float | None = None
+    gate: GateMatrix | None = None
+
+    @property
+    def touched(self) -> tuple[int, ...]:
+        return self.targets + self.controls
+
+    @property
+    def is_multi_qubit(self) -> bool:
+        return len(self.touched) > 1
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """A block of ops applied ``count`` times in a row, kept as one node."""
+
+    ops: tuple[CircuitOp, ...]
+    count: int
+
+
+@dataclass
+class Circuit:
+    """A straight-line list of ops and repeated blocks.
+
+    ``measured_qubits`` is the final readout, the targets of the last ``M``.
+    """
+
+    n_qubits: int
+    ops: list[CircuitOp | Repeat] = field(default_factory=list)
+    measured_qubits: Sequence[int] = ()
+
+    def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
+        self.ops.append(CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate))
+        return self
+
+    def measure(self, qubits: Sequence[int]):
+        self.ops.append(CircuitOp("M", tuple(qubits)))
+        self.measured_qubits = list(qubits)
+        return self
+
+    def counted_ops(self):
+        """Each distinct op with the number of times it runs; repeats stay folded."""
+        for node in self.ops:
+            if isinstance(node, Repeat):
+                for op in node.ops:
+                    yield op, node.count
+            else:
+                yield node, 1
+
+    def check_size(self):
+        size = sum(count for _, count in self.counted_ops())
+        if size > MAX_CIRCUIT_OPS:
+            raise ValueError(f"circuit has {size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
+
+    def expand(self) -> list[CircuitOp]:
+        """The ops in run order, repeats expanded; refused past MAX_CIRCUIT_OPS."""
+        self.check_size()
+        flat = []
+        for node in self.ops:
+            flat.extend(node.ops * node.count if isinstance(node, Repeat) else [node])
+        return flat
+
+    def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
+        """The same circuit with a matrix on every op but ``M``.
+
+        Each distinct gate (Q, Q_INV, RZERO, FLIP_HEAD, ...) is built once;
+        ``oracle`` supplies Q.  Ops that already hold a matrix keep it.
+        Refused past MAX_CIRCUIT_OPS.
+        """
+        self.check_size()
+        gates: dict = {}
+
+        def bound(op):
+            if op.gate is not None or op.name == "M":
+                return op
+            return replace(op, gate=_named_gate((op.name, len(op.targets), op.angle), oracle, gates))
+
+        # a block repeated zero times never runs, so it gets no matrices
+        ops = [Repeat(tuple(map(bound, node.ops)), node.count) if isinstance(node, Repeat)
+               else bound(node) for node in self.ops if getattr(node, "count", 1)]
+        return Circuit(self.n_qubits, ops, self.measured_qubits)
+
+
+def _named_gate(key, oracle: OracleSpec | None, gates: dict) -> GateMatrix:
+    """The matrix for (name, arity, angle), built at most once per ``gates``."""
+    if key not in gates:
+        name, arity, angle = key
+        if name == "Q":
+            gate = oracle_gate(oracle)
+        elif name == "Q_INV":
+            gate = _named_gate(("Q", arity, None), oracle, gates).inverse()
+        elif name == "RZERO":
+            gate = reflection_about_zero(arity)
+        elif name == "FLIP_HEAD":
+            gate = flip_basis_state(arity, 1 << (arity - 1))
+        elif name == "CPHASE":
+            gate = GateMatrix(np.diag([1.0, np.exp(1j * angle)]), "CPHASE")
+        else:
+            gate = _FIXED_GATES[name]
+        gates[key] = gate
+    return gates[key]
+
+
+def run_circuit(
+    circuit: Circuit,
+    state: StateVector | None = None,
+    rng: np.random.Generator | None = None,
+    ledger: QueryLedger | None = None,
+) -> tuple[StateVector, list[MeasurementOutcome]]:
+    """Apply a bound circuit to ``state`` (default all |0>), op by op.
+
+    ``M`` collapses its targets with ``rng`` and records the outcome; without
+    a generator it is skipped, which leaves the amplitudes the caller reads a
+    distribution from.  Each Q or Q_INV is one query on ``ledger``.
+    """
+    ops = circuit.expand()
+    if state is None:
+        state = StateVector.zero(circuit.n_qubits)
+    outcomes = []
+    for op in ops:
+        if op.name != "M":
+            state = apply_gate(state, op.gate, op.targets, op.controls)
+        elif rng is not None:
+            outcomes.append(measure(state, op.targets, rng))
+            state = outcomes[-1].post_state
+    if ledger is not None:
+        ledger.add(sum(op.name in ("Q", "Q_INV") for op in ops))
+    return state, outcomes
+
+
+def _h(qubits, controls=()) -> list[CircuitOp]:
+    return [CircuitOp("H", (q,), controls) for q in qubits]
+
+
+def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int) -> list[CircuitOp]:
+    """Coin preparation: H on the inputs, then Q; the qcoin frames Q with H."""
+    ops = _h(inputs) + [CircuitOp("Q", inputs + (target,))]
+    return ops + _h(inputs) if variant == "qcoin" else ops
+
+
+def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) -> tuple[CircuitOp, ...]:
+    """One amplification step G, every op conditioned on ``controls``.
+
+    ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
+    ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}
+    where F flips the amplitude of the head state |1> (x) |0).
+    """
+    coin = inputs + (target,)
+    h = _h(inputs, controls)
+    q, q_inv, rzero = (CircuitOp(name, coin, controls) for name in ("Q", "Q_INV", "RZERO"))
+    if variant == "qss":
+        return (CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q)
+    return (CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h)
+
+
+def _qft_ops(register: tuple[int, ...]) -> list[CircuitOp]:
+    """Textbook Fourier transform, ``register[0]`` least significant: H and
+    controlled phases from the top qubit down, then the swaps that reverse
+    the bit order."""
+    n = len(register)
+    ops = []
+    for j in reversed(range(n)):
+        ops.append(CircuitOp("H", (register[j],)))
+        for jj in reversed(range(j)):
+            ops.append(CircuitOp("CPHASE", (register[jj],), (register[j],),
+                                 -math.pi / (1 << (j - jj))))
+    return ops + [CircuitOp("SWAP", (register[j], register[n - 1 - j])) for j in range(n // 2)]
+
+
+def _coin_layout(n_input: int) -> tuple[tuple[int, ...], int]:
+    if n_input < 0:
+        raise ValueError(f"n_input must be non-negative, got {n_input}")
+    return tuple(range(n_input)), n_input
+
+
+def coin_circuit(n_input: int, m: int) -> Circuit:
+    """The qcoin circuit: coin preparation, ``m`` G blocks, readout of the coin.
+
+    Its head probability, outcome |1> (x) |0), is sin^2((2m+1) asin(mean - E))
+    under a linear-amplitude oracle with offset E.
+    """
+    inputs, target = _coin_layout(n_input)
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    ops = _prepare_ops("qcoin", inputs, target) + [Repeat(_g_block("qcoin", inputs, target), m)]
+    return Circuit(n_input + 1, ops).measure(inputs + (target,))
+
+
+def qss_circuit(n_input: int, resolution: int) -> Circuit:
+    """The Fourier-readout circuit at resolution P (a power of two >= 2).
+
+    H on the register, coin preparation, register qubit j controlling
+    G^(2^j), a mid-circuit measurement of the target, the textbook transform
+    of the register and its readout.  Query cost 2P - 1.
+    """
+    inputs, target = _coin_layout(n_input)
+    if resolution < 2 or resolution & (resolution - 1):
+        raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
+    register = tuple(range(target + 1, target + resolution.bit_length()))
+    ops = _h(register) + _prepare_ops("qss", inputs, target)
+    ops += [Repeat(_g_block("qss", inputs, target, (ctrl,)), 1 << j)
+            for j, ctrl in enumerate(register)]
+    circuit = Circuit(target + len(register) + 1, ops).measure([target])
+    circuit.ops += _qft_ops(register)
+    return circuit.measure(register)
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -166,14 +390,9 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
         raise OracleError("prepare_qss_state requires a sqrt-amplitude oracle")
     if oracle.offset != 0.0:
         raise OracleError("prepare_qss_state requires offset 0")
-    inputs, target = _coin_qubits(oracle)
-    state = StateVector.zero(len(inputs) + 1)
-    for q in inputs:
-        state = apply_gate(state, H_GATE, [q])
-    state = apply_gate(state, oracle_gate(oracle), inputs + [target])
-    if ledger is not None:
-        ledger.add(1)
-    return state
+    inputs, target = _coin_layout(oracle.n_input_qubits)
+    circuit = Circuit(target + 1, _prepare_ops("qss", inputs, target))
+    return run_circuit(circuit.bind(oracle), ledger=ledger)[0]
 
 
 def prepare_coin(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -184,16 +403,7 @@ def prepare_coin(oracle: OracleSpec, ledger: QueryLedger | None = None) -> State
     """
     if oracle.encoding != LINEAR_AMPLITUDE:
         raise OracleError("prepare_coin requires a linear-amplitude oracle")
-    inputs, target = _coin_qubits(oracle)
-    state = StateVector.zero(len(inputs) + 1)
-    for q in inputs:
-        state = apply_gate(state, H_GATE, [q])
-    state = apply_gate(state, oracle_gate(oracle), inputs + [target])
-    for q in inputs:
-        state = apply_gate(state, H_GATE, [q])
-    if ledger is not None:
-        ledger.add(1)
-    return state
+    return run_circuit(coin_circuit(oracle.n_input_qubits, 0).bind(oracle), ledger=ledger)[0]
 
 
 def head_state_index(oracle: OracleSpec) -> int:
@@ -215,51 +425,15 @@ def apply_aa(
 
     By default the coin occupies qubits 0..n_input with the target on top;
     pass ``input_qubits``/``target_qubit`` to act inside a larger register,
-    and ``controls`` to condition every constituent gate (used by the
-    Fourier-readout circuit).
+    and ``controls`` to condition every constituent gate.
     """
     if repetitions < 0:
         raise OracleError("repetitions must be non-negative")
-    oracle = op.oracle
-    if input_qubits is None:
-        input_qubits = list(range(oracle.n_input_qubits))
-    else:
-        input_qubits = list(input_qubits)
-    if target_qubit is None:
-        target_qubit = oracle.n_input_qubits
-    coin = input_qubits + [target_qubit]
-    controls = list(controls)
-
-    q_gate = oracle_gate(oracle)
-    q_inv = q_gate.inverse()
-    rzero = reflection_about_zero(len(coin))
-    flip_head = flip_basis_state(len(coin), 1 << len(input_qubits))
-
-    def h_inputs(s):
-        for q in input_qubits:
-            s = apply_gate(s, H_GATE, [q], controls)
-        return s
-
-    for _ in range(repetitions):
-        if op.variant == "qss":
-            state = apply_gate(state, Z_GATE, [target_qubit], controls)
-            state = apply_gate(state, q_inv, coin, controls)
-            state = h_inputs(state)
-            state = apply_gate(state, rzero, coin, controls)
-            state = h_inputs(state)
-            state = apply_gate(state, q_gate, coin, controls)
-        else:
-            state = apply_gate(state, flip_head, coin, controls)
-            state = h_inputs(state)
-            state = apply_gate(state, q_inv, coin, controls)
-            state = h_inputs(state)
-            state = apply_gate(state, rzero, coin, controls)
-            state = h_inputs(state)
-            state = apply_gate(state, q_gate, coin, controls)
-            state = h_inputs(state)
-        if ledger is not None:
-            ledger.add(2)
-    return state
+    n_in = op.oracle.n_input_qubits
+    inputs = tuple(range(n_in) if input_qubits is None else input_qubits)
+    target = n_in if target_qubit is None else target_qubit
+    block = Repeat(_g_block(op.variant, inputs, target, tuple(controls)), repetitions)
+    return run_circuit(Circuit(state.n_qubits, [block]).bind(op.oracle), state, ledger=ledger)[0]
 
 
 def aa_operator_matrix(op: AAOperator) -> np.ndarray:
@@ -282,86 +456,31 @@ def dft_matrix(size: int) -> np.ndarray:
 
 
 def qft(state: StateVector, qubit_indices: Sequence[int]) -> StateVector:
-    """Fourier-transform the amplitudes of a sub-register.
+    """Fourier-transform the amplitudes of a sub-register (``dft_matrix``).
 
     ``qubit_indices[0]`` is the least-significant bit of the sub-register
-    index.  Applied as a dense unitary; no approximate decomposition.
+    index.  Runs the textbook H / CPHASE / SWAP decomposition.
     """
-    qubit_indices = list(qubit_indices)
-    size = 1 << len(qubit_indices)
-    gate = GateMatrix(dft_matrix(size), name=f"QFT({len(qubit_indices)})")
-    return apply_gate(state, gate, qubit_indices)
+    return run_circuit(Circuit(state.n_qubits, _qft_ops(tuple(qubit_indices))).bind(), state)[0]
+
+
+def _format_op(op: CircuitOp) -> str:
+    targets = ",".join(map(str, op.targets)) if op.targets else "-"
+    controls = ",".join(map(str, op.controls)) if op.controls else "-"
+    angle = f"{op.angle:.12g}" if op.angle is not None else "-"
+    return f"{op.name} {targets} {controls} {angle}\n"
 
 
 def dump_circuit(algorithm: str, n_input: int, resolution: int = 0, repetitions: int = 1) -> str:
-    """Plain-text gate listing, one gate per line: name, targets, controls, angle.
+    """The circuit that runs, one op per line: name, targets, controls, angle.
 
-    ``qss`` lists the full Fourier-readout circuit for AA resolution
-    ``resolution`` (power of two); ``qcoin`` lists one coin preparation plus
-    ``repetitions`` G blocks.  Used by docs and golden tests.
+    ``qss`` lists the Fourier-readout circuit at resolution ``resolution``;
+    ``qcoin`` lists one coin preparation plus ``repetitions`` G blocks.
     """
-
-    def line(name, targets, controls=(), angle=None):
-        t = ",".join(str(q) for q in targets) if targets else "-"
-        c = ",".join(str(q) for q in controls) if controls else "-"
-        a = f"{angle:.12g}" if angle is not None else "-"
-        return f"{name} {t} {c} {a}"
-
-    inputs = list(range(n_input))
-    target = n_input
-    coin = inputs + [target]
-    lines = []
-
     if algorithm == "qss":
-        if resolution < 2 or resolution & (resolution - 1):
-            raise ValueError("resolution must be a power of two >= 2")
-        n_reg = resolution.bit_length() - 1
-        register = [target + 1 + j for j in range(n_reg)]
-        for q in register:
-            lines.append(line("H", [q]))
-        for q in inputs:
-            lines.append(line("H", [q]))
-        lines.append(line("Q", coin))
-        for j, ctrl in enumerate(register):
-            for _ in range(1 << j):
-                lines.append(line("Z", [target], [ctrl]))
-                lines.append(line("Q_INV", coin, [ctrl]))
-                for q in inputs:
-                    lines.append(line("H", [q], [ctrl]))
-                lines.append(line("RZERO", coin, [ctrl]))
-                for q in inputs:
-                    lines.append(line("H", [q], [ctrl]))
-                lines.append(line("Q", coin, [ctrl]))
-        lines.append(line("M", [target]))
-        # textbook QFT decomposition on the register
-        for j in reversed(range(n_reg)):
-            lines.append(line("H", [register[j]]))
-            for jj in reversed(range(j)):
-                angle = -math.pi / (1 << (j - jj))
-                lines.append(line("CPHASE", [register[jj]], [register[j]], angle))
-        for j in range(n_reg // 2):
-            lines.append(line("SWAP", [register[j], register[n_reg - 1 - j]]))
-        lines.append(line("M", register))
+        circuit = qss_circuit(n_input, resolution)
     elif algorithm == "qcoin":
-        for q in inputs:
-            lines.append(line("H", [q]))
-        lines.append(line("Q", coin))
-        for q in inputs:
-            lines.append(line("H", [q]))
-        for _ in range(repetitions):
-            lines.append(line("FLIP_HEAD", coin))
-            for q in inputs:
-                lines.append(line("H", [q]))
-            lines.append(line("Q_INV", coin))
-            for q in inputs:
-                lines.append(line("H", [q]))
-            lines.append(line("RZERO", coin))
-            for q in inputs:
-                lines.append(line("H", [q]))
-            lines.append(line("Q", coin))
-            for q in inputs:
-                lines.append(line("H", [q]))
-        lines.append(line("M", coin))
+        circuit = coin_circuit(n_input, repetitions)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(map(_format_op, circuit.expand()))

@@ -2,6 +2,7 @@
 determinism of reruns."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,23 @@ class TestExitCodes:
     # an empty graymap
     (["supersample", "--algorithm", "ideal", "--image", "{empty}"], "", EXIT_IO,
      "cannot read image"),
+    # circuits the builder rejects
+    (["dump-circuit", "--algorithm", "qss", "--n-input", "-1"], "", EXIT_VALIDATION, "n_input"),
+    (["dump-circuit", "--algorithm", "qcoin", "--n-input", "1", "--m", "-2"], "",
+     EXIT_VALIDATION, "m must"),
+    (["resources", "--N", "16", "--P", "1"], "", EXIT_VALIDATION, "power of two"),
+    # circuits past the op cap, refused before any gate runs or line prints
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--k", "40"], "", EXIT_VALIDATION, "cap"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--k", "40"], "noise = hardware\n",
+     EXIT_VALIDATION, "cap"),
+    (["estimate", "--algorithm", "qss", "--f", "0.5", "--P", str(1 << 30)], "", EXIT_VALIDATION,
+     "cap"),
+    (["dump-circuit", "--algorithm", "qss", "--n-input", "1", "--P", str(1 << 30)], "",
+     EXIT_VALIDATION, "cap"),
+    (["dump-circuit", "--algorithm", "qcoin", "--n-input", "1", "--m", str(10**9)], "",
+     EXIT_VALIDATION, "cap"),
+    # more k values than the value sweep uses
+    (["sweep-value"], "algorithms = qcoin\nk_values = 3,5\n", EXIT_VALIDATION, "k_values"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -112,10 +130,13 @@ def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_pa
     (tmp_path / "empty.pgm").write_bytes(b"")
     argv = [a.format(empty=tmp_path / "empty.pgm") for a in argv]
     out = [] if argv[0] == "estimate" else ["--out", str(tmp_path / "out")]
-    assert main(argv + ["--seed", "1", "--config", str(cfg)] + out) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert named in err
+    # dump-circuit and resources take neither a seed nor a config
+    seeded = argv[0] not in ("dump-circuit", "resources")
+    assert main(argv + (["--seed", "1", "--config", str(cfg)] if seeded else []) + out) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert named in captured.err
+    assert captured.out == ""
 
 
 class TestSweeps:
@@ -213,6 +234,12 @@ class TestDumpCircuit:
         code = main(["dump-circuit", "--algorithm", "qss", "--n-input", "2",
                      "--P", "10"])
         assert code == EXIT_VALIDATION
+
+    def test_qss_listing_golden(self, capsys):
+        # the listing is the circuit the simulator runs, so it is pinned byte for byte
+        golden = Path(__file__).parent / "data" / "dump-circuit-qss-n2-P8.txt"
+        assert main(["dump-circuit", "--algorithm", "qss", "--n-input", "2", "--P", "8"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestResources:

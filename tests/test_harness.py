@@ -292,7 +292,40 @@ class TestSupersample:
             SupersampleJob(image=np.full((16, 16), 1.5), algorithm="ideal")
 
 
+def closed_form_resources(n_bins, resolution):
+    """(qubits, qubits without target, multi-qubit gates, edges) per algorithm,
+    in closed form."""
+    log_n = n_bins.bit_length() - 1
+    log_p = resolution.bit_length() - 1
+    oracle_is_mq = 1 if log_n >= 1 else 0
+    per_block = 4 + 2 * log_n  # ctrl-Z, 2 ctrl-oracles, ctrl-reflection, 2*logN ctrl-H
+    qft_mq = log_p * (log_p - 1) // 2 + log_p // 2  # controlled phases + swaps
+    per_g = 4 if log_n >= 1 else 0  # 2 oracles + 2 reflections; all single-qubit when N = 1
+    qss_edges = (log_p * (log_p - 1) // 2      # register clique (transform)
+                 + log_p * (1 + log_n)         # register to target and inputs
+                 + log_n)                      # target to inputs (oracle)
+    return {
+        "qss": (log_n + log_p + 1, log_n + log_p,
+                oracle_is_mq + (resolution - 1) * per_block + qft_mq, qss_edges),
+        "qcoin": (log_n + 1, log_n, oracle_is_mq + (resolution - 1) * per_g, log_n),
+    }
+
+
 class TestResources:
+    @pytest.mark.parametrize("n_bins", [1, 2, 16, 1024])
+    @pytest.mark.parametrize("resolution", [2, 4, 32, 1024])
+    def test_counted_circuit_matches_closed_form(self, n_bins, resolution):
+        reports = report_resources(n_bins, resolution)
+        for name, expected in closed_form_resources(n_bins, resolution).items():
+            r = reports[name]
+            assert (r.qubits, r.qubits_excluding_target, r.multi_qubit_gates,
+                    r.connectivity_edges) == expected
+
+    def test_repeats_counted_without_expanding(self):
+        # 2^20 G blocks are far past the op cap, yet count at once
+        reports = report_resources(1 << 20, 1 << 20)
+        assert reports["qss"].multi_qubit_gates == closed_form_resources(1 << 20, 1 << 20)["qss"][2]
+
     def test_qubit_counts(self):
         reports = report_resources(1024, 32)
         assert reports["qss"].qubits == 10 + 5 + 1

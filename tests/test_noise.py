@@ -11,18 +11,31 @@ from qmean.noise import (
     HARDWARE_PRESET,
     NoiseModel,
     PRESETS,
-    direct_value_gate,
     head_probability,
     noisy_execute,
     outcome_probabilities,
-    simple_coin_circuit,
     simple_qcoin_circuit,
-    simple_qss_circuit,
-    simple_sqrt_coin_circuit,
+)
+from qmean.primitives import (
+    LINEAR_AMPLITUDE,
+    OracleError,
+    OracleSpec,
+    coin_circuit,
+    qss_circuit,
 )
 from qmean.statevector import H_GATE, StateVector, X_GATE, apply_gate, measure
 
 ZERO = NoiseModel()
+
+
+def coin(f):
+    """The qcoin circuit with no input qubits and no amplification: amplitude f."""
+    return coin_circuit(0, 0).bind(OracleSpec([f], encoding=LINEAR_AMPLITUDE))
+
+
+def sqrt_coin(f):
+    """The same circuit bound to a sqrt-amplitude oracle: head probability f."""
+    return coin_circuit(0, 0).bind(OracleSpec([f]))
 
 
 class TestNoiseModel:
@@ -59,7 +72,7 @@ class TestZeroNoiseEquivalence:
 class TestReadoutError:
     def test_all_tails_coin_reads_flip_probability(self):
         model = NoiseModel(readout_flip_prob=0.05)
-        circuit = simple_sqrt_coin_circuit(0.0)
+        circuit = sqrt_coin(0.0)
         assert abs(head_probability(circuit, model) - 0.05) < 1e-12
 
         rng = np.random.default_rng(8)
@@ -74,7 +87,7 @@ class TestReadoutError:
     def test_deterministic_circuit_error_floor(self):
         # f = 1 circuit: the asymptotic error fraction equals the flip rate
         model = NoiseModel(readout_flip_prob=0.08)
-        circuit = simple_sqrt_coin_circuit(1.0)
+        circuit = sqrt_coin(1.0)
         assert abs(head_probability(circuit, model) - 0.92) < 1e-12
 
 
@@ -109,7 +122,7 @@ class TestErrorMonotonicity:
         f = 0.5
         biases = []
         for r in [0.0, 0.02, 0.05, 0.1]:
-            p = head_probability(simple_coin_circuit(f), NoiseModel(readout_flip_prob=r))
+            p = head_probability(coin(f), NoiseModel(readout_flip_prob=r))
             biases.append(abs(math.sqrt(p) - f))
         assert biases == sorted(biases)
 
@@ -124,17 +137,17 @@ class TestErrorMonotonicity:
 
 
 class TestSimpleCircuits:
-    def test_direct_value_gate_range(self):
-        with pytest.raises(ValueError):
-            direct_value_gate(1.2)
+    def test_coin_amplitude_range(self):
+        with pytest.raises(OracleError):
+            coin(1.2)
 
     @pytest.mark.parametrize("f", [0.0, 0.3, 0.8, 1.0])
     def test_coin_head_probability_is_f_squared(self, f):
-        assert abs(head_probability(simple_coin_circuit(f), ZERO) - f * f) < 1e-12
+        assert abs(head_probability(coin(f), ZERO) - f * f) < 1e-12
 
     @pytest.mark.parametrize("f", [0.0, 0.3, 0.8, 1.0])
     def test_sqrt_coin_head_probability_is_f(self, f):
-        assert abs(head_probability(simple_sqrt_coin_circuit(f), ZERO) - f) < 1e-12
+        assert abs(head_probability(sqrt_coin(f), ZERO) - f) < 1e-12
 
     @pytest.mark.parametrize("f,offset,m", [(0.5, 0.3, 1), (0.7, 0.6, 4)])
     def test_amplified_coin_angle_law(self, f, offset, m):
@@ -144,16 +157,15 @@ class TestSimpleCircuits:
 
     def test_minimal_qss_circuit_matches_exact_distribution(self):
         f, p = 0.37, 8
-        circuit = simple_qss_circuit(f, p)
-        probs = outcome_probabilities(circuit, ZERO)
-        # marginalize out the target bit (bit 0 of the measured word)
-        register = probs.reshape(p, 2).sum(axis=1)
+        circuit = qss_circuit(0, p).bind(OracleSpec([f]))
+        # the readout is the register; the target is measured mid-circuit
+        register = outcome_probabilities(circuit, ZERO)
         np.testing.assert_allclose(register, qss_theoretical_distribution(f, p),
                                    atol=1e-10)
 
     def test_minimal_qss_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
-            simple_qss_circuit(0.5, 6)
+            qss_circuit(0, 6)
 
 
 class TestMultiQubitGateErrors:

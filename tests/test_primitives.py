@@ -11,12 +11,14 @@ from hypothesis.extra.numpy import arrays
 from qmean.primitives import (
     AAOperator,
     LINEAR_AMPLITUDE,
+    MAX_CIRCUIT_OPS,
     OracleError,
     OracleSpec,
     QueryLedger,
     SQRT_AMPLITUDE,
     aa_operator_matrix,
     apply_aa,
+    coin_circuit,
     dft_matrix,
     dump_circuit,
     flip_basis_state,
@@ -352,3 +354,20 @@ class TestDumpCircuit:
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             dump_circuit("qss", 2, resolution=12)
+
+
+class TestCircuit:
+    def test_bind_builds_each_gate_once(self):
+        oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
+        ops = coin_circuit(2, 3).bind(oracle).expand()
+        for name in ("Q", "Q_INV", "RZERO", "FLIP_HEAD"):
+            assert len({id(op.gate) for op in ops if op.name == name}) == 1
+
+    def test_op_cap_refuses_before_any_work(self):
+        # 4m + 2 ops: one m below fits, one far above is refused
+        coin_circuit(0, MAX_CIRCUIT_OPS // 4 - 1).check_size()
+        big = coin_circuit(0, MAX_CIRCUIT_OPS)
+        with pytest.raises(ValueError, match="cap"):
+            big.expand()
+        with pytest.raises(ValueError, match="cap"):
+            big.bind(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE))
