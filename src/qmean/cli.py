@@ -39,12 +39,12 @@ def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_IO)
     try:
-        return parse_config(text)
-    except ConfigError as exc:
+        return parse_config(blob.decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError) as exc:
         raise CliError(f"bad config {path}: {exc}", EXIT_CONFIG)
 
 

@@ -194,7 +194,8 @@ def run_shift_scale(
     noisy = noise is not None and not noise.is_zero
     if schedule and (noisy or integrand is not None):
         # the last step runs the largest circuit: refuse it before any gate runs
-        coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1]).check_size()
+        largest = coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1])
+        largest.check_size(on_statevector=not noisy)
     if noisy:
         if np.any(f != f[0]):
             raise ValueError("noisy estimation needs a single target mean per call")

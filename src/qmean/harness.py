@@ -123,6 +123,8 @@ class SweepSpec:
             raise ValueError("repetitions must be >= 1")
         if list(self.budgets) != sorted(self.budgets):
             raise ValueError("budgets must be ascending")
+        if self.f_values is not None and not all(0.0 <= f <= 1.0 for f in self.f_values):
+            raise ValueError(f"f_values must lie in [0, 1], got {self.f_values}")
 
 
 def fit_loglog_slope(queries, errors, skip_first: bool = True) -> float:

@@ -159,6 +159,10 @@ class AAOperator:
 # Largest number of ops, repeats expanded, that a circuit may have before it is
 # run, evaluated under noise or printed; about a million gate applications.
 MAX_CIRCUIT_OPS = 1 << 20
+# Largest ops x 2^n_qubits, repeats expanded, that a circuit may need before it
+# runs on the statevector: one update per amplitude per op.  qss at P = 4096
+# (13 qubits, 1.35e8 updates) runs in 3.7 s on a 2-core Xeon; the cap is twice that.
+MAX_AMPLITUDE_WORK = 1 << 28
 
 _FIXED_GATES = {"H": H_GATE, "Z": Z_GATE, "SWAP": GateMatrix(np.eye(4)[[0, 2, 1, 3]], "SWAP")}
 
@@ -223,10 +227,16 @@ class Circuit:
             else:
                 yield node, 1
 
-    def check_size(self):
+    def check_size(self, on_statevector: bool = False):
+        """Refuse past MAX_CIRCUIT_OPS ops and, for a statevector run, past
+        MAX_AMPLITUDE_WORK amplitude updates."""
         size = sum(count for _, count in self.counted_ops())
         if size > MAX_CIRCUIT_OPS:
             raise ValueError(f"circuit has {size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
+        work = size << self.n_qubits
+        if on_statevector and work > MAX_AMPLITUDE_WORK:
+            raise ValueError(f"circuit needs {size} ops x 2^{self.n_qubits} amplitudes = {work} "
+                             f"amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
 
     def expand(self) -> list[CircuitOp]:
         """The ops in run order, repeats expanded; refused past MAX_CIRCUIT_OPS."""
@@ -287,8 +297,10 @@ def run_circuit(
 
     ``M`` collapses its targets with ``rng`` and records the outcome; without
     a generator it is skipped, which leaves the amplitudes the caller reads a
-    distribution from.  Each Q or Q_INV is one query on ``ledger``.
+    distribution from.  Each Q or Q_INV is one query on ``ledger``.  Refused
+    past MAX_AMPLITUDE_WORK before the state is allocated.
     """
+    circuit.check_size(on_statevector=True)
     ops = circuit.expand()
     if state is None:
         state = StateVector.zero(circuit.n_qubits)

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface: exit codes, artifacts,
 determinism of reruns."""
 
+import contextlib
 import hashlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmean.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, main
 from qmean.estimators import qcoin_queries
@@ -123,6 +127,12 @@ class TestExitCodes:
      EXIT_VALIDATION, "cap"),
     # more k values than the value sweep uses
     (["sweep-value"], "algorithms = qcoin\nk_values = 3,5\n", EXIT_VALIDATION, "k_values"),
+    # under the op cap but past the amplitude-work cap: 262,303 ops on 17 qubits
+    (["estimate", "--algorithm", "qss", "--f", "0.5", "--P", str(1 << 16)], "", EXIT_VALIDATION,
+     "cap"),
+    # target means outside [0, 1] (inf was a traceback, 1.5 was computed silently)
+    (["sweep-value"], "f_values = inf\n", EXIT_VALIDATION, "f_values"),
+    (["sweep-value"], "algorithms = qss\nf_values = 1.5\n", EXIT_VALIDATION, "f_values"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -137,6 +147,59 @@ def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_pa
     assert "Traceback" not in captured.err
     assert named in captured.err
     assert captured.out == ""
+
+
+# config values of each key's type (small, so sizes stay bounded), NaN/inf,
+# negatives, and junk text in any position of a comma list
+_JUNK = st.one_of(st.sampled_from(["", "1e3", "0x10", "abc"]),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+_INTS = st.integers(-3, 40).map(str)
+_FLOATS = st.one_of(st.floats(-1.5, 1.5).map(repr), st.sampled_from(["nan", "inf", "-inf"]))
+_ALGORITHMS = st.sampled_from(["monte-carlo", "qss", "qcoin"])
+
+
+def _values(token, max_size=3):
+    # three tokens in four are of the key's type
+    return st.lists(st.one_of(token, token, token, _JUNK), min_size=1,
+                    max_size=max_size).map(", ".join)
+
+
+_NOISE = st.one_of(st.sampled_from(["none", "hardware"]), _values(_FLOATS, 4))
+_KEYS = {
+    "estimate": {"seed": _values(_INTS, 1), "f": _values(_FLOATS, 1), "noise": _NOISE},
+    "sweep-value": {"seed": _values(_INTS, 1), "algorithms": _values(_ALGORITHMS),
+                    "noise": _NOISE, "budgets": _values(_INTS), "repetitions": _values(_INTS, 1),
+                    "f_values": _values(_FLOATS), "k_values": _values(_INTS, 2)},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(_KEYS)), data=st.data(), algorithm=_ALGORITHMS,
+       seed_flag=st.booleans())
+def test_config_fuzz_exit_codes(command, data, algorithm, seed_flag):
+    keys = data.draw(st.sets(st.sampled_from(sorted(_KEYS[command]))))
+    config = {key: data.draw(_KEYS[command][key], label=key) for key in sorted(keys)}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes("".join(f"{k} = {v}\n" for k, v in config.items()).encode())
+        argv = [command, "--config", str(cfg)] + (["--seed", "1"] if seed_flag else [])
+        if command == "estimate":
+            argv += ["--algorithm", algorithm]
+        else:
+            argv += ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"f = 0.5\xff\n")
+    assert main(["estimate", "--algorithm", "qss", "--seed", "1", "--config", str(cfg)]) \
+        == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSweeps:

@@ -8,9 +8,11 @@ import pytest
 from qmean.harness import qss_theoretical_distribution
 from qmean.noise import (
     Circuit,
+    CircuitOp,
     HARDWARE_PRESET,
     NoiseModel,
     PRESETS,
+    _density_matrix_probabilities,
     head_probability,
     noisy_execute,
     outcome_probabilities,
@@ -20,10 +22,20 @@ from qmean.primitives import (
     LINEAR_AMPLITUDE,
     OracleError,
     OracleSpec,
+    Repeat,
     coin_circuit,
     qss_circuit,
 )
-from qmean.statevector import H_GATE, StateVector, X_GATE, apply_gate, measure
+from qmean.statevector import (
+    H_GATE,
+    StateVector,
+    X_GATE,
+    Y_GATE,
+    Z_GATE,
+    apply_gate,
+    measure,
+    rotation_gate,
+)
 
 ZERO = NoiseModel()
 
@@ -115,6 +127,61 @@ class TestDensityMatrixAverage:
         probs = outcome_probabilities(circuit, HARDWARE_PRESET)
         assert abs(probs.sum() - 1.0) < 1e-10
         assert np.all(probs >= 0)
+
+
+def random_model(rng):
+    return NoiseModel(*rng.uniform(0.0, 0.1, size=3))
+
+
+def random_one_qubit_ops(rng, size):
+    gates = [H_GATE, X_GATE, Y_GATE, Z_GATE]
+    return [CircuitOp("R", (0,), gate=rotation_gate(rng.uniform(-math.pi, math.pi)))
+            if rng.random() < 0.4 else CircuitOp("G", (0,), gate=gates[rng.integers(4)])
+            for _ in range(size)]
+
+
+class TestOneQubitClosedForm:
+    """The closed form against the density-matrix route it replaces for one qubit."""
+
+    def test_coin_circuit_parity(self):
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            f = rng.uniform(0.0, 1.0)
+            circuit = simple_qcoin_circuit(f, rng.uniform(0.0, f), int(rng.integers(0, 33)))
+            model = random_model(rng)
+            np.testing.assert_allclose(outcome_probabilities(circuit, model),
+                                       _density_matrix_probabilities(circuit, model),
+                                       rtol=0, atol=1e-12)
+
+    def test_gate_lists_with_a_repeat_parity(self):
+        rng = np.random.default_rng(52)
+        for _ in range(40):
+            block = Repeat(tuple(random_one_qubit_ops(rng, int(rng.integers(1, 4)))),
+                           int(rng.integers(0, 9)))
+            ops = random_one_qubit_ops(rng, int(rng.integers(0, 4)))
+            ops += [block] + random_one_qubit_ops(rng, int(rng.integers(0, 4)))
+            circuit = Circuit(1, ops).measure([0])
+            model = random_model(rng)
+            np.testing.assert_allclose(outcome_probabilities(circuit, model),
+                                       _density_matrix_probabilities(circuit, model),
+                                       rtol=0, atol=1e-12)
+
+    def test_matches_trajectories(self):
+        model = NoiseModel(readout_flip_prob=0.02, gate_error_1q=0.05)
+        circuit = simple_qcoin_circuit(0.5, 0.2, 4)
+        exact = head_probability(circuit, model)
+        rng = np.random.default_rng(53)
+        trials = 20000
+        heads = sum(noisy_execute(circuit, model, rng).observed_bits[0] for _ in range(trials))
+        assert abs(heads / trials - exact) < 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_circuit_without_readout_uses_density_matrix(self):
+        circuit = Circuit(1)
+        circuit.add(H_GATE, [0])
+        model = NoiseModel(readout_flip_prob=0.1, gate_error_1q=0.05)
+        probs = outcome_probabilities(circuit, model)
+        np.testing.assert_array_equal(probs, _density_matrix_probabilities(circuit, model))
+        assert probs.shape == (1,)
 
 
 class TestErrorMonotonicity:

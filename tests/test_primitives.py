@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from qmean.primitives import (
     AAOperator,
     LINEAR_AMPLITUDE,
+    MAX_AMPLITUDE_WORK,
     MAX_CIRCUIT_OPS,
     OracleError,
     OracleSpec,
@@ -27,7 +28,9 @@ from qmean.primitives import (
     prepare_coin,
     prepare_qss_state,
     qft,
+    qss_circuit,
     reflection_about_zero,
+    run_circuit,
 )
 from qmean.statevector import StateVector, apply_gate, expectation_of_basis_state
 
@@ -371,3 +374,14 @@ class TestCircuit:
             big.expand()
         with pytest.raises(ValueError, match="cap"):
             big.bind(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE))
+
+    def test_amplitude_work_cap_refuses_statevector_runs_only(self):
+        # qss at P = 2^16: under the op cap, 17 qubits x 262,303 ops past the work cap
+        circuit = qss_circuit(0, 1 << 16)
+        circuit.check_size()
+        with pytest.raises(ValueError, match="cap"):
+            circuit.check_size(on_statevector=True)
+        bound = circuit.bind(OracleSpec([0.5]))
+        assert len(bound.expand()) << bound.n_qubits > MAX_AMPLITUDE_WORK  # listing is not capped
+        with pytest.raises(ValueError, match="cap"):
+            run_circuit(bound)
