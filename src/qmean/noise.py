@@ -16,9 +16,9 @@ from .statevector import (
     X_GATE,
     Y_GATE,
     Z_GATE,
-    apply_gate,
-    gate_to_full_matrix,
+    lower_gate,
     measure,
+    qubit_axes,
 )
 
 _PAULIS = (X_GATE, Y_GATE, Z_GATE)
@@ -67,17 +67,25 @@ def noisy_execute(
     random draws happen before measurement, so the trajectory is bit-identical
     to the noiseless path for any seed.  The returned post_state is the
     collapsed pre-readout state; only the observed bits carry readout flips.
+    The gates' kernels come from binding the circuit, and each Pauli is
+    lowered at most once per call.
     """
-    state = StateVector.zero(circuit.n_qubits)
-    for op in _gates(circuit):
-        state = apply_gate(state, op.gate, op.targets, op.controls)
-        g = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
+    n = circuit.n_qubits
+    amps = StateVector.zero(n).amplitudes
+    psi = qubit_axes(amps, n)
+    paulis: dict = {}
+    gates = [(op.kernel, model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
+              op.touched) for op in _gates(circuit)]
+    for kernel, g, touched in gates:
+        kernel(psi)
         if g > 0:
-            for q in op.touched:
+            for q in touched:
                 if rng.random() < g:
-                    pauli = _PAULIS[rng.integers(3)]
-                    state = apply_gate(state, pauli, [q])
-    outcome = measure(state, circuit.measured_qubits, rng)
+                    key = (q, int(rng.integers(3)))
+                    if key not in paulis:
+                        paulis[key] = lower_gate(_PAULIS[key[1]], [q], [], n)
+                    paulis[key](psi)
+    outcome = measure(StateVector(n, amps), circuit.measured_qubits, rng)
     if model.readout_flip_prob > 0:
         flipped = [
             bit ^ (rng.random() < model.readout_flip_prob)
@@ -88,17 +96,17 @@ def noisy_execute(
 
 
 def _gates(circuit: Circuit) -> list[CircuitOp]:
-    # M ops are skipped: the package's circuits measure mid-circuit only qubits
-    # that no later gate touches, which leaves the readout distribution unchanged
-    return [op for op in circuit.expand() if op.name != "M"]
+    """The bound circuit's gates in run order.  M ops are skipped: the
+    package's circuits measure mid-circuit only qubits that no later gate
+    touches, which leaves the readout distribution unchanged."""
+    return [op for op in circuit.bind().expand() if op.name != "M"]
 
 
-def _pauli_channel(rho: np.ndarray, qubit: int, g: float, n: int) -> np.ndarray:
+def _pauli_channel(rho: np.ndarray, g: float, paulis: list[np.ndarray]) -> np.ndarray:
     if g == 0:
         return rho
     acc = (1.0 - g) * rho
-    for pauli in _PAULIS:
-        full = gate_to_full_matrix(pauli, [qubit], [], n)
+    for full in paulis:
         acc = acc + (g / 3.0) * (full @ rho @ full.conj().T)
     return acc
 
@@ -124,7 +132,7 @@ def _one_qubit_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     the ideal head probability |U[1,0]|^2 moves towards 1/2 by that factor per
     gate, and readout flips with probability r mix the two outcomes.
     """
-    u = _product(circuit.ops)
+    u = _product(circuit.bind().ops)
     n_gates = sum(count for op, count in circuit.counted_ops() if op.name != "M")
     shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
     p = 0.5 + shrink * (abs(u[2]) ** 2 - 0.5)
@@ -137,15 +145,16 @@ _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 def _product(ops) -> tuple:
-    """Ordered product of one-qubit ops, later ops on the left, as the
-    row-major entries of a 2x2 matrix; a repeated block is its product
-    raised to the count by repeated squaring, without expansion."""
+    """Ordered product of bound one-qubit ops (each kernel's 2x2 matrix),
+    later ops on the left, as the row-major entries of a 2x2 matrix; a
+    repeated block is its product raised to the count by repeated squaring,
+    without expansion."""
     u = _IDENTITY
     for op in ops:
         if isinstance(op, Repeat):
             u = _mul(_power(_product(op.ops), op.count), u)
         elif op.name != "M":
-            u = _mul(tuple(op.gate.matrix.ravel().tolist()), u)
+            u = _mul(tuple(op.kernel.matrix().ravel().tolist()), u)
     return u
 
 
@@ -168,17 +177,19 @@ def _mul(a: tuple, b: tuple) -> tuple:
 
 def _density_matrix_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     """The stochastic Pauli channel averaged exactly by density-matrix
-    evolution, readout flips by a per-bit confusion matrix."""
+    evolution, readout flips by a per-bit confusion matrix.  Each gate's full
+    matrix is its kernel applied to the identity."""
     n = circuit.n_qubits
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[0, 0] = 1.0
+    paulis = [[lower_gate(p, [q], [], n).matrix() for p in _PAULIS] for q in range(n)]
     for op in _gates(circuit):
-        full = gate_to_full_matrix(op.gate, op.targets, op.controls, n)
+        full = op.kernel.matrix()
         rho = full @ rho @ full.conj().T
         g = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
         for q in op.touched:
-            rho = _pauli_channel(rho, q, g, n)
+            rho = _pauli_channel(rho, g, paulis[q])
 
     diag = np.real(np.diag(rho))
     measured = list(circuit.measured_qubits)
@@ -207,11 +218,13 @@ def _density_matrix_probabilities(circuit: Circuit, model: NoiseModel) -> np.nda
 
 
 def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | None = None) -> float:
-    """Probability of observing the head pattern (all measured bits 1 by
-    default) under the noise model."""
+    """Probability of observing the outcome ``head_outcome`` under the noise
+    model.  By default that is the head state |1>|0..0> of ``coin_circuit``,
+    which measures its inputs and then its target: the last measured bit 1,
+    the others 0."""
     probs = outcome_probabilities(circuit, model)
     if head_outcome is None:
-        head_outcome = probs.shape[0] - 1
+        head_outcome = probs.shape[0] // 2
     return float(probs[head_outcome])
 
 

@@ -2,11 +2,11 @@
 description of each circuit.
 
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
-ops; ``Circuit.bind`` attaches the matrices for an oracle and ``run_circuit``
-applies them to a statevector.  Coin preparation, amplification and the
-Fourier transform are calls into that runner; the noise layer evaluates the
-same bound circuits, ``dump_circuit`` prints them and the resource report
-counts them.
+ops; ``Circuit.bind`` lowers each distinct op once into a statevector kernel
+(the oracle supplies Q) and ``run_circuit`` applies the kernels in place.
+Coin preparation, amplification and the Fourier transform are calls into
+that runner; the noise layer evaluates the same bound circuits,
+``dump_circuit`` prints them and the resource report counts them.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -17,20 +17,26 @@ occupies the indices above the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .statevector import (
+    UNITARY_TOL,
     GateMatrix,
-    H_GATE,
+    Kernel,
     MeasurementOutcome,
+    PairKernel,
+    PhaseKernel,
     SimulatorError,
     StateVector,
-    Z_GATE,
-    apply_gate,
+    check_qubits,
+    lower_gate,
     measure,
+    qubit_axes,
+    qubit_index,
 )
 
 SQRT_AMPLITUDE = "sqrt-amplitude"
@@ -99,7 +105,8 @@ class OracleSpec:
 
 
 def oracle_gate(oracle: OracleSpec) -> GateMatrix:
-    """The oracle as a dense unitary on (input qubits, target qubit).
+    """The oracle as a dense unitary on (input qubits, target qubit): the
+    reference for the per-bin pair kernel that ``Circuit.bind`` builds.
 
     Realized as a per-input-basis-state rotation of the target qubit; the
     oracle is treated as a black box, no gate decomposition is attempted.
@@ -120,7 +127,8 @@ def oracle_gate(oracle: OracleSpec) -> GateMatrix:
 
 
 def reflection_about_zero(n_qubits: int) -> GateMatrix:
-    """2|0...0><0...0| - I as a diagonal gate (sign fixed up to global phase)."""
+    """2|0...0><0...0| - I as a dense diagonal gate (sign fixed up to global
+    phase): the reference for the RZERO phase kernel."""
     if n_qubits < 1:
         raise SimulatorError("reflection needs at least one qubit")
     diag = -np.ones(1 << n_qubits)
@@ -129,7 +137,8 @@ def reflection_about_zero(n_qubits: int) -> GateMatrix:
 
 
 def flip_basis_state(n_qubits: int, index: int) -> GateMatrix:
-    """I - 2|b><b|: flips the amplitude sign of one basis state."""
+    """I - 2|b><b| as a dense gate: flips the amplitude sign of one basis
+    state; the reference for the FLIP_HEAD phase kernel."""
     diag = np.ones(1 << n_qubits)
     diag[index] = -1.0
     return GateMatrix(np.diag(diag), name=f"FLIP({index})")
@@ -160,19 +169,21 @@ class AAOperator:
 # run, evaluated under noise or printed; about a million gate applications.
 MAX_CIRCUIT_OPS = 1 << 20
 # Largest ops x 2^n_qubits, repeats expanded, that a circuit may need before it
-# runs on the statevector: one update per amplitude per op.  qss at P = 4096
-# (13 qubits, 1.35e8 updates) runs in 3.7 s on a 2-core Xeon; the cap is twice that.
+# runs on the statevector: one update per amplitude per op.  It is twice the
+# work of qss at P = 4096 (13 qubits, 1.35e8 updates, 0.4 s on a 2-core Xeon).
+# The kernels hold no index array larger than the oracle's N bins, so memory at
+# the cap is the state and its temporaries: a coin circuit fits with at most 22
+# qubits (a 64 MiB state).
 MAX_AMPLITUDE_WORK = 1 << 28
-
-_FIXED_GATES = {"H": H_GATE, "Z": Z_GATE, "SWAP": GateMatrix(np.eye(4)[[0, 2, 1, 3]], "SWAP")}
 
 
 @dataclass(frozen=True)
 class CircuitOp:
     """One op: a gate name, target and control qubits, and an optional angle.
 
-    ``gate`` is the matrix once the op is bound.  ``M`` measures its targets
-    and has no matrix.
+    ``gate`` is a user-supplied matrix, for ops that have no formula here;
+    ``kernel`` is the op lowered for the statevector once the circuit is
+    bound.  ``M`` measures its targets and has neither.
     """
 
     name: str
@@ -180,6 +191,7 @@ class CircuitOp:
     controls: tuple[int, ...] = ()
     angle: float | None = None
     gate: GateMatrix | None = None
+    kernel: Kernel | None = None
 
     @property
     def touched(self) -> tuple[int, ...]:
@@ -247,44 +259,111 @@ class Circuit:
         return flat
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
-        """The same circuit with a matrix on every op but ``M``.
+        """The same circuit with every op but ``M`` lowered to a kernel.
 
-        Each distinct gate (Q, Q_INV, RZERO, FLIP_HEAD, ...) is built once;
-        ``oracle`` supplies Q.  Ops that already hold a matrix keep it.
-        Refused past MAX_CIRCUIT_OPS.
+        Each distinct op (name, targets, controls, angle, user matrix) is
+        lowered once (``_lower``); ``oracle`` supplies Q and Q_INV.  Ops
+        already lowered keep their kernel.  Refused past MAX_CIRCUIT_OPS.
         """
         self.check_size()
-        gates: dict = {}
+        kernels: dict = {}
 
         def bound(op):
-            if op.gate is not None or op.name == "M":
+            if op.kernel is not None or op.name == "M":
                 return op
-            return replace(op, gate=_named_gate((op.name, len(op.targets), op.angle), oracle, gates))
+            if op not in kernels:
+                kernels[op] = _lower(op, self.n_qubits, oracle, kernels)
+            return CircuitOp(op.name, op.targets, op.controls, op.angle, op.gate, kernels[op])
 
-        # a block repeated zero times never runs, so it gets no matrices
+        # a block repeated zero times never runs, so it gets no kernels
         ops = [Repeat(tuple(map(bound, node.ops)), node.count) if isinstance(node, Repeat)
                else bound(node) for node in self.ops if getattr(node, "count", 1)]
         return Circuit(self.n_qubits, ops, self.measured_qubits)
 
 
-def _named_gate(key, oracle: OracleSpec | None, gates: dict) -> GateMatrix:
-    """The matrix for (name, arity, angle), built at most once per ``gates``."""
-    if key not in gates:
-        name, arity, angle = key
-        if name == "Q":
-            gate = oracle_gate(oracle)
-        elif name == "Q_INV":
-            gate = _named_gate(("Q", arity, None), oracle, gates).inverse()
-        elif name == "RZERO":
-            gate = reflection_about_zero(arity)
-        elif name == "FLIP_HEAD":
-            gate = flip_basis_state(arity, 1 << (arity - 1))
-        elif name == "CPHASE":
-            gate = GateMatrix(np.diag([1.0, np.exp(1j * angle)]), "CPHASE")
-        else:
-            gate = _FIXED_GATES[name]
-        gates[key] = gate
-    return gates[key]
+_H = 1.0 / math.sqrt(2.0)
+
+
+def _lower(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dict) -> Kernel:
+    """The kernel of one op on an n-qubit register, from its formula.
+
+    H and SWAP are pair kernels; Z, CPHASE, RZERO (2|0><0| - I) and
+    FLIP_HEAD (I - 2|1>|0..0><..|, the last target the 1) are sign or phase
+    multiplies; Q and Q_INV are the oracle's per-bin rotation (``_oracle_kernel``),
+    Q_INV the inverse of the Q in ``kernels``.  An op with a user matrix is
+    lowered by ``lower_gate``.  Every op acts only where its controls are |1>.
+    """
+    if op.gate is not None:
+        return lower_gate(op.gate, op.targets, op.controls, n_qubits)
+    check_qubits(n_qubits, op.targets, op.controls)
+    on = dict.fromkeys(op.controls, 1)
+
+    def at(*bits):  # the index fixing the controls to 1 and the leading targets to bits
+        return qubit_index(n_qubits, {**on, **dict(zip(op.targets, bits))})
+
+    zeros = (0,) * (len(op.targets) - 1)
+    if op.name == "Q":
+        return _oracle_kernel(oracle, op.targets, op.controls, n_qubits)
+    if op.name == "Q_INV":
+        q = CircuitOp("Q", op.targets, op.controls)
+        if q not in kernels:
+            kernels[q] = _lower(q, n_qubits, oracle, kernels)
+        return kernels[q].inverse()
+    if op.name == "H":
+        return PairKernel(n_qubits, at(0), at(1), _H, _H, _H, -_H)
+    if op.name == "SWAP":
+        return PairKernel(n_qubits, at(1, 0), at(0, 1), 0.0, 1.0, 1.0, 0.0)
+    if op.name == "Z":
+        return PhaseKernel(n_qubits, [(at(1), -1.0)])
+    if op.name == "CPHASE":
+        return PhaseKernel(n_qubits, [(at(1), np.exp(1j * op.angle))])
+    if op.name == "RZERO":
+        return PhaseKernel(n_qubits, [(at(), -1.0), (at(0, *zeros), -1.0)])
+    if op.name == "FLIP_HEAD":
+        return PhaseKernel(n_qubits, [(at(*zeros, 1), -1.0)])
+    raise SimulatorError(f"op {op.name!r} has no formula and no matrix")
+
+
+def _oracle_kernel(oracle: OracleSpec | None, targets: tuple[int, ...], controls: tuple[int, ...],
+                   n_qubits: int) -> PairKernel:
+    """Q on (inputs, target) as a pair kernel: on each pair (i, i | 1<<target)
+    the rotation (c, -s; s, c) of its bin, the bin gathered from the input bits
+    of i (``inputs[0]`` least significant).  The coefficients hold one value
+    per bin, shaped to broadcast over the pairs: O(N) memory, no 2N x 2N matrix.
+    """
+    *inputs, target = targets
+    if oracle is None:
+        raise OracleError("binding Q needs an oracle")
+    if len(inputs) != oracle.n_input_qubits:
+        raise OracleError(f"Q on {len(inputs)} input qubits, oracle has {oracle.n_input_qubits}")
+    theta = [math.asin(min(max(a, -1.0), 1.0)) for a in oracle.target_amplitudes().tolist()]
+    c = np.array([math.cos(t) for t in theta])
+    s = np.array([math.sin(t) for t in theta])
+    if np.abs(c * c + s * s - 1.0).max() > UNITARY_TOL:
+        raise SimulatorError("oracle rotation is not unitary")
+    # axes of the pair view: the free qubits, highest first, then the columns
+    axes = [q for q in reversed(range(n_qubits)) if q != target and q not in controls] + [None]
+    bins = sum((np.arange(2) << j).reshape([2 if a == q else 1 for a in axes])
+               for j, q in enumerate(inputs))
+    on = dict.fromkeys(controls, 1)
+    lo, hi = (qubit_index(n_qubits, {**on, target: bit}) for bit in (0, 1))
+    return PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+
+
+@dataclass
+class WorkCounter:
+    """Work done by ``run_circuit`` in this process: ops applied, by name, and
+    amplitude updates (one per amplitude per op).  Whoever reports it resets it."""
+
+    ops: Counter = field(default_factory=Counter)
+    amplitude_updates: int = 0
+
+    def reset(self):
+        self.ops.clear()
+        self.amplitude_updates = 0
+
+
+WORK = WorkCounter()
 
 
 def run_circuit(
@@ -293,27 +372,36 @@ def run_circuit(
     rng: np.random.Generator | None = None,
     ledger: QueryLedger | None = None,
 ) -> tuple[StateVector, list[MeasurementOutcome]]:
-    """Apply a bound circuit to ``state`` (default all |0>), op by op.
+    """Apply a bound circuit's kernels in place to a copy of ``state``
+    (default all |0>); the norm is checked once, on the result.
 
     ``M`` collapses its targets with ``rng`` and records the outcome; without
     a generator it is skipped, which leaves the amplitudes the caller reads a
-    distribution from.  Each Q or Q_INV is one query on ``ledger``.  Refused
-    past MAX_AMPLITUDE_WORK before the state is allocated.
+    distribution from.  Each Q or Q_INV is one query on ``ledger``; the ops
+    applied and their amplitude updates are added to ``WORK``.  Refused past
+    MAX_AMPLITUDE_WORK before the state is allocated.
     """
     circuit.check_size(on_statevector=True)
-    ops = circuit.expand()
-    if state is None:
-        state = StateVector.zero(circuit.n_qubits)
+    n = circuit.n_qubits
+    amps = (StateVector.zero(n) if state is None else state).amplitudes.copy()
+    psi = qubit_axes(amps, n)
     outcomes = []
-    for op in ops:
+    for op in circuit.expand():
         if op.name != "M":
-            state = apply_gate(state, op.gate, op.targets, op.controls)
+            op.kernel(psi)
         elif rng is not None:
-            outcomes.append(measure(state, op.targets, rng))
-            state = outcomes[-1].post_state
+            outcomes.append(measure(StateVector(n, amps), op.targets, rng))
+            amps = outcomes[-1].post_state.amplitudes.copy()
+            psi = qubit_axes(amps, n)
+    applied = Counter()
+    for op, count in circuit.counted_ops():
+        if op.name != "M" or rng is not None:
+            applied[op.name] += count
+    WORK.ops.update(applied)
+    WORK.amplitude_updates += applied.total() << n
     if ledger is not None:
-        ledger.add(sum(op.name in ("Q", "Q_INV") for op in ops))
-    return state, outcomes
+        ledger.add(applied["Q"] + applied["Q_INV"])
+    return StateVector(n, amps), outcomes
 
 
 def _h(qubits, controls=()) -> list[CircuitOp]:

@@ -1,4 +1,8 @@
-"""Dense statevector simulator for small qubit registers.
+"""Statevector simulator for small qubit registers.
+
+An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or ``BlockKernel``)
+built once per op and applied in place to a view of the amplitudes with one
+axis per qubit, so a structured op costs O(2^n) and needs no dense matrix.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -63,8 +67,10 @@ class StateVector:
 
 
 class GateMatrix:
-    """A unitary acting on ``arity`` qubits; rejected at construction if not
-    unitary within 1e-10."""
+    """A unitary given as a dense matrix on ``arity`` qubits; rejected at
+    construction if U U^dagger is not the identity within 1e-10 (a dense
+    check, O(8^arity)).  Gates the package builds from formulas are lowered
+    to kernels without one."""
 
     def __init__(self, matrix: np.ndarray, name: str = "U"):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -104,7 +110,8 @@ class MeasurementOutcome:
     post_state: StateVector
 
 
-def _check_indices(n_qubits: int, targets: Sequence[int], controls: Sequence[int]):
+def check_qubits(n_qubits: int, targets: Sequence[int], controls: Sequence[int]):
+    """Refuse qubit indices out of range or repeated across targets and controls."""
     seen = set()
     for q in list(targets) + list(controls):
         if not 0 <= q < n_qubits:
@@ -122,41 +129,128 @@ def _scatter_bits(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
+def qubit_axes(amplitudes: np.ndarray, n_qubits: int) -> np.ndarray:
+    """A view of a 2^n amplitude array (or of a 2^n x k matrix, column by
+    column) with one axis of length 2 per qubit, qubit n-1 first, and a last
+    axis for the columns.  Kernels act on this view in place."""
+    return amplitudes.reshape((2,) * n_qubits + (-1,))
+
+
+def qubit_index(n_qubits: int, bits: Mapping[int, int]) -> tuple:
+    """The basic index into ``qubit_axes`` that fixes qubit q to ``bits[q]``;
+    it selects a view, so a kernel built on it holds no index array."""
+    return tuple(bits.get(q, slice(None)) for q in reversed(range(n_qubits))) + (Ellipsis,)
+
+
+class Kernel:
+    """An op lowered for an n-qubit register: calling it on ``qubit_axes``
+    applies the op in place."""
+
+    n_qubits: int
+
+    def matrix(self) -> np.ndarray:
+        """The op as a dense 2^n x 2^n matrix: the kernel applied to the identity."""
+        full = np.eye(1 << self.n_qubits, dtype=np.complex128)
+        self(qubit_axes(full, self.n_qubits))
+        return full
+
+
+class PairKernel(Kernel):
+    """A 2x2 unitary [[m00, m01], [m10, m11]] on every amplitude pair
+    (``psi[lo]``, ``psi[hi]``); a coefficient is a scalar or an array that
+    broadcasts over the pairs."""
+
+    def __init__(self, n_qubits: int, lo: tuple, hi: tuple, m00, m01, m10, m11):
+        self.n_qubits, self.lo, self.hi = n_qubits, lo, hi
+        # complex arrays, even 0-d: NumPy multiplies them faster than Python scalars
+        self.coefficients = tuple(np.asarray(m, dtype=np.complex128) for m in (m00, m01, m10, m11))
+
+    def __call__(self, psi: np.ndarray):
+        m00, m01, m10, m11 = self.coefficients
+        a0, a1 = psi[self.lo], psi[self.hi]  # views
+        new0 = m00 * a0 + m01 * a1
+        a1 *= m11
+        a1 += m10 * a0
+        psi[self.lo] = new0
+
+    def inverse(self) -> "PairKernel":
+        m00, m01, m10, m11 = self.coefficients
+        return PairKernel(self.n_qubits, self.lo, self.hi,
+                          m00.conj(), m10.conj(), m01.conj(), m11.conj())
+
+
+class PhaseKernel(Kernel):
+    """Multiplies ``psi[index]`` by ``phase`` for each (index, phase) term, in
+    order; each |phase| is checked to be 1."""
+
+    def __init__(self, n_qubits: int, terms: Sequence[tuple[tuple, complex]]):
+        for _, phase in terms:
+            if abs(abs(phase) - 1.0) > UNITARY_TOL:
+                raise SimulatorError(f"phase {phase!r} does not have modulus 1")
+        self.n_qubits = n_qubits
+        self.terms = [(index, np.asarray(phase, dtype=np.complex128)) for index, phase in terms]
+
+    def __call__(self, psi: np.ndarray):
+        for index, phase in self.terms:
+            psi[index] *= phase
+
+
+class BlockKernel(Kernel):
+    """A dense 2^k x 2^k gate on the rows of a precomputed index array, one
+    row per setting of the other qubits (with the controls at |1>)."""
+
+    def __init__(self, n_qubits: int, gate: GateMatrix, index: np.ndarray):
+        self.n_qubits, self.gate, self.index = n_qubits, gate.matrix, index
+
+    def __call__(self, psi: np.ndarray):
+        flat = psi.reshape(1 << self.n_qubits, -1)
+        flat[self.index] = self.gate @ flat[self.index]
+
+
+def lower_gate(
+    gate: GateMatrix,
+    targets: Sequence[int],
+    controls: Sequence[int],
+    n_qubits: int,
+) -> Kernel:
+    """The kernel of a (controlled) ``GateMatrix``: a pair kernel for one
+    target, a dense block kernel for more.
+
+    ``targets[0]`` is the least-significant bit of the gate's own basis
+    index.  With controls the gate acts only on the subspace where every
+    control qubit is |1>.
+    """
+    check_qubits(n_qubits, targets, controls)
+    if gate.arity != len(targets):
+        raise SimulatorError(
+            f"gate arity {gate.arity} does not match {len(targets)} target qubits"
+        )
+    on = dict.fromkeys(controls, 1)
+    if gate.arity == 1:
+        (m00, m01), (m10, m11) = gate.matrix.tolist()
+        lo, hi = ({**on, targets[0]: bit} for bit in (0, 1))
+        return PairKernel(n_qubits, qubit_index(n_qubits, lo), qubit_index(n_qubits, hi),
+                          m00, m01, m10, m11)
+    k = len(targets)
+    free = [q for q in range(n_qubits) if q not in targets]
+    rest = _scatter_bits(np.arange(1 << (n_qubits - k), dtype=np.int64), free)
+    cmask = sum(1 << q for q in controls)
+    rest = rest[(rest & cmask) == cmask]
+    offsets = _scatter_bits(np.arange(1 << k, dtype=np.int64), targets)
+    return BlockKernel(n_qubits, gate, rest[:, None] + offsets[None, :])
+
+
 def apply_gate(
     state: StateVector,
     gate: GateMatrix,
     targets: Sequence[int],
     controls: Sequence[int] = (),
 ) -> StateVector:
-    """Apply a (controlled) unitary to the given target qubits.
-
-    ``targets[0]`` is the least-significant bit of the gate's own basis
-    index.  With controls the gate acts only on the subspace where every
-    control qubit is |1>.
-    """
-    targets = list(targets)
-    controls = list(controls)
-    _check_indices(state.n_qubits, targets, controls)
-    if gate.arity != len(targets):
-        raise SimulatorError(
-            f"gate arity {gate.arity} does not match {len(targets)} target qubits"
-        )
-
-    n = state.n_qubits
-    k = len(targets)
-    free = [q for q in range(n) if q not in targets]
-    rest = _scatter_bits(np.arange(1 << (n - k), dtype=np.int64), free)
-    if controls:
-        cmask = 0
-        for q in controls:
-            cmask |= 1 << q
-        rest = rest[(rest & cmask) == cmask]
-    offsets = _scatter_bits(np.arange(1 << k, dtype=np.int64), targets)
-
-    idx = rest[:, None] + offsets[None, :]
-    new_amps = state.amplitudes.copy()
-    new_amps[idx] = state.amplitudes[idx] @ gate.matrix.T
-    return StateVector(n, new_amps)
+    """Apply a (controlled) unitary to the given target qubits: lower it
+    (``lower_gate``) and run the kernel on a copy of the amplitudes."""
+    amps = state.amplitudes.copy()
+    lower_gate(gate, targets, controls, state.n_qubits)(qubit_axes(amps, state.n_qubits))
+    return StateVector(state.n_qubits, amps)
 
 
 def apply_rotation(state: StateVector, theta: float, target: int) -> StateVector:
@@ -175,7 +269,7 @@ def measure(
     the consistent subspace; a zero-probability branch is never drawn.
     """
     qubit_indices = list(qubit_indices)
-    _check_indices(state.n_qubits, qubit_indices, [])
+    check_qubits(state.n_qubits, qubit_indices, [])
     m = len(qubit_indices)
     if m == 0:
         raise SimulatorError("must measure at least one qubit")
@@ -185,8 +279,7 @@ def measure(
     for j, q in enumerate(qubit_indices):
         keys |= ((basis >> q) & 1) << j
 
-    marginal = np.zeros(1 << m)
-    np.add.at(marginal, keys, state.probabilities())
+    marginal = np.bincount(keys, weights=state.probabilities(), minlength=1 << m)
     marginal = np.clip(marginal, 0.0, None)
     marginal /= marginal.sum()
 
@@ -204,7 +297,7 @@ def expectation_of_basis_state(state: StateVector, pattern: Mapping[int, int]) -
     ``pattern`` maps qubit index -> bit.  Returns the squared amplitude mass
     over all basis states consistent with the pattern; no sampling involved.
     """
-    _check_indices(state.n_qubits, list(pattern.keys()), [])
+    check_qubits(state.n_qubits, list(pattern.keys()), [])
     mask = 0
     want = 0
     for q, bit in pattern.items():
@@ -223,15 +316,23 @@ def gate_to_full_matrix(
     controls: Sequence[int],
     n_qubits: int,
 ) -> np.ndarray:
-    """Brute-force embedding of a (controlled) gate into the full 2^n space.
+    """Brute-force embedding of a (controlled) gate into the full 2^n space,
+    column by column from the definition, without the kernels.
 
-    Intended for verification on small registers; O(4^n).
+    The reference the kernels are tested against; O(4^n).
     """
+    check_qubits(n_qubits, targets, controls)
+    if gate.arity != len(targets):
+        raise SimulatorError(f"gate arity {gate.arity} does not match {len(targets)} target qubits")
     dim = 1 << n_qubits
+    tmask = sum(1 << q for q in targets)
+    cmask = sum(1 << q for q in controls)
+    offsets = _scatter_bits(np.arange(1 << len(targets), dtype=np.int64), targets)
     full = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[col] = 1.0
-        out = apply_gate(StateVector(n_qubits, amps), gate, targets, controls)
-        full[:, col] = out.amplitudes
+        if col & cmask != cmask:
+            full[col, col] = 1.0
+            continue
+        sub = sum(((col >> q) & 1) << j for j, q in enumerate(targets))
+        full[(col & ~tmask) | offsets, col] = gate.matrix[:, sub]
     return full

@@ -1,6 +1,7 @@
 """Tests for the three mean estimators and their query accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ class TestQcoin:
         with pytest.raises(ValueError):
             run_shift_scale(np.array([0.5]), shift_scale_schedule(2), [10, 10],
                             np.random.default_rng(0))
+
+    def test_large_oracle_needs_no_dense_matrix(self):
+        # 13 qubits: a dense oracle and its unitarity check need more than 1 GiB
+        oracle = OracleSpec(np.random.default_rng(4).uniform(0.0, 1.0, 4096))
+        tracemalloc.start()
+        try:
+            est = estimate_qcoin(oracle, 5, 20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= est.value <= 1.0
+        assert peak < 32 * 2**20
 
 
 class TestAmplifiedCoinHeadProbability:

@@ -24,7 +24,9 @@ from qmean.primitives import (
     OracleSpec,
     Repeat,
     coin_circuit,
+    head_state_index,
     qss_circuit,
+    run_circuit,
 )
 from qmean.statevector import (
     H_GATE,
@@ -229,6 +231,15 @@ class TestSimpleCircuits:
         register = outcome_probabilities(circuit, ZERO)
         np.testing.assert_allclose(register, qss_theoretical_distribution(f, p),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("n_input", [1, 2])
+    def test_default_head_is_the_coin_head_state(self, n_input):
+        values = np.random.default_rng(n_input).uniform(0.2, 0.9, 1 << n_input)
+        oracle = OracleSpec(values, 0.1, LINEAR_AMPLITUDE)
+        circuit = coin_circuit(n_input, 2).bind(oracle)
+        state, _ = run_circuit(circuit)
+        expected = state.probabilities()[head_state_index(oracle)]
+        assert abs(head_probability(circuit, ZERO) - expected) < 1e-12
 
     def test_minimal_qss_rejects_bad_resolution(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,17 @@ from hypothesis.extra.numpy import arrays
 
 from qmean.primitives import (
     AAOperator,
+    Circuit,
+    CircuitOp,
     LINEAR_AMPLITUDE,
     MAX_AMPLITUDE_WORK,
     MAX_CIRCUIT_OPS,
     OracleError,
     OracleSpec,
     QueryLedger,
+    Repeat,
     SQRT_AMPLITUDE,
+    WORK,
     aa_operator_matrix,
     apply_aa,
     coin_circuit,
@@ -32,7 +36,16 @@ from qmean.primitives import (
     reflection_about_zero,
     run_circuit,
 )
-from qmean.statevector import StateVector, apply_gate, expectation_of_basis_state
+from qmean.statevector import (
+    H_GATE,
+    GateMatrix,
+    SimulatorError,
+    StateVector,
+    Z_GATE,
+    apply_gate,
+    expectation_of_basis_state,
+    gate_to_full_matrix,
+)
 
 H1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -364,7 +377,32 @@ class TestCircuit:
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
         ops = coin_circuit(2, 3).bind(oracle).expand()
         for name in ("Q", "Q_INV", "RZERO", "FLIP_HEAD"):
-            assert len({id(op.gate) for op in ops if op.name == name}) == 1
+            assert len({id(op.kernel) for op in ops if op.name == name}) == 1
+        # one H kernel per input qubit
+        assert len({id(op.kernel) for op in ops if op.name == "H"}) == 2
+
+    def test_op_without_formula_or_matrix_is_refused(self):
+        with pytest.raises(SimulatorError, match="no formula"):
+            Circuit(1, [CircuitOp("BOGUS", (0,))]).bind()
+
+    def test_work_counter_matches_closed_form(self):
+        n_in, m = 2, 3
+        oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
+        WORK.reset()
+        run_circuit(coin_circuit(n_in, m).bind(oracle))  # no generator: M is not applied
+        assert WORK.ops == {"H": 2 * n_in + 4 * n_in * m, "Q": 1 + m, "Q_INV": m,
+                            "RZERO": m, "FLIP_HEAD": m}
+        assert WORK.amplitude_updates == (2 * n_in + 1 + m * (4 * n_in + 4)) << (n_in + 1)
+
+        n_in, p, r = 1, 8, 3  # r register qubits
+        WORK.reset()
+        run_circuit(qss_circuit(n_in, p).bind(OracleSpec([0.3, 0.6])),
+                    rng=np.random.default_rng(0))
+        expected = {"H": r + n_in + 2 * n_in * (p - 1) + r, "Q": p, "Q_INV": p - 1, "Z": p - 1,
+                    "RZERO": p - 1, "M": 2, "CPHASE": r * (r - 1) // 2, "SWAP": r // 2}
+        assert WORK.ops == expected
+        assert WORK.amplitude_updates == sum(expected.values()) << (n_in + 1 + r)
+        WORK.reset()
 
     def test_op_cap_refuses_before_any_work(self):
         # 4m + 2 ops: one m below fits, one far above is refused
@@ -385,3 +423,104 @@ class TestCircuit:
         assert len(bound.expand()) << bound.n_qubits > MAX_AMPLITUDE_WORK  # listing is not capped
         with pytest.raises(ValueError, match="cap"):
             run_circuit(bound)
+
+
+def dense_reference(op: CircuitOp, oracle: OracleSpec) -> GateMatrix:
+    """The matrix of a named op from the dense gate constructors, on its own targets."""
+    k = len(op.targets)
+    if op.gate is not None:
+        return op.gate
+    return {
+        "H": lambda: H_GATE,
+        "Z": lambda: Z_GATE,
+        "CPHASE": lambda: GateMatrix(np.diag([1.0, np.exp(1j * op.angle)])),
+        "SWAP": lambda: GateMatrix(np.eye(4)[[0, 2, 1, 3]]),
+        "RZERO": lambda: reflection_about_zero(k),
+        "FLIP_HEAD": lambda: flip_basis_state(k, 1 << (k - 1)),
+        "Q": lambda: oracle_gate(oracle),
+        "Q_INV": lambda: oracle_gate(oracle).inverse(),
+    }[op.name]()
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))), "U")
+
+
+def random_op(rng, n, n_in):
+    """A random named op (or a user matrix) on distinct random qubits, with
+    random controls among the qubits it leaves free."""
+    names = ["H", "Z", "CPHASE", "RZERO", "FLIP_HEAD", "USER"]
+    names += ["SWAP"] * (n >= 2) + ["Q", "Q_INV"] * (n > n_in)
+    name = names[rng.integers(len(names))]
+    qubits = [int(q) for q in rng.permutation(n)]
+    width = {"SWAP": 2, "Q": n_in + 1, "Q_INV": n_in + 1,
+             "RZERO": int(rng.integers(1, n + 1)), "FLIP_HEAD": int(rng.integers(1, n + 1)),
+             "USER": int(rng.integers(1, min(n, 3) + 1))}.get(name, 1)
+    targets, free = tuple(qubits[:width]), qubits[width:]
+    controls = tuple(free[:int(rng.integers(0, len(free) + 1))])
+    if name == "USER":
+        return CircuitOp("U", targets, controls, gate=random_unitary(rng, 1 << width))
+    angle = float(rng.uniform(-np.pi, np.pi)) if name == "CPHASE" else None
+    return CircuitOp(name, targets, controls, angle)
+
+
+class TestKernelsAgainstDenseReference:
+    """Every lowered op, and whole circuits, against ``gate_to_full_matrix``
+    products of the dense gate constructors (``oracle_gate``, ``reflection_about_zero``,
+    ``flip_basis_state``, the fixed gates and user matrices)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_op_lists(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(6):
+            n_in = int(rng.integers(0, n))
+            values = rng.uniform(0.0, 1.0, 1 << n_in)
+            oracle = OracleSpec(values, float(rng.uniform(0.0, values.min())), LINEAR_AMPLITUDE)
+            ops = [random_op(rng, n, n_in) for _ in range(int(rng.integers(1, 6)))]
+            block = Repeat(tuple(random_op(rng, n, n_in) for _ in range(2)),
+                           int(rng.integers(0, 4)))
+            ops += [block] + [random_op(rng, n, n_in) for _ in range(int(rng.integers(0, 4)))]
+            circuit = Circuit(n, ops)
+            bound = circuit.bind(oracle)
+
+            product = np.eye(1 << n)
+            for op, kernel_op in zip(circuit.expand(), bound.expand()):
+                full = gate_to_full_matrix(dense_reference(op, oracle), op.targets, op.controls, n)
+                np.testing.assert_allclose(kernel_op.kernel.matrix(), full, rtol=0, atol=1e-12)
+                product = full @ product
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            out, _ = run_circuit(bound, state)
+            np.testing.assert_allclose(out.amplitudes, product @ state.amplitudes,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["qss", "qcoin"])
+    def test_apply_aa_at_a_custom_placement(self, variant):
+        # inputs on qubits 3 and 1 (3 the low bin bit), target 0, every gate controlled by 2
+        n, inputs, target, controls = 5, [3, 1], 0, [2]
+        values = [0.1, 0.5, 0.8, 0.3]
+        oracle = (OracleSpec(values) if variant == "qss"
+                  else OracleSpec(values, 0.05, LINEAR_AMPLITUDE))
+        coin = inputs + [target]
+
+        def embed(gate, targets):
+            return gate_to_full_matrix(gate, targets, controls, n)
+
+        h_in = np.linalg.multi_dot([embed(H_GATE, [q]) for q in inputs])
+        q = embed(oracle_gate(oracle), coin)
+        q_inv = embed(oracle_gate(oracle).inverse(), coin)
+        r0 = embed(reflection_about_zero(3), coin)
+        if variant == "qss":
+            g = q @ h_in @ r0 @ h_in @ q_inv @ embed(Z_GATE, [target])
+        else:
+            flip = embed(flip_basis_state(3, 4), coin)
+            g = h_in @ q @ h_in @ r0 @ h_in @ q_inv @ h_in @ flip
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        out = apply_aa(state, AAOperator(oracle, variant), 3, controls=controls,
+                       input_qubits=inputs, target_qubit=target)
+        np.testing.assert_allclose(out.amplitudes,
+                                   np.linalg.matrix_power(g, 3) @ state.amplitudes,
+                                   rtol=0, atol=1e-12)

@@ -9,6 +9,7 @@ from qmean.statevector import (
     GateMatrix,
     H_GATE,
     I_GATE,
+    PhaseKernel,
     SimulatorError,
     StateVector,
     X_GATE,
@@ -19,6 +20,7 @@ from qmean.statevector import (
     expectation_of_basis_state,
     gate_to_full_matrix,
     measure,
+    qubit_index,
     rotation_gate,
 )
 
@@ -70,6 +72,11 @@ class TestGates:
     def test_rejects_non_unitary(self):
         with pytest.raises(SimulatorError):
             GateMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_phase_kernel_rejects_non_unit_phase(self):
+        # a kernel built from a formula checks its own form, not a dense U U^dagger
+        with pytest.raises(SimulatorError):
+            PhaseKernel(1, [(qubit_index(1, {0: 1}), 1.01)])
 
     def test_rejects_bad_shape(self):
         with pytest.raises(SimulatorError):
