@@ -19,6 +19,7 @@ from .estimators import (
     qss_queries,
     qss_value_grid,
     run_shift_scale,
+    select_optimal_k,
     shift_scale_schedule,
 )
 from .noise import NoiseModel
@@ -273,7 +274,7 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
                     rows.append({"algorithm": f"qcoin-k{k}", "budget": budget,
                                  "queries": qcoin_queries(k, trials),
                                  "mae": row[k], "repetitions": spec.repetitions})
-                best_k = min(sorted(row), key=lambda kk: (row[kk], kk))
+                best_k = select_optimal_k(budget, optimal_k_table)
                 trials = budget // qcoin_queries(best_k, 1)
                 rows.append({"algorithm": "qcoin-optimal", "budget": budget,
                              "queries": qcoin_queries(best_k, trials),

@@ -2,8 +2,9 @@
 description of each circuit.
 
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
-ops; ``Circuit.bind`` lowers each distinct op once into a statevector kernel
-(the oracle supplies Q) and ``run_circuit`` applies the kernels in place.
+ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (the
+oracle supplies Q; every other op is lowered once per process) and
+``run_circuit`` applies the kernels in place, each register of H in one call.
 Coin preparation, amplification and the Fourier transform are calls into
 that runner; the noise layer evaluates the same bound circuits,
 ``dump_circuit`` prints them and the resource report counts them.
@@ -26,6 +27,7 @@ import numpy as np
 from .statevector import (
     UNITARY_TOL,
     GateMatrix,
+    HadamardKernel,
     Kernel,
     MeasurementOutcome,
     PairKernel,
@@ -170,10 +172,10 @@ class AAOperator:
 MAX_CIRCUIT_OPS = 1 << 20
 # Largest ops x 2^n_qubits, repeats expanded, that a circuit may need before it
 # runs on the statevector: one update per amplitude per op.  It is twice the
-# work of qss at P = 4096 (13 qubits, 1.35e8 updates, 0.4 s on a 2-core Xeon).
-# The kernels hold no index array larger than the oracle's N bins, so memory at
-# the cap is the state and its temporaries: a coin circuit fits with at most 22
-# qubits (a 64 MiB state).
+# work of qss at P = 4096 and N = 1 (13 qubits, 1.35e8 updates, 0.40 s on a
+# 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  The kernels hold no index array
+# larger than the oracle's N bins, so memory at the cap is the state and its
+# temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
 MAX_AMPLITUDE_WORK = 1 << 28
 
 
@@ -192,6 +194,9 @@ class CircuitOp:
     angle: float | None = None
     gate: GateMatrix | None = None
     kernel: Kernel | None = None
+
+    def lowered(self, kernel: Kernel) -> "CircuitOp":
+        return CircuitOp(self.name, self.targets, self.controls, self.angle, self.gate, kernel)
 
     @property
     def touched(self) -> tuple[int, ...]:
@@ -215,19 +220,24 @@ class Circuit:
     """A straight-line list of ops and repeated blocks.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
+    ``schedule`` is what ``run_circuit`` runs; ``bind`` builds it, and adding
+    an op clears it.
     """
 
     n_qubits: int
     ops: list[CircuitOp | Repeat] = field(default_factory=list)
     measured_qubits: Sequence[int] = ()
+    schedule: list | None = field(default=None, repr=False, compare=False)
 
     def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
         self.ops.append(CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate))
+        self.schedule = None
         return self
 
     def measure(self, qubits: Sequence[int]):
         self.ops.append(CircuitOp("M", tuple(qubits)))
         self.measured_qubits = list(qubits)
+        self.schedule = None
         return self
 
     def counted_ops(self):
@@ -259,26 +269,75 @@ class Circuit:
         return flat
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
-        """The same circuit with every op but ``M`` lowered to a kernel.
+        """The same circuit with every op but ``M`` lowered to a kernel, and
+        its run schedule (``_schedule``).
 
         Each distinct op (name, targets, controls, angle, user matrix) is
-        lowered once (``_lower``); ``oracle`` supplies Q and Q_INV.  Ops
-        already lowered keep their kernel.  Refused past MAX_CIRCUIT_OPS.
+        lowered once (``_lower``); ``oracle`` supplies Q and Q_INV, lowered
+        per call.  An op that needs neither the oracle nor a user matrix is
+        lowered once per process and register size, and every circuit shares
+        its kernel.  Ops already lowered keep their kernel.  Refused past
+        MAX_CIRCUIT_OPS.
         """
         self.check_size()
+        n = self.n_qubits
         kernels: dict = {}
 
         def bound(op):
             if op.kernel is not None or op.name == "M":
                 return op
+            if op.gate is None and op.name not in ("Q", "Q_INV"):
+                shared = _SHARED.get((op, n))
+                if shared is None:
+                    shared = _SHARED[op, n] = op.lowered(_lower(op, n, None, kernels))
+                return shared
             if op not in kernels:
-                kernels[op] = _lower(op, self.n_qubits, oracle, kernels)
-            return CircuitOp(op.name, op.targets, op.controls, op.angle, op.gate, kernels[op])
+                kernels[op] = _lower(op, n, oracle, kernels)
+            return op.lowered(kernels[op])
 
-        # a block repeated zero times never runs, so it gets no kernels
-        ops = [Repeat(tuple(map(bound, node.ops)), node.count) if isinstance(node, Repeat)
-               else bound(node) for node in self.ops if getattr(node, "count", 1)]
-        return Circuit(self.n_qubits, ops, self.measured_qubits)
+        # a block repeated zero times never runs, so it gets no kernels; its
+        # tuple is made from a list, not an iterator (see qubit_index)
+        ops = [Repeat(tuple([bound(op) for op in node.ops]), node.count)
+               if isinstance(node, Repeat) else bound(node)
+               for node in self.ops if getattr(node, "count", 1)]
+        return Circuit(n, ops, self.measured_qubits, _schedule(ops, n))
+
+
+# Lowered once per process, keyed by op and register size: bound ops that
+# depend on neither an oracle nor a user matrix, fused H registers and the
+# oracle's bin index per placement.  Bounded by the distinct ops a process
+# runs; the kernels hold only basic indices and constants.
+_SHARED: dict = {}
+
+
+def _schedule(nodes, n_qubits: int) -> list:
+    """The run steps of a list of bound ops: a kernel to apply, an ``M`` op,
+    or a repeated block as (its steps, count).  Each maximal run of formula
+    H ops with the same controls and distinct targets is one shared
+    ``HadamardKernel``."""
+    runs = []  # each a node, or [controls, targets, first op] of a run of H ops
+    for node in nodes:
+        if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
+            last = runs[-1] if runs else None
+            if isinstance(last, list) and last[0] == node.controls and node.targets[0] not in last[1]:
+                last[1].append(node.targets[0])
+                continue
+            node = [node.controls, [node.targets[0]], node]
+        runs.append(node)
+    steps = []
+    for item in runs:
+        if isinstance(item, Repeat):
+            steps.append((_schedule(item.ops, n_qubits), item.count))
+        elif isinstance(item, CircuitOp):
+            steps.append(item if item.name == "M" else item.kernel)
+        elif len(item[1]) == 1:
+            steps.append(item[2].kernel)
+        else:
+            key = ("H", tuple(item[1]), item[0], n_qubits)
+            if key not in _SHARED:
+                _SHARED[key] = HadamardKernel(n_qubits, key[1], key[2])
+            steps.append(_SHARED[key])
+    return steps
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -336,15 +395,19 @@ def _oracle_kernel(oracle: OracleSpec | None, targets: tuple[int, ...], controls
         raise OracleError("binding Q needs an oracle")
     if len(inputs) != oracle.n_input_qubits:
         raise OracleError(f"Q on {len(inputs)} input qubits, oracle has {oracle.n_input_qubits}")
-    theta = [math.asin(min(max(a, -1.0), 1.0)) for a in oracle.target_amplitudes().tolist()]
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
+    # libm per element, not NumPy's SIMD functions, which can differ in the last bit
+    theta = list(map(math.asin, np.clip(oracle.target_amplitudes(), -1.0, 1.0).tolist()))
+    c = np.fromiter(map(math.cos, theta), float, len(theta))
+    s = np.fromiter(map(math.sin, theta), float, len(theta))
     if np.abs(c * c + s * s - 1.0).max() > UNITARY_TOL:
         raise SimulatorError("oracle rotation is not unitary")
-    # axes of the pair view: the free qubits, highest first, then the columns
-    axes = [q for q in reversed(range(n_qubits)) if q != target and q not in controls] + [None]
-    bins = sum((np.arange(2) << j).reshape([2 if a == q else 1 for a in axes])
-               for j, q in enumerate(inputs))
+    bins = _SHARED.get(("bins", targets, controls, n_qubits))
+    if bins is None:
+        # axes of the pair view: the free qubits, highest first, then the columns
+        axes = [q for q in reversed(range(n_qubits)) if q != target and q not in controls] + [None]
+        bins = _SHARED["bins", targets, controls, n_qubits] = sum(
+            (np.arange(2) << j).reshape([2 if a == q else 1 for a in axes])
+            for j, q in enumerate(inputs))
     on = dict.fromkeys(controls, 1)
     lo, hi = (qubit_index(n_qubits, {**on, target: bit}) for bit in (0, 1))
     return PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
@@ -372,25 +435,29 @@ def run_circuit(
     rng: np.random.Generator | None = None,
     ledger: QueryLedger | None = None,
 ) -> tuple[StateVector, list[MeasurementOutcome]]:
-    """Apply a bound circuit's kernels in place to a copy of ``state``
-    (default all |0>); the norm is checked once, on the result.
+    """Run a bound circuit's schedule in place on a copy of ``state``
+    (default all |0>), each repeated block by its count; the norm is checked
+    once, on the result.
 
     ``M`` collapses its targets with ``rng`` and records the outcome; without
     a generator it is skipped, which leaves the amplitudes the caller reads a
     distribution from.  Each Q or Q_INV is one query on ``ledger``; the ops
-    applied and their amplitude updates are added to ``WORK``.  Refused past
-    MAX_AMPLITUDE_WORK before the state is allocated.
+    applied and their amplitude updates are added to ``WORK``, one per op
+    (a register of H counts as its H ops).  Refused past MAX_AMPLITUDE_WORK
+    before the state is allocated.
     """
+    if circuit.schedule is None:
+        raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
     circuit.check_size(on_statevector=True)
     n = circuit.n_qubits
     amps = (StateVector.zero(n) if state is None else state).amplitudes.copy()
     psi = qubit_axes(amps, n)
     outcomes = []
-    for op in circuit.expand():
-        if op.name != "M":
-            op.kernel(psi)
+    for step in _walk(circuit.schedule):
+        if not isinstance(step, CircuitOp):
+            step(psi)
         elif rng is not None:
-            outcomes.append(measure(StateVector(n, amps), op.targets, rng))
+            outcomes.append(measure(StateVector(n, amps), step.targets, rng))
             amps = outcomes[-1].post_state.amplitudes.copy()
             psi = qubit_axes(amps, n)
     applied = Counter()
@@ -402,6 +469,17 @@ def run_circuit(
     if ledger is not None:
         ledger.add(applied["Q"] + applied["Q_INV"])
     return StateVector(n, amps), outcomes
+
+
+def _walk(steps):
+    """The steps of a schedule in run order, each repeated block ``count`` times."""
+    for step in steps:
+        if isinstance(step, tuple):
+            body, count = step
+            for _ in range(count):
+                yield from _walk(body)
+        else:
+            yield step
 
 
 def _h(qubits, controls=()) -> list[CircuitOp]:

@@ -3,6 +3,7 @@
 An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or ``BlockKernel``)
 built once per op and applied in place to a view of the amplitudes with one
 axis per qubit, so a structured op costs O(2^n) and needs no dense matrix.
+``HadamardKernel`` applies H to a whole register in one call.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -12,6 +13,7 @@ in this package rely on this convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -139,7 +141,10 @@ def qubit_axes(amplitudes: np.ndarray, n_qubits: int) -> np.ndarray:
 def qubit_index(n_qubits: int, bits: Mapping[int, int]) -> tuple:
     """The basic index into ``qubit_axes`` that fixes qubit q to ``bits[q]``;
     it selects a view, so a kernel built on it holds no index array."""
-    return tuple(bits.get(q, slice(None)) for q in reversed(range(n_qubits))) + (Ellipsis,)
+    # tuple() of a list, not of a generator: CPython builds the latter at a
+    # guessed size and shrinks it, which fills the tuple free lists on every
+    # bind until a full garbage collection
+    return tuple([bits.get(q, slice(None)) for q in reversed(range(n_qubits))] + [Ellipsis])
 
 
 class Kernel:
@@ -162,8 +167,9 @@ class PairKernel(Kernel):
 
     def __init__(self, n_qubits: int, lo: tuple, hi: tuple, m00, m01, m10, m11):
         self.n_qubits, self.lo, self.hi = n_qubits, lo, hi
-        # complex arrays, even 0-d: NumPy multiplies them faster than Python scalars
-        self.coefficients = tuple(np.asarray(m, dtype=np.complex128) for m in (m00, m01, m10, m11))
+        # complex arrays, even 0-d: NumPy multiplies them faster than Python
+        # scalars; a list for tuple(), as in qubit_index
+        self.coefficients = tuple([np.asarray(m, dtype=np.complex128) for m in (m00, m01, m10, m11)])
 
     def __call__(self, psi: np.ndarray):
         m00, m01, m10, m11 = self.coefficients
@@ -177,6 +183,15 @@ class PairKernel(Kernel):
         m00, m01, m10, m11 = self.coefficients
         return PairKernel(self.n_qubits, self.lo, self.hi,
                           m00.conj(), m10.conj(), m01.conj(), m11.conj())
+
+    def matrix(self) -> np.ndarray:
+        if self.n_qubits > 1:
+            return super().matrix()
+        # one qubit: every coefficient is a scalar, lo and hi fix the qubit's bit
+        full = np.zeros((2, 2), dtype=np.complex128)
+        lo, hi = self.lo[0], self.hi[0]
+        full[lo, lo], full[lo, hi], full[hi, lo], full[hi, hi] = self.coefficients
+        return full
 
 
 class PhaseKernel(Kernel):
@@ -193,6 +208,58 @@ class PhaseKernel(Kernel):
     def __call__(self, psi: np.ndarray):
         for index, phase in self.terms:
             psi[index] *= phase
+
+    def matrix(self) -> np.ndarray:
+        """The diagonal: the kernel applied to a vector of ones."""
+        diagonal = np.ones(1 << self.n_qubits, dtype=np.complex128)
+        self(qubit_axes(diagonal, self.n_qubits))
+        return np.diag(diagonal)
+
+
+# Most target qubits one HadamardKernel product covers: H^(x)c is 2^c x 2^c,
+# so a product costs 2^c updates per amplitude against one call's overhead.
+HADAMARD_CHUNK = 4
+
+
+def _hadamard_power(c: int) -> np.ndarray:
+    """H^(x)c as a real 2^c x 2^c matrix, each entry +-1 / 2^(c/2)."""
+    signs = np.ones((1, 1))
+    for _ in range(c):
+        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+    return signs / math.sqrt(1 << c)
+
+
+class HadamardKernel(Kernel):
+    """H on every target qubit, where every control is |1>, in one call.
+
+    The targets are split into chunks of at most ``HADAMARD_CHUNK`` qubits;
+    each chunk is one real matrix product of H^(x)c with the amplitudes
+    viewed with the chunk's axes first, then written back in place.  H^(x)c
+    is the same for any order of its qubits, so a chunk's order is free.
+    """
+
+    def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int] = ()):
+        check_qubits(n_qubits, targets, controls)
+        self.n_qubits = n_qubits
+        self.index = qubit_index(n_qubits, dict.fromkeys(controls, 1))
+        # the axes of psi[index]: the free qubits, highest first, then the columns
+        free = [q for q in reversed(range(n_qubits)) if q not in controls]
+        ordered = sorted(targets)
+        n_chunks = -(-len(ordered) // HADAMARD_CHUNK)
+        self.chunks = []
+        for j in range(n_chunks):
+            chunk = ordered[j * len(ordered) // n_chunks:(j + 1) * len(ordered) // n_chunks]
+            first = [free.index(q) for q in chunk]
+            perm = first + [a for a in range(len(free) + 1) if a not in first]
+            self.chunks.append((tuple(perm), _hadamard_power(len(chunk))))
+
+    def __call__(self, psi: np.ndarray):
+        view = psi[self.index]
+        for perm, h in self.chunks:
+            sub = view.transpose(perm)
+            # complex amplitudes as (re, im) pairs of float64 columns: a real product
+            x = np.ascontiguousarray(sub).reshape(len(h), -1).view(np.float64)
+            sub[...] = (h @ x).view(np.complex128).reshape(sub.shape)
 
 
 class BlockKernel(Kernel):

@@ -21,6 +21,7 @@ from qmean.primitives import (
     Repeat,
     SQRT_AMPLITUDE,
     WORK,
+    _g_block,
     aa_operator_matrix,
     apply_aa,
     coin_circuit,
@@ -39,12 +40,14 @@ from qmean.primitives import (
 from qmean.statevector import (
     H_GATE,
     GateMatrix,
+    HadamardKernel,
     SimulatorError,
     StateVector,
     Z_GATE,
     apply_gate,
     expectation_of_basis_state,
     gate_to_full_matrix,
+    qubit_axes,
 )
 
 H1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -380,6 +383,64 @@ class TestCircuit:
             assert len({id(op.kernel) for op in ops if op.name == name}) == 1
         # one H kernel per input qubit
         assert len({id(op.kernel) for op in ops if op.name == "H"}) == 2
+
+        # a second oracle gets new Q and Q_INV kernels and shares every other one
+        other = OracleSpec([0.3, 0.3, 0.5, 0.9], offset=0.2, encoding=LINEAR_AMPLITUDE)
+        again = coin_circuit(2, 3).bind(other).expand()
+        for first, second in zip(ops, again):
+            assert first.name == second.name
+            if first.name in ("Q", "Q_INV"):
+                assert first.kernel is not second.kernel
+            elif first.name != "M":
+                assert first.kernel is second.kernel
+
+    @pytest.mark.parametrize("build", [
+        lambda: (coin_circuit(3, 2), OracleSpec([0.2, 0.4, 0.6, 0.8, 0.1, 0.9, 0.5, 0.3], 0.1,
+                                                LINEAR_AMPLITUDE)),
+        lambda: (coin_circuit(6, 1), OracleSpec(np.linspace(0.2, 0.8, 64), 0.1, LINEAR_AMPLITUDE)),
+        lambda: (qss_circuit(2, 8), OracleSpec([0.1, 0.5, 0.8, 0.3])),
+        lambda: (qss_circuit(1, 16), OracleSpec([0.3, 0.6])),
+        # apply_aa's circuit with inputs on 3 and 1, target 0, every gate controlled by 2
+        lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+        lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3])),
+    ])
+    def test_run_matches_each_op_kernel_in_turn(self, build):
+        """The schedule (H registers fused, repeats walked) against every
+        op's own kernel, applied in the order of ``expand()``."""
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        rng = np.random.default_rng(3)
+        n = circuit.n_qubits
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        expected = state.amplitudes.copy()
+        for op in bound.expand():
+            if op.name != "M":
+                op.kernel(qubit_axes(expected, n))
+        out, _ = run_circuit(bound, state)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_registers_of_h_run_as_one_kernel(self):
+        bound = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE))
+        steps = bound.schedule
+        assert isinstance(steps[0], HadamardKernel) and isinstance(steps[2], HadamardKernel)
+        body, count = steps[3]
+        assert count == 2 and sum(isinstance(s, HadamardKernel) for s in body) == 4
+        # H on a repeated qubit, or under other controls, starts a new register
+        circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
+                              CircuitOp("H", (2,), (1,))])
+        steps = circuit.bind().schedule
+        assert [isinstance(s, HadamardKernel) for s in steps] == [True, False, False]
+
+    def test_unbound_circuit_is_refused(self):
+        with pytest.raises(SimulatorError, match="bound"):
+            run_circuit(coin_circuit(1, 1))
+        bound = Circuit(1, [CircuitOp("H", (0,))]).bind()
+        bound.add(Z_GATE, [0])
+        with pytest.raises(SimulatorError, match="bound"):
+            run_circuit(bound)
 
     def test_op_without_formula_or_matrix_is_refused(self):
         with pytest.raises(SimulatorError, match="no formula"):

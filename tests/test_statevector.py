@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from qmean.statevector import (
     GateMatrix,
     H_GATE,
+    HADAMARD_CHUNK,
+    HadamardKernel,
     I_GATE,
+    Kernel,
+    PairKernel,
     PhaseKernel,
     SimulatorError,
     StateVector,
@@ -19,6 +23,7 @@ from qmean.statevector import (
     apply_rotation,
     expectation_of_basis_state,
     gate_to_full_matrix,
+    lower_gate,
     measure,
     qubit_index,
     rotation_gate,
@@ -165,6 +170,45 @@ class TestControlledGates:
         state = StateVector.from_amplitudes([0, 1.0, 0, 0])  # |q1=0, q0=1>
         out = apply_gate(state, swapish, [0, 1])
         np.testing.assert_allclose(out.amplitudes, [0, 0, 1.0, 0], atol=1e-12)
+
+
+class TestHadamardKernel:
+    """The fused H register against the product of one H pair kernel per target."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_qubit_pair_kernels(self, n):
+        rng = np.random.default_rng(40 + n)
+        # every qubit a target, then random target sets with random controls
+        cases = [(list(range(n)), [])]
+        for _ in range(6):
+            qubits = [int(q) for q in rng.permutation(n)]
+            k = int(rng.integers(1, n + 1))
+            cases.append((qubits[:k], qubits[k:k + int(rng.integers(0, n - k + 1))]))
+        for targets, controls in cases:
+            expected = np.eye(1 << n)
+            for q in targets:
+                expected = lower_gate(H_GATE, [q], controls, n).matrix() @ expected
+            kernel = HadamardKernel(n, targets, controls)
+            assert len(kernel.chunks) == -(-len(targets) // HADAMARD_CHUNK)
+            np.testing.assert_allclose(kernel.matrix(), expected, rtol=0, atol=1e-12)
+
+    def test_rejects_overlapping_qubits(self):
+        with pytest.raises(SimulatorError, match="repeated"):
+            HadamardKernel(3, [0, 1], [1])
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("kernel", [
+        lower_gate(H_GATE, [0], [], 1),
+        lower_gate(rotation_gate(0.3), [0], [], 1),
+        lower_gate(rotation_gate(0.3), [0], [], 1).inverse(),
+        lower_gate(Y_GATE, [0], [], 1),
+        PairKernel(1, qubit_index(1, {0: 1}), qubit_index(1, {0: 0}), 0.6, 0.8j, 0.8j, 0.6),
+        PhaseKernel(1, [(qubit_index(1, {0: 1}), np.exp(0.7j))]),
+        PhaseKernel(3, [(qubit_index(3, {}), -1.0), (qubit_index(3, {0: 0, 2: 1}), 1j)]),
+    ])
+    def test_equals_the_kernel_applied_to_the_identity(self, kernel):
+        np.testing.assert_array_equal(kernel.matrix(), Kernel.matrix(kernel))
 
 
 class TestMeasurement:
