@@ -15,6 +15,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .estimators import (
+    _asin,
     qcoin_queries,
     qss_queries,
     qss_value_grid,
@@ -31,32 +32,63 @@ from .primitives import Circuit, coin_circuit, qss_circuit
 # of the amplified-rotation trace; cross-checked against the statevector
 # simulation in the test suite).
 
-def qss_theoretical_distribution(f: float, resolution: int) -> np.ndarray:
+# Most values (rows x P) one block of readout distributions holds.  A block
+# is one FFT of its sin traces and one of its cos traces, so 200 means at
+# P = 256 take 13 pairs of transforms instead of 200; its temporaries stay
+# near 0.3 MB at 2^12, while 2^13 doubles them for no clear gain and 2^14
+# runs slower.
+QSS_BLOCK_VALUES = 2**12
+
+
+def _qss_blocks(n_means: int, resolution: int):
+    step = max(1, QSS_BLOCK_VALUES // resolution)
+    return (slice(i, i + step) for i in range(0, n_means, step))
+
+
+def qss_theoretical_distribution(f, resolution: int) -> np.ndarray:
     """Exact outcome distribution over t for target mean f.
 
     The amplified state carries sin((2m+1) theta) / cos((2m+1) theta) on the
     head / tail branch of register value m; the readout distribution is the
     squared transform of both traces, p(t) = (|S_t|^2 + |C_t|^2) / P^2.
+    f may be a 1-D array of means, which gives one row per mean; a float
+    gives one distribution.
     """
-    theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
-    m = np.arange(resolution)
-    angles = (2 * m + 1) * theta
-    s_hat = np.fft.fft(np.sin(angles))
-    c_hat = np.fft.fft(np.cos(angles))
-    dist = (np.abs(s_hat) ** 2 + np.abs(c_hat) ** 2) / resolution**2
-    return dist / dist.sum()
+    theta = _asin(np.sqrt(np.clip(np.ravel(np.asarray(f, dtype=float)), 0.0, 1.0)))
+    dist = np.empty((theta.size, resolution))
+    for rows in _qss_blocks(theta.size, resolution):
+        angles = (2 * np.arange(resolution) + 1) * theta[rows, None]
+        s_hat = np.fft.fft(np.sin(angles))
+        c_hat = np.fft.fft(np.cos(angles))
+        block = (np.abs(s_hat) ** 2 + np.abs(c_hat) ** 2) / resolution**2
+        dist[rows] = block / block.sum(axis=-1, keepdims=True)
+    return dist[0] if np.ndim(f) == 0 else dist
 
 
-def qss_expected_error(f: float, resolution: int) -> float:
-    """Expectation of |f' - f| over the exact readout distribution."""
-    dist = qss_theoretical_distribution(f, resolution)
-    return float(np.sum(dist * np.abs(qss_value_grid(resolution) - f)))
+def _qss_rows(fs: np.ndarray, resolution: int):
+    """The distribution of each mean in turn, computed one block at a time,
+    so that many means never hold more than a block of rows."""
+    for rows in _qss_blocks(fs.size, resolution):
+        yield from qss_theoretical_distribution(fs[rows], resolution)
+
+
+def qss_expected_error(f, resolution: int) -> float | np.ndarray:
+    """Expectation of |f' - f| over the exact readout distribution; f may be
+    a 1-D array of means (one error per mean), and a float gives a float."""
+    fs = np.ravel(np.asarray(f, dtype=float))
+    grid = qss_value_grid(resolution)
+    err = np.empty(fs.size)
+    for rows in _qss_blocks(fs.size, resolution):
+        # one expression, so no block's distribution outlives its errors
+        err[rows] = np.sum(qss_theoretical_distribution(fs[rows], resolution)
+                           * np.abs(grid - fs[rows, None]), axis=-1)
+    return float(err[0]) if np.ndim(f) == 0 else err
 
 
 def qss_mean_error(resolution: int, n_f: int = 200) -> float:
     """Exact error averaged over uniformly spaced target means."""
     fs = (np.arange(n_f) + 0.5) / n_f
-    return float(np.mean([qss_expected_error(f, resolution) for f in fs]))
+    return float(np.mean(qss_expected_error(fs, resolution)))
 
 
 def nearest_power_of_two_resolution(budget: int) -> int:
@@ -80,9 +112,12 @@ def sample_monte_carlo(f, trials, rng, noise=None):
 
 def sample_qss(f: float, resolution: int, rng, size=None):
     """Draw readout estimates from the exact outcome distribution."""
-    dist = qss_theoretical_distribution(f, resolution)
-    t = rng.choice(resolution, p=dist, size=size)
-    return np.sin(t * np.pi / resolution) ** 2
+    return _draw_qss(qss_theoretical_distribution(f, resolution), rng, size)
+
+
+def _draw_qss(dist: np.ndarray, rng, size):
+    t = rng.choice(dist.size, p=dist, size=size)
+    return np.sin(t * np.pi / dist.size) ** 2
 
 
 def fast_qcoin_estimate(
@@ -157,8 +192,11 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
         raise ValueError(f"key 'k_values' takes one value in the value sweep, got {spec.qcoin_k}")
     rows = []
     for algorithm in spec.algorithms:
-        for f in spec.f_values:
-            for budget in spec.budgets:
+        if algorithm == "qss":
+            resolutions = [nearest_power_of_two_resolution(budget) for budget in spec.budgets]
+            qss_errors = [qss_expected_error(spec.f_values, p) for p in resolutions]
+        for i, f in enumerate(spec.f_values):
+            for j, budget in enumerate(spec.budgets):
                 alg_id = {"monte-carlo": 1, "qss": 2, "qcoin": 3}.get(algorithm, 0)
                 rng = np.random.default_rng(
                     np.random.SeedSequence([spec.seed_base, alg_id, int(f * 1e9), budget])
@@ -170,9 +208,8 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                     mae = float(np.mean(np.abs(est - f)))
                     queries = budget
                 elif algorithm == "qss":
-                    p = nearest_power_of_two_resolution(budget)
-                    mae = qss_expected_error(f, p)
-                    queries = qss_queries(p)
+                    mae = float(qss_errors[j][i])
+                    queries = qss_queries(resolutions[j])
                 elif algorithm == "qcoin":
                     k = spec.qcoin_k[0]
                     trials = budget // (qcoin_queries(k, 1))
@@ -433,7 +470,10 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
     rng = np.random.default_rng(job.seed_base)
 
     # pixels with the same block mean are repetitions of one estimate
-    for f in np.unique(ideal):
+    means = np.unique(ideal)
+    if job.algorithm == "qss":
+        dists = _qss_rows(means, job.qss_resolution)
+    for f in means:
         same = ideal == f
         fs = np.full(int(same.sum()), f)
         if job.algorithm == "monte-carlo":
@@ -442,7 +482,7 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
             trials = job.per_pixel_budget // qcoin_queries(job.qcoin_k, 1)
             out[same] = fast_qcoin_estimate(fs, job.qcoin_k, trials, rng, job.noise)
         elif job.algorithm == "qss":
-            out[same] = sample_qss(f, job.qss_resolution, rng, size=fs.size)
+            out[same] = _draw_qss(next(dists), rng, fs.size)
         elif job.algorithm == "ideal":
             out[same] = f
         else:

@@ -95,11 +95,17 @@ def noisy_execute(
     return outcome
 
 
+def _bound(circuit: Circuit) -> Circuit:
+    """The circuit with its kernels: one that ``bind`` returned (it has a run
+    schedule) is used as it is, any other is bound."""
+    return circuit if circuit.schedule is not None else circuit.bind()
+
+
 def _gates(circuit: Circuit) -> list[CircuitOp]:
     """The bound circuit's gates in run order.  M ops are skipped: the
     package's circuits measure mid-circuit only qubits that no later gate
     touches, which leaves the readout distribution unchanged."""
-    return [op for op in circuit.bind().expand() if op.name != "M"]
+    return [op for op in _bound(circuit).expand() if op.name != "M"]
 
 
 def _pauli_channel(rho: np.ndarray, g: float, paulis: list[np.ndarray]) -> np.ndarray:
@@ -132,7 +138,7 @@ def _one_qubit_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     the ideal head probability |U[1,0]|^2 moves towards 1/2 by that factor per
     gate, and readout flips with probability r mix the two outcomes.
     """
-    u = _product(circuit.bind().ops)
+    u = _product(_bound(circuit).ops)
     n_gates = sum(count for op, count in circuit.counted_ops() if op.name != "M")
     shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
     p = 0.5 + shrink * (abs(u[2]) ** 2 - 0.5)

@@ -1,17 +1,20 @@
 """Fixed-seed outputs must not change: ``qmean estimate`` records across the
-algorithms and noise models, and the repr of library estimates that run the
-statevector at N > 1.
+algorithms and noise models, the repr of library estimates that run the
+statevector at N > 1, and the outputs of the closed-form QSS readout.
 
-The expected lines are in ``tests/data/estimate-records.txt``.  It was written
-by this module's ``golden_lines`` before the Hadamard-layer kernel existed
-(``python tests/test_golden.py > tests/data/estimate-records.txt``); a change
-that alters a line changes the package's numbers and must say so, not rewrite
-the file.
+The expected lines are in ``tests/data/``.  ``estimate-records.txt`` was
+written by this module's ``golden_lines`` before the Hadamard-layer kernel
+existed (``python tests/test_golden.py > tests/data/estimate-records.txt``);
+``qss-closed-form.txt`` was written by ``qss_closed_form_lines`` before the
+readout was batched over target means (``python tests/test_golden.py
+qss-closed-form > tests/data/qss-closed-form.txt``).  A change that alters a
+line changes the package's numbers and must say so, not rewrite the file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import sys
 import tempfile
@@ -21,9 +24,12 @@ import numpy as np
 
 from qmean.cli import main
 from qmean.estimators import estimate_qcoin, estimate_qss
+from qmean.harness import qss_mean_error
 from qmean.primitives import OracleSpec
 
-GOLDEN = Path(__file__).parent / "data" / "estimate-records.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "estimate-records.txt"
+QSS_GOLDEN = DATA / "qss-closed-form.txt"
 
 SEEDS = (3, 17, 2024)
 MEANS = (0.0, 0.13, 0.5, 0.77, 1.0)
@@ -40,6 +46,13 @@ def _integrand(n_bins: int) -> OracleSpec:
     return OracleSpec(0.5 + 0.4 * np.sin(2.0 * np.arange(n_bins)))
 
 
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 def golden_lines(config_dir: Path) -> list[str]:
     """One line per CLI record (its arguments, then the record) and per
     library estimate (its call, then the ``repr``)."""
@@ -52,10 +65,7 @@ def golden_lines(config_dir: Path) -> list[str]:
         for seed in SEEDS:
             for f in MEANS:
                 argv = ["estimate", *args, "--f", repr(f), "--seed", str(seed)]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main(argv + config) == 0
-                lines.append(f"{' '.join(argv)} noise={noise}: {out.getvalue().strip()}")
+                lines.append(f"{' '.join(argv)} noise={noise}: {_run(argv + config).strip()}")
     for n_bins in (16, 64):
         for seed in SEEDS:
             est = estimate_qcoin(_integrand(n_bins), 4, 20, seed)
@@ -67,14 +77,48 @@ def golden_lines(config_dir: Path) -> list[str]:
     return lines
 
 
-def test_fixed_seed_outputs_are_unchanged(tmp_path):
-    expected = GOLDEN.read_text().splitlines()
-    got = golden_lines(tmp_path)
+# The qss rows of the noisy benchmark workload's sweep: 10 means (0 and 1
+# among them) by budgets 1e2..1e5.
+SWEEP_MEANS = (0.0, 0.05, 0.13, 0.271828, 0.5, 0.577216, 0.77, 0.914159, 0.999, 1.0)
+SWEEP_BUDGETS = (100, 1000, 10000, 100000)
+
+
+def qss_closed_form_lines(work_dir: Path) -> list[str]:
+    """The repr of ``qss_mean_error`` at criterion 2's resolutions, the qss
+    ``sweep-value`` CSV, and the sha256 of supersampled qss images."""
+    lines = [f"qss_mean_error P={p}: {qss_mean_error(p)!r}" for p in (8, 16, 32, 64, 128, 256)]
+    config = work_dir / "sweep.cfg"
+    config.write_text(f"algorithms = qss\nbudgets = {','.join(map(str, SWEEP_BUDGETS))}\n"
+                      f"f_values = {','.join(map(repr, SWEEP_MEANS))}\n")
+    _run(["sweep-value", "--config", str(config), "--seed", "5", "--out", str(work_dir / "sweep")])
+    lines += (work_dir / "sweep" / "value-sweep.csv").read_text().splitlines()
+    for p in (128, 1024):
+        config = work_dir / f"supersample-{p}.cfg"
+        config.write_text(f"qss_P = {p}\n")
+        out = work_dir / f"supersample-{p}"
+        _run(["supersample", "--algorithm", "qss", "--config", str(config), "--seed", "11",
+              "--out", str(out)])
+        digest = hashlib.sha256((out / "supersampled-qss.pgm").read_bytes()).hexdigest()
+        lines.append(f"supersample qss P={p} seed=11 sha256: {digest}")
+    return lines
+
+
+def _assert_unchanged(golden: Path, got: list[str]):
+    expected = golden.read_text().splitlines()
     changed = [(want, have) for want, have in zip(expected, got) if want != have]
     assert not changed, "first changed line:\n" + "\n".join(changed[0])
     assert len(got) == len(expected)
 
 
+def test_fixed_seed_outputs_are_unchanged(tmp_path):
+    _assert_unchanged(GOLDEN, golden_lines(tmp_path))
+
+
+def test_qss_closed_form_outputs_are_unchanged(tmp_path):
+    _assert_unchanged(QSS_GOLDEN, qss_closed_form_lines(tmp_path))
+
+
 if __name__ == "__main__":
+    make = qss_closed_form_lines if sys.argv[1:] == ["qss-closed-form"] else golden_lines
     with tempfile.TemporaryDirectory() as tmp:
-        sys.stdout.write("".join(line + "\n" for line in golden_lines(Path(tmp))))
+        sys.stdout.write("".join(line + "\n" for line in make(Path(tmp))))

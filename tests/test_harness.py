@@ -1,6 +1,7 @@
 """Tests for experiment sweeps, supersampling, resources and file I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmean.estimators import qcoin_queries, qss_queries
 from qmean.harness import (
+    QSS_BLOCK_VALUES,
     ConfigError,
     SupersampleJob,
     SweepSpec,
@@ -61,6 +63,63 @@ class TestQssExactError:
     def test_mean_error_shrinks_with_resolution(self):
         errs = [qss_mean_error(p) for p in (8, 32, 128)]
         assert errs == sorted(errs, reverse=True)
+
+
+def per_mean_distribution(f, resolution):
+    """The readout distribution one mean at a time, as it was computed before
+    it was batched over means: the reference for the batched rows."""
+    theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
+    angles = (2 * np.arange(resolution) + 1) * theta
+    dist = (np.abs(np.fft.fft(np.sin(angles))) ** 2
+            + np.abs(np.fft.fft(np.cos(angles))) ** 2) / resolution**2
+    return dist / dist.sum()
+
+
+def peak_bytes(fn) -> int:
+    fn()  # NumPy's FFT plan cache fills on the first call
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestQssBatchedReadout:
+    @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
+    def test_rows_equal_per_mean_calls(self, resolution):
+        # one full block and a partial last one (P >= 4096: blocks of one row)
+        n = QSS_BLOCK_VALUES // resolution + 3 if resolution < QSS_BLOCK_VALUES else 3
+        rng = np.random.default_rng(resolution)
+        fs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+        dists = qss_theoretical_distribution(fs, resolution)
+        errors = qss_expected_error(fs, resolution)
+        grid = np.sin(np.arange(resolution) * np.pi / resolution) ** 2
+        for f, dist, error in zip(fs, dists, errors):
+            reference = per_mean_distribution(f, resolution)
+            assert np.array_equal(dist, reference)
+            assert np.array_equal(dist, qss_theoretical_distribution(f, resolution))
+            assert error == float(np.sum(reference * np.abs(grid - f)))
+            assert error == qss_expected_error(f, resolution)
+
+    def test_shape_contract(self):
+        dist = qss_theoretical_distribution(0.3, 16)
+        assert dist.shape == (16,)
+        error = qss_expected_error(0.3, 16)
+        assert type(error) is float
+        for fs in ([0.3], [0.1, 0.3, 0.9], np.array([0.1, 0.3, 0.9])):
+            assert qss_theoretical_distribution(fs, 16).shape == (len(fs), 16)
+            errors = qss_expected_error(fs, 16)
+            assert isinstance(errors, np.ndarray) and errors.shape == (len(fs),)
+            assert errors[0] == qss_expected_error(fs[0], 16)
+
+    def test_memory_bounded_by_one_block(self):
+        fs = (np.arange(200) + 0.5) / 200
+        assert peak_bytes(lambda: qss_expected_error(fs, 256)) < 0.5e6
+        one = peak_bytes(lambda: qss_expected_error([0.3], 32768))
+        many = peak_bytes(lambda: qss_expected_error(np.linspace(0.0, 1.0, 10), 32768))
+        # only the means, their angles and their errors grow with the count
+        assert many <= one + 1024
 
 
 class TestBudgetHelpers:

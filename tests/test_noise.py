@@ -177,6 +177,27 @@ class TestOneQubitClosedForm:
         heads = sum(noisy_execute(circuit, model, rng).observed_bits[0] for _ in range(trials))
         assert abs(heads / trials - exact) < 4 * math.sqrt(exact * (1 - exact) / trials)
 
+    def test_bound_circuit_is_not_bound_again(self, monkeypatch):
+        circuit = simple_qcoin_circuit(0.5, 0.2, 16)
+        unscheduled = Circuit(1, circuit.ops, circuit.measured_qubits)
+        binds = []
+        bind = Circuit.bind
+        monkeypatch.setattr(Circuit, "bind", lambda self, *a: binds.append(self) or bind(self, *a))
+        head_probability(circuit, HARDWARE_PRESET)
+        assert binds == []
+        head_probability(unscheduled, HARDWARE_PRESET)
+        assert len(binds) == 1 and binds[0] is unscheduled
+
+    def test_bound_circuit_matches_a_fresh_bind(self):
+        rng = np.random.default_rng(54)
+        for _ in range(300):
+            f = rng.uniform(0.0, 1.0)
+            circuit = simple_qcoin_circuit(f, rng.uniform(0.0, f), int(rng.integers(0, 33)))
+            fresh = Circuit(1, circuit.ops, circuit.measured_qubits)
+            assert fresh.schedule is None
+            assert (head_probability(circuit, HARDWARE_PRESET)
+                    == head_probability(fresh, HARDWARE_PRESET))
+
     def test_circuit_without_readout_uses_density_matrix(self):
         circuit = Circuit(1)
         circuit.add(H_GATE, [0])
