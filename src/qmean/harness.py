@@ -192,16 +192,16 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
         raise ValueError(f"key 'k_values' takes one value in the value sweep, got {spec.qcoin_k}")
     rows = []
     for algorithm in spec.algorithms:
+        alg_id = {"monte-carlo": 1, "qss": 2, "qcoin": 3}.get(algorithm, 0)
         if algorithm == "qss":
             resolutions = [nearest_power_of_two_resolution(budget) for budget in spec.budgets]
             qss_errors = [qss_expected_error(spec.f_values, p) for p in resolutions]
         for i, f in enumerate(spec.f_values):
             for j, budget in enumerate(spec.budgets):
-                alg_id = {"monte-carlo": 1, "qss": 2, "qcoin": 3}.get(algorithm, 0)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([spec.seed_base, alg_id, int(f * 1e9), budget])
-                )
+                # each row that draws gets its own generator; qss rows draw nothing
+                seed = [spec.seed_base, alg_id, int(f * 1e9), budget]
                 if algorithm == "monte-carlo":
+                    rng = np.random.default_rng(np.random.SeedSequence(seed))
                     est = sample_monte_carlo(
                         np.full(spec.repetitions, f), budget, rng, spec.noise
                     )
@@ -215,6 +215,7 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                     trials = budget // (qcoin_queries(k, 1))
                     if trials < 1:
                         continue
+                    rng = np.random.default_rng(np.random.SeedSequence(seed))
                     est = fast_qcoin_estimate(
                         np.full(spec.repetitions, f), k, trials, rng, spec.noise
                     )

@@ -4,10 +4,12 @@ description of each circuit.
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
 ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (the
 oracle supplies Q; every other op is lowered once per process) and
-``run_circuit`` applies the kernels in place, each register of H in one call.
-Coin preparation, amplification and the Fourier transform are calls into
-that runner; the noise layer evaluates the same bound circuits,
-``dump_circuit`` prints them and the resource report counts them.
+``run_circuit`` applies the kernels in place, each register of H in one call
+and each small repeated block as one matrix power (``FusedRepeat``), built
+the first time it runs.  Coin preparation, amplification and the Fourier
+transform are calls into that runner; the noise layer evaluates the same
+bound circuits op by op, ``dump_circuit`` prints them and the resource report
+counts them.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -29,6 +31,7 @@ from .statevector import (
     GateMatrix,
     HadamardKernel,
     Kernel,
+    MatrixKernel,
     MeasurementOutcome,
     PairKernel,
     PhaseKernel,
@@ -172,10 +175,12 @@ class AAOperator:
 MAX_CIRCUIT_OPS = 1 << 20
 # Largest ops x 2^n_qubits, repeats expanded, that a circuit may need before it
 # runs on the statevector: one update per amplitude per op.  It is twice the
-# work of qss at P = 4096 and N = 1 (13 qubits, 1.35e8 updates, 0.40 s on a
-# 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  The kernels hold no index array
-# larger than the oracle's N bins, so memory at the cap is the state and its
-# temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
+# work of qss at P = 4096 and N = 1 (13 qubits, 1.35e8 updates, 0.40 s op by
+# op on a 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  It counts the ops, not
+# the fused steps they run as (that qss takes 6 ms fused), so it still bounds
+# a circuit whose blocks are too wide to fuse.  The kernels hold no index
+# array larger than the oracle's N bins, so memory at the cap is the state and
+# its temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
 MAX_AMPLITUDE_WORK = 1 << 28
 
 
@@ -209,9 +214,14 @@ class CircuitOp:
 
 @dataclass(frozen=True)
 class Repeat:
-    """A block of ops applied ``count`` times in a row, kept as one node."""
+    """A block of ops applied ``count`` times in a row, kept as one node.
 
-    ops: tuple[CircuitOp, ...]
+    The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
+    every freed tuple of exactly 20 items (the qcoin G block on 4 input
+    qubits) on its free list and never reuses it, up to 2,000 of them.
+    """
+
+    ops: Sequence[CircuitOp]
     count: int
 
 
@@ -273,34 +283,21 @@ class Circuit:
         its run schedule (``_schedule``).
 
         Each distinct op (name, targets, controls, angle, user matrix) is
-        lowered once (``_lower``); ``oracle`` supplies Q and Q_INV, lowered
+        lowered once (``_bind_op``); ``oracle`` supplies Q and Q_INV, lowered
         per call.  An op that needs neither the oracle nor a user matrix is
         lowered once per process and register size, and every circuit shares
-        its kernel.  Ops already lowered keep their kernel.  Refused past
-        MAX_CIRCUIT_OPS.
+        its kernel.  Ops already lowered keep their kernel.  A small repeated
+        block also runs as one matrix, built from ``oracle`` at its first run
+        (``FusedRepeat``).  Refused past MAX_CIRCUIT_OPS.
         """
         self.check_size()
         n = self.n_qubits
         kernels: dict = {}
-
-        def bound(op):
-            if op.kernel is not None or op.name == "M":
-                return op
-            if op.gate is None and op.name not in ("Q", "Q_INV"):
-                shared = _SHARED.get((op, n))
-                if shared is None:
-                    shared = _SHARED[op, n] = op.lowered(_lower(op, n, None, kernels))
-                return shared
-            if op not in kernels:
-                kernels[op] = _lower(op, n, oracle, kernels)
-            return op.lowered(kernels[op])
-
-        # a block repeated zero times never runs, so it gets no kernels; its
-        # tuple is made from a list, not an iterator (see qubit_index)
-        ops = [Repeat(tuple([bound(op) for op in node.ops]), node.count)
-               if isinstance(node, Repeat) else bound(node)
+        # a block repeated zero times never runs, so it gets no kernels
+        ops = [Repeat([_bind_op(op, n, oracle, kernels) for op in node.ops], node.count)
+               if isinstance(node, Repeat) else _bind_op(node, n, oracle, kernels)
                for node in self.ops if getattr(node, "count", 1)]
-        return Circuit(n, ops, self.measured_qubits, _schedule(ops, n))
+        return Circuit(n, ops, self.measured_qubits, _schedule(ops, n, oracle))
 
 
 # Lowered once per process, keyed by op and register size: bound ops that
@@ -310,9 +307,26 @@ class Circuit:
 _SHARED: dict = {}
 
 
-def _schedule(nodes, n_qubits: int) -> list:
+def _bind_op(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dict) -> CircuitOp:
+    """``op`` with its kernel on an n-qubit register: shared across the
+    process when it needs neither the oracle nor a user matrix, else lowered
+    once per ``kernels``."""
+    if op.kernel is not None or op.name == "M":
+        return op
+    if op.gate is None and op.name not in ("Q", "Q_INV"):
+        shared = _SHARED.get((op, n_qubits))
+        if shared is None:
+            shared = _SHARED[op, n_qubits] = op.lowered(_lower(op, n_qubits, None, kernels))
+        return shared
+    if op not in kernels:
+        kernels[op] = _lower(op, n_qubits, oracle, kernels)
+    return op.lowered(kernels[op])
+
+
+def _schedule(nodes, n_qubits: int, oracle: OracleSpec | None = None) -> list:
     """The run steps of a list of bound ops: a kernel to apply, an ``M`` op,
-    or a repeated block as (its steps, count).  Each maximal run of formula
+    a small repeated block as one ``FusedRepeat`` (``_fused_qubits``), or any
+    other repeated block as (its steps, count).  Each maximal run of formula
     H ops with the same controls and distinct targets is one shared
     ``HadamardKernel``."""
     runs = []  # each a node, or [controls, targets, first op] of a run of H ops
@@ -325,9 +339,12 @@ def _schedule(nodes, n_qubits: int) -> list:
             node = [node.controls, [node.targets[0]], node]
         runs.append(node)
     steps = []
+    powers: list = []  # shared by this schedule's fused blocks
     for item in runs:
         if isinstance(item, Repeat):
-            steps.append((_schedule(item.ops, n_qubits), item.count))
+            qubits = _fused_qubits(item, oracle)
+            steps.append((_schedule(item.ops, n_qubits), item.count) if qubits is None
+                         else FusedRepeat(item, qubits, n_qubits, oracle, powers))
         elif isinstance(item, CircuitOp):
             steps.append(item if item.name == "M" else item.kernel)
         elif len(item[1]) == 1:
@@ -338,6 +355,93 @@ def _schedule(nodes, n_qubits: int) -> list:
                 _SHARED[key] = HadamardKernel(n_qubits, key[1], key[2])
             steps.append(_SHARED[key])
     return steps
+
+
+# Most qubits a repeated block may act on, besides its controls, to run as one
+# FusedRepeat.  Its 2^k x 2^k matrix and the squarings cost O(8^k) once per
+# run and 2^k updates per amplitude per call, against one call per op per
+# repeat.  Break-even, measured in process (min of 9 rounds, 2-core Xeon,
+# Python 3.11.7, NumPy 2.4.6): at 6, qcoin N=32 m=1,2,4,8,16 takes 1.9 ms
+# (3.6 ms per op) and qss P=64 N=32 2.6 ms (11.2 ms); at 7, qcoin N=64 takes
+# 5.2 ms against 3.7 ms per op.
+FUSE_MAX_QUBITS = 6
+
+
+def _fused_qubits(block: Repeat, oracle: OracleSpec | None) -> list[int] | None:
+    """The qubits a repeated block acts on, lowest first, when it runs as one
+    ``FusedRepeat``: it repeats more than once, every op has the same
+    controls and none is ``M``, it acts on at most FUSE_MAX_QUBITS qubits
+    besides them, and there is an oracle for Q and Q_INV.  Otherwise None.
+
+    A block run once is not fused: building its matrix costs more than its
+    ops (qcoin N=16 at m=1: 0.37 against 0.30 ms in process)."""
+    if block.count < 2:
+        return None
+    controls = block.ops[0].controls
+    qubits: set = set()
+    for op in block.ops:
+        if op.name == "M" or op.controls != controls or (
+                oracle is None and op.name in ("Q", "Q_INV")):
+            return None
+        qubits.update(op.targets)
+    return sorted(qubits) if len(qubits) <= FUSE_MAX_QUBITS else None
+
+
+class FusedRepeat:
+    """A repeated block applied as one ``MatrixKernel``: the block's matrix
+    U raised to its count, on its qubits where its controls are |1>.
+
+    Nothing is built until the first call, so a bound circuit that never
+    runs on the statevector (the noise layer's) pays only for this object.
+    U comes from the block's ops lowered on their own k-qubit register, with
+    no controls (``_block_matrix``); U^count is a product of the squares
+    U^(2^j), which ``powers`` shares with every block of the same schedule
+    whose ops differ only in their controls.
+    """
+
+    def __init__(self, block: Repeat, qubits: list[int], n_qubits: int,
+                 oracle: OracleSpec | None, powers: list):
+        self.block, self.qubits, self.n_qubits = block, qubits, n_qubits
+        self.oracle, self.powers = oracle, powers
+        self.kernel: MatrixKernel | None = None
+
+    def __call__(self, psi: np.ndarray):
+        if self.kernel is None:
+            self.kernel = MatrixKernel(self.n_qubits, self._matrix(), self.qubits,
+                                       self.block.ops[0].controls)
+        self.kernel(psi)
+
+    def _matrix(self) -> np.ndarray:
+        if len(self.qubits) == self.n_qubits:
+            ops = self.block.ops  # already lowered on the block's own register
+        else:
+            local = {q: j for j, q in enumerate(self.qubits)}
+            ops = [CircuitOp(op.name, tuple([local[q] for q in op.targets]), (), op.angle, op.gate)
+                   for op in self.block.ops]
+        for other, squares in self.powers:
+            if other == ops:
+                break
+        else:
+            squares = [_block_matrix(ops, len(self.qubits), self.oracle)]
+            self.powers.append((ops, squares))
+        result, count = None, self.block.count
+        for j in range(count.bit_length()):
+            if j == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if count >> j & 1:
+                result = squares[j] if result is None else squares[j] @ result
+        return result
+
+
+def _block_matrix(ops: list[CircuitOp], n_qubits: int, oracle: OracleSpec | None) -> np.ndarray:
+    """The matrix of uncontrolled ops on an n-qubit register: their schedule
+    applied to the identity; real (float64) when every entry is."""
+    kernels: dict = {}
+    full = np.eye(1 << n_qubits, dtype=np.complex128)
+    psi = qubit_axes(full, n_qubits)
+    for step in _schedule([_bind_op(op, n_qubits, oracle, kernels) for op in ops], n_qubits):
+        step(psi)
+    return full if full.imag.any() else full.real.copy()
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -492,7 +596,7 @@ def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int) -> list[Cir
     return ops + _h(inputs) if variant == "qcoin" else ops
 
 
-def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) -> tuple[CircuitOp, ...]:
+def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) -> list[CircuitOp]:
     """One amplification step G, every op conditioned on ``controls``.
 
     ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
@@ -503,8 +607,8 @@ def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) ->
     h = _h(inputs, controls)
     q, q_inv, rzero = (CircuitOp(name, coin, controls) for name in ("Q", "Q_INV", "RZERO"))
     if variant == "qss":
-        return (CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q)
-    return (CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h)
+        return [CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q]
+    return [CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h]
 
 
 def _qft_ops(register: tuple[int, ...]) -> list[CircuitOp]:

@@ -1,9 +1,11 @@
 """Statevector simulator for small qubit registers.
 
-An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or ``BlockKernel``)
-built once per op and applied in place to a view of the amplitudes with one
-axis per qubit, so a structured op costs O(2^n) and needs no dense matrix.
-``HadamardKernel`` applies H to a whole register in one call.
+An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or, for a dense
+gate on several qubits, ``MatrixKernel``) built once per op and applied in
+place to a view of the amplitudes with one axis per qubit, so a structured op
+costs O(2^n) and needs no dense 2^n x 2^n matrix.  ``HadamardKernel``
+applies H to a whole register in one call, and a ``MatrixKernel`` also runs
+a small repeated block as one matrix power (see ``primitives``).
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -262,16 +264,33 @@ class HadamardKernel(Kernel):
             sub[...] = (h @ x).view(np.complex128).reshape(sub.shape)
 
 
-class BlockKernel(Kernel):
-    """A dense 2^k x 2^k gate on the rows of a precomputed index array, one
-    row per setting of the other qubits (with the controls at |1>)."""
+class MatrixKernel(Kernel):
+    """A dense 2^k x 2^k matrix on the target qubits, where every control is
+    |1>, in one call; ``targets[0]`` is the least-significant bit of the
+    matrix's basis index.
 
-    def __init__(self, n_qubits: int, gate: GateMatrix, index: np.ndarray):
-        self.n_qubits, self.gate, self.index = n_qubits, gate.matrix, index
+    The amplitudes are viewed with the target axes first, the last target
+    leading, then one matrix product and a write back in place, as in
+    ``HadamardKernel``.  A real matrix (a float dtype) multiplies the
+    amplitudes as (re, im) pairs of float64 columns.
+    """
+
+    def __init__(self, n_qubits: int, gate: np.ndarray, targets: Sequence[int],
+                 controls: Sequence[int] = ()):
+        check_qubits(n_qubits, targets, controls)
+        self.n_qubits, self.gate = n_qubits, gate
+        self.index = qubit_index(n_qubits, dict.fromkeys(controls, 1))
+        # the axes of psi[index]: the free qubits, highest first, then the columns
+        free = [q for q in reversed(range(n_qubits)) if q not in controls]
+        first = [free.index(q) for q in reversed(targets)]
+        self.perm = tuple(first + [a for a in range(len(free) + 1) if a not in first])
 
     def __call__(self, psi: np.ndarray):
-        flat = psi.reshape(1 << self.n_qubits, -1)
-        flat[self.index] = self.gate @ flat[self.index]
+        sub = psi[self.index].transpose(self.perm)
+        x = np.ascontiguousarray(sub).reshape(len(self.gate), -1)
+        if not np.iscomplexobj(self.gate):
+            x = x.view(np.float64)
+        sub[...] = (self.gate @ x).view(np.complex128).reshape(sub.shape)
 
 
 def lower_gate(
@@ -281,7 +300,7 @@ def lower_gate(
     n_qubits: int,
 ) -> Kernel:
     """The kernel of a (controlled) ``GateMatrix``: a pair kernel for one
-    target, a dense block kernel for more.
+    target, a dense ``MatrixKernel`` for more.
 
     ``targets[0]`` is the least-significant bit of the gate's own basis
     index.  With controls the gate acts only on the subspace where every
@@ -292,19 +311,13 @@ def lower_gate(
         raise SimulatorError(
             f"gate arity {gate.arity} does not match {len(targets)} target qubits"
         )
+    if gate.arity > 1:
+        return MatrixKernel(n_qubits, gate.matrix, targets, controls)
     on = dict.fromkeys(controls, 1)
-    if gate.arity == 1:
-        (m00, m01), (m10, m11) = gate.matrix.tolist()
-        lo, hi = ({**on, targets[0]: bit} for bit in (0, 1))
-        return PairKernel(n_qubits, qubit_index(n_qubits, lo), qubit_index(n_qubits, hi),
-                          m00, m01, m10, m11)
-    k = len(targets)
-    free = [q for q in range(n_qubits) if q not in targets]
-    rest = _scatter_bits(np.arange(1 << (n_qubits - k), dtype=np.int64), free)
-    cmask = sum(1 << q for q in controls)
-    rest = rest[(rest & cmask) == cmask]
-    offsets = _scatter_bits(np.arange(1 << k, dtype=np.int64), targets)
-    return BlockKernel(n_qubits, gate, rest[:, None] + offsets[None, :])
+    (m00, m01), (m10, m11) = gate.matrix.tolist()
+    lo, hi = ({**on, targets[0]: bit} for bit in (0, 1))
+    return PairKernel(n_qubits, qubit_index(n_qubits, lo), qubit_index(n_qubits, hi),
+                      m00, m01, m10, m11)
 
 
 def apply_gate(

@@ -246,6 +246,18 @@ class TestValueSweep:
                 trials = r["budget"] // qcoin_queries(3, 1)
                 assert r["queries"] == qcoin_queries(3, trials)
 
+    def test_only_rows_that_draw_build_a_generator(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: seeds.append(seed.entropy) or default_rng(seed))
+        # qcoin k=3 needs 18 queries per trial: budget 10 gives no row
+        spec = SweepSpec(algorithms=["qss", "qcoin"], budgets=[10, 1000], repetitions=20,
+                         f_values=[0.1, 0.5], qcoin_k=[3], seed_base=7)
+        rows = run_value_sweep(spec)
+        assert len(rows) == 6
+        assert seeds == [[7, 3, int(f * 1e9), 1000] for f in (0.1, 0.5)]
+
 
 class TestDeltaScalingSweep:
     def test_slope_near_minus_two_thirds(self):

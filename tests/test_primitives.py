@@ -1,6 +1,12 @@
 """Tests for oracles, coin preparation, amplitude amplification and QFT."""
 
 import math
+import os
+import platform
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qmean import primitives
+from qmean.noise import HARDWARE_PRESET, head_probability, simple_qcoin_circuit
 from qmean.primitives import (
     AAOperator,
     Circuit,
     CircuitOp,
+    FUSE_MAX_QUBITS,
+    FusedRepeat,
     LINEAR_AMPLITUDE,
     MAX_AMPLITUDE_WORK,
     MAX_CIRCUIT_OPS,
@@ -47,6 +57,7 @@ from qmean.statevector import (
     apply_gate,
     expectation_of_basis_state,
     gate_to_full_matrix,
+    lower_gate,
     qubit_axes,
 )
 
@@ -423,16 +434,103 @@ class TestCircuit:
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_registers_of_h_run_as_one_kernel(self):
-        bound = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE))
-        steps = bound.schedule
+        # a G block on more than FUSE_MAX_QUBITS qubits runs op by op
+        n_in = FUSE_MAX_QUBITS
+        oracle = OracleSpec([0.5] * (1 << n_in), 0.1, LINEAR_AMPLITUDE)
+        steps = coin_circuit(n_in, 2).bind(oracle).schedule
         assert isinstance(steps[0], HadamardKernel) and isinstance(steps[2], HadamardKernel)
         body, count = steps[3]
         assert count == 2 and sum(isinstance(s, HadamardKernel) for s in body) == 4
+        # a smaller one is a single fused step
+        steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
+        assert isinstance(steps[3], FusedRepeat) and len(steps) == 5
         # H on a repeated qubit, or under other controls, starts a new register
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
                               CircuitOp("H", (2,), (1,))])
         steps = circuit.bind().schedule
         assert [isinstance(s, HadamardKernel) for s in steps] == [True, False, False]
+
+    @pytest.mark.parametrize("build", [
+        *[(lambda n_in, p: lambda: (qss_circuit(n_in, p),
+                                    OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))))(n_in, p)
+          for n_in, p in [(0, 4), (0, 1024), (2, 8), (2, 1024), (4, 16), (4, 512)]],
+        lambda: (coin_circuit(4, 16), OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)),
+        # apply_aa's circuit with inputs on 3 and 1, target 0, every gate controlled by 2
+        lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+        lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3])),
+        # two blocks on the same qubits with different ops share no matrix
+        lambda: (Circuit(4, [Repeat(_g_block("qss", (0, 2), 1, (3,)), 2),
+                             Repeat(_g_block("qcoin", (0, 2), 1, (3,)), 5)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+    ], ids=["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P16", "qss-n4-P512",
+            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks"])
+    def test_fused_blocks_match_each_op_kernel_in_turn(self, build):
+        """A schedule with fused blocks against every op's own kernel, applied
+        in the order of ``expand()``; qss at P = 1024 raises G to 512."""
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        assert any(isinstance(step, FusedRepeat) for step in bound.schedule)
+        rng = np.random.default_rng(5)
+        n = circuit.n_qubits
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        expected = state.amplitudes.copy()
+        for op in bound.expand():
+            if op.name != "M":
+                op.kernel(qubit_axes(expected, n))
+        out, _ = run_circuit(bound, state)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_fused_matrices_are_built_once_at_the_first_run(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return block_matrix(*args)
+
+        block_matrix = primitives._block_matrix
+        monkeypatch.setattr(primitives, "_block_matrix", counted)
+        # register qubits 1 and 2 control G^2 and G^4: one G, shared
+        bound = qss_circuit(2, 8).bind(OracleSpec([0.1, 0.5, 0.8, 0.3]))
+        fused = [step for step in bound.schedule if isinstance(step, FusedRepeat)]
+        assert len(fused) == 2 and not built
+        first, _ = run_circuit(bound)
+        kernels = [step.kernel for step in fused]
+        second, _ = run_circuit(bound)
+        assert len(built) == 1
+        assert [step.kernel for step in fused] == kernels
+        np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+
+        # the noise layer evaluates the bound ops and never runs the schedule
+        circuit = simple_qcoin_circuit(0.5, 0.2, 16)
+        assert any(isinstance(step, FusedRepeat) for step in circuit.schedule)
+        head_probability(circuit, HARDWARE_PRESET)
+        assert len(built) == 1
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="counts CPython's tuple free list")
+    def test_qcoin_estimates_leave_no_tuples_of_twenty(self):
+        # CPython 3.11 keeps freed 20-item tuples on its free list and never
+        # reuses them; the qcoin G block on 4 input qubits has 20 ops
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from qmean.estimators import estimate_qcoin\n"
+            "from qmean.primitives import OracleSpec\n"
+            "oracle = OracleSpec(0.5 + 0.4 * np.sin(2.0 * np.arange(16)))\n"
+            "for seed in range(300):\n"
+            "    estimate_qcoin(oracle, 5, 20, seed=seed)\n"
+            "sys._debugmallocstats()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(primitives.__file__).parents[1])}
+        stats = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stderr
+        match = re.search(r"(\d+) free 20-sized PyTupleObjects", stats)
+        if match is None:
+            pytest.skip("this interpreter reports no tuple free list")
+        assert int(match.group(1)) < 100
 
     def test_unbound_circuit_is_refused(self):
         with pytest.raises(SimulatorError, match="bound"):
@@ -530,6 +628,17 @@ class TestKernelsAgainstDenseReference:
     """Every lowered op, and whole circuits, against ``gate_to_full_matrix``
     products of the dense gate constructors (``oracle_gate``, ``reflection_about_zero``,
     ``flip_basis_state``, the fixed gates and user matrices)."""
+
+    @pytest.mark.parametrize("targets, controls", [
+        ([0, 1], []), ([1, 0], []), ([3, 1], [0]), ([0, 2], [3, 1]),
+        ([0, 1, 2], []), ([2, 0, 1], []), ([3, 0, 2], [1]), ([1, 3, 2], []),
+    ])
+    def test_lower_gate_on_user_gates_of_several_targets(self, targets, controls):
+        gate = random_unitary(np.random.default_rng(len(targets) * 10 + targets[0]),
+                              1 << len(targets))
+        np.testing.assert_allclose(lower_gate(gate, targets, controls, 4).matrix(),
+                                   gate_to_full_matrix(gate, targets, controls, 4),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_random_op_lists(self, n):
