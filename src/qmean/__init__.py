@@ -1,9 +1,10 @@
 """Desk-scale quantum-circuit statevector simulation and mean estimation.
 
-Exposes the statevector core, the oracle / amplification / Fourier
-primitives, three mean estimators (classical Monte Carlo, Fourier-readout
-supersampling, and the hybrid quantum-coin method), NISQ-style noise
-emulation, and the experiment harness behind the ``qmean`` CLI.
+Exposes the statevector core, the oracle and coin preparation, three mean
+estimators (classical Monte Carlo, Fourier-readout supersampling, and the
+hybrid quantum-coin method), NISQ-style noise emulation, and the experiment
+harness behind the ``qmean`` CLI.  The circuits the estimators run are in
+``qmean.primitives``.
 """
 
 from .statevector import (
@@ -11,18 +12,12 @@ from .statevector import (
     MeasurementOutcome,
     StateVector,
     apply_gate,
-    apply_rotation,
-    expectation_of_basis_state,
     measure,
 )
 from .primitives import (
-    AAOperator,
     OracleSpec,
     QueryLedger,
-    apply_aa,
-    prepare_coin,
     prepare_qss_state,
-    qft,
     reflection_about_zero,
 )
 from .estimators import (
@@ -35,7 +30,6 @@ from .estimators import (
 from .noise import NoiseModel, HARDWARE_PRESET, noisy_execute
 
 __all__ = [
-    "AAOperator",
     "Estimate",
     "GateMatrix",
     "HARDWARE_PRESET",
@@ -44,18 +38,13 @@ __all__ = [
     "OracleSpec",
     "QueryLedger",
     "StateVector",
-    "apply_aa",
     "apply_gate",
-    "apply_rotation",
     "estimate_monte_carlo",
     "estimate_qcoin",
     "estimate_qss",
-    "expectation_of_basis_state",
     "measure",
     "noisy_execute",
-    "prepare_coin",
     "prepare_qss_state",
-    "qft",
     "reflection_about_zero",
     "select_optimal_k",
 ]

@@ -4,7 +4,8 @@ Subcommands: estimate, sweep-value, sweep-convergence, supersample,
 dump-circuit, resources.  Exit codes: 0 ok, 2 config parse error, 3 I/O
 error, 4 validation error.  Seeds are mandatory (flag or config); flags
 override config values, and the effective config is echoed into the output
-directory for provenance.
+directory for provenance.  A config key the command does not read (exit 2)
+and a flag the chosen algorithm does not read (exit 4) are refused.
 """
 
 from __future__ import annotations
@@ -35,17 +36,23 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
+def _load_config(args, reads: tuple[str, ...]) -> dict[str, str]:
+    """The config file of ``args``; a key the command does not read is refused."""
+    if args.config is None:
         return {}
     try:
-        blob = Path(path).read_bytes()
+        blob = Path(args.config).read_bytes()
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}", EXIT_IO)
+        raise CliError(f"cannot read config {args.config}: {exc}", EXIT_IO)
     try:
-        return parse_config(blob.decode("utf-8"))
+        cfg = parse_config(blob.decode("utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
-        raise CliError(f"bad config {path}: {exc}", EXIT_CONFIG)
+        raise CliError(f"bad config {args.config}: {exc}", EXIT_CONFIG)
+    unread = [key for key in cfg if key not in reads]
+    if unread:
+        raise CliError(f"{args.command} does not read config key {unread[0]!r} "
+                       f"(it reads {', '.join(reads)})", EXIT_CONFIG)
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -84,6 +91,19 @@ def _config_value(parse, cfg: dict, key: str, default):
     return values[0]
 
 
+def _algorithm_flags(args, reads: dict[str, dict]) -> dict:
+    """The flags ``args.algorithm`` reads (``reads[algorithm]``: name -> default),
+    as given or defaulted; a flag given that only other algorithms read is refused."""
+    mine = reads[args.algorithm]
+    ignored = dict.fromkeys(f"--{flag}" for flags in reads.values() for flag in flags
+                            if flag not in mine and getattr(args, flag) is not None)
+    if ignored:
+        raise CliError(f"{args.command} --algorithm {args.algorithm} does not read "
+                       f"{', '.join(ignored)}", EXIT_VALIDATION)
+    return {flag: default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, default in mine.items()}
+
+
 def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qcoin")):
     """Noise takes effect or is rejected; it is never silently dropped."""
     ignored = [a for a in algorithms if a not in supported]
@@ -92,8 +112,10 @@ def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qco
 
 
 def cmd_estimate(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("seed", "f", "noise"))
     seed = _require_seed(args, cfg)
+    flags = _algorithm_flags(args, {"monte-carlo": {"trials": 1000}, "qss": {"P": 64},
+                                    "qcoin": {"k": 3, "L": 20}})
     f = args.f if args.f is not None else _config_value(harness.config_floats, cfg, "f", math.nan)
     if not 0.0 <= f <= 1.0:
         raise CliError(f"target mean must lie in [0, 1], got {f}", EXIT_VALIDATION)
@@ -103,11 +125,11 @@ def cmd_estimate(args):
 
     try:
         if args.algorithm == "monte-carlo":
-            est = estimate_monte_carlo(oracle, args.trials, seed, noise)
+            est = estimate_monte_carlo(oracle, flags["trials"], seed, noise)
         elif args.algorithm == "qss":
-            est = estimate_qss(oracle, args.P, seed)
+            est = estimate_qss(oracle, flags["P"], seed)
         else:
-            est = estimate_qcoin(oracle, args.k, args.L, seed, noise)
+            est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     rec = est.to_record(f_true=f)
@@ -116,7 +138,8 @@ def cmd_estimate(args):
 
 
 def cmd_sweep_value(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
+                              "f_values", "k_values"))
     seed = _require_seed(args, cfg)
     algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
     noise = harness.noise_from_config(cfg)
@@ -142,7 +165,8 @@ def cmd_sweep_value(args):
 
 
 def cmd_sweep_convergence(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
+                              "k_values"))
     seed = _require_seed(args, cfg)
     algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
     _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
@@ -171,8 +195,10 @@ def cmd_sweep_convergence(args):
 
 
 def cmd_supersample(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args, ("seed", "noise", "width", "height", "qcoin_k", "qss_P"))
     seed = _require_seed(args, cfg)
+    flags = _algorithm_flags(args, {"monte-carlo": {"budget": 240}, "qcoin": {"budget": 240},
+                                    "qss": {}, "ideal": {}})
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, [args.algorithm], "supersample")
     out = _out_dir(args)
@@ -191,7 +217,7 @@ def cmd_supersample(args):
         job = SupersampleJob(
             image=image,
             algorithm=args.algorithm,
-            per_pixel_budget=args.budget,
+            per_pixel_budget=flags.get("budget"),
             qcoin_k=qcoin_k,
             qss_resolution=qss_p,
             noise=noise,
@@ -213,9 +239,9 @@ def cmd_supersample(args):
 
 
 def cmd_dump_circuit(args):
+    flags = _algorithm_flags(args, {"qss": {"P": 16}, "qcoin": {"m": 1}})
     try:
-        text = dump_circuit(args.algorithm, args.n_input, resolution=args.P,
-                            repetitions=args.m)
+        text = dump_circuit(args.algorithm, args.n_input, flags.get("P"), flags.get("m"))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     if args.out:
@@ -255,10 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="single estimate of a scalar target mean")
     p.add_argument("--algorithm", required=True, choices=["monte-carlo", "qss", "qcoin"])
     p.add_argument("--f", type=float, help="target mean in [0, 1]")
-    p.add_argument("--trials", type=int, default=1000, help="monte-carlo trials")
-    p.add_argument("--P", type=int, default=64, help="qss amplification resolution")
-    p.add_argument("--k", type=int, default=3, help="qcoin scaling steps")
-    p.add_argument("--L", type=int, default=20, help="qcoin trials per step")
+    p.add_argument("--trials", type=int, help="monte-carlo trials (default 1000)")
+    p.add_argument("--P", type=int, help="qss amplification resolution (default 64)")
+    p.add_argument("--k", type=int, help="qcoin scaling steps (default 3)")
+    p.add_argument("--L", type=int, help="qcoin trials per step (default 20)")
     common(p, needs_out=False)
     p.set_defaults(func=cmd_estimate)
 
@@ -274,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True,
                    choices=["monte-carlo", "qss", "qcoin", "ideal"])
     p.add_argument("--image", help="input P5 graymap (default: synthetic test card)")
-    p.add_argument("--budget", type=int, default=240, help="queries per pixel")
+    p.add_argument("--budget", type=int, help="monte-carlo/qcoin queries per pixel (default 240)")
     common(p)
     p.set_defaults(func=cmd_supersample)
 
     p = sub.add_parser("dump-circuit", help="plain-text gate listing")
     p.add_argument("--algorithm", required=True, choices=["qss", "qcoin"])
     p.add_argument("--n-input", type=int, required=True, dest="n_input")
-    p.add_argument("--P", type=int, default=16, help="qss amplification resolution")
-    p.add_argument("--m", type=int, default=1, help="qcoin amplification count")
+    p.add_argument("--P", type=int, help="qss amplification resolution (default 16)")
+    p.add_argument("--m", type=int, help="qcoin amplification count (default 1)")
     p.add_argument("--out", help="write into this directory instead of stdout")
     p.set_defaults(func=cmd_dump_circuit)
 

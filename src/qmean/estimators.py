@@ -52,10 +52,6 @@ class Estimate:
         return rec
 
 
-def monte_carlo_queries(trials: int) -> int:
-    return trials
-
-
 def qss_queries(resolution: int) -> int:
     """State preparation plus two queries per amplification: 2P - 1."""
     return 2 * resolution - 1

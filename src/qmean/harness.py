@@ -110,16 +110,6 @@ def sample_monte_carlo(f, trials, rng, noise=None):
     return run_shift_scale(f, [], trials, rng, noise)[0]
 
 
-def sample_qss(f: float, resolution: int, rng, size=None):
-    """Draw readout estimates from the exact outcome distribution."""
-    return _draw_qss(qss_theoretical_distribution(f, resolution), rng, size)
-
-
-def _draw_qss(dist: np.ndarray, rng, size):
-    t = rng.choice(dist.size, p=dist, size=size)
-    return np.sin(t * np.pi / dist.size) ** 2
-
-
 def fast_qcoin_estimate(
     f,
     k: int,
@@ -157,10 +147,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be ascending")
-        if self.f_values is not None and not all(0.0 <= f <= 1.0 for f in self.f_values):
-            raise ValueError(f"f_values must lie in [0, 1], got {self.f_values}")
+        if len(self.budgets) == 0 or list(self.budgets) != sorted(self.budgets):
+            raise ValueError(f"budgets must be one or more, ascending, got {self.budgets}")
+        if self.f_values is not None and not (
+                len(self.f_values) > 0 and all(0.0 <= f <= 1.0 for f in self.f_values)):
+            raise ValueError(f"f_values must be one or more means in [0, 1], got {self.f_values}")
 
 
 def fit_loglog_slope(queries, errors, skip_first: bool = True) -> float:
@@ -270,6 +261,8 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
     distribution averaged over 200 uniformly spaced means.
     Returns {"rows": [...], "slopes": {...}, "optimal_k_table": {...}}.
     """
+    if len(spec.budgets) < 2:
+        raise ValueError(f"key 'budgets' needs two or more to fit a slope, got {spec.budgets}")
     rows = []
     slopes = {}
     optimal_k_table = None
@@ -483,7 +476,9 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
             trials = job.per_pixel_budget // qcoin_queries(job.qcoin_k, 1)
             out[same] = fast_qcoin_estimate(fs, job.qcoin_k, trials, rng, job.noise)
         elif job.algorithm == "qss":
-            out[same] = _draw_qss(next(dists), rng, fs.size)
+            dist = next(dists)
+            t = rng.choice(dist.size, p=dist, size=fs.size)
+            out[same] = np.sin(t * np.pi / dist.size) ** 2
         elif job.algorithm == "ideal":
             out[same] = f
         else:

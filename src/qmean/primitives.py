@@ -4,12 +4,12 @@ description of each circuit.
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
 ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (the
 oracle supplies Q; every other op is lowered once per process) and
-``run_circuit`` applies the kernels in place, each register of H in one call
-and each small repeated block as one matrix power (``FusedRepeat``), built
-the first time it runs.  Coin preparation, amplification and the Fourier
-transform are calls into that runner; the noise layer evaluates the same
-bound circuits op by op, ``dump_circuit`` prints them and the resource report
-counts them.
+``run_circuit`` applies the kernels in place, each register of H as a few
+dense products and each small repeated block as one matrix power
+(``FusedRepeat``), built the first time it runs.  The estimators run these
+circuits; the noise layer evaluates them op by op, ``dump_circuit`` prints
+them and the resource report counts them.  The dense gates (``oracle_gate``
+and the reflections) and ``dft_matrix`` are the tests' references.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -29,7 +29,6 @@ import numpy as np
 from .statevector import (
     UNITARY_TOL,
     GateMatrix,
-    HadamardKernel,
     Kernel,
     MatrixKernel,
     MeasurementOutcome,
@@ -38,6 +37,7 @@ from .statevector import (
     SimulatorError,
     StateVector,
     check_qubits,
+    hadamard_kernels,
     lower_gate,
     measure,
     qubit_axes,
@@ -147,27 +147,6 @@ def flip_basis_state(n_qubits: int, index: int) -> GateMatrix:
     diag = np.ones(1 << n_qubits)
     diag[index] = -1.0
     return GateMatrix(np.diag(diag), name=f"FLIP({index})")
-
-
-@dataclass
-class AAOperator:
-    """Amplitude-amplification operator G for one of the two coin variants
-    (gate sequences in ``_g_block``).  Each application costs two queries."""
-
-    oracle: OracleSpec
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in ("qss", "qcoin"):
-            raise OracleError(f"unknown AA variant {self.variant!r}")
-        if self.variant == "qss" and self.oracle.encoding != SQRT_AMPLITUDE:
-            raise OracleError("qss variant requires a sqrt-amplitude oracle")
-        if self.variant == "qcoin" and self.oracle.encoding != LINEAR_AMPLITUDE:
-            raise OracleError("qcoin variant requires a linear-amplitude oracle")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.oracle.n_input_qubits + 1
 
 
 # Largest number of ops, repeats expanded, that a circuit may have before it is
@@ -327,8 +306,8 @@ def _schedule(nodes, n_qubits: int, oracle: OracleSpec | None = None) -> list:
     """The run steps of a list of bound ops: a kernel to apply, an ``M`` op,
     a small repeated block as one ``FusedRepeat`` (``_fused_qubits``), or any
     other repeated block as (its steps, count).  Each maximal run of formula
-    H ops with the same controls and distinct targets is one shared
-    ``HadamardKernel``."""
+    H ops with the same controls and distinct targets is a few shared dense
+    kernels (``hadamard_kernels``)."""
     runs = []  # each a node, or [controls, targets, first op] of a run of H ops
     for node in nodes:
         if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
@@ -352,8 +331,8 @@ def _schedule(nodes, n_qubits: int, oracle: OracleSpec | None = None) -> list:
         else:
             key = ("H", tuple(item[1]), item[0], n_qubits)
             if key not in _SHARED:
-                _SHARED[key] = HadamardKernel(n_qubits, key[1], key[2])
-            steps.append(_SHARED[key])
+                _SHARED[key] = hadamard_kernels(n_qubits, key[1], key[2])
+            steps.extend(_SHARED[key])
     return steps
 
 
@@ -677,73 +656,15 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
     return run_circuit(circuit.bind(oracle), ledger=ledger)[0]
 
 
-def prepare_coin(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
-    """Linear-encoding coin: oracle application framed by Hadamards on inputs.
-
-    The amplitude of the head state |1> (x) |0) equals mean(F) - offset.
-    One query.
-    """
-    if oracle.encoding != LINEAR_AMPLITUDE:
-        raise OracleError("prepare_coin requires a linear-amplitude oracle")
-    return run_circuit(coin_circuit(oracle.n_input_qubits, 0).bind(oracle), ledger=ledger)[0]
-
-
 def head_state_index(oracle: OracleSpec) -> int:
     """Basis index of the head state |1> (x) |0) in the coin layout."""
     return 1 << oracle.n_input_qubits
-
-
-def apply_aa(
-    state: StateVector,
-    op: AAOperator,
-    repetitions: int,
-    ledger: QueryLedger | None = None,
-    controls: Sequence[int] = (),
-    input_qubits: Sequence[int] | None = None,
-    target_qubit: int | None = None,
-) -> StateVector:
-    """Apply G ``repetitions`` times; the target-component angle goes from
-    theta to (2m+1) theta.  Two queries per repetition.
-
-    By default the coin occupies qubits 0..n_input with the target on top;
-    pass ``input_qubits``/``target_qubit`` to act inside a larger register,
-    and ``controls`` to condition every constituent gate.
-    """
-    if repetitions < 0:
-        raise OracleError("repetitions must be non-negative")
-    n_in = op.oracle.n_input_qubits
-    inputs = tuple(range(n_in) if input_qubits is None else input_qubits)
-    target = n_in if target_qubit is None else target_qubit
-    block = Repeat(_g_block(op.variant, inputs, target, tuple(controls)), repetitions)
-    return run_circuit(Circuit(state.n_qubits, [block]).bind(op.oracle), state, ledger=ledger)[0]
-
-
-def aa_operator_matrix(op: AAOperator) -> np.ndarray:
-    """Brute-force matrix of one G application on the coin qubits."""
-    n = op.n_qubits
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[col] = 1.0
-        out = apply_aa(StateVector(n, amps), op, 1)
-        full[:, col] = out.amplitudes
-    return full
 
 
 def dft_matrix(size: int) -> np.ndarray:
     """Forward transform b_j = (1/sqrt(P)) sum_k exp(-i 2 pi j k / P) a_k."""
     j, k = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     return np.exp(-2j * np.pi * j * k / size) / np.sqrt(size)
-
-
-def qft(state: StateVector, qubit_indices: Sequence[int]) -> StateVector:
-    """Fourier-transform the amplitudes of a sub-register (``dft_matrix``).
-
-    ``qubit_indices[0]`` is the least-significant bit of the sub-register
-    index.  Runs the textbook H / CPHASE / SWAP decomposition.
-    """
-    return run_circuit(Circuit(state.n_qubits, _qft_ops(tuple(qubit_indices))).bind(), state)[0]
 
 
 def _format_op(op: CircuitOp) -> str:

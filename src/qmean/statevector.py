@@ -3,9 +3,9 @@
 An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or, for a dense
 gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
-costs O(2^n) and needs no dense 2^n x 2^n matrix.  ``HadamardKernel``
-applies H to a whole register in one call, and a ``MatrixKernel`` also runs
-a small repeated block as one matrix power (see ``primitives``).
+costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
+applies H to a register of qubits (``hadamard_kernels``) and runs a small
+repeated block as one matrix power (see ``primitives``).
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -94,17 +94,10 @@ class GateMatrix:
         return f"GateMatrix({self.name}, arity={self.arity})"
 
 
-I_GATE = GateMatrix(np.eye(2), "I")
 H_GATE = GateMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
 X_GATE = GateMatrix(np.array([[0, 1], [1, 0]]), "X")
 Y_GATE = GateMatrix(np.array([[0, -1j], [1j, 0]]), "Y")
 Z_GATE = GateMatrix(np.array([[1, 0], [0, -1]]), "Z")
-
-
-def rotation_gate(theta: float) -> GateMatrix:
-    """Real rotation: |0> -> cos(theta)|0> + sin(theta)|1>."""
-    c, s = np.cos(theta), np.sin(theta)
-    return GateMatrix(np.array([[c, -s], [s, c]]), f"R({theta:.6g})")
 
 
 @dataclass
@@ -218,61 +211,15 @@ class PhaseKernel(Kernel):
         return np.diag(diagonal)
 
 
-# Most target qubits one HadamardKernel product covers: H^(x)c is 2^c x 2^c,
-# so a product costs 2^c updates per amplitude against one call's overhead.
-HADAMARD_CHUNK = 4
-
-
-def _hadamard_power(c: int) -> np.ndarray:
-    """H^(x)c as a real 2^c x 2^c matrix, each entry +-1 / 2^(c/2)."""
-    signs = np.ones((1, 1))
-    for _ in range(c):
-        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
-    return signs / math.sqrt(1 << c)
-
-
-class HadamardKernel(Kernel):
-    """H on every target qubit, where every control is |1>, in one call.
-
-    The targets are split into chunks of at most ``HADAMARD_CHUNK`` qubits;
-    each chunk is one real matrix product of H^(x)c with the amplitudes
-    viewed with the chunk's axes first, then written back in place.  H^(x)c
-    is the same for any order of its qubits, so a chunk's order is free.
-    """
-
-    def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int] = ()):
-        check_qubits(n_qubits, targets, controls)
-        self.n_qubits = n_qubits
-        self.index = qubit_index(n_qubits, dict.fromkeys(controls, 1))
-        # the axes of psi[index]: the free qubits, highest first, then the columns
-        free = [q for q in reversed(range(n_qubits)) if q not in controls]
-        ordered = sorted(targets)
-        n_chunks = -(-len(ordered) // HADAMARD_CHUNK)
-        self.chunks = []
-        for j in range(n_chunks):
-            chunk = ordered[j * len(ordered) // n_chunks:(j + 1) * len(ordered) // n_chunks]
-            first = [free.index(q) for q in chunk]
-            perm = first + [a for a in range(len(free) + 1) if a not in first]
-            self.chunks.append((tuple(perm), _hadamard_power(len(chunk))))
-
-    def __call__(self, psi: np.ndarray):
-        view = psi[self.index]
-        for perm, h in self.chunks:
-            sub = view.transpose(perm)
-            # complex amplitudes as (re, im) pairs of float64 columns: a real product
-            x = np.ascontiguousarray(sub).reshape(len(h), -1).view(np.float64)
-            sub[...] = (h @ x).view(np.complex128).reshape(sub.shape)
-
-
 class MatrixKernel(Kernel):
     """A dense 2^k x 2^k matrix on the target qubits, where every control is
     |1>, in one call; ``targets[0]`` is the least-significant bit of the
     matrix's basis index.
 
     The amplitudes are viewed with the target axes first, the last target
-    leading, then one matrix product and a write back in place, as in
-    ``HadamardKernel``.  A real matrix (a float dtype) multiplies the
-    amplitudes as (re, im) pairs of float64 columns.
+    leading, then one matrix product and a write back in place.  A real
+    matrix (a float dtype) multiplies the amplitudes as (re, im) pairs of
+    float64 columns.
     """
 
     def __init__(self, n_qubits: int, gate: np.ndarray, targets: Sequence[int],
@@ -291,6 +238,30 @@ class MatrixKernel(Kernel):
         if not np.iscomplexobj(self.gate):
             x = x.view(np.float64)
         sub[...] = (self.gate @ x).view(np.complex128).reshape(sub.shape)
+
+
+# Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,
+# so a product costs 2^c updates per amplitude against one call's overhead.
+HADAMARD_CHUNK = 4
+
+
+def hadamard_kernels(n_qubits: int, targets: Sequence[int], controls: Sequence[int] = ()):
+    """H on every target qubit, where every control is |1>: one real
+    ``MatrixKernel`` of H^(x)c per chunk of at most ``HADAMARD_CHUNK`` targets,
+    to apply in turn.  The sorted targets are split into chunks of near-equal
+    size, each given highest first; H^(x)c is the same for any order of its
+    qubits, and this order fixes every floating-point sum."""
+    check_qubits(n_qubits, targets, controls)
+    ordered = sorted(targets)
+    n_chunks = -(-len(ordered) // HADAMARD_CHUNK)
+    kernels = []
+    for j in range(n_chunks):
+        chunk = ordered[j * len(ordered) // n_chunks:(j + 1) * len(ordered) // n_chunks]
+        signs = np.ones((1, 1))
+        for _ in chunk:
+            signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+        kernels.append(MatrixKernel(n_qubits, signs / math.sqrt(len(signs)), chunk[::-1], controls))
+    return kernels
 
 
 def lower_gate(
@@ -333,11 +304,6 @@ def apply_gate(
     return StateVector(state.n_qubits, amps)
 
 
-def apply_rotation(state: StateVector, theta: float, target: int) -> StateVector:
-    """Apply the single-qubit rotation gate with angle ``theta``."""
-    return apply_gate(state, rotation_gate(theta), [target])
-
-
 def measure(
     state: StateVector,
     qubit_indices: Sequence[int],
@@ -369,25 +335,6 @@ def measure(
     post = np.where(keys == outcome, state.amplitudes, 0.0)
     post = post / np.linalg.norm(post)
     return MeasurementOutcome(qubit_indices, observed, StateVector(state.n_qubits, post))
-
-
-def expectation_of_basis_state(state: StateVector, pattern: Mapping[int, int]) -> float:
-    """Probability of observing the given partial bit pattern.
-
-    ``pattern`` maps qubit index -> bit.  Returns the squared amplitude mass
-    over all basis states consistent with the pattern; no sampling involved.
-    """
-    check_qubits(state.n_qubits, list(pattern.keys()), [])
-    mask = 0
-    want = 0
-    for q, bit in pattern.items():
-        if bit not in (0, 1):
-            raise SimulatorError(f"pattern bit for qubit {q} must be 0 or 1, got {bit}")
-        mask |= 1 << q
-        want |= bit << q
-    basis = np.arange(1 << state.n_qubits, dtype=np.int64)
-    sel = (basis & mask) == want
-    return float(np.sum(state.probabilities()[sel]))
 
 
 def gate_to_full_matrix(

@@ -29,15 +29,15 @@ from qmean.harness import (
 )
 from qmean.noise import HARDWARE_PRESET
 from qmean.primitives import (
-    AAOperator,
     LINEAR_AMPLITUDE,
+    Circuit,
     OracleSpec,
     QueryLedger,
-    apply_aa,
+    _qft_ops,
+    coin_circuit,
     dft_matrix,
     head_state_index,
-    prepare_coin,
-    qft,
+    run_circuit,
 )
 from qmean.statevector import StateVector
 
@@ -129,9 +129,8 @@ def test_criterion_07_amplification_angle_law():
     ok = True
     for sin_theta in (0.1, 0.3, 0.5):
         oracle = OracleSpec([sin_theta], encoding=LINEAR_AMPLITUDE)
-        op = AAOperator(oracle, "qcoin")
         for m in range(6):
-            state = apply_aa(prepare_coin(oracle), op, m)
+            state, _ = run_circuit(coin_circuit(0, m).bind(oracle))
             head = float(np.real(state.amplitudes[head_state_index(oracle)]))
             expected = math.sin((2 * m + 1) * math.asin(sin_theta))
             ok &= abs(head - expected) < 1e-8
@@ -145,7 +144,8 @@ def test_criterion_08_fourier_transform_equivalence():
         n = int(rng.integers(2, 7))
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
-        out = qft(StateVector.from_amplitudes(amps), list(range(n)))
+        out, _ = run_circuit(Circuit(n, _qft_ops(tuple(range(n)))).bind(),
+                             StateVector.from_amplitudes(amps))
         expected = dft_matrix(1 << n) @ amps
         ok &= bool(np.max(np.abs(out.amplitudes - expected)) < 1e-8)
     assert report(8, "register transform equals the classical transform "
@@ -207,14 +207,13 @@ def test_criterion_11_property_suite():
     for _ in range(20):
         values = rng.uniform(0.0, 1.0, size=4)
         oracle = OracleSpec(values, offset=0.0, encoding=LINEAR_AMPLITUDE)
-        state = apply_aa(prepare_coin(oracle), AAOperator(oracle, "qcoin"),
-                         int(rng.integers(0, 4)))
+        state, _ = run_circuit(coin_circuit(2, int(rng.integers(0, 4))).bind(oracle))
         ok &= abs(state.norm_squared() - 1.0) < 1e-10
 
     # amplification operator equals its defining gate product (test suite
     # checks the full matrix identity; here we spot-check the angle action)
     oracle = OracleSpec([0.3], encoding=LINEAR_AMPLITUDE)
-    state = apply_aa(prepare_coin(oracle), AAOperator(oracle, "qcoin"), 2)
+    state, _ = run_circuit(coin_circuit(0, 2).bind(oracle))
     head = float(np.real(state.amplitudes[head_state_index(oracle)]))
     ok &= abs(head - math.sin(5 * math.asin(0.3))) < 1e-10
 
@@ -226,9 +225,8 @@ def test_criterion_11_property_suite():
 
     # closed-form query accounting
     ledger = QueryLedger()
-    apply_aa(prepare_coin(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE), ledger),
-             AAOperator(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE), "qcoin"),
-             3, ledger)
+    run_circuit(coin_circuit(0, 3).bind(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE)),
+                ledger=ledger)
     ok &= ledger.count == 1 + 2 * 3
     ok &= qss_queries(64) == 127
     ok &= qcoin_queries(4, 7) == 7 * (4 + 31)

@@ -133,6 +133,31 @@ class TestExitCodes:
     # target means outside [0, 1] (inf was a traceback, 1.5 was computed silently)
     (["sweep-value"], "f_values = inf\n", EXIT_VALIDATION, "f_values"),
     (["sweep-value"], "algorithms = qss\nf_values = 1.5\n", EXIT_VALIDATION, "f_values"),
+    # empty lists, and a convergence slope fitted to fewer than two budgets (an empty
+    # list was a traceback, one budget fitted a slope to one point)
+    (["sweep-convergence"], "budgets =\n", EXIT_VALIDATION, "budgets"),
+    (["sweep-convergence"], "budgets = 1000\n", EXIT_VALIDATION, "budgets"),
+    (["sweep-value"], "budgets =\n", EXIT_VALIDATION, "budgets"),
+    (["sweep-value"], "f_values =\n", EXIT_VALIDATION, "f_values"),
+    # config keys the command never reads (a typo ran with the default)
+    (["sweep-value"], "repetitons = 5\n", EXIT_CONFIG, "repetitons"),
+    (["sweep-convergence"], "f_values = 0.5\n", EXIT_CONFIG, "f_values"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5"], "qcoin_k = 5\n", EXIT_CONFIG, "qcoin_k"),
+    (["supersample", "--algorithm", "qcoin"], "budget = 100\n", EXIT_CONFIG, "budget"),
+    # flags the chosen algorithm does not read
+    (["estimate", "--algorithm", "monte-carlo", "--f", "0.5", "--P", "12", "--k", "99", "--L",
+      "0"], "", EXIT_VALIDATION, "--P, --k, --L"),
+    (["estimate", "--algorithm", "qss", "--f", "0.5", "--trials", "10"], "", EXIT_VALIDATION,
+     "--trials"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--trials", "10"], "", EXIT_VALIDATION,
+     "--trials"),
+    (["dump-circuit", "--algorithm", "qcoin", "--n-input", "1", "--P", "8"], "", EXIT_VALIDATION,
+     "--P"),
+    (["dump-circuit", "--algorithm", "qss", "--n-input", "1", "--m", "2"], "", EXIT_VALIDATION,
+     "--m"),
+    (["supersample", "--algorithm", "qss", "--budget", "100"], "", EXIT_VALIDATION, "--budget"),
+    (["supersample", "--algorithm", "ideal", "--budget", "100"], "", EXIT_VALIDATION,
+     "--budget"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -170,6 +195,9 @@ _KEYS = {
     "sweep-value": {"seed": _values(_INTS, 1), "algorithms": _values(_ALGORITHMS),
                     "noise": _NOISE, "budgets": _values(_INTS), "repetitions": _values(_INTS, 1),
                     "f_values": _values(_FLOATS), "k_values": _values(_INTS, 2)},
+    "sweep-convergence": {"seed": _values(_INTS, 1), "algorithms": _values(_ALGORITHMS),
+                          "noise": _NOISE, "budgets": _values(_INTS),
+                          "repetitions": _values(_INTS, 1), "k_values": _values(_INTS, 2)},
 }
 
 

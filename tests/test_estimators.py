@@ -10,7 +10,6 @@ from qmean.estimators import (
     estimate_monte_carlo,
     estimate_qcoin,
     estimate_qss,
-    monte_carlo_queries,
     qcoin_queries,
     qss_exact_distribution,
     qss_queries,
@@ -21,12 +20,11 @@ from qmean.estimators import (
 )
 from qmean.harness import calibrate_optimal_k, qss_theoretical_distribution
 from qmean.primitives import (
-    AAOperator,
     LINEAR_AMPLITUDE,
     OracleSpec,
-    apply_aa,
+    coin_circuit,
     head_state_index,
-    prepare_coin,
+    run_circuit,
 )
 
 
@@ -57,7 +55,7 @@ class TestMonteCarlo:
             estimate_monte_carlo(OracleSpec([0.5]), 0)
 
     def test_query_count(self):
-        assert monte_carlo_queries(123) == 123
+        assert estimate_monte_carlo(OracleSpec([0.5]), 123, seed=0).queries_used == 123
 
 
 class TestQssAccounting:
@@ -191,7 +189,7 @@ class TestAmplifiedCoinHeadProbability:
     ])
     def test_scalar_oracle(self, f, offset, m):
         oracle = OracleSpec([f], offset=offset, encoding=LINEAR_AMPLITUDE)
-        state = apply_aa(prepare_coin(oracle), AAOperator(oracle, "qcoin"), m)
+        state, _ = run_circuit(coin_circuit(0, m).bind(oracle))
         p = float(state.probabilities()[head_state_index(oracle)])
         expected = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
         assert abs(p - expected) < 1e-10
@@ -200,7 +198,7 @@ class TestAmplifiedCoinHeadProbability:
         rng = np.random.default_rng(77)
         values = rng.uniform(0.3, 0.7, size=8)
         oracle = OracleSpec(values, offset=0.25, encoding=LINEAR_AMPLITUDE)
-        state = apply_aa(prepare_coin(oracle), AAOperator(oracle, "qcoin"), 3)
+        state, _ = run_circuit(coin_circuit(3, 3).bind(oracle))
         p = float(state.probabilities()[head_state_index(oracle)])
         expected = math.sin(7 * math.asin(float(np.mean(values)) - 0.25)) ** 2
         assert abs(p - expected) < 1e-10

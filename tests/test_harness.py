@@ -33,7 +33,6 @@ from qmean.harness import (
     run_supersample,
     run_value_sweep,
     sample_monte_carlo,
-    sample_qss,
     write_csv,
     write_pgm,
 )
@@ -160,8 +159,11 @@ class TestSamplers:
         assert np.all((est >= 0) & (est <= 1))
 
     def test_qss_sampler_support(self):
-        rng = np.random.default_rng(1)
-        vals = sample_qss(0.37, 16, rng, size=200)
+        # 200 draws at one mean off the grid: a 10 x 20 pixel image of 0.37
+        job = SupersampleJob(image=np.full((80, 160), 0.37), algorithm="qss",
+                             qss_resolution=16, seed_base=1)
+        vals = run_supersample(job).estimated.ravel()
+        assert vals.size == 200
         grid = np.sin(np.arange(16) * np.pi / 16) ** 2
         assert np.all(np.min(np.abs(vals[:, None] - grid[None, :]), axis=1) < 1e-12)
 

@@ -29,6 +29,7 @@ from qmean.primitives import (
     run_circuit,
 )
 from qmean.statevector import (
+    GateMatrix,
     H_GATE,
     StateVector,
     X_GATE,
@@ -36,7 +37,6 @@ from qmean.statevector import (
     Z_GATE,
     apply_gate,
     measure,
-    rotation_gate,
 )
 
 ZERO = NoiseModel()
@@ -137,7 +137,9 @@ def random_model(rng):
 
 def random_one_qubit_ops(rng, size):
     gates = [H_GATE, X_GATE, Y_GATE, Z_GATE]
-    return [CircuitOp("R", (0,), gate=rotation_gate(rng.uniform(-math.pi, math.pi)))
+    # a real rotation by a random angle t, or a random Pauli or H
+    return [CircuitOp("R", (0,), gate=GateMatrix([[np.cos(t := rng.uniform(-math.pi, math.pi)),
+                                                   -np.sin(t)], [np.sin(t), np.cos(t)]]))
             if rng.random() < 0.4 else CircuitOp("G", (0,), gate=gates[rng.integers(4)])
             for _ in range(size)]
 

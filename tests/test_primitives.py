@@ -1,4 +1,8 @@
-"""Tests for oracles, coin preparation, amplitude amplification and QFT."""
+"""Tests for oracles, coin preparation, amplitude amplification and the
+Fourier transform, each reached through the circuits the estimators run
+(``coin_circuit``, a bound ``Repeat`` of ``_g_block``, ``_qft_ops``) and
+checked against the dense references; and for binding, scheduling and
+running those circuits."""
 
 import math
 import os
@@ -17,7 +21,6 @@ from hypothesis.extra.numpy import arrays
 from qmean import primitives
 from qmean.noise import HARDWARE_PRESET, head_probability, simple_qcoin_circuit
 from qmean.primitives import (
-    AAOperator,
     Circuit,
     CircuitOp,
     FUSE_MAX_QUBITS,
@@ -32,17 +35,14 @@ from qmean.primitives import (
     SQRT_AMPLITUDE,
     WORK,
     _g_block,
-    aa_operator_matrix,
-    apply_aa,
+    _qft_ops,
     coin_circuit,
     dft_matrix,
     dump_circuit,
     flip_basis_state,
     head_state_index,
     oracle_gate,
-    prepare_coin,
     prepare_qss_state,
-    qft,
     qss_circuit,
     reflection_about_zero,
     run_circuit,
@@ -50,12 +50,11 @@ from qmean.primitives import (
 from qmean.statevector import (
     H_GATE,
     GateMatrix,
-    HadamardKernel,
+    MatrixKernel,
     SimulatorError,
     StateVector,
     Z_GATE,
     apply_gate,
-    expectation_of_basis_state,
     gate_to_full_matrix,
     lower_gate,
     qubit_axes,
@@ -124,11 +123,11 @@ class TestQueryLedger:
 class TestPrepareQssState:
     def test_all_zero(self):
         state = prepare_qss_state(OracleSpec([0.0, 0.0]))
-        assert expectation_of_basis_state(state, {1: 1}) == 0.0
+        assert state.probabilities()[2:].sum() == 0.0  # target, the top qubit, is 1
 
     def test_all_one(self):
         state = prepare_qss_state(OracleSpec([1.0, 1.0, 1.0, 1.0]))
-        assert abs(expectation_of_basis_state(state, {2: 1}) - 1.0) < 1e-12
+        assert abs(state.probabilities()[4:].sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("values", [
         [0.3, 0.6, 0.9, 0.1],
@@ -138,7 +137,7 @@ class TestPrepareQssState:
     def test_target_probability_is_mean(self, values):
         oracle = OracleSpec(values)
         state = prepare_qss_state(oracle)
-        p = expectation_of_basis_state(state, {oracle.n_input_qubits: 1})
+        p = state.probabilities()[1 << oracle.n_input_qubits:].sum()
         assert abs(p - oracle.mean) < 1e-12
 
     def test_ledger_counts_one_query(self):
@@ -156,31 +155,29 @@ class TestPrepareQssState:
 def test_qss_target_probability_mean_property(values):
     oracle = OracleSpec(values)
     state = prepare_qss_state(oracle)
-    p = expectation_of_basis_state(state, {2: 1})
+    p = state.probabilities()[4:].sum()
     assert abs(p - oracle.mean) < 1e-12
 
 
 class TestPrepareCoin:
+    """The linear-encoding coin: ``coin_circuit`` with no amplification."""
+
     def test_head_amplitude_is_shifted_mean(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1,
                             encoding=LINEAR_AMPLITUDE)
-        state = prepare_coin(oracle)
+        state, _ = run_circuit(coin_circuit(2, 0).bind(oracle))
         head = state.amplitudes[head_state_index(oracle)]
         assert abs(head - 0.4) < 1e-12
 
     def test_zero_offset_gives_mean(self):
         oracle = OracleSpec([0.1, 0.9, 0.5, 0.5], encoding=LINEAR_AMPLITUDE)
-        state = prepare_coin(oracle)
+        state, _ = run_circuit(coin_circuit(2, 0).bind(oracle))
         assert abs(state.amplitudes[head_state_index(oracle)] - 0.5) < 1e-12
 
     def test_constant_at_offset_vanishes(self):
         oracle = OracleSpec([0.3, 0.3], offset=0.3, encoding=LINEAR_AMPLITUDE)
-        state = prepare_coin(oracle)
+        state, _ = run_circuit(coin_circuit(1, 0).bind(oracle))
         assert abs(state.amplitudes[head_state_index(oracle)]) < 1e-12
-
-    def test_rejects_sqrt_encoding(self):
-        with pytest.raises(OracleError):
-            prepare_coin(OracleSpec([0.5]))
 
 
 class TestReflections:
@@ -212,50 +209,45 @@ class TestReflections:
 
 
 class TestAmplitudeAmplification:
+    """G blocks as the circuits hold them: ``coin_circuit`` with ``m`` blocks,
+    or a bound ``Repeat`` of ``_g_block`` run on a given state."""
+
     def test_zero_repetitions_is_identity(self):
         oracle = OracleSpec([0.3, 0.7])
         state = prepare_qss_state(oracle)
         ledger = QueryLedger()
-        out = apply_aa(state, AAOperator(oracle, "qss"), 0, ledger)
+        block = Circuit(2, [Repeat(_g_block("qss", (0,), 1), 0)]).bind(oracle)
+        out, _ = run_circuit(block, state, ledger=ledger)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
         assert ledger.count == 0
 
     @pytest.mark.parametrize("sin_theta", [0.1, 0.3, 0.5])
     def test_single_step_triples_angle(self, sin_theta):
         oracle = OracleSpec([sin_theta], encoding=LINEAR_AMPLITUDE)
-        state = prepare_coin(oracle)
-        out = apply_aa(state, AAOperator(oracle, "qcoin"), 1)
+        out, _ = run_circuit(coin_circuit(0, 1).bind(oracle))
         head = out.amplitudes[head_state_index(oracle)]
         expected = math.sin(3 * math.asin(sin_theta))
         assert abs(head - expected) < 1e-10
 
     def test_half_amplitude_reaches_one(self):
         oracle = OracleSpec([0.5], encoding=LINEAR_AMPLITUDE)
-        state = prepare_coin(oracle)
-        out = apply_aa(state, AAOperator(oracle, "qcoin"), 1)
+        out, _ = run_circuit(coin_circuit(0, 1).bind(oracle))
         assert abs(abs(out.amplitudes[head_state_index(oracle)]) - 1.0) < 1e-10
 
     def test_angle_additivity(self):
         oracle = OracleSpec([0.2, 0.3, 0.1, 0.4], encoding=LINEAR_AMPLITUDE)
-        op = AAOperator(oracle, "qcoin")
-        state = prepare_coin(oracle)
-        chained = apply_aa(apply_aa(state, op, 2), op, 3)
-        direct = apply_aa(state, op, 5)
+        two, _ = run_circuit(coin_circuit(2, 2).bind(oracle))
+        three_more = Circuit(3, [Repeat(_g_block("qcoin", (0, 1), 2), 3)]).bind(oracle)
+        chained, _ = run_circuit(three_more, two)
+        direct, _ = run_circuit(coin_circuit(2, 5).bind(oracle))
         np.testing.assert_allclose(chained.amplitudes, direct.amplitudes, atol=1e-10)
 
     def test_query_cost_two_per_repetition(self):
         oracle = OracleSpec([0.4, 0.6])
         ledger = QueryLedger()
-        apply_aa(prepare_qss_state(oracle), AAOperator(oracle, "qss"), 4, ledger)
+        block = Circuit(2, [Repeat(_g_block("qss", (0,), 1), 4)]).bind(oracle)
+        run_circuit(block, prepare_qss_state(oracle), ledger=ledger)
         assert ledger.count == 8
-
-    def test_variant_encoding_mismatch(self):
-        with pytest.raises(OracleError):
-            AAOperator(OracleSpec([0.5]), "qcoin")
-        with pytest.raises(OracleError):
-            AAOperator(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE), "qss")
-        with pytest.raises(OracleError):
-            AAOperator(OracleSpec([0.5]), "grover")
 
 
 def phase_aligned(a, b):
@@ -264,9 +256,17 @@ def phase_aligned(a, b):
     return b * (a[idx] / b[idx])
 
 
+def g_matrix(variant, oracle):
+    """One bound G block run on each basis state of the coin qubits, as columns."""
+    n = oracle.n_input_qubits + 1
+    block = Circuit(n, [Repeat(_g_block(variant, tuple(range(n - 1)), n - 1), 1)]).bind(oracle)
+    return np.column_stack([run_circuit(block, StateVector(n, col))[0].amplitudes
+                            for col in np.eye(1 << n)])
+
+
 class TestOperatorMatrixEquivalence:
-    """The brute-force operator matrix must match the explicit product
-    (oracle, input Hadamards, reflections) up to a global phase."""
+    """The matrix of one G block must match the explicit product (oracle,
+    input Hadamards, reflections) up to a global phase."""
 
     @pytest.mark.parametrize("values", [[0.6], [0.2, 0.7], [0.1, 0.5, 0.8, 0.3]])
     def test_qss_variant(self, values):
@@ -278,7 +278,7 @@ class TestOperatorMatrixEquivalence:
         r0 = 2 * np.outer(np.eye(dim)[0], np.eye(dim)[0]) - np.eye(dim)
         z_t = kron_chain([np.eye(2)] * n_in + [np.diag([1.0, -1.0])])
         product = -(q @ h_in @ r0 @ h_in @ q.conj().T @ z_t)
-        built = aa_operator_matrix(AAOperator(oracle, "qss"))
+        built = g_matrix("qss", oracle)
         np.testing.assert_allclose(phase_aligned(product, built), product, atol=1e-8)
 
     @pytest.mark.parametrize("values", [[0.6], [0.2, 0.7], [0.1, 0.5, 0.8, 0.3]])
@@ -292,19 +292,22 @@ class TestOperatorMatrixEquivalence:
         head = np.eye(dim)[1 << n_in]
         r_head = np.eye(dim) - 2 * np.outer(head, head)
         product = h_in @ q @ h_in @ r0 @ h_in @ q.conj().T @ h_in @ r_head
-        built = aa_operator_matrix(AAOperator(oracle, "qcoin"))
+        built = g_matrix("qcoin", oracle)
         np.testing.assert_allclose(phase_aligned(product, built), product, atol=1e-8)
 
 
 class TestQft:
+    """The textbook transform as ``qss_circuit`` lists it (``_qft_ops``), bound and run."""
+
     def test_uniform_goes_to_zero_state(self):
         amps = np.full(8, 1 / np.sqrt(8))
-        out = qft(StateVector.from_amplitudes(amps), [0, 1, 2])
+        out, _ = run_circuit(Circuit(3, _qft_ops((0, 1, 2))).bind(),
+                             StateVector.from_amplitudes(amps))
         np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0, 0, 0, 0, 0],
                                    atol=1e-10)
 
     def test_zero_state_goes_uniform(self):
-        out = qft(StateVector.zero(3), [0, 1, 2])
+        out, _ = run_circuit(Circuit(3, _qft_ops((0, 1, 2))).bind())
         np.testing.assert_allclose(out.amplitudes, np.full(8, 1 / np.sqrt(8)),
                                    atol=1e-10)
 
@@ -313,7 +316,8 @@ class TestQft:
         rng = np.random.default_rng(n)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
-        out = qft(StateVector.from_amplitudes(amps), list(range(n)))
+        out, _ = run_circuit(Circuit(n, _qft_ops(tuple(range(n)))).bind(),
+                             StateVector.from_amplitudes(amps))
         expected = dft_matrix(1 << n) @ amps
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-8)
 
@@ -321,7 +325,8 @@ class TestQft:
         rng = np.random.default_rng(9)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        out = qft(StateVector.from_amplitudes(amps), [1, 2])
+        out, _ = run_circuit(Circuit(3, _qft_ops((1, 2))).bind(),
+                             StateVector.from_amplitudes(amps))
         # qubit 0 untouched: transform each fixed-q0 slice independently
         mat = dft_matrix(4)
         for b0 in range(2):
@@ -334,7 +339,8 @@ class TestQft:
         k = np.arange(p)
         trace = np.sin((2 * k + 1) * theta)
         amps = trace / np.linalg.norm(trace)
-        out = qft(StateVector.from_amplitudes(amps), [0, 1, 2, 3])
+        out, _ = run_circuit(Circuit(4, _qft_ops((0, 1, 2, 3))).bind(),
+                             StateVector.from_amplitudes(amps))
         probs = out.probabilities()
         assert set(np.argsort(probs)[-2:]) == {2, 14}
 
@@ -411,7 +417,7 @@ class TestCircuit:
         lambda: (coin_circuit(6, 1), OracleSpec(np.linspace(0.2, 0.8, 64), 0.1, LINEAR_AMPLITUDE)),
         lambda: (qss_circuit(2, 8), OracleSpec([0.1, 0.5, 0.8, 0.3])),
         lambda: (qss_circuit(1, 16), OracleSpec([0.3, 0.6])),
-        # apply_aa's circuit with inputs on 3 and 1, target 0, every gate controlled by 2
+        # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
         lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
         lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
@@ -434,13 +440,15 @@ class TestCircuit:
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_registers_of_h_run_as_one_kernel(self):
-        # a G block on more than FUSE_MAX_QUBITS qubits runs op by op
+        # a G block on more than FUSE_MAX_QUBITS qubits runs op by op; each H
+        # register on its 6 inputs is two dense kernels of 3 targets, then Q
         n_in = FUSE_MAX_QUBITS
         oracle = OracleSpec([0.5] * (1 << n_in), 0.1, LINEAR_AMPLITUDE)
         steps = coin_circuit(n_in, 2).bind(oracle).schedule
-        assert isinstance(steps[0], HadamardKernel) and isinstance(steps[2], HadamardKernel)
-        body, count = steps[3]
-        assert count == 2 and sum(isinstance(s, HadamardKernel) for s in body) == 4
+        assert [isinstance(s, MatrixKernel) for s in steps[:5]] == [True, True, False, True, True]
+        assert [len(s.gate) for s in steps[:2]] == [8, 8]
+        body, count = steps[5]
+        assert count == 2 and sum(isinstance(s, MatrixKernel) for s in body) == 8
         # a smaller one is a single fused step
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
         assert isinstance(steps[3], FusedRepeat) and len(steps) == 5
@@ -448,14 +456,14 @@ class TestCircuit:
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
                               CircuitOp("H", (2,), (1,))])
         steps = circuit.bind().schedule
-        assert [isinstance(s, HadamardKernel) for s in steps] == [True, False, False]
+        assert [isinstance(s, MatrixKernel) for s in steps] == [True, False, False]
 
     @pytest.mark.parametrize("build", [
         *[(lambda n_in, p: lambda: (qss_circuit(n_in, p),
                                     OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))))(n_in, p)
           for n_in, p in [(0, 4), (0, 1024), (2, 8), (2, 1024), (4, 16), (4, 512)]],
         lambda: (coin_circuit(4, 16), OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)),
-        # apply_aa's circuit with inputs on 3 and 1, target 0, every gate controlled by 2
+        # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
         lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
         lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
@@ -689,8 +697,14 @@ class TestKernelsAgainstDenseReference:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        out = apply_aa(state, AAOperator(oracle, variant), 3, controls=controls,
-                       input_qubits=inputs, target_qubit=target)
+        block = Repeat(_g_block(variant, tuple(inputs), target, tuple(controls)), 3)
+        out, _ = run_circuit(Circuit(n, [block]).bind(oracle), state)
         np.testing.assert_allclose(out.amplitudes,
                                    np.linalg.matrix_power(g, 3) @ state.amplitudes,
                                    rtol=0, atol=1e-12)
+
+
+def test_every_public_name_resolves():
+    import qmean
+
+    assert [name for name in qmean.__all__ if not hasattr(qmean, name)] == []

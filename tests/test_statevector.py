@@ -9,9 +9,8 @@ from qmean.statevector import (
     GateMatrix,
     H_GATE,
     HADAMARD_CHUNK,
-    HadamardKernel,
-    I_GATE,
     Kernel,
+    MatrixKernel,
     PairKernel,
     PhaseKernel,
     SimulatorError,
@@ -20,16 +19,19 @@ from qmean.statevector import (
     Y_GATE,
     Z_GATE,
     apply_gate,
-    apply_rotation,
-    expectation_of_basis_state,
     gate_to_full_matrix,
+    hadamard_kernels,
     lower_gate,
     measure,
     qubit_index,
-    rotation_gate,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
+
+
+def rotation_gate(theta):
+    """Real rotation: |0> -> cos(theta)|0> + sin(theta)|1>."""
+    return GateMatrix([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
 
 def random_state(n_qubits, seed):
@@ -65,7 +67,7 @@ class TestGates:
 
     def test_identity_leaves_state(self):
         state = random_state(3, 7)
-        out = apply_gate(state, I_GATE, [1])
+        out = apply_gate(state, GateMatrix(np.eye(2)), [1])
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_hadamard_all_four_qubits_uniform(self):
@@ -113,15 +115,15 @@ class TestGates:
 
 class TestRotation:
     def test_theta_zero(self):
-        out = apply_rotation(StateVector.zero(1), 0.0, 0)
+        out = apply_gate(StateVector.zero(1), rotation_gate(0.0), [0])
         np.testing.assert_allclose(out.amplitudes, [1.0, 0.0], atol=1e-12)
 
     def test_theta_half_pi(self):
-        out = apply_rotation(StateVector.zero(1), np.pi / 2, 0)
+        out = apply_gate(StateVector.zero(1), rotation_gate(np.pi / 2), [0])
         np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-12)
 
     def test_theta_pi_over_six(self):
-        out = apply_rotation(StateVector.zero(1), np.pi / 6, 0)
+        out = apply_gate(StateVector.zero(1), rotation_gate(np.pi / 6), [0])
         np.testing.assert_allclose(
             out.amplitudes, [np.sqrt(3) / 2, 0.5], atol=1e-12
         )
@@ -129,7 +131,7 @@ class TestRotation:
     @pytest.mark.parametrize("theta", [0.1, 0.7, 2.5])
     def test_rotation_inverse(self, theta):
         state = random_state(1, 11)
-        out = apply_rotation(apply_rotation(state, theta, 0), -theta, 0)
+        out = apply_gate(apply_gate(state, rotation_gate(theta), [0]), rotation_gate(-theta), [0])
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-10)
 
 
@@ -173,7 +175,8 @@ class TestControlledGates:
 
 
 class TestHadamardKernel:
-    """The fused H register against the product of one H pair kernel per target."""
+    """The chunk kernels of an H register against the product of one H pair
+    kernel per target."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_per_qubit_pair_kernels(self, n):
@@ -188,13 +191,18 @@ class TestHadamardKernel:
             expected = np.eye(1 << n)
             for q in targets:
                 expected = lower_gate(H_GATE, [q], controls, n).matrix() @ expected
-            kernel = HadamardKernel(n, targets, controls)
-            assert len(kernel.chunks) == -(-len(targets) // HADAMARD_CHUNK)
-            np.testing.assert_allclose(kernel.matrix(), expected, rtol=0, atol=1e-12)
+            kernels = hadamard_kernels(n, targets, controls)
+            assert len(kernels) == -(-len(targets) // HADAMARD_CHUNK)
+            assert all(isinstance(k, MatrixKernel) and k.gate.dtype == np.float64
+                       for k in kernels)
+            got = np.eye(1 << n)
+            for kernel in kernels:
+                got = kernel.matrix() @ got
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_rejects_overlapping_qubits(self):
         with pytest.raises(SimulatorError, match="repeated"):
-            HadamardKernel(3, [0, 1], [1])
+            hadamard_kernels(3, [0, 1], [1])
 
 
 class TestKernelMatrix:
@@ -269,22 +277,20 @@ class TestMeasurement:
 
 
 class TestExpectation:
+    """Probabilities of a partial bit pattern, summed from ``probabilities``."""
+
     def test_zero_state(self):
-        assert expectation_of_basis_state(StateVector.zero(1), {0: 1}) == 0.0
+        assert StateVector.zero(1).probabilities()[1] == 0.0
 
     def test_plus_state(self):
         state = apply_gate(StateVector.zero(1), H_GATE, [0])
-        assert abs(expectation_of_basis_state(state, {0: 1}) - 0.5) < 1e-12
+        assert abs(state.probabilities()[1] - 0.5) < 1e-12
 
     def test_partial_pattern(self):
-        state = random_state(3, 31)
-        p0 = expectation_of_basis_state(state, {1: 0})
-        p1 = expectation_of_basis_state(state, {1: 1})
+        probs = random_state(3, 31).probabilities()
+        p0 = probs[[0, 1, 4, 5]].sum()  # qubit 1 is 0
+        p1 = probs[[2, 3, 6, 7]].sum()
         assert abs(p0 + p1 - 1.0) < 1e-10
-
-    def test_bad_bit(self):
-        with pytest.raises(SimulatorError):
-            expectation_of_basis_state(StateVector.zero(1), {0: 2})
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,7 +298,7 @@ class TestExpectation:
 def test_norm_preserved_by_random_circuits(seed, theta):
     state = random_state(3, seed)
     state = apply_gate(state, H_GATE, [0])
-    state = apply_rotation(state, theta, 1)
+    state = apply_gate(state, rotation_gate(theta), [1])
     state = apply_gate(state, X_GATE, [2], controls=[0])
     assert abs(state.norm_squared() - 1.0) < 1e-10
 
