@@ -72,23 +72,30 @@ def _echo_config(out: Path, effective: dict):
     (out / "effective-config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _config_value(cfg: dict, key: str, parse, default):
+    """The one value of a config key, read by ``harness.config_list``."""
+    values = harness.config_list(cfg, key, parse, [default])
+    if len(values) != 1:
+        raise ConfigError(f"key {key!r} takes one value, got {cfg[key]!r}")
+    return values[0]
+
+
 def _require_seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in cfg:
-        try:
-            return int(cfg["seed"])
-        except ValueError as exc:
-            raise CliError(f"bad seed in config: {exc}", EXIT_CONFIG)
+        return _config_value(cfg, "seed", int, None)
     raise CliError("a seed is required (flag --seed or config key 'seed')", EXIT_VALIDATION)
 
 
-def _config_value(parse, cfg: dict, key: str, default):
-    """One value of a config key, parsed by harness.config_ints / config_floats."""
-    values = parse(cfg, key, [default])
-    if len(values) != 1:
-        raise ConfigError(f"key {key!r} takes one value, got {cfg[key]!r}")
-    return values[0]
+def _write_text(args, name: str, text: str):
+    """``text`` into the file ``name`` of the ``--out`` directory, or onto stdout."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    path = _out_dir(args) / name
+    path.write_text(text)
+    print(f"wrote {path}")
 
 
 def _algorithm_flags(args, reads: dict[str, dict]) -> dict:
@@ -116,22 +123,19 @@ def cmd_estimate(args):
     seed = _require_seed(args, cfg)
     flags = _algorithm_flags(args, {"monte-carlo": {"trials": 1000}, "qss": {"P": 64},
                                     "qcoin": {"k": 3, "L": 20}})
-    f = args.f if args.f is not None else _config_value(harness.config_floats, cfg, "f", math.nan)
+    f = args.f if args.f is not None else _config_value(cfg, "f", float, math.nan)
     if not 0.0 <= f <= 1.0:
         raise CliError(f"target mean must lie in [0, 1], got {f}", EXIT_VALIDATION)
     oracle = OracleSpec([f])
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, [args.algorithm], "estimate")
 
-    try:
-        if args.algorithm == "monte-carlo":
-            est = estimate_monte_carlo(oracle, flags["trials"], seed, noise)
-        elif args.algorithm == "qss":
-            est = estimate_qss(oracle, flags["P"], seed)
-        else:
-            est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    if args.algorithm == "monte-carlo":
+        est = estimate_monte_carlo(oracle, flags["trials"], seed, noise)
+    elif args.algorithm == "qss":
+        est = estimate_qss(oracle, flags["P"], seed)
+    else:
+        est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     rec = est.to_record(f_true=f)
     print(",".join(f"{k}={v}" for k, v in rec.items()))
     return 0
@@ -141,23 +145,20 @@ def cmd_sweep_value(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "f_values", "k_values"))
     seed = _require_seed(args, cfg)
-    algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
+    algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, algorithms, "sweep-value")
     out = _out_dir(args)
-    try:
-        spec = SweepSpec(
-            algorithms=algorithms,
-            budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000]),
-            repetitions=_config_value(harness.config_ints, cfg, "repetitions", 1000),
-            f_values=harness.config_floats(cfg, "f_values", [0.1, 0.3, 0.5, 0.7, 0.9]),
-            qcoin_k=harness.config_ints(cfg, "k_values", [3]),
-            noise=noise,
-            seed_base=seed,
-        )
-        rows = harness.run_value_sweep(spec)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    spec = SweepSpec(
+        algorithms=algorithms,
+        budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000]),
+        repetitions=_config_value(cfg, "repetitions", int, 1000),
+        f_values=harness.config_list(cfg, "f_values", float, [0.1, 0.3, 0.5, 0.7, 0.9]),
+        qcoin_k=harness.config_list(cfg, "k_values", int, [3]),
+        noise=noise,
+        seed_base=seed,
+    )
+    rows = harness.run_value_sweep(spec)
     harness.write_csv(out / "value-sweep.csv", rows)
     _echo_config(out, {**cfg, "seed": seed})
     print(f"wrote {out / 'value-sweep.csv'} ({len(rows)} rows)")
@@ -168,20 +169,17 @@ def cmd_sweep_convergence(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "k_values"))
     seed = _require_seed(args, cfg)
-    algorithms = cfg.get("algorithms", "monte-carlo,qss,qcoin").split(",")
+    algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
     out = _out_dir(args)
-    try:
-        spec = SweepSpec(
-            algorithms=algorithms,
-            budgets=harness.config_ints(cfg, "budgets", [100, 1000, 10000, 100000]),
-            repetitions=_config_value(harness.config_ints, cfg, "repetitions", 3000),
-            qcoin_k=harness.config_ints(cfg, "k_values", [3, 4, 5, 6]),
-            seed_base=seed,
-        )
-        result = harness.run_convergence_sweep(spec)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    spec = SweepSpec(
+        algorithms=algorithms,
+        budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000, 100000]),
+        repetitions=_config_value(cfg, "repetitions", int, 3000),
+        qcoin_k=harness.config_list(cfg, "k_values", int, [3, 4, 5, 6]),
+        seed_base=seed,
+    )
+    result = harness.run_convergence_sweep(spec)
     harness.write_csv(out / "convergence.csv", result["rows"])
     if result["optimal_k_table"]:
         harness.write_csv(out / "optimal-k.csv",
@@ -203,7 +201,7 @@ def cmd_supersample(args):
     _check_noise(noise, [args.algorithm], "supersample")
     out = _out_dir(args)
     width, height, qcoin_k, qss_p = (
-        _config_value(harness.config_ints, cfg, key, default)
+        _config_value(cfg, key, int, default)
         for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))
     )
     if args.image:
@@ -211,21 +209,18 @@ def cmd_supersample(args):
             image = harness.read_pgm(args.image)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read image {args.image}: {exc}", EXIT_IO)
-    try:
-        if not args.image:
-            image = harness.build_teaser_image(width, height)
-        job = SupersampleJob(
-            image=image,
-            algorithm=args.algorithm,
-            per_pixel_budget=flags.get("budget"),
-            qcoin_k=qcoin_k,
-            qss_resolution=qss_p,
-            noise=noise,
-            seed_base=seed,
-        )
-        result = harness.run_supersample(job)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    else:
+        image = harness.build_teaser_image(width, height)
+    job = SupersampleJob(
+        image=image,
+        algorithm=args.algorithm,
+        per_pixel_budget=flags.get("budget"),
+        qcoin_k=qcoin_k,
+        qss_resolution=qss_p,
+        noise=noise,
+        seed_base=seed,
+    )
+    result = harness.run_supersample(job)
     harness.write_pgm(out / f"supersampled-{args.algorithm}.pgm", result.estimated)
     harness.write_pgm(out / "ideal.pgm", result.ideal)
     harness.write_csv(
@@ -240,31 +235,14 @@ def cmd_supersample(args):
 
 def cmd_dump_circuit(args):
     flags = _algorithm_flags(args, {"qss": {"P": 16}, "qcoin": {"m": 1}})
-    try:
-        text = dump_circuit(args.algorithm, args.n_input, flags.get("P"), flags.get("m"))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
-    if args.out:
-        out = _out_dir(args)
-        (out / f"circuit-{args.algorithm}.txt").write_text(text)
-        print(f"wrote {out / f'circuit-{args.algorithm}.txt'}")
-    else:
-        sys.stdout.write(text)
+    text = dump_circuit(args.algorithm, args.n_input, flags.get("P"), flags.get("m"))
+    _write_text(args, f"circuit-{args.algorithm}.txt", text)
     return 0
 
 
 def cmd_resources(args):
-    try:
-        reports = harness.report_resources(args.N, args.P)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
-    text = harness.format_resource_report(reports)
-    if args.out:
-        out = _out_dir(args)
-        (out / "resources.txt").write_text(text)
-        print(f"wrote {out / 'resources.txt'}")
-    else:
-        sys.stdout.write(text)
+    reports = harness.report_resources(args.N, args.P)
+    _write_text(args, "resources.txt", harness.format_resource_report(reports))
     return 0
 
 
@@ -321,19 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the one place a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
     except ConfigError as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OracleError, SimulatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        message, code = f"bad config: {exc}", EXIT_CONFIG
+    except OSError as exc:
+        message, code = f"I/O error: {exc}", EXIT_IO
+    except (OracleError, SimulatorError, ValueError) as exc:
+        message, code = str(exc), EXIT_VALIDATION
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -134,6 +134,10 @@ def fast_qcoin_estimate(
 # ---------------------------------------------------------------------------
 # Sweeps
 
+# the algorithms a sweep runs, each with the id that seeds its rows
+SWEEP_ALGORITHMS = {"monte-carlo": 1, "qss": 2, "qcoin": 3}
+
+
 @dataclass
 class SweepSpec:
     algorithms: list[str]
@@ -145,6 +149,9 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
+        if not self.algorithms or not set(self.algorithms) <= set(SWEEP_ALGORITHMS):
+            raise ValueError(f"algorithms must be one or more of "
+                             f"{', '.join(SWEEP_ALGORITHMS)}, got {self.algorithms}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if len(self.budgets) == 0 or list(self.budgets) != sorted(self.budgets):
@@ -169,12 +176,6 @@ def fit_loglog_slope(queries, errors, skip_first: bool = True) -> float:
     return float(slope)
 
 
-def _rep_fs(spec: SweepSpec, rng) -> np.ndarray:
-    if spec.f_values is None:
-        return rng.uniform(0.0, 1.0, size=spec.repetitions)
-    raise ValueError("this sweep draws f per repetition; leave f_values unset")
-
-
 def run_value_sweep(spec: SweepSpec) -> list[dict]:
     """Mean absolute error per (algorithm, f, budget) at fixed target means."""
     if spec.f_values is None:
@@ -183,7 +184,7 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
         raise ValueError(f"key 'k_values' takes one value in the value sweep, got {spec.qcoin_k}")
     rows = []
     for algorithm in spec.algorithms:
-        alg_id = {"monte-carlo": 1, "qss": 2, "qcoin": 3}.get(algorithm, 0)
+        alg_id = SWEEP_ALGORITHMS[algorithm]
         if algorithm == "qss":
             resolutions = [nearest_power_of_two_resolution(budget) for budget in spec.budgets]
             qss_errors = [qss_expected_error(spec.f_values, p) for p in resolutions]
@@ -201,7 +202,7 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                 elif algorithm == "qss":
                     mae = float(qss_errors[j][i])
                     queries = qss_queries(resolutions[j])
-                elif algorithm == "qcoin":
+                else:
                     k = spec.qcoin_k[0]
                     trials = budget // (qcoin_queries(k, 1))
                     if trials < 1:
@@ -212,8 +213,6 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                     )
                     mae = float(np.mean(np.abs(est - f)))
                     queries = qcoin_queries(k, trials)
-                else:
-                    raise ValueError(f"unknown algorithm {algorithm!r}")
                 rows.append({
                     "algorithm": algorithm, "f": f, "budget": budget,
                     "queries": queries, "mae": mae, "repetitions": spec.repetitions,
@@ -258,11 +257,16 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
 
     Monte Carlo and the coin estimator are sampled with uniform-random target
     means per repetition; the Fourier estimator uses its exact outcome
-    distribution averaged over 200 uniformly spaced means.
+    distribution averaged over 200 uniformly spaced means.  It takes no
+    f_values and no noise.
     Returns {"rows": [...], "slopes": {...}, "optimal_k_table": {...}}.
     """
     if len(spec.budgets) < 2:
         raise ValueError(f"key 'budgets' needs two or more to fit a slope, got {spec.budgets}")
+    if spec.f_values is not None:
+        raise ValueError("the convergence sweep draws f per repetition; leave f_values unset")
+    if spec.noise is not None and not spec.noise.is_zero:
+        raise ValueError("the convergence sweep applies no noise; leave noise unset")
     rows = []
     slopes = {}
     optimal_k_table = None
@@ -272,8 +276,8 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
             queries, errors = [], []
             for budget in spec.budgets:
                 rng = np.random.default_rng(np.random.SeedSequence([spec.seed_base, 1, budget]))
-                fs = _rep_fs(spec, rng)
-                est = sample_monte_carlo(fs, budget, rng, spec.noise)
+                fs = rng.uniform(0.0, 1.0, size=spec.repetitions)
+                est = sample_monte_carlo(fs, budget, rng)
                 mae = float(np.mean(np.abs(est - fs)))
                 rows.append({"algorithm": algorithm, "budget": budget,
                              "queries": budget, "mae": mae,
@@ -292,7 +296,7 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
                 queries.append(qss_queries(p))
                 errors.append(mae)
             slopes[algorithm] = fit_loglog_slope(queries, errors, skip_first=False)
-        elif algorithm == "qcoin":
+        else:
             optimal_k_table = calibrate_optimal_k(
                 spec.budgets, spec.qcoin_k + [0],
                 repetitions=spec.repetitions, seed=spec.seed_base + 2,
@@ -313,34 +317,30 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
                 best_queries.append(budget)
                 best_errors.append(row[best_k])
             slopes["qcoin-optimal"] = fit_loglog_slope(best_queries, best_errors)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
 
     return {"rows": rows, "slopes": slopes, "optimal_k_table": optimal_k_table}
 
 
 def run_delta_scaling_sweep(
     step_indices=range(2, 8),
-    trials_scale: float = 2.0,
-    prior_trials_scale: float = 16.0,
     repetitions: int = 400,
     seed: int = 0,
 ) -> dict:
     """Single shift-and-scale step across the delta schedule.
 
     The step's premise is a prior estimate already within delta/2 of f with
-    high probability, so the prior coin gets prior_trials_scale / delta^2
-    trials (keeping interval misses negligible).  The amplified step then
-    spends trials_scale / delta^2 shots of cost 2m + 1 each: queries grow as
-    1/delta^3 while the error shrinks as delta^2, so the fitted slope of the
-    step cost should sit near -2/3.
+    high probability, so the prior coin gets 16 / delta^2 trials (keeping
+    interval misses negligible).  The amplified step then spends 2 / delta^2
+    shots of cost 2m + 1 each: queries grow as 1/delta^3 while the error
+    shrinks as delta^2, so the fitted slope of the step cost should sit near
+    -2/3.
     """
     rows = []
     queries, errors = [], []
     for i in step_indices:
         delta, reps_aa = shift_scale_schedule(i)[-1]
-        trials = max(int(math.ceil(trials_scale / delta**2)), 2)
-        prior_trials = max(int(math.ceil(prior_trials_scale / delta**2)), 2)
+        trials = max(int(math.ceil(2.0 / delta**2)), 2)
+        prior_trials = max(int(math.ceil(16.0 / delta**2)), 2)
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         used = trials * (1 + 2 * reps_aa)
         fs = rng.uniform(0.0, 1.0, size=repetitions)
@@ -575,24 +575,16 @@ def parse_config(text: str) -> dict[str, str]:
     return cfg
 
 
-def config_ints(cfg: dict, key: str, default=None) -> list[int]:
+def config_list(cfg: dict, key: str, parse, default=None) -> list:
+    """The comma-separated values of ``cfg[key]``, each stripped and read by
+    ``parse``; empty items are skipped.  A missing key gives ``default``, or
+    is refused when there is none."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return list(default)
     try:
-        return [int(v) for v in cfg[key].split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
-
-
-def config_floats(cfg: dict, key: str, default=None) -> list[float]:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return list(default)
-    try:
-        return [float(v) for v in cfg[key].split(",") if v.strip()]
+        return [parse(v.strip()) for v in cfg[key].split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 

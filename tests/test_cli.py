@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmean.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, main
 from qmean.estimators import qcoin_queries
@@ -158,6 +158,11 @@ class TestExitCodes:
     (["supersample", "--algorithm", "qss", "--budget", "100"], "", EXIT_VALIDATION, "--budget"),
     (["supersample", "--algorithm", "ideal", "--budget", "100"], "", EXIT_VALIDATION,
      "--budget"),
+    # an empty algorithm list (it was one algorithm named '')
+    (["sweep-value"], "algorithms =\n", EXIT_VALIDATION, "algorithms"),
+    (["sweep-convergence"], "algorithms = ,\n", EXIT_VALIDATION, "algorithms"),
+    # a seed in the config is one integer
+    (["estimate", "--algorithm", "qss", "--f", "0.5"], "seed = 1, 2\n", EXIT_CONFIG, "seed"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -167,11 +172,75 @@ def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_pa
     out = [] if argv[0] == "estimate" else ["--out", str(tmp_path / "out")]
     # dump-circuit and resources take neither a seed nor a config
     seeded = argv[0] not in ("dump-circuit", "resources")
-    assert main(argv + (["--seed", "1", "--config", str(cfg)] if seeded else []) + out) == code
+    # a seed in the config is read only without the flag
+    seed = [] if config.startswith("seed") else ["--seed", "1"]
+    assert main(argv + (seed + ["--config", str(cfg)] if seeded else []) + out) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert named in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["sweep-value", "--seed", "1"], "value-sweep.csv"),
+    (["supersample", "--algorithm", "ideal", "--seed", "1"], "supersampled-ideal.pgm"),
+    (["dump-circuit", "--algorithm", "qcoin", "--n-input", "1"], "circuit-qcoin.txt"),
+    (["resources", "--N", "4", "--P", "4"], "resources.txt"),
+])
+def test_directory_at_output_file_is_io_error(argv, written, tmp_path, capsys):
+    (tmp_path / written).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert written in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# configs and their exit codes; each variant writes the lists with spaces or a
+# trailing comma, or the keys in another order, and must change no output
+_CANONICAL = [
+    ("sweep-value", {"algorithms": "monte-carlo,qcoin", "budgets": "100,1000",
+                     "repetitions": "20", "f_values": "0.2,0.6"}, 0),
+    ("sweep-value", {"algorithms": "monte-carlo,qcoin", "budgets": "100,1000",
+                     "repetitions": "20", "f_values": "0.2,0.6", "noise": "hardware"}, 0),
+    ("sweep-value", {"algorithms": "qss,qcoin", "noise": "hardware"}, EXIT_VALIDATION),
+    ("sweep-convergence", {"algorithms": "monte-carlo,qss,qcoin", "budgets": "100,1000,10000",
+                           "repetitions": "20", "k_values": "2,3"}, 0),
+    ("estimate", {"f": "0.3", "noise": "0.01,0.001,0.02"}, 0),
+]
+_LISTS = ("algorithms", "budgets", "f_values", "k_values")
+_VARIANTS = {
+    "spaced": lambda key, value: value.replace(",", ", "),
+    "padded": lambda key, value: " , ".join(value.split(",")),
+    "trailing comma": lambda key, value: value + "," if key in _LISTS else value,
+}
+
+
+def _run_config(command, config, out):
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    argv = [command, "--config", str(cfg), "--seed", "3"]
+    argv += ["--algorithm", "qcoin"] if command == "estimate" else ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    # the effective config echoes the values as written
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+             if p.name != "effective-config.txt"}
+    return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
+
+
+@pytest.mark.parametrize("command,config,code", _CANONICAL)
+def test_list_spacing_and_key_order_change_no_output(command, config, code, tmp_path):
+    expected = _run_config(command, config, tmp_path / "canonical")
+    got, stdout, stderr, _ = expected
+    assert got == code
+    assert (stdout and not stderr) if code == 0 else stderr.startswith("error: ")
+    variants = {name: {k: edit(k, v) for k, v in config.items()}
+                for name, edit in _VARIANTS.items()}
+    variants["reversed keys"] = dict(reversed(config.items()))
+    for name, variant in variants.items():
+        assert _run_config(command, variant, tmp_path / name) == expected, name
 
 
 # config values of each key's type (small, so sizes stay bounded), NaN/inf,
@@ -201,12 +270,22 @@ _KEYS = {
 }
 
 
+_CASES = st.sampled_from(sorted(_KEYS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.fixed_dictionaries({}, optional=_KEYS[command])))
+
+
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(sorted(_KEYS)), data=st.data(), algorithm=_ALGORITHMS,
-       seed_flag=st.booleans())
-def test_config_fuzz_exit_codes(command, data, algorithm, seed_flag):
-    keys = data.draw(st.sets(st.sampled_from(sorted(_KEYS[command]))))
-    config = {key: data.draw(_KEYS[command][key], label=key) for key in sorted(keys)}
+@given(case=_CASES, algorithm=_ALGORITHMS, seed_flag=st.booleans())
+# known edges, which random draws reach only rarely
+@example(case=("sweep-value", {"budgets": ""}), algorithm="qss", seed_flag=True)
+@example(case=("sweep-convergence", {"budgets": ""}), algorithm="qss", seed_flag=True)
+@example(case=("sweep-convergence", {"budgets": "1000"}), algorithm="qss", seed_flag=True)
+@example(case=("sweep-value", {"algorithms": "monte-carlo, qcoin", "noise": "hardware",
+                               "budgets": "100", "repetitions": "5"}),
+         algorithm="qss", seed_flag=True)
+@example(case=("sweep-value", {"budgets": "100, 1000,"}), algorithm="qss", seed_flag=True)
+def test_config_fuzz_exit_codes(case, algorithm, seed_flag):
+    command, config = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_bytes("".join(f"{k} = {v}\n" for k, v in config.items()).encode())

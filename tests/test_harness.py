@@ -16,8 +16,7 @@ from qmean.harness import (
     build_teaser_image,
     calibrate_optimal_k,
     calibration_rows,
-    config_floats,
-    config_ints,
+    config_list,
     default_regions,
     fast_qcoin_estimate,
     fit_loglog_slope,
@@ -29,6 +28,7 @@ from qmean.harness import (
     qss_theoretical_distribution,
     read_pgm,
     report_resources,
+    run_convergence_sweep,
     run_delta_scaling_sweep,
     run_supersample,
     run_value_sweep,
@@ -205,6 +205,24 @@ class TestSweepSpec:
     def test_repetitions_positive(self):
         with pytest.raises(ValueError):
             SweepSpec(algorithms=["qss"], budgets=[100], repetitions=0)
+
+    @pytest.mark.parametrize("algorithms", [[], ["qss", " qcoin"], ["bogus"]])
+    def test_algorithms_one_or_more_known(self, algorithms):
+        with pytest.raises(ValueError, match="algorithms"):
+            SweepSpec(algorithms=algorithms, budgets=[100])
+
+
+class TestConvergenceSweep:
+    @pytest.mark.parametrize("dropped", [{"f_values": [0.5]}, {"noise": HARDWARE_PRESET}])
+    def test_refuses_what_it_would_drop(self, dropped):
+        # qss and qcoin draw their own means and take no noise
+        spec = SweepSpec(algorithms=["qss"], budgets=[100, 1000], **dropped)
+        with pytest.raises(ValueError, match=next(iter(dropped))):
+            run_convergence_sweep(spec)
+
+    def test_takes_a_noise_model_of_zero_rates(self):
+        spec = SweepSpec(algorithms=["qss"], budgets=[100, 1000], noise=NoiseModel(0, 0, 0))
+        assert len(run_convergence_sweep(spec)["rows"]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -430,17 +448,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("just words\n")
 
-    def test_config_ints(self):
+    def test_config_list_of_ints(self):
         cfg = {"budgets": "100, 1000"}
-        assert config_ints(cfg, "budgets") == [100, 1000]
-        assert config_ints(cfg, "missing", [7]) == [7]
+        assert config_list(cfg, "budgets", int) == [100, 1000]
+        assert config_list(cfg, "missing", int, [7]) == [7]
         with pytest.raises(ConfigError):
-            config_ints(cfg, "missing")
+            config_list(cfg, "missing", int)
         with pytest.raises(ConfigError):
-            config_ints({"budgets": "a,b"}, "budgets")
+            config_list({"budgets": "a,b"}, "budgets", int)
 
-    def test_config_floats(self):
-        assert config_floats({"f": "0.5,0.9"}, "f") == [0.5, 0.9]
+    def test_config_list_of_floats(self):
+        assert config_list({"f": "0.5,0.9"}, "f", float) == [0.5, 0.9]
+
+    def test_config_list_strips_items_and_skips_empty_ones(self):
+        cfg = {"algorithms": " qss ,qcoin,", "budgets": ""}
+        assert config_list(cfg, "algorithms", str) == ["qss", "qcoin"]
+        assert config_list(cfg, "budgets", int, [7]) == []
 
     def test_noise_from_config(self):
         assert noise_from_config({}).is_zero

@@ -204,6 +204,38 @@ class TestHadamardKernel:
         with pytest.raises(SimulatorError, match="repeated"):
             hadamard_kernels(3, [0, 1], [1])
 
+    @staticmethod
+    def _cases():
+        # every target set on at most four qubits, given in a shuffled order, with every
+        # set of controls among the other qubits: one chunk each
+        rng = np.random.default_rng(7)
+        for n in range(1, 5):
+            for mask in range(1, 1 << n):
+                targets = [q for q in range(n) if mask >> q & 1]
+                others = [q for q in range(n) if not mask >> q & 1]
+                for cmask in range(1 << len(others)):
+                    controls = [q for i, q in enumerate(others) if cmask >> i & 1]
+                    yield n, [int(q) for q in rng.permutation(targets)], controls, [targets]
+        # registers past one chunk split into near-equal runs of the sorted targets
+        yield 5, [4, 0, 3, 1, 2], [], [[0, 1], [2, 3, 4]]
+        yield 9, list(range(8)), [8], [[0, 1, 2, 3], [4, 5, 6, 7]]
+        yield 9, list(range(9))[::-1], [], [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+
+    def test_builds_each_chunk_exactly(self):
+        # this order of chunks, matrices and targets fixes every floating-point sum
+        for n, targets, controls, chunks in self._cases():
+            kernels = hadamard_kernels(n, targets, controls)
+            assert len(kernels) == len(chunks)
+            for kernel, chunk in zip(kernels, chunks):
+                d = 1 << len(chunk)
+                # H^(x)c: (-1)^popcount(i & j) / sqrt(2^c), as float64
+                signs = [[(-1.0) ** bin(i & j).count("1") for j in range(d)] for i in range(d)]
+                expected = MatrixKernel(n, np.array(signs) / np.sqrt(d), chunk[::-1], controls)
+                assert kernel.gate.dtype == np.float64
+                assert np.array_equal(kernel.gate, expected.gate)
+                # the chunk's targets given highest first
+                assert kernel.perm == expected.perm and kernel.index == expected.index
+
 
 class TestKernelMatrix:
     @pytest.mark.parametrize("kernel", [
