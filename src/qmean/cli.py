@@ -67,6 +67,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _clear_config_echo(out: Path):
+    """Remove an earlier run's ``effective-config.txt`` before the first
+    output is written.  ``_echo_config`` writes it after every other output,
+    so it marks a complete output set, also when a write fails part way."""
+    (out / "effective-config.txt").unlink(missing_ok=True)
+
+
 def _echo_config(out: Path, effective: dict):
     lines = [f"{k} = {v}" for k, v in sorted(effective.items())]
     (out / "effective-config.txt").write_text("\n".join(lines) + "\n")
@@ -159,6 +166,7 @@ def cmd_sweep_value(args):
         seed_base=seed,
     )
     rows = harness.run_value_sweep(spec)
+    _clear_config_echo(out)
     harness.write_csv(out / "value-sweep.csv", rows)
     _echo_config(out, {**cfg, "seed": seed})
     print(f"wrote {out / 'value-sweep.csv'} ({len(rows)} rows)")
@@ -180,6 +188,7 @@ def cmd_sweep_convergence(args):
         seed_base=seed,
     )
     result = harness.run_convergence_sweep(spec)
+    _clear_config_echo(out)
     harness.write_csv(out / "convergence.csv", result["rows"])
     if result["optimal_k_table"]:
         harness.write_csv(out / "optimal-k.csv",
@@ -221,6 +230,7 @@ def cmd_supersample(args):
         seed_base=seed,
     )
     result = harness.run_supersample(job)
+    _clear_config_echo(out)
     harness.write_pgm(out / f"supersampled-{args.algorithm}.pgm", result.estimated)
     harness.write_pgm(out / "ideal.pgm", result.ideal)
     harness.write_csv(

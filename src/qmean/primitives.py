@@ -2,11 +2,13 @@
 description of each circuit.
 
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
-ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (the
-oracle supplies Q; every other op is lowered once per process) and
-``run_circuit`` applies the kernels in place, each register of H as a few
-dense products and each small repeated block as one matrix power
-(``FusedRepeat``), built the first time it runs.  The estimators run these
+ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (every
+op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
+supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
+each register of H as a few dense products, each amplification step's S,
+RZERO, S^-1 as one reflection (``ReflectionKernel``) and each small repeated
+block as one matrix power (``FusedRepeat``), the last two built the first
+time they run.  The estimators run these
 circuits; the noise layer evaluates them op by op, ``dump_circuit`` prints
 them and the resource report counts them.  The dense gates (``oracle_gate``
 and the reflections) and ``dft_matrix`` are the tests' references.
@@ -19,6 +21,7 @@ occupies the indices above the target.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -209,24 +212,27 @@ class Circuit:
     """A straight-line list of ops and repeated blocks.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
-    ``schedule`` is what ``run_circuit`` runs; ``bind`` builds it, and adding
-    an op clears it.
+    ``schedule`` is what ``run_circuit`` runs; ``bind`` builds it from
+    ``template`` (``_Template``), which a circuit from ``coin_circuit``,
+    ``qss_circuit`` or ``bind`` shares with every circuit of its shape.
+    Adding an op clears both.
     """
 
     n_qubits: int
     ops: list[CircuitOp | Repeat] = field(default_factory=list)
     measured_qubits: Sequence[int] = ()
     schedule: list | None = field(default=None, repr=False, compare=False)
+    template: _Template | None = field(default=None, repr=False, compare=False)
 
     def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
         self.ops.append(CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate))
-        self.schedule = None
+        self.schedule = self.template = None
         return self
 
     def measure(self, qubits: Sequence[int]):
         self.ops.append(CircuitOp("M", tuple(qubits)))
         self.measured_qubits = list(qubits)
-        self.schedule = None
+        self.schedule = self.template = None
         return self
 
     def counted_ops(self):
@@ -241,13 +247,7 @@ class Circuit:
     def check_size(self, on_statevector: bool = False):
         """Refuse past MAX_CIRCUIT_OPS ops and, for a statevector run, past
         MAX_AMPLITUDE_WORK amplitude updates."""
-        size = sum(count for _, count in self.counted_ops())
-        if size > MAX_CIRCUIT_OPS:
-            raise ValueError(f"circuit has {size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
-        work = size << self.n_qubits
-        if on_statevector and work > MAX_AMPLITUDE_WORK:
-            raise ValueError(f"circuit needs {size} ops x 2^{self.n_qubits} amplitudes = {work} "
-                             f"amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
+        (self.template or _Template(self)).check_size(on_statevector)
 
     def expand(self) -> list[CircuitOp]:
         """The ops in run order, repeats expanded; refused past MAX_CIRCUIT_OPS."""
@@ -259,57 +259,174 @@ class Circuit:
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
         """The same circuit with every op but ``M`` lowered to a kernel, and
-        its run schedule (``_schedule``).
+        its run schedule, made from its template (``_Template.bind``): the
+        one of its shape, or one made for this call.  ``oracle`` supplies Q
+        and Q_INV.  Refused past MAX_CIRCUIT_OPS."""
+        return (self.template or _Template(self)).bind(oracle)
 
-        Each distinct op (name, targets, controls, angle, user matrix) is
-        lowered once (``_bind_op``); ``oracle`` supplies Q and Q_INV, lowered
-        per call.  An op that needs neither the oracle nor a user matrix is
-        lowered once per process and register size, and every circuit shares
-        its kernel.  Ops already lowered keep their kernel.  A small repeated
-        block also runs as one matrix, built from ``oracle`` at its first run
-        (``FusedRepeat``).  Refused past MAX_CIRCUIT_OPS.
-        """
+
+def _needs_oracle(op: CircuitOp) -> bool:
+    """Q or Q_INV from its formula, not lowered yet."""
+    return op.kernel is None and op.gate is None and op.name in ("Q", "Q_INV")
+
+
+class _Template:
+    """A circuit bound to no oracle yet: every op but Q and Q_INV lowered to
+    its kernel, one per distinct op (an op lowered before keeps its kernel),
+    and the run schedule (``_schedule``) with a ``_Slot`` for each step that
+    needs the oracle.
+
+    ``bind`` lowers Q and Q_INV at each of their placements and fills the
+    slots; no other op is lowered again.  The op counts that ``run_circuit``
+    adds to ``WORK`` and the ledger, and the size the caps check, are
+    computed here once.  The lowering waits for the first bind, since
+    ``resources`` and ``dump-circuit`` build circuits they never bind.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.n_qubits, self.nodes = circuit.n_qubits, list(circuit.ops)
+        self.measured_qubits = list(circuit.measured_qubits)
+        self.counts: Counter = Counter()  # ops by name, M included
+        for op, count in circuit.counted_ops():
+            if count:
+                self.counts[op.name] += count
+        self.size = self.counts.total()
+        self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
+        self.queries = self.counts["Q"] + self.counts["Q_INV"]
+        self.ops: list | None = None  # the lowered nodes, set by the first bind
+
+    def check_size(self, on_statevector: bool = False):
+        if self.size > MAX_CIRCUIT_OPS:
+            raise ValueError(f"circuit has {self.size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
+        work = self.size << self.n_qubits
+        if on_statevector and work > MAX_AMPLITUDE_WORK:
+            raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
+                             f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
+
+    def bind(self, oracle: OracleSpec | None, rotation: tuple | None = None) -> Circuit:
+        """The circuit bound to ``oracle``; ``rotation`` is the oracle's
+        ``_rotation``, when the caller has it."""
         self.check_size()
-        n = self.n_qubits
-        kernels: dict = {}
+        if self.ops is None:
+            self._lower()
+        binding = _Binding(oracle, rotation)
+        binding.kernels = self._oracle_kernels(binding)
+        ops = list(self.ops)
+        for i, j in self.sites:  # each Q and Q_INV op gets its kernel
+            node = ops[i]
+            if j is None:
+                ops[i] = binding.lowered(node)
+                continue
+            if node is self.ops[i]:
+                node = ops[i] = Repeat(list(node.ops), node.count)
+            node.ops[j] = binding.lowered(node.ops[j])
+        return Circuit(self.n_qubits, ops, self.measured_qubits, _fill(self.steps, binding), self)
+
+    def _lower(self):
+        n, lowered = self.n_qubits, {}
+
+        def lower(op: CircuitOp) -> CircuitOp:
+            if op.kernel is None and op.name != "M" and not _needs_oracle(op):
+                if op not in lowered:
+                    lowered[op] = op.lowered(_lower_op(op, n))
+                return lowered[op]
+            return op
+
         # a block repeated zero times never runs, so it gets no kernels
-        ops = [Repeat([_bind_op(op, n, oracle, kernels) for op in node.ops], node.count)
-               if isinstance(node, Repeat) else _bind_op(node, n, oracle, kernels)
-               for node in self.ops if getattr(node, "count", 1)]
-        return Circuit(n, ops, self.measured_qubits, _schedule(ops, n, oracle))
+        ops = [Repeat([lower(op) for op in node.ops], node.count)
+               if isinstance(node, Repeat) else lower(node)
+               for node in self.nodes if getattr(node, "count", 1)]
+        sites, placements = [], {}
+        for i, node in enumerate(ops):
+            for j, op in (enumerate(node.ops) if isinstance(node, Repeat) else [(None, node)]):
+                if _needs_oracle(op):
+                    sites.append((i, j))
+                    if (op.targets, op.controls) not in placements:
+                        placements[op.targets, op.controls] = _placement(op.targets, op.controls, n)
+        self.steps = _schedule(self.nodes, n, lower, [])
+        self.sites, self.placements, self.ops = sites, placements, ops
+
+    def _oracle_kernels(self, binding: _Binding) -> dict:
+        """Q and Q_INV at each placement, keyed by (name, targets, controls)."""
+        if not self.placements:
+            return {}
+        oracle = binding.oracle
+        if oracle is None:
+            raise OracleError("binding Q needs an oracle")
+        kernels = {}
+        for (targets, controls), (n_inputs, bins, lo, hi) in self.placements.items():
+            if n_inputs != oracle.n_input_qubits:
+                raise OracleError(f"Q on {n_inputs} input qubits, oracle has {oracle.n_input_qubits}")
+            if binding.rotation is None:
+                binding.rotation = _rotation(oracle)
+            c, s = binding.rotation
+            q = PairKernel(self.n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+            kernels["Q", targets, controls], kernels["Q_INV", targets, controls] = q, q.inverse()
+        return kernels
 
 
-# Lowered once per process, keyed by op and register size: bound ops that
-# depend on neither an oracle nor a user matrix, fused H registers and the
-# oracle's bin index per placement.  Bounded by the distinct ops a process
-# runs; the kernels hold only basic indices and constants.
-_SHARED: dict = {}
+# One template per circuit shape: ("qcoin", n_input, m), ("qss", n_input, P)
+# or ("prepare", n_input).  Bounded by the shapes a process builds; each holds
+# index tuples, small dense matrices and, per placement of Q, an index array of
+# the oracle's N bins.
+_SHAPES: dict = {}
 
 
-def _bind_op(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dict) -> CircuitOp:
-    """``op`` with its kernel on an n-qubit register: shared across the
-    process when it needs neither the oracle nor a user matrix, else lowered
-    once per ``kernels``."""
-    if op.kernel is not None or op.name == "M":
-        return op
-    if op.gate is None and op.name not in ("Q", "Q_INV"):
-        shared = _SHARED.get((op, n_qubits))
-        if shared is None:
-            shared = _SHARED[op, n_qubits] = op.lowered(_lower(op, n_qubits, None, kernels))
-        return shared
-    if op not in kernels:
-        kernels[op] = _lower(op, n_qubits, oracle, kernels)
-    return op.lowered(kernels[op])
+def _shaped(key: tuple, build) -> Circuit:
+    """A new circuit of the shape ``key``, built by ``build`` the first time
+    and bound through the shape's one template."""
+    template = _SHAPES.get(key)
+    if template is None:
+        template = _SHAPES[key] = _Template(build())
+    return Circuit(template.n_qubits, list(template.nodes), template.measured_qubits,
+                   template=template)
 
 
-def _schedule(nodes, n_qubits: int, oracle: OracleSpec | None = None) -> list:
-    """The run steps of a list of bound ops: a kernel to apply, an ``M`` op,
-    a small repeated block as one ``FusedRepeat`` (``_fused_qubits``), or any
-    other repeated block as (its steps, count).  Each maximal run of formula
-    H ops with the same controls and distinct targets is a few shared dense
-    kernels (``hadamard_kernels``)."""
+@dataclass
+class _Binding:
+    """One bind: the oracle and its ``_rotation``, its Q and Q_INV kernels by
+    (name, targets, controls), and the squares that fused blocks of equal
+    ops share."""
+
+    oracle: OracleSpec | None
+    rotation: tuple | None
+    kernels: dict = field(default_factory=dict)
+    squares: dict = field(default_factory=dict)
+
+    def lowered(self, op: CircuitOp) -> CircuitOp:
+        return op.lowered(self.kernels[op.name, op.targets, op.controls])
+
+
+class _Slot:
+    """A schedule step that needs the oracle: ``make(binding)`` builds it."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _fill(steps: list, binding: _Binding) -> list:
+    return [step.make(binding) if isinstance(step, _Slot) else step for step in steps]
+
+
+def _has_slot(steps: list) -> bool:
+    return any(isinstance(step, _Slot) for step in steps)
+
+
+def _schedule(nodes, n_qubits: int, lower, fused: list) -> list:
+    """The run steps of a list of ops, each op lowered by ``lower``: a
+    kernel, an ``M`` op, a small repeated block as one ``FusedRepeat``
+    (``_fused_qubits``), or any other repeated block as (its steps, count).
+    Each maximal run of formula H ops with the same controls and distinct
+    targets is a few dense kernels (``hadamard_kernels``), and each RZERO
+    framed by ops S and their mirror S^-1 (``_mirror_depth``) is one
+    ``ReflectionKernel``.  A step that needs the oracle is a ``_Slot``.
+    ``fused`` lists (local ops, template, squares) of the fused blocks so
+    far, so that blocks whose ops differ only in their controls share them.
+    """
     runs = []  # each a node, or [controls, targets, first op] of a run of H ops
     for node in nodes:
+        if isinstance(node, Repeat) and not node.count:
+            continue
         if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
             last = runs[-1] if runs else None
             if isinstance(last, list) and last[0] == node.controls and node.targets[0] not in last[1]:
@@ -317,40 +434,157 @@ def _schedule(nodes, n_qubits: int, oracle: OracleSpec | None = None) -> list:
                 continue
             node = [node.controls, [node.targets[0]], node]
         runs.append(node)
-    steps = []
-    powers: list = []  # shared by this schedule's fused blocks
-    for item in runs:
-        if isinstance(item, Repeat):
-            qubits = _fused_qubits(item, oracle)
-            steps.append((_schedule(item.ops, n_qubits), item.count) if qubits is None
-                         else FusedRepeat(item, qubits, n_qubits, oracle, powers))
-        elif isinstance(item, CircuitOp):
-            steps.append(item if item.name == "M" else item.kernel)
-        elif len(item[1]) == 1:
-            steps.append(item[2].kernel)
+    items, floor, r = [], 0, 0  # a reflection is the item (RZERO op, mirror runs)
+    while r < len(runs):
+        depth = _mirror_depth(runs, r, floor)
+        if depth:
+            del items[len(items) - depth:]
+            items.append((runs[r], runs[r + 1:r + 1 + depth]))
+            r = floor = r + 1 + depth
         else:
-            key = ("H", tuple(item[1]), item[0], n_qubits)
-            if key not in _SHARED:
-                _SHARED[key] = hadamard_kernels(n_qubits, key[1], key[2])
-            steps.extend(_SHARED[key])
-    return steps
+            items.append(runs[r])
+            r += 1
+
+    def steps_of(item) -> list:
+        if isinstance(item, Repeat):
+            return [_repeat_step(item, n_qubits, lower, fused)]
+        if isinstance(item, tuple):
+            centre, after = item
+            mirror = [step for run in after for step in steps_of(run)]
+            kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror)
+            if _has_slot(mirror):
+                return [_Slot(lambda binding: kernel.with_mirror(_fill(mirror, binding)))]
+            return [kernel]
+        if isinstance(item, list):
+            return (steps_of(item[2]) if len(item[1]) == 1
+                    else hadamard_kernels(n_qubits, item[1], item[0]))
+        if item.name == "M":
+            return [item]
+        if _needs_oracle(item):
+            return [_Slot(lambda binding: binding.kernels[item.name, item.targets, item.controls])]
+        return [lower(item).kernel]
+
+    return [step for item in items for step in steps_of(item)]
+
+
+def _repeat_step(block: Repeat, n_qubits: int, lower, fused: list):
+    """A repeated block's one step: a ``FusedRepeat`` when ``_fused_qubits``
+    allows, else (its steps, count)."""
+    qubits = _fused_qubits(block)
+    if qubits is None:
+        body = _schedule(block.ops, n_qubits, lower, fused)
+        if _has_slot(body):
+            return _Slot(lambda binding: (_fill(body, binding), block.count))
+        return body, block.count
+    local = {q: j for j, q in enumerate(qubits)}
+    ops = [CircuitOp(op.name, tuple([local[q] for q in op.targets]), (), op.angle, op.gate)
+           for op in block.ops]
+    for other, template, squares in fused:
+        if other == ops:
+            break
+    else:
+        template, squares = _Template(Circuit(len(qubits), ops)), []
+        fused.append((ops, template, squares))
+    controls = block.ops[0].controls
+    if any(map(_needs_oracle, ops)):
+        return _Slot(lambda binding: FusedRepeat(
+            template, block.count, qubits, controls, n_qubits, binding,
+            binding.squares.setdefault(template, [])))
+    return FusedRepeat(template, block.count, qubits, controls, n_qubits, _Binding(None, None),
+                       squares)
+
+
+def _mirror_depth(runs: list, r: int, floor: int) -> int:
+    """How many runs on each side of ``runs[r]`` make S, RZERO, S^-1: S
+    starts at ``floor`` or later and its mirror follows RZERO in reverse
+    order (an H run for one on the same qubits, Q for Q_INV and Q_INV for
+    Q), every op a formula op under RZERO's controls and on its targets.
+    0 unless ``runs[r]`` is a formula RZERO."""
+    centre = runs[r]
+    if not (isinstance(centre, CircuitOp) and centre.name == "RZERO" and centre.gate is None):
+        return 0
+    inside = set(centre.targets)
+
+    def mirrored(a, b) -> bool:
+        if isinstance(a, list) and isinstance(b, list):  # H runs
+            return a[0] == b[0] == centre.controls and set(a[1]) == set(b[1]) <= inside
+        return (isinstance(a, CircuitOp) and isinstance(b, CircuitOp)
+                and _needs_oracle(a) and _needs_oracle(b) and {a.name, b.name} == {"Q", "Q_INV"}
+                and a.targets == b.targets and a.controls == b.controls == centre.controls
+                and set(a.targets) <= inside)
+
+    depth = 0
+    while (floor < r - depth and r + depth + 1 < len(runs)
+           and mirrored(runs[r - depth - 1], runs[r + depth + 1])):
+        depth += 1
+    return depth
+
+
+class ReflectionKernel(MatrixKernel):
+    """2|a><a| - I on the target qubits where every control is |1>: the ops
+    S, RZERO, S^-1 of a schedule as one rank-one update, O(2^n) per call.
+
+    a = S^-1 |0> comes from ``mirror``, the lowered steps of S^-1, applied
+    to |0> at the first call, so a bound circuit that never runs on the
+    statevector (the noise layer's) pays only for this object.  ``gate``
+    holds a, real (float64) when every entry is.
+    """
+
+    def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
+                 mirror: list):
+        super().__init__(n_qubits, None, targets, controls)
+        self.controls, self.mirror = controls, mirror
+        # with no controls and the targets in order, ``columns`` is a view of psi
+        self.in_place = not controls and self.perm == tuple(sorted(self.perm))
+
+    def with_mirror(self, mirror: list) -> "ReflectionKernel":
+        """The same reflection about S^-1 |0> for other steps of S^-1."""
+        kernel = copy.copy(self)
+        kernel.mirror, kernel.gate = mirror, None
+        return kernel
+
+    def __call__(self, psi: np.ndarray):
+        if self.gate is None:
+            self._build()
+        sub, x = self.columns(psi, self.real)
+        new = self.twice * (self.bra @ x)
+        if self.in_place:
+            np.subtract(new, x, out=x)
+        else:
+            new -= x
+            sub[...] = new.view(np.complex128).reshape(sub.shape)
+
+    def _build(self):
+        amps = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+        amps[sum(1 << q for q in self.controls)] = 1.0
+        psi = qubit_axes(amps, self.n_qubits)
+        for step in self.mirror:
+            step(psi)
+        a = self.columns(psi, False)[1][:, 0]
+        self.real = not a.imag.any()
+        self.gate = a.real.copy() if self.real else a.copy()
+        self.bra, self.twice = self.gate.conj(), 2.0 * self.gate[:, None]
 
 
 # Most qubits a repeated block may act on, besides its controls, to run as one
 # FusedRepeat.  Its 2^k x 2^k matrix and the squarings cost O(8^k) once per
 # run and 2^k updates per amplitude per call, against one call per op per
-# repeat.  Break-even, measured in process (min of 9 rounds, 2-core Xeon,
-# Python 3.11.7, NumPy 2.4.6): at 6, qcoin N=32 m=1,2,4,8,16 takes 1.9 ms
-# (3.6 ms per op) and qss P=64 N=32 2.6 ms (11.2 ms); at 7, qcoin N=64 takes
-# 5.2 ms against 3.7 ms per op.
+# repeat, where each G is two steps (FLIP_HEAD or Z, and a ReflectionKernel).
+# Measured in process, one estimate (min of 11 rounds, 2-core Xeon, Python
+# 3.11.7, NumPy 2.4.6), fused against step by step: qss P=64 at N=16/32/64
+# (5/6/7 qubits) 1.7/2.1/5.1 ms against 3.0/4.4/7.5 ms, since its blocks share
+# U and raise it to 2^j; qcoin k=5 at N=16/32/64 2.0/3.0/4.2 ms against
+# 1.9/2.4/2.4 ms, since every bind builds its one block's U again.  So the
+# limit trades qss against qcoin, and 6 stays: 7 would cost qcoin N=64 more
+# than it saves qss at N=64, and 5 would cost qss N=32 more than it saves qcoin.
 FUSE_MAX_QUBITS = 6
 
 
-def _fused_qubits(block: Repeat, oracle: OracleSpec | None) -> list[int] | None:
+def _fused_qubits(block: Repeat) -> list[int] | None:
     """The qubits a repeated block acts on, lowest first, when it runs as one
     ``FusedRepeat``: it repeats more than once, every op has the same
-    controls and none is ``M``, it acts on at most FUSE_MAX_QUBITS qubits
-    besides them, and there is an oracle for Q and Q_INV.  Otherwise None.
+    controls, none is ``M`` or already lowered, and it acts on at most
+    FUSE_MAX_QUBITS qubits besides them.  Otherwise None.
 
     A block run once is not fused: building its matrix costs more than its
     ops (qcoin N=16 at m=1: 0.37 against 0.30 ms in process)."""
@@ -359,8 +593,7 @@ def _fused_qubits(block: Repeat, oracle: OracleSpec | None) -> list[int] | None:
     controls = block.ops[0].controls
     qubits: set = set()
     for op in block.ops:
-        if op.name == "M" or op.controls != controls or (
-                oracle is None and op.name in ("Q", "Q_INV")):
+        if op.name == "M" or op.controls != controls or op.kernel is not None:
             return None
         qubits.update(op.targets)
     return sorted(qubits) if len(qubits) <= FUSE_MAX_QUBITS else None
@@ -372,53 +605,43 @@ class FusedRepeat:
 
     Nothing is built until the first call, so a bound circuit that never
     runs on the statevector (the noise layer's) pays only for this object.
-    U comes from the block's ops lowered on their own k-qubit register, with
-    no controls (``_block_matrix``); U^count is a product of the squares
-    U^(2^j), which ``powers`` shares with every block of the same schedule
-    whose ops differ only in their controls.
+    U is the block's ops on their own k-qubit register, with no controls
+    (``template``), bound to the oracle of ``binding`` (``_block_matrix``); U^count is a
+    product of the squares U^(2^j), which ``squares`` shares with every block
+    of the same bind whose ops differ only in their controls.
     """
 
-    def __init__(self, block: Repeat, qubits: list[int], n_qubits: int,
-                 oracle: OracleSpec | None, powers: list):
-        self.block, self.qubits, self.n_qubits = block, qubits, n_qubits
-        self.oracle, self.powers = oracle, powers
+    def __init__(self, template: _Template, count: int, qubits: list[int],
+                 controls: tuple[int, ...], n_qubits: int, binding: _Binding, squares: list):
+        self.template, self.count, self.qubits, self.controls = template, count, qubits, controls
+        self.n_qubits, self.binding, self.squares = n_qubits, binding, squares
         self.kernel: MatrixKernel | None = None
 
     def __call__(self, psi: np.ndarray):
         if self.kernel is None:
-            self.kernel = MatrixKernel(self.n_qubits, self._matrix(), self.qubits,
-                                       self.block.ops[0].controls)
+            self.kernel = MatrixKernel(self.n_qubits, self._matrix(), self.qubits, self.controls)
         self.kernel(psi)
 
     def _matrix(self) -> np.ndarray:
-        if len(self.qubits) == self.n_qubits:
-            ops = self.block.ops  # already lowered on the block's own register
-        else:
-            local = {q: j for j, q in enumerate(self.qubits)}
-            ops = [CircuitOp(op.name, tuple([local[q] for q in op.targets]), (), op.angle, op.gate)
-                   for op in self.block.ops]
-        for other, squares in self.powers:
-            if other == ops:
-                break
-        else:
-            squares = [_block_matrix(ops, len(self.qubits), self.oracle)]
-            self.powers.append((ops, squares))
-        result, count = None, self.block.count
-        for j in range(count.bit_length()):
+        squares = self.squares
+        if not squares:
+            squares.append(_block_matrix(self.template, self.binding))
+        result = None
+        for j in range(self.count.bit_length()):
             if j == len(squares):
                 squares.append(squares[-1] @ squares[-1])
-            if count >> j & 1:
+            if self.count >> j & 1:
                 result = squares[j] if result is None else squares[j] @ result
         return result
 
 
-def _block_matrix(ops: list[CircuitOp], n_qubits: int, oracle: OracleSpec | None) -> np.ndarray:
-    """The matrix of uncontrolled ops on an n-qubit register: their schedule
-    applied to the identity; real (float64) when every entry is."""
-    kernels: dict = {}
-    full = np.eye(1 << n_qubits, dtype=np.complex128)
-    psi = qubit_axes(full, n_qubits)
-    for step in _schedule([_bind_op(op, n_qubits, oracle, kernels) for op in ops], n_qubits):
+def _block_matrix(template: _Template, binding: _Binding) -> np.ndarray:
+    """The matrix of a template's uncontrolled ops: its schedule, bound to
+    the oracle of ``binding``, applied to the identity; real (float64) when
+    every entry is."""
+    full = np.eye(1 << template.n_qubits, dtype=np.complex128)
+    psi = qubit_axes(full, template.n_qubits)
+    for step in template.bind(binding.oracle, binding.rotation).schedule:
         step(psi)
     return full if full.imag.any() else full.real.copy()
 
@@ -426,14 +649,14 @@ def _block_matrix(ops: list[CircuitOp], n_qubits: int, oracle: OracleSpec | None
 _H = 1.0 / math.sqrt(2.0)
 
 
-def _lower(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dict) -> Kernel:
-    """The kernel of one op on an n-qubit register, from its formula.
+def _lower_op(op: CircuitOp, n_qubits: int) -> Kernel:
+    """The kernel of one op other than Q and Q_INV on an n-qubit register,
+    from its formula.
 
     H and SWAP are pair kernels; Z, CPHASE, RZERO (2|0><0| - I) and
     FLIP_HEAD (I - 2|1>|0..0><..|, the last target the 1) are sign or phase
-    multiplies; Q and Q_INV are the oracle's per-bin rotation (``_oracle_kernel``),
-    Q_INV the inverse of the Q in ``kernels``.  An op with a user matrix is
-    lowered by ``lower_gate``.  Every op acts only where its controls are |1>.
+    multiplies.  An op with a user matrix is lowered by ``lower_gate``.
+    Every op acts only where its controls are |1>.
     """
     if op.gate is not None:
         return lower_gate(op.gate, op.targets, op.controls, n_qubits)
@@ -444,13 +667,6 @@ def _lower(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dic
         return qubit_index(n_qubits, {**on, **dict(zip(op.targets, bits))})
 
     zeros = (0,) * (len(op.targets) - 1)
-    if op.name == "Q":
-        return _oracle_kernel(oracle, op.targets, op.controls, n_qubits)
-    if op.name == "Q_INV":
-        q = CircuitOp("Q", op.targets, op.controls)
-        if q not in kernels:
-            kernels[q] = _lower(q, n_qubits, oracle, kernels)
-        return kernels[q].inverse()
     if op.name == "H":
         return PairKernel(n_qubits, at(0), at(1), _H, _H, _H, -_H)
     if op.name == "SWAP":
@@ -466,34 +682,32 @@ def _lower(op: CircuitOp, n_qubits: int, oracle: OracleSpec | None, kernels: dic
     raise SimulatorError(f"op {op.name!r} has no formula and no matrix")
 
 
-def _oracle_kernel(oracle: OracleSpec | None, targets: tuple[int, ...], controls: tuple[int, ...],
-                   n_qubits: int) -> PairKernel:
-    """Q on (inputs, target) as a pair kernel: on each pair (i, i | 1<<target)
-    the rotation (c, -s; s, c) of its bin, the bin gathered from the input bits
-    of i (``inputs[0]`` least significant).  The coefficients hold one value
-    per bin, shaped to broadcast over the pairs: O(N) memory, no 2N x 2N matrix.
-    """
+def _placement(targets: tuple[int, ...], controls: tuple[int, ...], n_qubits: int) -> tuple:
+    """Q on (inputs, target) before an oracle is known: the number of
+    inputs, each pair's bin (gathered from the input bits, ``inputs[0]``
+    least significant, shaped to broadcast over the pairs), and the pair
+    indices (lo, hi) of ``PairKernel``.  O(N) memory, no 2N x 2N matrix."""
+    check_qubits(n_qubits, targets, controls)
     *inputs, target = targets
-    if oracle is None:
-        raise OracleError("binding Q needs an oracle")
-    if len(inputs) != oracle.n_input_qubits:
-        raise OracleError(f"Q on {len(inputs)} input qubits, oracle has {oracle.n_input_qubits}")
+    # axes of the pair view: the free qubits, highest first, then the columns
+    axes = [q for q in reversed(range(n_qubits)) if q != target and q not in controls] + [None]
+    bins = sum((np.arange(2) << j).reshape([2 if a == q else 1 for a in axes])
+               for j, q in enumerate(inputs))
+    on = dict.fromkeys(controls, 1)
+    lo, hi = (qubit_index(n_qubits, {**on, target: bit}) for bit in (0, 1))
+    return len(inputs), bins, lo, hi
+
+
+def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each bin's rotation: Q turns the pair (i, i | 1<<target)
+    by (c, -s; s, c)."""
     # libm per element, not NumPy's SIMD functions, which can differ in the last bit
     theta = list(map(math.asin, np.clip(oracle.target_amplitudes(), -1.0, 1.0).tolist()))
     c = np.fromiter(map(math.cos, theta), float, len(theta))
     s = np.fromiter(map(math.sin, theta), float, len(theta))
     if np.abs(c * c + s * s - 1.0).max() > UNITARY_TOL:
         raise SimulatorError("oracle rotation is not unitary")
-    bins = _SHARED.get(("bins", targets, controls, n_qubits))
-    if bins is None:
-        # axes of the pair view: the free qubits, highest first, then the columns
-        axes = [q for q in reversed(range(n_qubits)) if q != target and q not in controls] + [None]
-        bins = _SHARED["bins", targets, controls, n_qubits] = sum(
-            (np.arange(2) << j).reshape([2 if a == q else 1 for a in axes])
-            for j, q in enumerate(inputs))
-    on = dict.fromkeys(controls, 1)
-    lo, hi = (qubit_index(n_qubits, {**on, target: bit}) for bit in (0, 1))
-    return PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+    return c, s
 
 
 @dataclass
@@ -526,12 +740,14 @@ def run_circuit(
     a generator it is skipped, which leaves the amplitudes the caller reads a
     distribution from.  Each Q or Q_INV is one query on ``ledger``; the ops
     applied and their amplitude updates are added to ``WORK``, one per op
-    (a register of H counts as its H ops).  Refused past MAX_AMPLITUDE_WORK
-    before the state is allocated.
+    (a register of H counts as its H ops, a reflection as the ops it
+    replaces), from the counts of the circuit's template.  Refused past
+    MAX_AMPLITUDE_WORK before the state is allocated.
     """
     if circuit.schedule is None:
         raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
-    circuit.check_size(on_statevector=True)
+    template = circuit.template
+    template.check_size(on_statevector=True)
     n = circuit.n_qubits
     amps = (StateVector.zero(n) if state is None else state).amplitudes.copy()
     psi = qubit_axes(amps, n)
@@ -543,14 +759,11 @@ def run_circuit(
             outcomes.append(measure(StateVector(n, amps), step.targets, rng))
             amps = outcomes[-1].post_state.amplitudes.copy()
             psi = qubit_axes(amps, n)
-    applied = Counter()
-    for op, count in circuit.counted_ops():
-        if op.name != "M" or rng is not None:
-            applied[op.name] += count
+    applied = template.counts if rng is not None else template.unmeasured
     WORK.ops.update(applied)
     WORK.amplitude_updates += applied.total() << n
     if ledger is not None:
-        ledger.add(applied["Q"] + applied["Q_INV"])
+        ledger.add(template.queries)
     return StateVector(n, amps), outcomes
 
 
@@ -616,11 +829,14 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
     Its head probability, outcome |1> (x) |0), is sin^2((2m+1) asin(mean - E))
     under a linear-amplitude oracle with offset E.
     """
-    inputs, target = _coin_layout(n_input)
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    ops = _prepare_ops("qcoin", inputs, target) + [Repeat(_g_block("qcoin", inputs, target), m)]
-    return Circuit(n_input + 1, ops).measure(inputs + (target,))
+    def build():
+        inputs, target = _coin_layout(n_input)
+        if m < 0:
+            raise ValueError(f"m must be non-negative, got {m}")
+        ops = _prepare_ops("qcoin", inputs, target) + [Repeat(_g_block("qcoin", inputs, target), m)]
+        return Circuit(n_input + 1, ops).measure(inputs + (target,))
+
+    return _shaped(("qcoin", n_input, m), build)
 
 
 def qss_circuit(n_input: int, resolution: int) -> Circuit:
@@ -630,16 +846,19 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     G^(2^j), a mid-circuit measurement of the target, the textbook transform
     of the register and its readout.  Query cost 2P - 1.
     """
-    inputs, target = _coin_layout(n_input)
-    if resolution < 2 or resolution & (resolution - 1):
-        raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
-    register = tuple(range(target + 1, target + resolution.bit_length()))
-    ops = _h(register) + _prepare_ops("qss", inputs, target)
-    ops += [Repeat(_g_block("qss", inputs, target, (ctrl,)), 1 << j)
-            for j, ctrl in enumerate(register)]
-    circuit = Circuit(target + len(register) + 1, ops).measure([target])
-    circuit.ops += _qft_ops(register)
-    return circuit.measure(register)
+    def build():
+        inputs, target = _coin_layout(n_input)
+        if resolution < 2 or resolution & (resolution - 1):
+            raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
+        register = tuple(range(target + 1, target + resolution.bit_length()))
+        ops = _h(register) + _prepare_ops("qss", inputs, target)
+        ops += [Repeat(_g_block("qss", inputs, target, (ctrl,)), 1 << j)
+                for j, ctrl in enumerate(register)]
+        circuit = Circuit(target + len(register) + 1, ops).measure([target])
+        circuit.ops += _qft_ops(register)
+        return circuit.measure(register)
+
+    return _shaped(("qss", n_input, resolution), build)
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -652,7 +871,8 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
     if oracle.offset != 0.0:
         raise OracleError("prepare_qss_state requires offset 0")
     inputs, target = _coin_layout(oracle.n_input_qubits)
-    circuit = Circuit(target + 1, _prepare_ops("qss", inputs, target))
+    circuit = _shaped(("prepare", target),
+                      lambda: Circuit(target + 1, _prepare_ops("qss", inputs, target)))
     return run_circuit(circuit.bind(oracle), ledger=ledger)[0]
 
 

@@ -4,8 +4,9 @@ An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or, for a dense
 gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
-applies H to a register of qubits (``hadamard_kernels``) and runs a small
-repeated block as one matrix power (see ``primitives``).
+applies H to a register of qubits (``hadamard_kernels``), runs a small
+repeated block as one matrix power and, as ``primitives.ReflectionKernel``,
+a reflection about one vector as a rank-one update.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -222,10 +223,10 @@ class MatrixKernel(Kernel):
     float64 columns.
     """
 
-    def __init__(self, n_qubits: int, gate: np.ndarray, targets: Sequence[int],
+    def __init__(self, n_qubits: int, gate: np.ndarray | None, targets: Sequence[int],
                  controls: Sequence[int] = ()):
         check_qubits(n_qubits, targets, controls)
-        self.n_qubits, self.gate = n_qubits, gate
+        self.n_qubits, self.gate, self.size = n_qubits, gate, 1 << len(targets)
         self.index = qubit_index(n_qubits, dict.fromkeys(controls, 1))
         # the axes of psi[index]: the free qubits, highest first, then the columns
         free = [q for q in reversed(range(n_qubits)) if q not in controls]
@@ -233,11 +234,16 @@ class MatrixKernel(Kernel):
         self.perm = tuple(first + [a for a in range(len(free) + 1) if a not in first])
 
     def __call__(self, psi: np.ndarray):
-        sub = psi[self.index].transpose(self.perm)
-        x = np.ascontiguousarray(sub).reshape(len(self.gate), -1)
-        if not np.iscomplexobj(self.gate):
-            x = x.view(np.float64)
+        sub, x = self.columns(psi, np.isrealobj(self.gate))
         sub[...] = (self.gate @ x).view(np.complex128).reshape(sub.shape)
+
+    def columns(self, psi: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The view of ``psi`` to write back to, with the target axes first,
+        and its amplitudes as a 2^k x rest matrix (a copy unless the view is
+        contiguous); as float64 (re, im) column pairs when ``real``."""
+        sub = psi[self.index].transpose(self.perm)
+        x = np.ascontiguousarray(sub).reshape(self.size, -1)
+        return sub, x.view(np.float64) if real else x
 
 
 # Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,

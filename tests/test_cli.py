@@ -383,6 +383,16 @@ class TestSupersample:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_IO
 
+    def test_failed_write_leaves_no_config_echo(self, tmp_path, capsys):
+        # effective-config.txt marks a complete output set: an earlier run's
+        # copy goes before the first write, and a failed write leaves none
+        out = tmp_path / "out"
+        (out / "region-mae.csv").mkdir(parents=True)
+        (out / "effective-config.txt").write_text("seed = 0\n")
+        code = main(["supersample", "--algorithm", "qcoin", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_IO
+        assert not (out / "effective-config.txt").exists()
+
 
 class TestDumpCircuit:
     def test_stdout_listing(self, capsys):

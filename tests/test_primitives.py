@@ -31,6 +31,7 @@ from qmean.primitives import (
     OracleError,
     OracleSpec,
     QueryLedger,
+    ReflectionKernel,
     Repeat,
     SQRT_AMPLITUDE,
     WORK,
@@ -51,8 +52,10 @@ from qmean.statevector import (
     H_GATE,
     GateMatrix,
     MatrixKernel,
+    PhaseKernel,
     SimulatorError,
     StateVector,
+    X_GATE,
     Z_GATE,
     apply_gate,
     gate_to_full_matrix,
@@ -392,6 +395,34 @@ class TestDumpCircuit:
             dump_circuit("qss", 2, resolution=12)
 
 
+def _coin_case(n_in, m):
+    return lambda: (coin_circuit(n_in, m),
+                    OracleSpec(np.linspace(0.2, 0.8, 1 << n_in), 0.1, LINEAR_AMPLITUDE))
+
+
+def _qss_case(n_in, p):
+    return lambda: (qss_circuit(n_in, p), OracleSpec(np.linspace(0.1, 0.9, 1 << n_in)))
+
+
+_RZERO = CircuitOp("RZERO", (0, 1))
+_TWO_BINS = OracleSpec([0.3, 0.7], 0.1, LINEAR_AMPLITUDE)  # Q on input 0, target 1
+# ops on 3 qubits whose RZERO is framed by ops that are not S and its mirror S^-1
+NOT_MIRRORED = {
+    "other-controls": [CircuitOp("H", (0,)), CircuitOp("Q_INV", (0, 1), (2,)), _RZERO,
+                       CircuitOp("Q", (0, 1), (2,)), CircuitOp("H", (0,))],
+    "outside-targets": [CircuitOp("H", (0,)), CircuitOp("H", (2,)), _RZERO,
+                        CircuitOp("H", (0,)), CircuitOp("H", (2,))],
+    "user-matrix": [CircuitOp("H", (0,), gate=H_GATE), _RZERO, CircuitOp("H", (0,), gate=H_GATE)],
+    "not-inverse": [CircuitOp("H", (0,)), CircuitOp("Q_INV", (0, 1)), _RZERO,
+                    CircuitOp("Q_INV", (0, 1)), CircuitOp("H", (0,))],
+    "other-qubits": [CircuitOp("H", (0,)), _RZERO, CircuitOp("H", (1,))],
+}
+
+
+def _ops_case(ops):
+    return lambda: (Circuit(3, list(ops)), _TWO_BINS)
+
+
 class TestCircuit:
     def test_bind_builds_each_gate_once(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
@@ -422,10 +453,22 @@ class TestCircuit:
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
         lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3])),
+        # every G a reflection, run or fused
+        *[pytest.param(_coin_case(n_in, m), id=f"qcoin-n{n_in}-m{m}")
+          for n_in in range(8) for m in (1, 2, 5)],
+        # unfused at n_in = 6: a reflection controlled by each register qubit
+        *[pytest.param(_qss_case(n_in, p), id=f"qss-n{n_in}-P{p}")
+          for n_in, p in [(2, 64), (FUSE_MAX_QUBITS, 8), (FUSE_MAX_QUBITS, 64)]],
+        # a reflection over the H pair only; the user matrices run on their own
+        pytest.param(_ops_case([CircuitOp("X", (2,), gate=X_GATE), CircuitOp("H", (0,)), _RZERO,
+                                CircuitOp("H", (0,)), CircuitOp("X", (2,), gate=X_GATE)]),
+                     id="partial-mirror"),
+        *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_MIRRORED.items()],
     ])
     def test_run_matches_each_op_kernel_in_turn(self, build):
-        """The schedule (H registers fused, repeats walked) against every
-        op's own kernel, applied in the order of ``expand()``."""
+        """The schedule (H registers fused, reflections, repeats walked or
+        fused) against every op's own kernel, applied in the order of
+        ``expand()``."""
         circuit, oracle = build()
         bound = circuit.bind(oracle)
         rng = np.random.default_rng(3)
@@ -439,6 +482,61 @@ class TestCircuit:
         out, _ = run_circuit(bound, state)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(NOT_MIRRORED))
+    def test_reflection_needs_an_exact_mirror(self, name):
+        steps = Circuit(3, list(NOT_MIRRORED[name])).bind(_TWO_BINS).schedule
+        assert not any(isinstance(step, ReflectionKernel) for step in steps)
+        assert sum(isinstance(step, PhaseKernel) for step in steps) == 1  # RZERO on its own
+
+    def test_each_amplification_step_is_one_reflection(self):
+        # unfused qss blocks: each G is Z, then one reflection on the coin
+        # where the block's register qubit is |1>
+        n_in = FUSE_MAX_QUBITS
+        steps = qss_circuit(n_in, 64).bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))).schedule
+        blocks = [step for step in steps if isinstance(step, tuple)]
+        assert [count for _, count in blocks] == [1, 2, 4, 8, 16, 32]
+        for j, (body, _) in enumerate(blocks):
+            assert [type(s) for s in body] == [PhaseKernel, ReflectionKernel]
+            assert body[1].controls == (n_in + 1 + j,)
+
+    @pytest.mark.parametrize("build, n_in, encoding", [
+        (lambda: coin_circuit(3, 5), 3, LINEAR_AMPLITUDE),
+        (lambda: coin_circuit(FUSE_MAX_QUBITS, 2), FUSE_MAX_QUBITS, LINEAR_AMPLITUDE),
+        (lambda: qss_circuit(2, 16), 2, SQRT_AMPLITUDE),
+    ], ids=["qcoin-fused", "qcoin-reflections", "qss"])
+    def test_binds_of_one_shape_are_independent(self, build, n_in, encoding):
+        """Two oracles bound to one shape, run interleaved: each amplitude
+        vector is, bit for bit, that of a bind with a template of its own."""
+        circuit, rng = build(), np.random.default_rng(11)
+        offset = 0.05 if encoding == LINEAR_AMPLITUDE else 0.0
+        oracles = [OracleSpec(rng.uniform(0.1, 0.9, 1 << n_in), offset, encoding) for _ in range(2)]
+        bound = [build().bind(oracle) for oracle in oracles]
+        assert bound[0].template is bound[1].template
+        fresh = [run_circuit(Circuit(circuit.n_qubits, list(circuit.ops), circuit.measured_qubits)
+                             .bind(oracle))[0].amplitudes for oracle in oracles]
+        for _ in range(2):
+            for b, expected in zip(bound, fresh):
+                np.testing.assert_array_equal(run_circuit(b)[0].amplitudes, expected)
+
+    def test_changed_circuit_is_not_bound_from_its_template(self):
+        oracle = OracleSpec([0.2, 0.7], 0.1, LINEAR_AMPLITUDE)
+        for change in (lambda c: c.add(X_GATE, [0]), lambda c: c.measure([1])):
+            circuit = coin_circuit(1, 2)
+            change(circuit)
+            assert circuit.template is None
+            bound = circuit.bind(oracle)
+            assert [op.name for op in bound.expand()] == [op.name for op in circuit.expand()]
+            assert bound.measured_qubits == circuit.measured_qubits
+            expected = StateVector.zero(2).amplitudes.copy()
+            for op in bound.expand():
+                if op.name != "M":
+                    op.kernel(qubit_axes(expected, 2))
+            np.testing.assert_allclose(run_circuit(bound)[0].amplitudes, expected,
+                                       rtol=0, atol=1e-12)
+        # the shape itself is unchanged
+        assert len(coin_circuit(1, 2).ops) == len(circuit.ops) - 1
+        assert coin_circuit(1, 2).measured_qubits == [0, 1]
+
     def test_registers_of_h_run_as_one_kernel(self):
         # a G block on more than FUSE_MAX_QUBITS qubits runs op by op; each H
         # register on its 6 inputs is two dense kernels of 3 targets, then Q
@@ -448,7 +546,8 @@ class TestCircuit:
         assert [isinstance(s, MatrixKernel) for s in steps[:5]] == [True, True, False, True, True]
         assert [len(s.gate) for s in steps[:2]] == [8, 8]
         body, count = steps[5]
-        assert count == 2 and sum(isinstance(s, MatrixKernel) for s in body) == 8
+        # G is FLIP_HEAD, then its H, Q_INV, H, RZERO, H, Q, H as one reflection
+        assert count == 2 and [type(s) for s in body] == [PhaseKernel, ReflectionKernel]
         # a smaller one is a single fused step
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
         assert isinstance(steps[3], FusedRepeat) and len(steps) == 5
