@@ -6,9 +6,9 @@ ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (every
 op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
 supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
 each register of H as a few dense products, each amplification step's S,
-RZERO, S^-1 as one reflection (``ReflectionKernel``) and each small repeated
-block as one matrix power (``FusedRepeat``), the last two built the first
-time they run.  The estimators run these
+RZERO, S^-1 as one reflection and each repeated block of steps G as one
+rotation in the plane of the reflection's vector (``ReflectionKernel``),
+that vector built the first time it runs.  The estimators run these
 circuits; the noise layer evaluates them op by op, ``dump_circuit`` prints
 them and the resource report counts them.  The dense gates (``oracle_gate``
 and the reflections) and ``dft_matrix`` are the tests' references.
@@ -21,7 +21,6 @@ occupies the indices above the target.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -159,8 +158,8 @@ MAX_CIRCUIT_OPS = 1 << 20
 # runs on the statevector: one update per amplitude per op.  It is twice the
 # work of qss at P = 4096 and N = 1 (13 qubits, 1.35e8 updates, 0.40 s op by
 # op on a 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  It counts the ops, not
-# the fused steps they run as (that qss takes 6 ms fused), so it still bounds
-# a circuit whose blocks are too wide to fuse.  The kernels hold no index
+# the steps they run as (that qss runs its 4095 G as 12 rotations), so it
+# still bounds a circuit whose blocks run op by op.  The kernels hold no index
 # array larger than the oracle's N bins, so memory at the cap is the state and
 # its temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
 MAX_AMPLITUDE_WORK = 1 << 28
@@ -303,14 +302,12 @@ class _Template:
             raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
                              f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
 
-    def bind(self, oracle: OracleSpec | None, rotation: tuple | None = None) -> Circuit:
-        """The circuit bound to ``oracle``; ``rotation`` is the oracle's
-        ``_rotation``, when the caller has it."""
+    def bind(self, oracle: OracleSpec | None) -> Circuit:
+        """The circuit bound to ``oracle``."""
         self.check_size()
         if self.ops is None:
             self._lower()
-        binding = _Binding(oracle, rotation)
-        binding.kernels = self._oracle_kernels(binding)
+        binding = _Binding(self._oracle_kernels(oracle))
         ops = list(self.ops)
         for i, j in self.sites:  # each Q and Q_INV op gets its kernel
             node = ops[i]
@@ -343,23 +340,20 @@ class _Template:
                     sites.append((i, j))
                     if (op.targets, op.controls) not in placements:
                         placements[op.targets, op.controls] = _placement(op.targets, op.controls, n)
-        self.steps = _schedule(self.nodes, n, lower, [])
+        self.steps = _schedule(self.nodes, n, lower)
         self.sites, self.placements, self.ops = sites, placements, ops
 
-    def _oracle_kernels(self, binding: _Binding) -> dict:
+    def _oracle_kernels(self, oracle: OracleSpec | None) -> dict:
         """Q and Q_INV at each placement, keyed by (name, targets, controls)."""
         if not self.placements:
             return {}
-        oracle = binding.oracle
         if oracle is None:
             raise OracleError("binding Q needs an oracle")
-        kernels = {}
+        kernels, rotation = {}, None
         for (targets, controls), (n_inputs, bins, lo, hi) in self.placements.items():
             if n_inputs != oracle.n_input_qubits:
                 raise OracleError(f"Q on {n_inputs} input qubits, oracle has {oracle.n_input_qubits}")
-            if binding.rotation is None:
-                binding.rotation = _rotation(oracle)
-            c, s = binding.rotation
+            c, s = rotation = rotation or _rotation(oracle)
             q = PairKernel(self.n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
             kernels["Q", targets, controls], kernels["Q_INV", targets, controls] = q, q.inverse()
         return kernels
@@ -384,14 +378,11 @@ def _shaped(key: tuple, build) -> Circuit:
 
 @dataclass
 class _Binding:
-    """One bind: the oracle and its ``_rotation``, its Q and Q_INV kernels by
-    (name, targets, controls), and the squares that fused blocks of equal
-    ops share."""
+    """One bind: its Q and Q_INV kernels by (name, targets, controls), and
+    the planes (``_plane``) that its reflections share by key."""
 
-    oracle: OracleSpec | None
-    rotation: tuple | None
-    kernels: dict = field(default_factory=dict)
-    squares: dict = field(default_factory=dict)
+    kernels: dict
+    planes: dict = field(default_factory=dict)
 
     def lowered(self, op: CircuitOp) -> CircuitOp:
         return op.lowered(self.kernels[op.name, op.targets, op.controls])
@@ -412,17 +403,22 @@ def _has_slot(steps: list) -> bool:
     return any(isinstance(step, _Slot) for step in steps)
 
 
-def _schedule(nodes, n_qubits: int, lower, fused: list) -> list:
+def _schedule(nodes, n_qubits: int, lower) -> list:
     """The run steps of a list of ops, each op lowered by ``lower``: a
-    kernel, an ``M`` op, a small repeated block as one ``FusedRepeat``
-    (``_fused_qubits``), or any other repeated block as (its steps, count).
+    kernel, an ``M`` op, or a repeated block's one step (``_repeat_step``).
     Each maximal run of formula H ops with the same controls and distinct
     targets is a few dense kernels (``hadamard_kernels``), and each RZERO
     framed by ops S and their mirror S^-1 (``_mirror_depth``) is one
     ``ReflectionKernel``.  A step that needs the oracle is a ``_Slot``.
-    ``fused`` lists (local ops, template, squares) of the fused blocks so
-    far, so that blocks whose ops differ only in their controls share them.
     """
+    return [step for item in _items(nodes) for step in _steps(item, n_qubits, lower)]
+
+
+def _items(nodes) -> list:
+    """``nodes`` grouped for ``_steps``: each maximal run of formula H ops
+    with the same controls and distinct targets as [controls, targets,
+    first op], each RZERO framed by S and S^-1 as (RZERO op, the runs of
+    S^-1), every other node as it is; a block repeated zero times is left out."""
     runs = []  # each a node, or [controls, targets, first op] of a run of H ops
     for node in nodes:
         if isinstance(node, Repeat) and not node.count:
@@ -434,7 +430,7 @@ def _schedule(nodes, n_qubits: int, lower, fused: list) -> list:
                 continue
             node = [node.controls, [node.targets[0]], node]
         runs.append(node)
-    items, floor, r = [], 0, 0  # a reflection is the item (RZERO op, mirror runs)
+    items, floor, r = [], 0, 0
     while r < len(runs):
         depth = _mirror_depth(runs, r, floor)
         if depth:
@@ -444,54 +440,71 @@ def _schedule(nodes, n_qubits: int, lower, fused: list) -> list:
         else:
             items.append(runs[r])
             r += 1
-
-    def steps_of(item) -> list:
-        if isinstance(item, Repeat):
-            return [_repeat_step(item, n_qubits, lower, fused)]
-        if isinstance(item, tuple):
-            centre, after = item
-            mirror = [step for run in after for step in steps_of(run)]
-            kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror)
-            if _has_slot(mirror):
-                return [_Slot(lambda binding: kernel.with_mirror(_fill(mirror, binding)))]
-            return [kernel]
-        if isinstance(item, list):
-            return (steps_of(item[2]) if len(item[1]) == 1
-                    else hadamard_kernels(n_qubits, item[1], item[0]))
-        if item.name == "M":
-            return [item]
-        if _needs_oracle(item):
-            return [_Slot(lambda binding: binding.kernels[item.name, item.targets, item.controls])]
-        return [lower(item).kernel]
-
-    return [step for item in items for step in steps_of(item)]
+    return items
 
 
-def _repeat_step(block: Repeat, n_qubits: int, lower, fused: list):
-    """A repeated block's one step: a ``FusedRepeat`` when ``_fused_qubits``
-    allows, else (its steps, count)."""
-    qubits = _fused_qubits(block)
-    if qubits is None:
-        body = _schedule(block.ops, n_qubits, lower, fused)
-        if _has_slot(body):
-            return _Slot(lambda binding: (_fill(body, binding), block.count))
-        return body, block.count
-    local = {q: j for j, q in enumerate(qubits)}
-    ops = [CircuitOp(op.name, tuple([local[q] for q in op.targets]), (), op.angle, op.gate)
-           for op in block.ops]
-    for other, template, squares in fused:
-        if other == ops:
-            break
-    else:
-        template, squares = _Template(Circuit(len(qubits), ops)), []
-        fused.append((ops, template, squares))
-    controls = block.ops[0].controls
-    if any(map(_needs_oracle, ops)):
-        return _Slot(lambda binding: FusedRepeat(
-            template, block.count, qubits, controls, n_qubits, binding,
-            binding.squares.setdefault(template, [])))
-    return FusedRepeat(template, block.count, qubits, controls, n_qubits, _Binding(None, None),
-                       squares)
+def _steps(item, n_qubits: int, lower) -> list:
+    """The run steps of one item of ``_items``."""
+    if isinstance(item, Repeat):
+        return [_repeat_step(item, n_qubits, lower)]
+    if isinstance(item, tuple):
+        return [_reflection(item, n_qubits, lower)]
+    if isinstance(item, list):
+        return (_steps(item[2], n_qubits, lower) if len(item[1]) == 1
+                else hadamard_kernels(n_qubits, item[1], item[0]))
+    if item.name == "M":
+        return [item]
+    if _needs_oracle(item):
+        return [_Slot(lambda binding: binding.kernels[item.name, item.targets, item.controls])]
+    return [lower(item).kernel]
+
+
+def _repeat_step(block: Repeat, n_qubits: int, lower):
+    """A repeated block's one step: a phase D then a reflection R, raised to
+    G^count as one ``ReflectionKernel`` when D fits (``_signs``), else (its
+    steps, count)."""
+    items = _items(block.ops)
+    if len(items) == 2 and isinstance(items[0], CircuitOp) and isinstance(items[1], tuple):
+        phase = lower(items[0])
+        if isinstance(phase.kernel, PhaseKernel):
+            step = _reflection(items[1], n_qubits, lower, phase, block.count)
+            if step is not None:
+                return step
+    body = _schedule(block.ops, n_qubits, lower)
+    if _has_slot(body):
+        return _Slot(lambda binding: (_fill(body, binding), block.count))
+    return body, block.count
+
+
+def _reflection(item: tuple, n_qubits: int, lower, phase: CircuitOp | None = None, count: int = 1):
+    """The reflection (RZERO op, runs of S^-1) as a ``ReflectionKernel``,
+    after the lowered ``phase`` and raised to ``count`` when one is given; a
+    ``_Slot`` when S^-1 needs the oracle.  None when the phase does not fit."""
+    centre, after = item
+    mirror = [step for run in after for step in _steps(run, n_qubits, lower)]
+    # what a = S^-1 |0> and its split depend on: the ops without the controls they share
+    key = tuple(("H", *sorted(run[1])) if isinstance(run, list) else
+                (run.name, run.targets, run.angle, *sorted(set(run.controls) - set(centre.controls)))
+                for run in [centre, *after] + ([phase] if phase else []))
+    kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror, key, count)
+    if phase is not None:
+        kernel.signs = _signs(kernel, phase.kernel)
+        if kernel.signs is None:
+            return None
+    return _Slot(kernel.bound) if _has_slot(mirror) else kernel
+
+
+def _signs(kernel: MatrixKernel, phase: PhaseKernel) -> np.ndarray | None:
+    """The diagonal of ``phase`` on the targets of ``kernel``, when it is
+    +-1, the same in every column of ``kernel`` and 1 outside them; else None."""
+    diagonal = np.ones(1 << kernel.n_qubits, dtype=np.complex128)
+    psi = qubit_axes(diagonal, kernel.n_qubits)
+    phase(psi)
+    inside = kernel.columns(psi, False)[1]
+    signs = inside[:, 0].real.copy()
+    fits = (inside == signs[:, None]).all() and (np.abs(signs) == 1).all()
+    psi[kernel.index] = 1.0
+    return signs if fits and (diagonal == 1).all() else None
 
 
 def _mirror_depth(runs: list, r: int, floor: int) -> int:
@@ -521,129 +534,82 @@ def _mirror_depth(runs: list, r: int, floor: int) -> int:
 
 
 class ReflectionKernel(MatrixKernel):
-    """2|a><a| - I on the target qubits where every control is |1>: the ops
-    S, RZERO, S^-1 of a schedule as one rank-one update, O(2^n) per call.
+    """G^count on the target qubits where every control is |1>, with
+    G = (2|a><a| - I) D: the ops S, RZERO, S^-1 of a schedule as one
+    reflection (D = I, count 1), or a repeated block of a phase D and that
+    reflection as one step, in O(2^n) per call for any count.
 
-    a = S^-1 |0> comes from ``mirror``, the lowered steps of S^-1, applied
-    to |0> at the first call, so a bound circuit that never runs on the
-    statevector (the noise layer's) pays only for this object.  ``gate``
-    holds a, real (float64) when every entry is.
+    D is ``signs``, a +-1 diagonal on the targets (None for I).  With u and
+    v the unit parts of a = S^-1 |0> where D is +1 and -1, B = [u, v] and
+    phi = atan2(|a-|, |a+|), G turns the plane of B by 2 phi and acts as -D
+    on the rest of the space (Brassard, Hoyer, Mosca and Tapp,
+    arXiv:quant-ph/0005055), so
+
+        G^count x = (-D)^count x + K B^T x,
+        K = B Rot(2 count phi) - B diag((-1)^count, 1).
+
+    a comes from ``mirror``, the lowered steps of S^-1, applied to |0> at
+    the first call, so a bound circuit that never runs on the statevector
+    (the noise layer's) pays only for this object.  B and phi (``_plane``)
+    are kept in ``planes`` by ``key``, which a bind shares among its
+    reflections whose S^-1 and D differ only in their controls.  a is real:
+    S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
-                 mirror: list):
+                 mirror: list, key: tuple, count: int = 1):
         super().__init__(n_qubits, None, targets, controls)
-        self.controls, self.mirror = controls, mirror
+        self.controls, self.mirror, self.key, self.count = controls, mirror, key, count
+        self.signs: np.ndarray | None = None
+        self.planes: dict = {}
         # with no controls and the targets in order, ``columns`` is a view of psi
         self.in_place = not controls and self.perm == tuple(sorted(self.perm))
 
-    def with_mirror(self, mirror: list) -> "ReflectionKernel":
-        """The same reflection about S^-1 |0> for other steps of S^-1."""
-        kernel = copy.copy(self)
-        kernel.mirror, kernel.gate = mirror, None
+    def bound(self, binding: _Binding) -> "ReflectionKernel":
+        """This step with S^-1 bound to the oracle of ``binding``."""
+        # a shallow copy, without copy.copy's cost: the noise layer binds per head probability
+        kernel = object.__new__(type(self))
+        kernel.__dict__.update(self.__dict__, mirror=_fill(self.mirror, binding), planes=binding.planes)
         return kernel
 
     def __call__(self, psi: np.ndarray):
         if self.gate is None:
             self._build()
-        sub, x = self.columns(psi, self.real)
-        new = self.twice * (self.bra @ x)
-        if self.in_place:
-            np.subtract(new, x, out=x)
-        else:
-            new -= x
-            sub[...] = new.view(np.complex128).reshape(sub.shape)
+        sub, x = self.columns(psi, True)
+        new = self.gate @ (self.bra @ x)
+        if self.sign is not None:
+            x *= self.sign
+        x += new
+        if not self.in_place:
+            sub[...] = x.view(np.complex128).reshape(sub.shape)
 
     def _build(self):
-        amps = np.zeros(1 << self.n_qubits, dtype=np.complex128)
-        amps[sum(1 << q for q in self.controls)] = 1.0
-        psi = qubit_axes(amps, self.n_qubits)
-        for step in self.mirror:
-            step(psi)
-        a = self.columns(psi, False)[1][:, 0]
-        self.real = not a.imag.any()
-        self.gate = a.real.copy() if self.real else a.copy()
-        self.bra, self.twice = self.gate.conj(), 2.0 * self.gate[:, None]
+        if self.key not in self.planes:
+            self.planes[self.key] = _plane(self)
+        basis, phi = self.planes[self.key]
+        c, s = math.cos(2 * self.count * phi), math.sin(2 * self.count * phi)
+        odd = self.count & 1
+        # K = B (Rot - diag((-1)^count, 1)); (-D)^count is I for an even count
+        self.gate = basis @ np.array([[c + 1.0 if odd else c - 1.0, -s], [s, c - 1.0]])
+        self.bra = basis.T.copy()
+        self.sign = (-1.0 if self.signs is None else -self.signs[:, None]) if odd else None
 
 
-# Most qubits a repeated block may act on, besides its controls, to run as one
-# FusedRepeat.  Its 2^k x 2^k matrix and the squarings cost O(8^k) once per
-# run and 2^k updates per amplitude per call, against one call per op per
-# repeat, where each G is two steps (FLIP_HEAD or Z, and a ReflectionKernel).
-# Measured in process, one estimate (min of 11 rounds, 2-core Xeon, Python
-# 3.11.7, NumPy 2.4.6), fused against step by step: qss P=64 at N=16/32/64
-# (5/6/7 qubits) 1.7/2.1/5.1 ms against 3.0/4.4/7.5 ms, since its blocks share
-# U and raise it to 2^j; qcoin k=5 at N=16/32/64 2.0/3.0/4.2 ms against
-# 1.9/2.4/2.4 ms, since every bind builds its one block's U again.  So the
-# limit trades qss against qcoin, and 6 stays: 7 would cost qcoin N=64 more
-# than it saves qss at N=64, and 5 would cost qss N=32 more than it saves qcoin.
-FUSE_MAX_QUBITS = 6
-
-
-def _fused_qubits(block: Repeat) -> list[int] | None:
-    """The qubits a repeated block acts on, lowest first, when it runs as one
-    ``FusedRepeat``: it repeats more than once, every op has the same
-    controls, none is ``M`` or already lowered, and it acts on at most
-    FUSE_MAX_QUBITS qubits besides them.  Otherwise None.
-
-    A block run once is not fused: building its matrix costs more than its
-    ops (qcoin N=16 at m=1: 0.37 against 0.30 ms in process)."""
-    if block.count < 2:
-        return None
-    controls = block.ops[0].controls
-    qubits: set = set()
-    for op in block.ops:
-        if op.name == "M" or op.controls != controls or op.kernel is not None:
-            return None
-        qubits.update(op.targets)
-    return sorted(qubits) if len(qubits) <= FUSE_MAX_QUBITS else None
-
-
-class FusedRepeat:
-    """A repeated block applied as one ``MatrixKernel``: the block's matrix
-    U raised to its count, on its qubits where its controls are |1>.
-
-    Nothing is built until the first call, so a bound circuit that never
-    runs on the statevector (the noise layer's) pays only for this object.
-    U is the block's ops on their own k-qubit register, with no controls
-    (``template``), bound to the oracle of ``binding`` (``_block_matrix``); U^count is a
-    product of the squares U^(2^j), which ``squares`` shares with every block
-    of the same bind whose ops differ only in their controls.
-    """
-
-    def __init__(self, template: _Template, count: int, qubits: list[int],
-                 controls: tuple[int, ...], n_qubits: int, binding: _Binding, squares: list):
-        self.template, self.count, self.qubits, self.controls = template, count, qubits, controls
-        self.n_qubits, self.binding, self.squares = n_qubits, binding, squares
-        self.kernel: MatrixKernel | None = None
-
-    def __call__(self, psi: np.ndarray):
-        if self.kernel is None:
-            self.kernel = MatrixKernel(self.n_qubits, self._matrix(), self.qubits, self.controls)
-        self.kernel(psi)
-
-    def _matrix(self) -> np.ndarray:
-        squares = self.squares
-        if not squares:
-            squares.append(_block_matrix(self.template, self.binding))
-        result = None
-        for j in range(self.count.bit_length()):
-            if j == len(squares):
-                squares.append(squares[-1] @ squares[-1])
-            if self.count >> j & 1:
-                result = squares[j] if result is None else squares[j] @ result
-        return result
-
-
-def _block_matrix(template: _Template, binding: _Binding) -> np.ndarray:
-    """The matrix of a template's uncontrolled ops: its schedule, bound to
-    the oracle of ``binding``, applied to the identity; real (float64) when
-    every entry is."""
-    full = np.eye(1 << template.n_qubits, dtype=np.complex128)
-    psi = qubit_axes(full, template.n_qubits)
-    for step in template.bind(binding.oracle, binding.rotation).schedule:
+def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
+    """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> from its
+    mirror, split by its signs; a part that is zero stays zero."""
+    amps = np.zeros(1 << kernel.n_qubits, dtype=np.complex128)
+    amps[sum(1 << q for q in kernel.controls)] = 1.0
+    psi = qubit_axes(amps, kernel.n_qubits)
+    for step in kernel.mirror:
         step(psi)
-    return full if full.imag.any() else full.real.copy()
+    a = kernel.columns(psi, False)[1][:, 0].real
+    plus = a if kernel.signs is None else np.where(kernel.signs > 0, a, 0.0)
+    minus = a - plus
+    norms = [float(np.linalg.norm(part)) for part in (plus, minus)]
+    basis = np.stack([part / norm if norm else part for part, norm in zip((plus, minus), norms)],
+                     axis=1)
+    return basis, math.atan2(norms[1], norms[0])
 
 
 _H = 1.0 / math.sqrt(2.0)

@@ -4,9 +4,9 @@ An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or, for a dense
 gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
-applies H to a register of qubits (``hadamard_kernels``), runs a small
-repeated block as one matrix power and, as ``primitives.ReflectionKernel``,
-a reflection about one vector as a rank-one update.
+applies H to a register of qubits (``hadamard_kernels``) and, as
+``primitives.ReflectionKernel``, a reflection about one vector, or a repeated
+block of a phase flip and that reflection, as an update of rank two.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion

@@ -23,8 +23,6 @@ from qmean.noise import HARDWARE_PRESET, head_probability, simple_qcoin_circuit
 from qmean.primitives import (
     Circuit,
     CircuitOp,
-    FUSE_MAX_QUBITS,
-    FusedRepeat,
     LINEAR_AMPLITUDE,
     MAX_AMPLITUDE_WORK,
     MAX_CIRCUIT_OPS,
@@ -417,6 +415,16 @@ NOT_MIRRORED = {
                     CircuitOp("Q_INV", (0, 1)), CircuitOp("H", (0,))],
     "other-qubits": [CircuitOp("H", (0,)), _RZERO, CircuitOp("H", (1,))],
 }
+_H0 = CircuitOp("H", (0,))
+# blocks of a phase D, then a reflection on qubits 0 and 1, where D is not +-1
+# on the reflection's qubits alone and 1 elsewhere: each G runs as two steps
+NOT_RAISED = {
+    "phase-off-targets": [Repeat([CircuitOp("Z", (2,)), _H0, _RZERO, _H0], 3)],
+    "phase-outside-controls": [Repeat([CircuitOp("Z", (1,)), CircuitOp("H", (0,), (2,)),
+                                       CircuitOp("RZERO", (0, 1), (2,)),
+                                       CircuitOp("H", (0,), (2,))], 3)],
+    "complex-phase": [Repeat([CircuitOp("CPHASE", (1,), (0,), 0.3), _H0, _RZERO, _H0], 2)],
+}
 
 
 def _ops_case(ops):
@@ -453,22 +461,23 @@ class TestCircuit:
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
         lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3])),
-        # every G a reflection, run or fused
+        # every G block one raised reflection
         *[pytest.param(_coin_case(n_in, m), id=f"qcoin-n{n_in}-m{m}")
           for n_in in range(8) for m in (1, 2, 5)],
-        # unfused at n_in = 6: a reflection controlled by each register qubit
+        # a raised reflection controlled by each register qubit
         *[pytest.param(_qss_case(n_in, p), id=f"qss-n{n_in}-P{p}")
-          for n_in, p in [(2, 64), (FUSE_MAX_QUBITS, 8), (FUSE_MAX_QUBITS, 64)]],
+          for n_in, p in [(2, 64), (6, 8), (6, 64)]],
         # a reflection over the H pair only; the user matrices run on their own
         pytest.param(_ops_case([CircuitOp("X", (2,), gate=X_GATE), CircuitOp("H", (0,)), _RZERO,
                                 CircuitOp("H", (0,)), CircuitOp("X", (2,), gate=X_GATE)]),
                      id="partial-mirror"),
         *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_MIRRORED.items()],
+        *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_RAISED.items()],
     ])
     def test_run_matches_each_op_kernel_in_turn(self, build):
-        """The schedule (H registers fused, reflections, repeats walked or
-        fused) against every op's own kernel, applied in the order of
-        ``expand()``."""
+        """The schedule (H registers as dense kernels, reflections, repeats
+        walked or raised) against every op's own kernel, applied in the order
+        of ``expand()``."""
         circuit, oracle = build()
         bound = circuit.bind(oracle)
         rng = np.random.default_rng(3)
@@ -488,20 +497,28 @@ class TestCircuit:
         assert not any(isinstance(step, ReflectionKernel) for step in steps)
         assert sum(isinstance(step, PhaseKernel) for step in steps) == 1  # RZERO on its own
 
+    @pytest.mark.parametrize("name", sorted(NOT_RAISED))
+    def test_raised_step_needs_a_phase_of_signs_on_the_reflection(self, name):
+        (body, count), = Circuit(3, list(NOT_RAISED[name])).bind().schedule
+        assert count == NOT_RAISED[name][0].count
+        assert [type(s) for s in body] == [PhaseKernel, ReflectionKernel] and body[1].count == 1
+
     def test_each_amplification_step_is_one_reflection(self):
-        # unfused qss blocks: each G is Z, then one reflection on the coin
-        # where the block's register qubit is |1>
-        n_in = FUSE_MAX_QUBITS
+        # each qss block G^(2^j), G being Z then S, RZERO, S^-1, is one
+        # reflection raised to 2^j on the coin where its register qubit is |1>
+        n_in = 6
         steps = qss_circuit(n_in, 64).bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))).schedule
-        blocks = [step for step in steps if isinstance(step, tuple)]
-        assert [count for _, count in blocks] == [1, 2, 4, 8, 16, 32]
-        for j, (body, _) in enumerate(blocks):
-            assert [type(s) for s in body] == [PhaseKernel, ReflectionKernel]
-            assert body[1].controls == (n_in + 1 + j,)
+        assert not any(isinstance(step, tuple) for step in steps)
+        blocks = [step for step in steps if isinstance(step, ReflectionKernel)]
+        assert [block.count for block in blocks] == [1, 2, 4, 8, 16, 32]
+        for j, block in enumerate(blocks):
+            assert block.controls == (n_in + 1 + j,)
+            # D is Z on the target, the top qubit of the coin
+            np.testing.assert_array_equal(block.signs, [1.0] * (1 << n_in) + [-1.0] * (1 << n_in))
 
     @pytest.mark.parametrize("build, n_in, encoding", [
         (lambda: coin_circuit(3, 5), 3, LINEAR_AMPLITUDE),
-        (lambda: coin_circuit(FUSE_MAX_QUBITS, 2), FUSE_MAX_QUBITS, LINEAR_AMPLITUDE),
+        (lambda: coin_circuit(6, 2), 6, LINEAR_AMPLITUDE),
         (lambda: qss_circuit(2, 16), 2, SQRT_AMPLITUDE),
     ], ids=["qcoin-fused", "qcoin-reflections", "qss"])
     def test_binds_of_one_shape_are_independent(self, build, n_in, encoding):
@@ -538,19 +555,18 @@ class TestCircuit:
         assert coin_circuit(1, 2).measured_qubits == [0, 1]
 
     def test_registers_of_h_run_as_one_kernel(self):
-        # a G block on more than FUSE_MAX_QUBITS qubits runs op by op; each H
-        # register on its 6 inputs is two dense kernels of 3 targets, then Q
-        n_in = FUSE_MAX_QUBITS
+        # each H register on 6 inputs is two dense kernels of 3 targets, then Q
+        n_in = 6
         oracle = OracleSpec([0.5] * (1 << n_in), 0.1, LINEAR_AMPLITUDE)
         steps = coin_circuit(n_in, 2).bind(oracle).schedule
         assert [isinstance(s, MatrixKernel) for s in steps[:5]] == [True, True, False, True, True]
         assert [len(s.gate) for s in steps[:2]] == [8, 8]
-        body, count = steps[5]
-        # G is FLIP_HEAD, then its H, Q_INV, H, RZERO, H, Q, H as one reflection
-        assert count == 2 and [type(s) for s in body] == [PhaseKernel, ReflectionKernel]
-        # a smaller one is a single fused step
+        # G^2, G being FLIP_HEAD then H, Q_INV, H, RZERO, H, Q, H, as one
+        # raised reflection, and the readout
+        assert isinstance(steps[5], ReflectionKernel) and steps[5].count == 2 and len(steps) == 7
+        # on 3 inputs, one kernel per H register
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
-        assert isinstance(steps[3], FusedRepeat) and len(steps) == 5
+        assert isinstance(steps[3], ReflectionKernel) and len(steps) == 5
         # H on a repeated qubit, or under other controls, starts a new register
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
                               CircuitOp("H", (2,), (1,))])
@@ -567,18 +583,37 @@ class TestCircuit:
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
         lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3])),
-        # two blocks on the same qubits with different ops share no matrix
+        # two blocks on the same qubits with different ops share no plane
         lambda: (Circuit(4, [Repeat(_g_block("qss", (0, 2), 1, (3,)), 2),
                              Repeat(_g_block("qcoin", (0, 2), 1, (3,)), 5)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+        # two blocks with the same S^-1 and different phases share no plane
+        lambda: (Circuit(4, [Repeat(_g_block("qss", (0, 2), 1, (3,)), 2),
+                             Repeat([CircuitOp("FLIP_HEAD", (0, 2, 1), (3,)),
+                                     *_g_block("qss", (0, 2), 1, (3,))[1:]], 3)]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3])),
+        # degenerate planes: a lies wholly where D is +1 (Q is the identity, or
+        # every bin's target amplitude is 0) or wholly where it is -1
+        lambda: (coin_circuit(3, 5), OracleSpec([0.1] * 8, 0.1, LINEAR_AMPLITUDE)),
+        lambda: (qss_circuit(2, 64), OracleSpec([0.0] * 4)),
+        lambda: (qss_circuit(2, 64), OracleSpec([1.0] * 4)),
+        # 7 coin qubits
+        lambda: (qss_circuit(6, 128), OracleSpec(np.linspace(0.1, 0.9, 64))),
+        # the largest count the caps allow on one bin: G^2048
+        lambda: (qss_circuit(0, 4096), OracleSpec([0.3])),
     ], ids=["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P16", "qss-n4-P512",
-            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks"])
+            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks", "two-phases",
+            "qcoin-all-offset",
+            "qss-all-0", "qss-all-1", "qss-n6-P128", "qss-n0-P4096"])
     def test_fused_blocks_match_each_op_kernel_in_turn(self, build):
-        """A schedule with fused blocks against every op's own kernel, applied
-        in the order of ``expand()``; qss at P = 1024 raises G to 512."""
+        """A schedule whose repeated blocks each run as one raised reflection
+        against every op's own kernel, applied in the order of ``expand()``;
+        qss at P = 1024 raises G to 512."""
         circuit, oracle = build()
         bound = circuit.bind(oracle)
-        assert any(isinstance(step, FusedRepeat) for step in bound.schedule)
+        assert any(isinstance(step, ReflectionKernel) and step.signs is not None
+                   for step in bound.schedule)
+        assert not any(isinstance(step, tuple) for step in bound.schedule)
         rng = np.random.default_rng(5)
         n = circuit.n_qubits
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -590,31 +625,36 @@ class TestCircuit:
         out, _ = run_circuit(bound, state)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
-    def test_fused_matrices_are_built_once_at_the_first_run(self, monkeypatch):
+    def test_shared_vector_is_built_once_at_the_first_run(self, monkeypatch):
         built = []
 
-        def counted(*args):
-            built.append(args)
-            return block_matrix(*args)
+        def counted(kernel):
+            built.append(kernel)
+            return plane(kernel)
 
-        block_matrix = primitives._block_matrix
-        monkeypatch.setattr(primitives, "_block_matrix", counted)
-        # register qubits 1 and 2 control G^2 and G^4: one G, shared
-        bound = qss_circuit(2, 8).bind(OracleSpec([0.1, 0.5, 0.8, 0.3]))
-        fused = [step for step in bound.schedule if isinstance(step, FusedRepeat)]
-        assert len(fused) == 2 and not built
+        plane = primitives._plane
+        monkeypatch.setattr(primitives, "_plane", counted)
+        # register qubits 0, 1 and 2 control G, G^2 and G^4: one vector, shared
+        oracle = OracleSpec([0.1, 0.5, 0.8, 0.3])
+        bound = qss_circuit(2, 8).bind(oracle)
+        blocks = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
+        assert [block.count for block in blocks] == [1, 2, 4] and not built
+        assert len({id(block.planes) for block in blocks}) == 1 and not blocks[0].planes
         first, _ = run_circuit(bound)
-        kernels = [step.kernel for step in fused]
+        gates = [block.gate for block in blocks]
         second, _ = run_circuit(bound)
-        assert len(built) == 1
-        assert [step.kernel for step in fused] == kernels
+        assert len(built) == 1 and len(blocks[0].planes) == 1
+        assert all(block.gate is gate for block, gate in zip(blocks, gates))
         np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+        # each bind builds its own
+        run_circuit(qss_circuit(2, 8).bind(oracle))
+        assert len(built) == 2
 
         # the noise layer evaluates the bound ops and never runs the schedule
         circuit = simple_qcoin_circuit(0.5, 0.2, 16)
-        assert any(isinstance(step, FusedRepeat) for step in circuit.schedule)
+        assert any(isinstance(step, ReflectionKernel) for step in circuit.schedule)
         head_probability(circuit, HARDWARE_PRESET)
-        assert len(built) == 1
+        assert len(built) == 2
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="counts CPython's tuple free list")
