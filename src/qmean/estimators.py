@@ -171,9 +171,11 @@ def run_shift_scale(
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
 
     Head probabilities come from the single-qubit hardware circuits under a
-    non-zero noise model (one target mean per call; ``head_prob_cache`` maps
-    (offset, m) to a probability), from the statevector when an ``integrand``
-    is given, and otherwise from the closed form sin^2((2m+1) asin(f - E)).
+    non-zero noise model (``noise.coin_head_probability``; one target mean
+    per call; ``head_prob_cache`` maps (offset, m) to a probability; a model
+    that could act only on multi-qubit gates is refused), from the
+    statevector when an ``integrand`` is given, and otherwise from the closed
+    form sin^2((2m+1) asin(f - E)).
     Draws are batched per step, so one repetition draws exactly as the scalar
     loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
     estimates and a per-step trace of e_minus, e_plus, fraction and f_i.
@@ -193,18 +195,21 @@ def run_shift_scale(
         largest = coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1])
         largest.check_size(on_statevector=not noisy)
     if noisy:
+        if not (noise.readout_flip_prob or noise.gate_error_1q):
+            raise ValueError("the one-qubit coin has no multi-qubit gate, so a noise model "
+                             "whose only non-zero rate is gate_error_mq would change nothing")
         if np.any(f != f[0]):
             raise ValueError("noisy estimation needs a single target mean per call")
         cache = {} if head_prob_cache is None else head_prob_cache
+        target = float(f[0])
 
         def head_prob(offset, reps):
             key = (round(offset, 12), reps)
             if key not in cache:
-                circuit = noise_mod.simple_qcoin_circuit(f[0], offset, reps)
-                cache[key] = noise_mod.head_probability(circuit, noise)
+                cache[key] = noise_mod.coin_head_probability(target, offset, reps, noise)
             return cache[key]
 
-        p0 = noise_mod.head_probability(noise_mod.simple_qcoin_circuit(f[0], 0.0, 0), noise)
+        p0 = noise_mod.coin_head_probability(target, 0.0, 0, noise)
     elif integrand is not None:
 
         def head_prob(offset, reps):

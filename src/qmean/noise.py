@@ -1,17 +1,29 @@
 """NISQ-style error injection: stochastic Pauli gate noise plus readout
 bit flips, evaluated on the package's bound circuits (``primitives.Circuit``).
-The noisy-machine emulation uses the qcoin circuit with no input qubits.
+The noisy-machine emulation uses the qcoin circuit with no input qubits,
+evaluated from its template (``coin_head_probability``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import LINEAR_AMPLITUDE, Circuit, CircuitOp, OracleSpec, Repeat, coin_circuit
+from .primitives import (
+    LINEAR_AMPLITUDE,
+    Circuit,
+    CircuitOp,
+    OracleError,
+    OracleSpec,
+    Repeat,
+    coin_circuit,
+)
 from .statevector import (
+    UNITARY_TOL,
     MeasurementOutcome,
+    SimulatorError,
     StateVector,
     X_GATE,
     Y_GATE,
@@ -138,29 +150,36 @@ def _one_qubit_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     the ideal head probability |U[1,0]|^2 moves towards 1/2 by that factor per
     gate, and readout flips with probability r mix the two outcomes.
     """
-    u = _product(_bound(circuit).ops)
+    u = _product(_bound(circuit).ops, lambda op: tuple(op.kernel.matrix().ravel().tolist()))
     n_gates = sum(count for op, count in circuit.counted_ops() if op.name != "M")
-    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
-    p = 0.5 + shrink * (abs(u[2]) ** 2 - 0.5)
-    r = model.readout_flip_prob
-    p = r + (1.0 - 2.0 * r) * p
+    p = _observed(u[2], n_gates, model)
     return np.array([1.0 - p, p])
+
+
+def _observed(u10, n_gates: int, model: NoiseModel) -> float:
+    """The observed head probability of a one-qubit circuit whose gates'
+    product has lower-left entry ``u10``: the ideal |u10|^2 shrunk towards
+    1/2 once per gate, then mixed by the readout flips."""
+    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
+    p = 0.5 + shrink * (abs(u10) ** 2 - 0.5)
+    r = model.readout_flip_prob
+    return r + (1.0 - 2.0 * r) * p
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
-def _product(ops) -> tuple:
-    """Ordered product of bound one-qubit ops (each kernel's 2x2 matrix),
-    later ops on the left, as the row-major entries of a 2x2 matrix; a
-    repeated block is its product raised to the count by repeated squaring,
-    without expansion."""
+def _product(ops, matrix) -> tuple:
+    """Ordered product of one-qubit ops, each op's 2x2 the row-major tuple
+    ``matrix(op)``, later ops on the left; a repeated block is its product
+    raised to the count by repeated squaring, without expansion.  M ops are
+    skipped."""
     u = _IDENTITY
     for op in ops:
         if isinstance(op, Repeat):
-            u = _mul(_power(_product(op.ops), op.count), u)
+            u = _mul(_power(_product(op.ops, matrix), op.count), u)
         elif op.name != "M":
-            u = _mul(tuple(op.kernel.matrix().ravel().tolist()), u)
+            u = _mul(matrix(op), u)
     return u
 
 
@@ -232,6 +251,56 @@ def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | No
     if head_outcome is None:
         head_outcome = probs.shape[0] // 2
     return float(probs[head_outcome])
+
+
+# coin_circuit(0, m) by m, for coin_head_probability: its lowered nodes, the
+# 2x2 of each kernel in them by kernel, and its gate count.  Built at the first
+# evaluation of each shape and bounded, like primitives._SHAPES, by the shapes
+# a process evaluates.
+_COINS: dict = {}
+
+
+def _coin(m: int) -> tuple:
+    coin = _COINS.get(m)
+    if coin is None:
+        template = coin_circuit(0, m).template
+        template.check_size()
+        nodes = template.lowered()
+        # the coin's ops but Q and Q_INV are FLIP_HEAD and RZERO: real matrices
+        fixed = {op.kernel: tuple(op.kernel.matrix().real.ravel().tolist())
+                 for node in nodes for op in (node.ops if isinstance(node, Repeat) else [node])
+                 if op.kernel is not None}
+        coin = _COINS[m] = (nodes, fixed, template.unmeasured.total())
+    return coin
+
+
+def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) -> float:
+    """``head_probability(simple_qcoin_circuit(f, offset, m), model)``,
+    bit for bit, without building an oracle or binding the circuit.
+
+    The closed form of ``_one_qubit_probabilities`` runs on the template of
+    ``coin_circuit(0, m)``: each op but Q and Q_INV gives the real 2x2 of its
+    kernel, built once per shape (``_coin``), and Q is the rotation
+    (c, -s; s, c) by asin(f - offset) that ``primitives._rotation`` makes,
+    Q_INV its transpose.  The oracle's range checks raise ``OracleError``, a
+    rotation that is not unitary ``SimulatorError``, and a circuit past
+    MAX_CIRCUIT_OPS ``ValueError``, as binding would.
+    """
+    if not 0.0 <= f <= 1.0:
+        raise OracleError("integrand values must lie in [0, 1]")
+    if not 0.0 <= offset < 1.0:
+        raise OracleError(f"offset must lie in [0, 1), got {offset}")
+    if abs(f - offset) > 1.0:
+        raise OracleError("|F(i) - offset| must not exceed 1")
+    theta = math.asin(f - offset)
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(c * c + s * s - 1.0) > UNITARY_TOL:
+        raise SimulatorError("oracle rotation is not unitary")
+    nodes, fixed, n_gates = _coin(m)
+    q, q_inv = (c, -s, s, c), (c, s, -s, c)
+    u = _product(nodes, lambda op: q if op.name == "Q" else q_inv if op.name == "Q_INV"
+                 else fixed[op.kernel])
+    return _observed(u[2], n_gates, model)
 
 
 def simple_qcoin_circuit(f: float, offset: float, repetitions: int) -> Circuit:

@@ -278,8 +278,9 @@ class _Template:
     ``bind`` lowers Q and Q_INV at each of their placements and fills the
     slots; no other op is lowered again.  The op counts that ``run_circuit``
     adds to ``WORK`` and the ledger, and the size the caps check, are
-    computed here once.  The lowering waits for the first bind, since
-    ``resources`` and ``dump-circuit`` build circuits they never bind.
+    computed here once.  The lowering (``lowered``) waits for the first
+    bind or noisy evaluation, since ``resources`` and ``dump-circuit`` build
+    circuits they never bind.
     """
 
     def __init__(self, circuit: Circuit):
@@ -292,7 +293,7 @@ class _Template:
         self.size = self.counts.total()
         self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
         self.queries = self.counts["Q"] + self.counts["Q_INV"]
-        self.ops: list | None = None  # the lowered nodes, set by the first bind
+        self.ops: list | None = None  # the lowered nodes, set by ``lowered``
 
     def check_size(self, on_statevector: bool = False):
         if self.size > MAX_CIRCUIT_OPS:
@@ -302,11 +303,17 @@ class _Template:
             raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
                              f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
 
+    def lowered(self) -> list:
+        """The nodes with every op but Q, Q_INV and M lowered to its kernel,
+        a block repeated zero times left out; lowered at the first call."""
+        if self.ops is None:
+            self._lower()
+        return self.ops
+
     def bind(self, oracle: OracleSpec | None) -> Circuit:
         """The circuit bound to ``oracle``."""
         self.check_size()
-        if self.ops is None:
-            self._lower()
+        self.lowered()
         binding = _Binding(self._oracle_kernels(oracle))
         ops = list(self.ops)
         for i, j in self.sites:  # each Q and Q_INV op gets its kernel
@@ -567,7 +574,7 @@ class ReflectionKernel(MatrixKernel):
 
     def bound(self, binding: _Binding) -> "ReflectionKernel":
         """This step with S^-1 bound to the oracle of ``binding``."""
-        # a shallow copy, without copy.copy's cost: the noise layer binds per head probability
+        # a shallow copy, without copy.copy's cost: it runs at every bind
         kernel = object.__new__(type(self))
         kernel.__dict__.update(self.__dict__, mirror=_fill(self.mirror, binding), planes=binding.planes)
         return kernel

@@ -163,6 +163,15 @@ class TestExitCodes:
     (["sweep-convergence"], "algorithms = ,\n", EXIT_VALIDATION, "algorithms"),
     # a seed in the config is one integer
     (["estimate", "--algorithm", "qss", "--f", "0.5"], "seed = 1, 2\n", EXIT_CONFIG, "seed"),
+    # noise whose only rate is for multi-qubit gates, which the one-qubit coin has none of
+    (["estimate", "--algorithm", "qcoin", "--f", "0.3"], "noise = 0, 0, 0.9\n", EXIT_VALIDATION,
+     "gate_error_mq"),
+    (["estimate", "--algorithm", "monte-carlo", "--f", "0.3"], "noise = 0, 0, 0.9\n",
+     EXIT_VALIDATION, "gate_error_mq"),
+    (["sweep-value"], "algorithms = monte-carlo, qcoin\nnoise = 0, 0, 0.9\n", EXIT_VALIDATION,
+     "gate_error_mq"),
+    (["supersample", "--algorithm", "qcoin"], "noise = 0, 0, 0.9\n", EXIT_VALIDATION,
+     "gate_error_mq"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

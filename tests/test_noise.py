@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qmean.harness import qss_theoretical_distribution
+from qmean import statevector
+from qmean.estimators import estimate_qcoin
+from qmean.harness import fast_qcoin_estimate, qss_theoretical_distribution
 from qmean.noise import (
     Circuit,
     CircuitOp,
@@ -13,6 +15,7 @@ from qmean.noise import (
     NoiseModel,
     PRESETS,
     _density_matrix_probabilities,
+    coin_head_probability,
     head_probability,
     noisy_execute,
     outcome_probabilities,
@@ -207,6 +210,67 @@ class TestOneQubitClosedForm:
         probs = outcome_probabilities(circuit, model)
         np.testing.assert_array_equal(probs, _density_matrix_probabilities(circuit, model))
         assert probs.shape == (1,)
+
+
+class TestCoinHeadProbability:
+    """The coin evaluated from its template against the bound circuit it replaces."""
+
+    MODELS = (HARDWARE_PRESET, NoiseModel(readout_flip_prob=0.07), NoiseModel(gate_error_1q=0.01))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equals_the_bound_circuit(self, model):
+        rng = np.random.default_rng(55)
+        cases = [(f, rng.uniform(0.0, f), int(rng.integers(0, 129)))
+                 for f in rng.uniform(0.0, 1.0, 300)]
+        # m = 0, offset 0, f = offset, f = 1
+        cases += [(0.6, 0.3, 0), (0.4, 0.0, 5), (0.0, 0.0, 3), (0.45, 0.45, 8),
+                  (1.0, 0.25, 64), (1.0, 0.0, 0), (1.0, 0.5, 128)]
+        for f, offset, m in cases:
+            assert (coin_head_probability(f, offset, m, model)
+                    == head_probability(simple_qcoin_circuit(f, offset, m), model)), (f, offset, m)
+
+    @pytest.mark.parametrize("f,offset", [(1.2, 0.0), (-0.1, 0.0), (0.5, 1.0), (0.5, -0.2),
+                                          (0.5, math.nan)])
+    def test_out_of_range_raises_as_binding(self, f, offset):
+        with pytest.raises(OracleError):
+            simple_qcoin_circuit(f, offset, 2)
+        with pytest.raises(OracleError):
+            coin_head_probability(f, offset, 2, HARDWARE_PRESET)
+
+    def test_nan_mean_is_refused(self):
+        # the bound route let a NaN mean through to a NaN probability
+        with pytest.raises(OracleError):
+            coin_head_probability(math.nan, 0.0, 2, HARDWARE_PRESET)
+
+    def test_op_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            coin_head_probability(0.5, 0.2, 1 << 20, HARDWARE_PRESET)
+
+    def test_noisy_estimates_build_no_oracle_bind_or_matrix(self, monkeypatch):
+        oracle, rng = OracleSpec([0.3]), np.random.default_rng(8)
+
+        def run():
+            estimate_qcoin(oracle, 5, 20, seed=7, noise=HARDWARE_PRESET)
+            fast_qcoin_estimate(0.6, 7, 40, rng, HARDWARE_PRESET)
+
+        run()  # the first evaluation of each shape builds its 2x2s
+        calls = []
+
+        def count(cls, name):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name,
+                                lambda self, *a, **kw: calls.append(name) or method(self, *a, **kw))
+
+        count(OracleSpec, "__post_init__")
+        count(Circuit, "bind")
+        for kernel in (statevector.Kernel, *statevector.Kernel.__subclasses__()):
+            if "matrix" in vars(kernel):
+                count(kernel, "matrix")
+        run()
+        assert calls == []
+        # the counters see the bound route
+        head_probability(simple_qcoin_circuit(0.6, 0.2, 4), HARDWARE_PRESET)
+        assert {"__post_init__", "bind", "matrix"} <= set(calls)
 
 
 class TestErrorMonotonicity:
