@@ -24,7 +24,7 @@ from .estimators import (
     shift_scale_schedule,
 )
 from .noise import NoiseModel
-from .primitives import Circuit, coin_circuit, qss_circuit
+from .primitives import Circuit, check_resolution, coin_circuit, qss_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,7 @@ QSS_BLOCK_VALUES = 2**12
 
 
 def _qss_blocks(n_means: int, resolution: int):
+    check_resolution(resolution)  # every readout comes through here
     step = max(1, QSS_BLOCK_VALUES // resolution)
     return (slice(i, i + step) for i in range(0, n_means, step))
 
@@ -55,8 +56,9 @@ def qss_theoretical_distribution(f, resolution: int) -> np.ndarray:
     gives one distribution.
     """
     theta = _asin(np.sqrt(np.clip(np.ravel(np.asarray(f, dtype=float)), 0.0, 1.0)))
+    blocks = _qss_blocks(theta.size, resolution)
     dist = np.empty((theta.size, resolution))
-    for rows in _qss_blocks(theta.size, resolution):
+    for rows in blocks:
         angles = (2 * np.arange(resolution) + 1) * theta[rows, None]
         s_hat = np.fft.fft(np.sin(angles))
         c_hat = np.fft.fft(np.cos(angles))
@@ -217,6 +219,10 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
                     "algorithm": algorithm, "f": f, "budget": budget,
                     "queries": queries, "mae": mae, "repetitions": spec.repetitions,
                 })
+    if not rows:  # only qcoin skips a budget: one that buys no trial
+        k = spec.qcoin_k[0]
+        raise ValueError(f"no budget buys one qcoin trial at k = {k}: budgets must reach "
+                         f"{qcoin_queries(k, 1)}, got {spec.budgets}")
     return rows
 
 

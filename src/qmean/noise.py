@@ -1,7 +1,9 @@
 """NISQ-style error injection: stochastic Pauli gate noise plus readout
-bit flips, evaluated on the package's bound circuits (``primitives.Circuit``).
-The noisy-machine emulation uses the qcoin circuit with no input qubits,
-evaluated from its template (``coin_head_probability``).
+bit flips, evaluated on the package's bound circuits (``primitives.Circuit``)
+by trajectories (``noisy_execute``) or exactly, by density-matrix evolution
+(``outcome_probabilities``).  The noisy-machine emulation uses the qcoin
+circuit with no input qubits, whose head probability has a closed form
+(``coin_head_probability``).
 """
 
 from __future__ import annotations
@@ -120,50 +122,66 @@ def _gates(circuit: Circuit) -> list[CircuitOp]:
     return [op for op in _bound(circuit).expand() if op.name != "M"]
 
 
-def _pauli_channel(rho: np.ndarray, g: float, paulis: list[np.ndarray]) -> np.ndarray:
-    if g == 0:
-        return rho
-    acc = (1.0 - g) * rho
-    for full in paulis:
-        acc = acc + (g / 3.0) * (full @ rho @ full.conj().T)
-    return acc
+# Largest products x 8^n_qubits that ``outcome_probabilities`` evolves, a
+# product being one conjugation of the dense rho: one per gate, three per
+# noisy qubit it touches.  At the cap one gate on 10 qubits takes 0.26 s and
+# 75 MiB; qss_circuit(0, 32) under the hardware preset (996 products on 6
+# qubits) 0.13 s with one BLAS thread, 1.3 s with two (2-core Xeon, Python
+# 3.11.7, NumPy 2.4.6); qss_circuit(0, 64) (1,942 on 7 qubits) is refused.
+MAX_DENSITY_WORK = 1 << 30
 
 
 def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
-    """Exact observed-bit distribution under the noise model: the
-    infinite-trajectory limit of noisy_execute.
+    """Exact observed-bit distribution under the noise model, the
+    infinite-trajectory limit of noisy_execute, by density-matrix evolution.
 
-    A one-qubit circuit read out on that qubit is evaluated in closed form
-    (``_one_qubit_probabilities``, O(ops + log repeat counts)); any other
-    circuit by density-matrix evolution, whose cost grows as 4^n per op.
+    Each gate's full matrix is its kernel applied to the identity, and each
+    qubit a gate touches takes its Pauli channel when the gate's rate is
+    non-zero; the readout flips are one 2x2 per measured bit.  Refused past
+    MAX_DENSITY_WORK before rho or any Pauli is allocated.
     """
-    if circuit.n_qubits == 1 and list(circuit.measured_qubits) == [0]:
-        return _one_qubit_probabilities(circuit, model)
-    return _density_matrix_probabilities(circuit, model)
+    gates, n = _gates(circuit), circuit.n_qubits
+    rates = [model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q for op in gates]
+    # conjugations of rho: one per gate, and one per Pauli on each noisy qubit
+    products = sum(1 + 3 * len(op.touched) * (g > 0) for op, g in zip(gates, rates))
+    work = max(products, 1) << 3 * n
+    if work > MAX_DENSITY_WORK:
+        raise ValueError(f"density-matrix evolution needs {products} products x 8^{n} = {work} "
+                         f"operations, more than the cap of {MAX_DENSITY_WORK}")
+    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    paulis: dict = {}  # the dense X, Y and Z on each qubit that a noisy gate touches
+    for op, g in zip(gates, rates):
+        full = op.kernel.matrix()
+        rho = full @ rho @ full.conj().T
+        for q in op.touched if g else ():
+            if q not in paulis:
+                paulis[q] = [lower_gate(pauli, [q], [], n).matrix() for pauli in _PAULIS]
+            acc = (1.0 - g) * rho
+            for pauli in paulis[q]:  # Hermitian
+                acc = acc + (g / 3.0) * (pauli @ rho @ pauli)
+            rho = acc
 
-
-def _one_qubit_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
-    """Closed form for one qubit (Nielsen & Chuang 8.3).
-
-    A uniformly random Pauli with probability g is a depolarizing channel: it
-    shrinks the Bloch vector by 1 - 4g/3 and commutes with every unitary, so
-    the ideal head probability |U[1,0]|^2 moves towards 1/2 by that factor per
-    gate, and readout flips with probability r mix the two outcomes.
-    """
-    u = _product(_bound(circuit).ops, lambda op: tuple(op.kernel.matrix().ravel().tolist()))
-    n_gates = sum(count for op, count in circuit.counted_ops() if op.name != "M")
-    p = _observed(u[2], n_gates, model)
-    return np.array([1.0 - p, p])
-
-
-def _observed(u10, n_gates: int, model: NoiseModel) -> float:
-    """The observed head probability of a one-qubit circuit whose gates'
-    product has lower-left entry ``u10``: the ideal |u10|^2 shrunk towards
-    1/2 once per gate, then mixed by the readout flips."""
-    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
-    p = 0.5 + shrink * (abs(u10) ** 2 - 0.5)
+    # the diagonal with an axis per qubit, qubit n-1 first, summed onto one
+    # axis per measured bit, the last bit first, as in the outcome's index
+    marginal = np.einsum(np.real(np.diag(rho)).reshape((2,) * n), list(range(n)),
+                         [n - 1 - q for q in reversed(circuit.measured_qubits)])
     r = model.readout_flip_prob
-    return r + (1.0 - 2.0 * r) * p
+    for axis in range(marginal.ndim):
+        marginal = np.moveaxis(np.tensordot([[1.0 - r, r], [r, 1.0 - r]], marginal, (1, axis)),
+                               0, axis)
+    return marginal.ravel() / marginal.sum()
+
+
+def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | None = None) -> float:
+    """Probability of observing the outcome ``head_outcome`` under the noise
+    model.  By default that is the head state |1>|0..0> of ``coin_circuit``,
+    which measures its inputs and then its target: the last measured bit 1,
+    the others 0."""
+    probs = outcome_probabilities(circuit, model)
+    if head_outcome is None:
+        head_outcome = probs.shape[0] // 2
+    return float(probs[head_outcome])
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
@@ -200,59 +218,6 @@ def _mul(a: tuple, b: tuple) -> tuple:
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
-def _density_matrix_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
-    """The stochastic Pauli channel averaged exactly by density-matrix
-    evolution, readout flips by a per-bit confusion matrix.  Each gate's full
-    matrix is its kernel applied to the identity."""
-    n = circuit.n_qubits
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    paulis = [[lower_gate(p, [q], [], n).matrix() for p in _PAULIS] for q in range(n)]
-    for op in _gates(circuit):
-        full = op.kernel.matrix()
-        rho = full @ rho @ full.conj().T
-        g = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
-        for q in op.touched:
-            rho = _pauli_channel(rho, g, paulis[q])
-
-    diag = np.real(np.diag(rho))
-    measured = list(circuit.measured_qubits)
-    m = len(measured)
-    basis = np.arange(dim)
-    keys = np.zeros(dim, dtype=np.int64)
-    for j, q in enumerate(measured):
-        keys |= ((basis >> q) & 1) << j
-    marginal = np.zeros(1 << m)
-    np.add.at(marginal, keys, diag)
-
-    r = model.readout_flip_prob
-    if r > 0:
-        confusion = np.array([[1 - r, r], [r, 1 - r]])
-        flipped = np.zeros_like(marginal)
-        for observed in range(1 << m):
-            weight = 0.0
-            for actual in range(1 << m):
-                w = marginal[actual]
-                for j in range(m):
-                    w *= confusion[(observed >> j) & 1, (actual >> j) & 1]
-                weight += w
-            flipped[observed] = weight
-        marginal = flipped
-    return marginal / marginal.sum()
-
-
-def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | None = None) -> float:
-    """Probability of observing the outcome ``head_outcome`` under the noise
-    model.  By default that is the head state |1>|0..0> of ``coin_circuit``,
-    which measures its inputs and then its target: the last measured bit 1,
-    the others 0."""
-    probs = outcome_probabilities(circuit, model)
-    if head_outcome is None:
-        head_outcome = probs.shape[0] // 2
-    return float(probs[head_outcome])
-
-
 # coin_circuit(0, m) by m, for coin_head_probability: its lowered nodes, the
 # 2x2 of each kernel in them by kernel, and its gate count.  Built at the first
 # evaluation of each shape and bounded, like primitives._SHAPES, by the shapes
@@ -275,14 +240,19 @@ def _coin(m: int) -> tuple:
 
 
 def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) -> float:
-    """``head_probability(simple_qcoin_circuit(f, offset, m), model)``,
-    bit for bit, without building an oracle or binding the circuit.
+    """The head probability of ``simple_qcoin_circuit(f, offset, m)`` under
+    ``model`` in closed form (Nielsen & Chuang 8.3), with no oracle and no bind.
 
-    The closed form of ``_one_qubit_probabilities`` runs on the template of
+    A uniformly random Pauli with probability g after each gate is a
+    depolarizing channel: it shrinks the Bloch vector by 1 - 4g/3 and
+    commutes with every unitary, so the ideal head probability |U[1,0]|^2
+    moves towards 1/2 by that factor per gate; readout flips then mix the
+    outcomes.  U is the ordered product of the template of
     ``coin_circuit(0, m)``: each op but Q and Q_INV gives the real 2x2 of its
-    kernel, built once per shape (``_coin``), and Q is the rotation
-    (c, -s; s, c) by asin(f - offset) that ``primitives._rotation`` makes,
-    Q_INV its transpose.  The oracle's range checks raise ``OracleError``, a
+    kernel once per shape (``_coin``), Q is the rotation (c, -s; s, c) by
+    asin(f - offset) that ``primitives._rotation`` makes, Q_INV its
+    transpose.  ``head_probability`` of the bound circuit agrees to about
+    1e-14.  The oracle's range checks raise ``OracleError``, a
     rotation that is not unitary ``SimulatorError``, and a circuit past
     MAX_CIRCUIT_OPS ``ValueError``, as binding would.
     """
@@ -300,7 +270,9 @@ def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) ->
     q, q_inv = (c, -s, s, c), (c, s, -s, c)
     u = _product(nodes, lambda op: q if op.name == "Q" else q_inv if op.name == "Q_INV"
                  else fixed[op.kernel])
-    return _observed(u[2], n_gates, model)
+    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
+    r = model.readout_flip_prob
+    return r + (1.0 - 2.0 * r) * (0.5 + shrink * (abs(u[2]) ** 2 - 0.5))
 
 
 def simple_qcoin_circuit(f: float, offset: float, repetitions: int) -> Circuit:

@@ -5,9 +5,9 @@ description of each circuit.
 ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (every
 op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
 supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
-each register of H as a few dense products, each amplification step's S,
-RZERO, S^-1 as one reflection and each repeated block of steps G as one
-rotation in the plane of the reflection's vector (``ReflectionKernel``),
+each register of H as a few dense products and each repeated block of
+amplification steps G, a phase flip then the reflection S^-1 RZERO S, as
+one rotation in the plane of the reflection's vector (``ReflectionKernel``),
 that vector built the first time it runs.  The estimators run these
 circuits; the noise layer evaluates them op by op, ``dump_circuit`` prints
 them and the resource report counts them.  The dense gates (``oracle_gate``
@@ -412,21 +412,20 @@ def _has_slot(steps: list) -> bool:
 
 def _schedule(nodes, n_qubits: int, lower) -> list:
     """The run steps of a list of ops, each op lowered by ``lower``: a
-    kernel, an ``M`` op, or a repeated block's one step (``_repeat_step``).
+    kernel, an ``M`` op, or a repeated block's one step (``_raised`` or
+    ``_repeat_step``).
     Each maximal run of formula H ops with the same controls and distinct
-    targets is a few dense kernels (``hadamard_kernels``), and each RZERO
-    framed by ops S and their mirror S^-1 (``_mirror_depth``) is one
-    ``ReflectionKernel``.  A step that needs the oracle is a ``_Slot``.
+    targets is a few dense kernels (``hadamard_kernels``).  A step that
+    needs the oracle is a ``_Slot``.
     """
-    return [step for item in _items(nodes) for step in _steps(item, n_qubits, lower)]
+    return [step for run in _runs(nodes) for step in _steps(run, n_qubits, lower)]
 
 
-def _items(nodes) -> list:
-    """``nodes`` grouped for ``_steps``: each maximal run of formula H ops
-    with the same controls and distinct targets as [controls, targets,
-    first op], each RZERO framed by S and S^-1 as (RZERO op, the runs of
-    S^-1), every other node as it is; a block repeated zero times is left out."""
-    runs = []  # each a node, or [controls, targets, first op] of a run of H ops
+def _runs(nodes) -> list:
+    """``nodes`` with each maximal run of formula H ops with the same
+    controls and distinct targets as [controls, targets, first op], and
+    every other node as it is; a block repeated zero times is left out."""
+    runs = []
     for node in nodes:
         if isinstance(node, Repeat) and not node.count:
             continue
@@ -437,67 +436,72 @@ def _items(nodes) -> list:
                 continue
             node = [node.controls, [node.targets[0]], node]
         runs.append(node)
-    items, floor, r = [], 0, 0
-    while r < len(runs):
-        depth = _mirror_depth(runs, r, floor)
-        if depth:
-            del items[len(items) - depth:]
-            items.append((runs[r], runs[r + 1:r + 1 + depth]))
-            r = floor = r + 1 + depth
-        else:
-            items.append(runs[r])
-            r += 1
-    return items
+    return runs
 
 
-def _steps(item, n_qubits: int, lower) -> list:
-    """The run steps of one item of ``_items``."""
-    if isinstance(item, Repeat):
-        return [_repeat_step(item, n_qubits, lower)]
-    if isinstance(item, tuple):
-        return [_reflection(item, n_qubits, lower)]
-    if isinstance(item, list):
-        return (_steps(item[2], n_qubits, lower) if len(item[1]) == 1
-                else hadamard_kernels(n_qubits, item[1], item[0]))
-    if item.name == "M":
-        return [item]
-    if _needs_oracle(item):
-        return [_Slot(lambda binding: binding.kernels[item.name, item.targets, item.controls])]
-    return [lower(item).kernel]
+def _steps(run, n_qubits: int, lower) -> list:
+    """The run steps of one item of ``_runs``."""
+    if isinstance(run, Repeat):
+        return [_raised(run, n_qubits, lower) or _repeat_step(run, n_qubits, lower)]
+    if isinstance(run, list):
+        return (_steps(run[2], n_qubits, lower) if len(run[1]) == 1
+                else hadamard_kernels(n_qubits, run[1], run[0]))
+    if run.name == "M":
+        return [run]
+    if _needs_oracle(run):
+        return [_Slot(lambda binding: binding.kernels[run.name, run.targets, run.controls])]
+    return [lower(run).kernel]
 
 
 def _repeat_step(block: Repeat, n_qubits: int, lower):
-    """A repeated block's one step: a phase D then a reflection R, raised to
-    G^count as one ``ReflectionKernel`` when D fits (``_signs``), else (its
-    steps, count)."""
-    items = _items(block.ops)
-    if len(items) == 2 and isinstance(items[0], CircuitOp) and isinstance(items[1], tuple):
-        phase = lower(items[0])
-        if isinstance(phase.kernel, PhaseKernel):
-            step = _reflection(items[1], n_qubits, lower, phase, block.count)
-            if step is not None:
-                return step
+    """A repeated block that is not one amplification step (``_raised``) as
+    one step: (its steps, count)."""
     body = _schedule(block.ops, n_qubits, lower)
     if _has_slot(body):
         return _Slot(lambda binding: (_fill(body, binding), block.count))
     return body, block.count
 
 
-def _reflection(item: tuple, n_qubits: int, lower, phase: CircuitOp | None = None, count: int = 1):
-    """The reflection (RZERO op, runs of S^-1) as a ``ReflectionKernel``,
-    after the lowered ``phase`` and raised to ``count`` when one is given; a
-    ``_Slot`` when S^-1 needs the oracle.  None when the phase does not fit."""
-    centre, after = item
+def _raised(block: Repeat, n_qubits: int, lower):
+    """The block as one ``ReflectionKernel`` (a ``_Slot`` when S^-1 needs
+    the oracle), or None unless its runs are exactly a formula phase D, ops
+    S, a formula RZERO and the mirror S^-1 of S, and D fits (``_signs``).
+
+    The mirror lists the runs of S in reverse order, an H run for one on the
+    same qubits, Q for Q_INV and Q_INV for Q, every op a formula op under
+    RZERO's controls and on its targets.
+    """
+    runs = _runs(block.ops)
+    if len(runs) < 2 or len(runs) % 2:
+        return None
+    depth = len(runs) // 2 - 1  # runs: D, S (depth runs), RZERO, S^-1 (depth runs)
+    phase, centre, after = runs[0], runs[depth + 1], runs[depth + 2:]
+    if not (isinstance(phase, CircuitOp) and isinstance(centre, CircuitOp)
+            and centre.name == "RZERO" and centre.gate is None):
+        return None
+    inside = set(centre.targets)
+
+    def mirrored(a, b) -> bool:
+        if isinstance(a, list) and isinstance(b, list):  # H runs
+            return a[0] == b[0] == centre.controls and set(a[1]) == set(b[1]) <= inside
+        return (isinstance(a, CircuitOp) and isinstance(b, CircuitOp)
+                and _needs_oracle(a) and _needs_oracle(b) and {a.name, b.name} == {"Q", "Q_INV"}
+                and a.targets == b.targets and a.controls == b.controls == centre.controls
+                and set(a.targets) <= inside)
+
+    phase = lower(phase)
+    if not (isinstance(phase.kernel, PhaseKernel)
+            and all(mirrored(a, b) for a, b in zip(runs[depth:0:-1], after))):
+        return None
     mirror = [step for run in after for step in _steps(run, n_qubits, lower)]
     # what a = S^-1 |0> and its split depend on: the ops without the controls they share
     key = tuple(("H", *sorted(run[1])) if isinstance(run, list) else
                 (run.name, run.targets, run.angle, *sorted(set(run.controls) - set(centre.controls)))
-                for run in [centre, *after] + ([phase] if phase else []))
-    kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror, key, count)
-    if phase is not None:
-        kernel.signs = _signs(kernel, phase.kernel)
-        if kernel.signs is None:
-            return None
+                for run in [centre, *after, phase])
+    kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror, key, block.count)
+    kernel.signs = _signs(kernel, phase.kernel)
+    if kernel.signs is None:
+        return None
     return _Slot(kernel.bound) if _has_slot(mirror) else kernel
 
 
@@ -514,39 +518,12 @@ def _signs(kernel: MatrixKernel, phase: PhaseKernel) -> np.ndarray | None:
     return signs if fits and (diagonal == 1).all() else None
 
 
-def _mirror_depth(runs: list, r: int, floor: int) -> int:
-    """How many runs on each side of ``runs[r]`` make S, RZERO, S^-1: S
-    starts at ``floor`` or later and its mirror follows RZERO in reverse
-    order (an H run for one on the same qubits, Q for Q_INV and Q_INV for
-    Q), every op a formula op under RZERO's controls and on its targets.
-    0 unless ``runs[r]`` is a formula RZERO."""
-    centre = runs[r]
-    if not (isinstance(centre, CircuitOp) and centre.name == "RZERO" and centre.gate is None):
-        return 0
-    inside = set(centre.targets)
-
-    def mirrored(a, b) -> bool:
-        if isinstance(a, list) and isinstance(b, list):  # H runs
-            return a[0] == b[0] == centre.controls and set(a[1]) == set(b[1]) <= inside
-        return (isinstance(a, CircuitOp) and isinstance(b, CircuitOp)
-                and _needs_oracle(a) and _needs_oracle(b) and {a.name, b.name} == {"Q", "Q_INV"}
-                and a.targets == b.targets and a.controls == b.controls == centre.controls
-                and set(a.targets) <= inside)
-
-    depth = 0
-    while (floor < r - depth and r + depth + 1 < len(runs)
-           and mirrored(runs[r - depth - 1], runs[r + depth + 1])):
-        depth += 1
-    return depth
-
-
 class ReflectionKernel(MatrixKernel):
     """G^count on the target qubits where every control is |1>, with
-    G = (2|a><a| - I) D: the ops S, RZERO, S^-1 of a schedule as one
-    reflection (D = I, count 1), or a repeated block of a phase D and that
-    reflection as one step, in O(2^n) per call for any count.
+    G = (2|a><a| - I) D: a repeated block of a phase D and the reflection
+    S^-1 RZERO S as one step, in O(2^n) per call for any count.
 
-    D is ``signs``, a +-1 diagonal on the targets (None for I).  With u and
+    D is ``signs``, a +-1 diagonal on the targets.  With u and
     v the unit parts of a = S^-1 |0> where D is +1 and -1, B = [u, v] and
     phi = atan2(|a-|, |a+|), G turns the plane of B by 2 phi and acts as -D
     on the rest of the space (Brassard, Hoyer, Mosca and Tapp,
@@ -564,10 +541,10 @@ class ReflectionKernel(MatrixKernel):
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
-                 mirror: list, key: tuple, count: int = 1):
+                 mirror: list, key: tuple, count: int):
         super().__init__(n_qubits, None, targets, controls)
         self.controls, self.mirror, self.key, self.count = controls, mirror, key, count
-        self.signs: np.ndarray | None = None
+        self.signs: np.ndarray | None = None  # D, set by ``_raised`` once it fits
         self.planes: dict = {}
         # with no controls and the targets in order, ``columns`` is a view of psi
         self.in_place = not controls and self.perm == tuple(sorted(self.perm))
@@ -599,7 +576,7 @@ class ReflectionKernel(MatrixKernel):
         # K = B (Rot - diag((-1)^count, 1)); (-D)^count is I for an even count
         self.gate = basis @ np.array([[c + 1.0 if odd else c - 1.0, -s], [s, c - 1.0]])
         self.bra = basis.T.copy()
-        self.sign = (-1.0 if self.signs is None else -self.signs[:, None]) if odd else None
+        self.sign = -self.signs[:, None] if odd else None
 
 
 def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
@@ -611,7 +588,7 @@ def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
     for step in kernel.mirror:
         step(psi)
     a = kernel.columns(psi, False)[1][:, 0].real
-    plus = a if kernel.signs is None else np.where(kernel.signs > 0, a, 0.0)
+    plus = np.where(kernel.signs > 0, a, 0.0)
     minus = a - plus
     norms = [float(np.linalg.norm(part)) for part in (plus, minus)]
     basis = np.stack([part / norm if norm else part for part, norm in zip((plus, minus), norms)],
@@ -796,6 +773,12 @@ def _coin_layout(n_input: int) -> tuple[tuple[int, ...], int]:
     return tuple(range(n_input)), n_input
 
 
+def check_resolution(resolution: int):
+    """Refuse a QSS resolution P that is not a power of two >= 2."""
+    if resolution < 2 or resolution & (resolution - 1):
+        raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
+
+
 def coin_circuit(n_input: int, m: int) -> Circuit:
     """The qcoin circuit: coin preparation, ``m`` G blocks, readout of the coin.
 
@@ -821,8 +804,7 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     """
     def build():
         inputs, target = _coin_layout(n_input)
-        if resolution < 2 or resolution & (resolution - 1):
-            raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
+        check_resolution(resolution)
         register = tuple(range(target + 1, target + resolution.bit_length()))
         ops = _h(register) + _prepare_ops("qss", inputs, target)
         ops += [Repeat(_g_block("qss", inputs, target, (ctrl,)), 1 << j)

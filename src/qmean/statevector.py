@@ -5,8 +5,8 @@ gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
 applies H to a register of qubits (``hadamard_kernels``) and, as
-``primitives.ReflectionKernel``, a reflection about one vector, or a repeated
-block of a phase flip and that reflection, as an update of rank two.
+``primitives.ReflectionKernel``, a repeated block of a phase flip and a
+reflection about one vector, as an update of rank two.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -180,15 +180,6 @@ class PairKernel(Kernel):
         return PairKernel(self.n_qubits, self.lo, self.hi,
                           m00.conj(), m10.conj(), m01.conj(), m11.conj())
 
-    def matrix(self) -> np.ndarray:
-        if self.n_qubits > 1:
-            return super().matrix()
-        # one qubit: every coefficient is a scalar, lo and hi fix the qubit's bit
-        full = np.zeros((2, 2), dtype=np.complex128)
-        lo, hi = self.lo[0], self.hi[0]
-        full[lo, lo], full[lo, hi], full[hi, lo], full[hi, hi] = self.coefficients
-        return full
-
 
 class PhaseKernel(Kernel):
     """Multiplies ``psi[index]`` by ``phase`` for each (index, phase) term, in
@@ -204,12 +195,6 @@ class PhaseKernel(Kernel):
     def __call__(self, psi: np.ndarray):
         for index, phase in self.terms:
             psi[index] *= phase
-
-    def matrix(self) -> np.ndarray:
-        """The diagonal: the kernel applied to a vector of ones."""
-        diagonal = np.ones(1 << self.n_qubits, dtype=np.complex128)
-        self(qubit_axes(diagonal, self.n_qubits))
-        return np.diag(diagonal)
 
 
 class MatrixKernel(Kernel):

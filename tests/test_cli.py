@@ -172,6 +172,11 @@ class TestExitCodes:
      "gate_error_mq"),
     (["supersample", "--algorithm", "qcoin"], "noise = 0, 0, 0.9\n", EXIT_VALIDATION,
      "gate_error_mq"),
+    # a qss readout at a P that no qss circuit has (0 was a traceback, 3 ran)
+    (["supersample", "--algorithm", "qss"], "qss_P = 0\n", EXIT_VALIDATION, "power of two"),
+    (["supersample", "--algorithm", "qss"], "qss_P = 3\n", EXIT_VALIDATION, "power of two"),
+    # a sweep whose every budget buys no qcoin trial (it wrote an empty CSV)
+    (["sweep-value"], "algorithms = qcoin\nbudgets = 10, 17\n", EXIT_VALIDATION, "reach 18"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -276,6 +281,9 @@ _KEYS = {
     "sweep-convergence": {"seed": _values(_INTS, 1), "algorithms": _values(_ALGORITHMS),
                           "noise": _NOISE, "budgets": _values(_INTS),
                           "repetitions": _values(_INTS, 1), "k_values": _values(_INTS, 2)},
+    "supersample": {"seed": _values(_INTS, 1), "noise": _NOISE, "width": _values(_INTS, 1),
+                    "height": _values(_INTS, 1), "qss_P": _values(_INTS, 1),
+                    "qcoin_k": _values(_INTS, 1)},
 }
 
 
@@ -293,15 +301,16 @@ _CASES = st.sampled_from(sorted(_KEYS)).flatmap(
                                "budgets": "100", "repetitions": "5"}),
          algorithm="qss", seed_flag=True)
 @example(case=("sweep-value", {"budgets": "100, 1000,"}), algorithm="qss", seed_flag=True)
+@example(case=("supersample", {"qss_P": "0"}), algorithm="qss", seed_flag=True)
 def test_config_fuzz_exit_codes(case, algorithm, seed_flag):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_bytes("".join(f"{k} = {v}\n" for k, v in config.items()).encode())
         argv = [command, "--config", str(cfg)] + (["--seed", "1"] if seed_flag else [])
-        if command == "estimate":
+        if command in ("estimate", "supersample"):
             argv += ["--algorithm", algorithm]
-        else:
+        if command != "estimate":
             argv += ["--out", str(Path(tmp) / "out")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmean import statevector
+from qmean import noise, statevector
 from qmean.estimators import estimate_qcoin
 from qmean.harness import fast_qcoin_estimate, qss_theoretical_distribution
 from qmean.noise import (
@@ -14,7 +14,6 @@ from qmean.noise import (
     HARDWARE_PRESET,
     NoiseModel,
     PRESETS,
-    _density_matrix_probabilities,
     coin_head_probability,
     head_probability,
     noisy_execute,
@@ -107,6 +106,15 @@ class TestReadoutError:
         circuit = sqrt_coin(1.0)
         assert abs(head_probability(circuit, model) - 0.92) < 1e-12
 
+    def test_each_measured_bit_flips_on_its_own(self):
+        r = 0.1
+        circuit = Circuit(3).add(X_GATE, [0]).add(X_GATE, [2]).measure([2, 1, 0])
+        probs = outcome_probabilities(circuit, NoiseModel(readout_flip_prob=r))
+        actual = [1, 0, 1]  # qubits 2, 1 and 0, the readout's bits 0, 1 and 2
+        expected = [math.prod(r if ((k >> j) & 1) != bit else 1.0 - r
+                              for j, bit in enumerate(actual)) for k in range(8)]
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
+
 
 class TestDensityMatrixAverage:
     def test_matches_trajectories_with_gate_noise(self):
@@ -148,17 +156,18 @@ def random_one_qubit_ops(rng, size):
 
 
 class TestOneQubitClosedForm:
-    """The closed form against the density-matrix route it replaces for one qubit."""
+    """One-qubit circuits by density-matrix evolution against the
+    depolarizing closed form: the coin's (``coin_head_probability``), and
+    one written out here for any gate list."""
 
     def test_coin_circuit_parity(self):
         rng = np.random.default_rng(51)
         for _ in range(60):
             f = rng.uniform(0.0, 1.0)
-            circuit = simple_qcoin_circuit(f, rng.uniform(0.0, f), int(rng.integers(0, 33)))
+            offset, m = rng.uniform(0.0, f), int(rng.integers(0, 33))
             model = random_model(rng)
-            np.testing.assert_allclose(outcome_probabilities(circuit, model),
-                                       _density_matrix_probabilities(circuit, model),
-                                       rtol=0, atol=1e-12)
+            density = outcome_probabilities(simple_qcoin_circuit(f, offset, m), model)
+            assert abs(coin_head_probability(f, offset, m, model) - density[1]) <= 1e-12
 
     def test_gate_lists_with_a_repeat_parity(self):
         rng = np.random.default_rng(52)
@@ -169,8 +178,14 @@ class TestOneQubitClosedForm:
             ops += [block] + random_one_qubit_ops(rng, int(rng.integers(0, 4)))
             circuit = Circuit(1, ops).measure([0])
             model = random_model(rng)
-            np.testing.assert_allclose(outcome_probabilities(circuit, model),
-                                       _density_matrix_probabilities(circuit, model),
+            gates = [op.gate.matrix for op in circuit.expand() if op.name != "M"]
+            u = np.eye(2)
+            for gate in gates:
+                u = gate @ u
+            shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** len(gates)
+            p = 0.5 + shrink * (abs(u[1, 0]) ** 2 - 0.5)
+            p = model.readout_flip_prob + (1.0 - 2.0 * model.readout_flip_prob) * p
+            np.testing.assert_allclose(outcome_probabilities(circuit, model), [1.0 - p, p],
                                        rtol=0, atol=1e-12)
 
     def test_matches_trajectories(self):
@@ -207,13 +222,11 @@ class TestOneQubitClosedForm:
         circuit = Circuit(1)
         circuit.add(H_GATE, [0])
         model = NoiseModel(readout_flip_prob=0.1, gate_error_1q=0.05)
-        probs = outcome_probabilities(circuit, model)
-        np.testing.assert_array_equal(probs, _density_matrix_probabilities(circuit, model))
-        assert probs.shape == (1,)
+        np.testing.assert_array_equal(outcome_probabilities(circuit, model), [1.0])
 
 
 class TestCoinHeadProbability:
-    """The coin evaluated from its template against the bound circuit it replaces."""
+    """The coin evaluated from its template against its analytic value."""
 
     MODELS = (HARDWARE_PRESET, NoiseModel(readout_flip_prob=0.07), NoiseModel(gate_error_1q=0.01))
 
@@ -225,9 +238,13 @@ class TestCoinHeadProbability:
         # m = 0, offset 0, f = offset, f = 1
         cases += [(0.6, 0.3, 0), (0.4, 0.0, 5), (0.0, 0.0, 3), (0.45, 0.45, 8),
                   (1.0, 0.25, 64), (1.0, 0.0, 0), (1.0, 0.5, 128)]
+        r, shrink = model.readout_flip_prob, 1.0 - 4.0 * model.gate_error_1q / 3.0
         for f, offset, m in cases:
-            assert (coin_head_probability(f, offset, m, model)
-                    == head_probability(simple_qcoin_circuit(f, offset, m), model)), (f, offset, m)
+            ideal = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
+            # four gates per G on one qubit (FLIP_HEAD, Q_INV, RZERO, Q), and the first Q
+            expected = r + (1.0 - 2.0 * r) * (0.5 + shrink ** (4 * m + 1) * (ideal - 0.5))
+            assert abs(coin_head_probability(f, offset, m, model) - expected) <= 1e-12, \
+                (f, offset, m)
 
     @pytest.mark.parametrize("f,offset", [(1.2, 0.0), (-0.1, 0.0), (0.5, 1.0), (0.5, -0.2),
                                           (0.5, math.nan)])
@@ -271,6 +288,22 @@ class TestCoinHeadProbability:
         # the counters see the bound route
         head_probability(simple_qcoin_circuit(0.6, 0.2, 4), HARDWARE_PRESET)
         assert {"__post_init__", "bind", "matrix"} <= set(calls)
+
+
+class TestDensityCap:
+    def test_refused_before_rho_is_allocated(self):
+        # 1,942 products on 7 qubits; and no gate, but a rho of 2^84 bytes
+        with pytest.raises(ValueError, match="1942 products x 8\\^7"):
+            head_probability(qss_circuit(0, 64).bind(OracleSpec([0.3])), HARDWARE_PRESET)
+        with pytest.raises(ValueError, match="cap"):
+            outcome_probabilities(Circuit(40).measure([0]), ZERO)
+
+    def test_each_noisy_qubit_adds_three_products(self, monkeypatch):
+        circuit = Circuit(2, [CircuitOp("H", (0,)), CircuitOp("SWAP", (0, 1))]).measure([0, 1])
+        monkeypatch.setattr(noise, "MAX_DENSITY_WORK", 5 << 6)
+        outcome_probabilities(circuit, NoiseModel(gate_error_1q=0.1))  # 1 + 3, then 1
+        with pytest.raises(ValueError, match="8 products"):
+            outcome_probabilities(circuit, NoiseModel(gate_error_mq=0.1))  # 1, then 1 + 6
 
 
 class TestErrorMonotonicity:

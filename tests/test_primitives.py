@@ -404,8 +404,9 @@ def _qss_case(n_in, p):
 
 _RZERO = CircuitOp("RZERO", (0, 1))
 _TWO_BINS = OracleSpec([0.3, 0.7], 0.1, LINEAR_AMPLITUDE)  # Q on input 0, target 1
-# ops on 3 qubits whose RZERO is framed by ops that are not S and its mirror S^-1
-NOT_MIRRORED = {
+# blocks on 3 qubits of a phase D that fits, then an RZERO framed by ops that
+# are not S and its mirror S^-1: each G runs op by op
+NOT_MIRRORED = {name: [Repeat([CircuitOp("Z", (1,)), *ops], 2)] for name, ops in {
     "other-controls": [CircuitOp("H", (0,)), CircuitOp("Q_INV", (0, 1), (2,)), _RZERO,
                        CircuitOp("Q", (0, 1), (2,)), CircuitOp("H", (0,))],
     "outside-targets": [CircuitOp("H", (0,)), CircuitOp("H", (2,)), _RZERO,
@@ -414,7 +415,7 @@ NOT_MIRRORED = {
     "not-inverse": [CircuitOp("H", (0,)), CircuitOp("Q_INV", (0, 1)), _RZERO,
                     CircuitOp("Q_INV", (0, 1)), CircuitOp("H", (0,))],
     "other-qubits": [CircuitOp("H", (0,)), _RZERO, CircuitOp("H", (1,))],
-}
+}.items()}
 _H0 = CircuitOp("H", (0,))
 # blocks of a phase D, then a reflection on qubits 0 and 1, where D is not +-1
 # on the reflection's qubits alone and 1 elsewhere: each G runs as two steps
@@ -467,10 +468,12 @@ class TestCircuit:
         # a raised reflection controlled by each register qubit
         *[pytest.param(_qss_case(n_in, p), id=f"qss-n{n_in}-P{p}")
           for n_in, p in [(2, 64), (6, 8), (6, 64)]],
-        # a reflection over the H pair only; the user matrices run on their own
+        # S, RZERO and S^-1 outside a block, each op its own kernel
         pytest.param(_ops_case([CircuitOp("X", (2,), gate=X_GATE), CircuitOp("H", (0,)), _RZERO,
                                 CircuitOp("H", (0,)), CircuitOp("X", (2,), gate=X_GATE)]),
                      id="partial-mirror"),
+        pytest.param(_ops_case([_H0, CircuitOp("Q", (0, 1)), _RZERO, CircuitOp("Q_INV", (0, 1)),
+                                _H0]), id="standalone-reflection"),
         *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_MIRRORED.items()],
         *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_RAISED.items()],
     ])
@@ -493,15 +496,29 @@ class TestCircuit:
 
     @pytest.mark.parametrize("name", sorted(NOT_MIRRORED))
     def test_reflection_needs_an_exact_mirror(self, name):
-        steps = Circuit(3, list(NOT_MIRRORED[name])).bind(_TWO_BINS).schedule
-        assert not any(isinstance(step, ReflectionKernel) for step in steps)
-        assert sum(isinstance(step, PhaseKernel) for step in steps) == 1  # RZERO on its own
+        (body, count), = Circuit(3, list(NOT_MIRRORED[name])).bind(_TWO_BINS).schedule
+        assert count == 2 and not any(isinstance(step, ReflectionKernel) for step in body)
+        assert sum(isinstance(step, PhaseKernel) for step in body) == 2  # D, and RZERO on its own
 
     @pytest.mark.parametrize("name", sorted(NOT_RAISED))
     def test_raised_step_needs_a_phase_of_signs_on_the_reflection(self, name):
         (body, count), = Circuit(3, list(NOT_RAISED[name])).bind().schedule
         assert count == NOT_RAISED[name][0].count
-        assert [type(s) for s in body] == [PhaseKernel, ReflectionKernel] and body[1].count == 1
+        assert not any(isinstance(step, ReflectionKernel) for step in body)
+        assert sum(isinstance(step, PhaseKernel) for step in body) == 2  # D, and RZERO on its own
+
+    def test_every_block_the_estimators_run_is_one_raised_step(self):
+        circuits = [(coin_circuit(n_in, 1 << j), OracleSpec([0.5] * (1 << n_in), 0.1,
+                                                            LINEAR_AMPLITUDE))
+                    for n_in in range(9) for j in range(7)]
+        circuits += [(qss_circuit(n_in, 1 << j), OracleSpec([0.5] * (1 << n_in)))
+                     for n_in in range(5) for j in range(1, 13)]
+        for circuit, oracle in circuits:
+            bound = circuit.bind(oracle)
+            counts = [node.count for node in bound.ops if isinstance(node, Repeat)]
+            assert not any(isinstance(step, tuple) for step in bound.schedule)
+            assert [step.count for step in bound.schedule
+                    if isinstance(step, ReflectionKernel)] == counts
 
     def test_each_amplification_step_is_one_reflection(self):
         # each qss block G^(2^j), G being Z then S, RZERO, S^-1, is one

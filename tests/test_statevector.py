@@ -9,7 +9,6 @@ from qmean.statevector import (
     GateMatrix,
     H_GATE,
     HADAMARD_CHUNK,
-    Kernel,
     MatrixKernel,
     PairKernel,
     PhaseKernel,
@@ -23,6 +22,7 @@ from qmean.statevector import (
     hadamard_kernels,
     lower_gate,
     measure,
+    qubit_axes,
     qubit_index,
 )
 
@@ -248,7 +248,12 @@ class TestKernelMatrix:
         PhaseKernel(3, [(qubit_index(3, {}), -1.0), (qubit_index(3, {0: 0, 2: 1}), 1j)]),
     ])
     def test_equals_the_kernel_applied_to_the_identity(self, kernel):
-        np.testing.assert_array_equal(kernel.matrix(), Kernel.matrix(kernel))
+        # the density-matrix route takes each gate's matrix from the kernel run on
+        # all basis vectors at once: column j is the kernel run on basis vector j
+        full = kernel.matrix()
+        for j, column in enumerate(np.eye(1 << kernel.n_qubits, dtype=np.complex128)):
+            kernel(qubit_axes(column, kernel.n_qubits))
+            np.testing.assert_array_equal(full[:, j], column)
 
 
 class TestMeasurement:
