@@ -125,6 +125,14 @@ def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qco
         raise CliError(f"{command} applies no noise to {', '.join(ignored)}", EXIT_VALIDATION)
 
 
+def _check_k(values, name: str):
+    """A qcoin k counts shift-and-scale steps; a negative one is refused by the
+    key or flag ``name`` that gave it."""
+    negative = [k for k in values if k < 0]
+    if negative:
+        raise CliError(f"{name} must be non-negative, got {negative[0]}", EXIT_VALIDATION)
+
+
 def cmd_estimate(args):
     cfg = _load_config(args, ("seed", "f", "noise"))
     seed = _require_seed(args, cfg)
@@ -142,6 +150,7 @@ def cmd_estimate(args):
     elif args.algorithm == "qss":
         est = estimate_qss(oracle, flags["P"], seed)
     else:
+        _check_k([flags["k"]], "--k")
         est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     rec = est.to_record(f_true=f)
     print(",".join(f"{k}={v}" for k, v in rec.items()))
@@ -165,6 +174,8 @@ def cmd_sweep_value(args):
         noise=noise,
         seed_base=seed,
     )
+    if "qcoin" in algorithms:
+        _check_k(spec.qcoin_k, "k_values")
     rows = harness.run_value_sweep(spec)
     _clear_config_echo(out)
     harness.write_csv(out / "value-sweep.csv", rows)
@@ -187,6 +198,8 @@ def cmd_sweep_convergence(args):
         qcoin_k=harness.config_list(cfg, "k_values", int, [3, 4, 5, 6]),
         seed_base=seed,
     )
+    if "qcoin" in algorithms:
+        _check_k(spec.qcoin_k, "k_values")
     result = harness.run_convergence_sweep(spec)
     _clear_config_echo(out)
     harness.write_csv(out / "convergence.csv", result["rows"])
@@ -213,6 +226,8 @@ def cmd_supersample(args):
         _config_value(cfg, key, int, default)
         for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))
     )
+    if args.algorithm == "qcoin":
+        _check_k([qcoin_k], "qcoin_k")
     if args.image:
         try:
             image = harness.read_pgm(args.image)

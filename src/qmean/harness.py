@@ -33,15 +33,22 @@ from .primitives import Circuit, check_resolution, coin_circuit, qss_circuit
 # simulation in the test suite).
 
 # Most values (rows x P) one block of readout distributions holds.  A block
-# is one FFT of its sin traces and one of its cos traces, so 200 means at
-# P = 256 take 13 pairs of transforms instead of 200; its temporaries stay
-# near 0.3 MB at 2^12, while 2^13 doubles them for no clear gain and 2^14
-# runs slower.
+# is one complex FFT of its traces, so 200 means at P = 256 take 13
+# transforms instead of 200; its temporaries stay near 0.25 MB at 2^12, while
+# 2^13 doubles them for no clear gain and 2^14 runs slower.
 QSS_BLOCK_VALUES = 2**12
+
+# Largest resolution P the closed-form readout computes.  The error of one
+# mean peaks at 64 bytes per value of P (64 MiB at 2^20, tracemalloc), and P
+# comes from config, so a larger one is refused before anything is allocated.
+QSS_MAX_RESOLUTION = 2**20
 
 
 def _qss_blocks(n_means: int, resolution: int):
     check_resolution(resolution)  # every readout comes through here
+    if resolution > QSS_MAX_RESOLUTION:
+        raise ValueError(f"the closed-form qss readout takes P (qss_P) up to "
+                         f"{QSS_MAX_RESOLUTION}, got {resolution}")
     step = max(1, QSS_BLOCK_VALUES // resolution)
     return (slice(i, i + step) for i in range(0, n_means, step))
 
@@ -50,20 +57,27 @@ def qss_theoretical_distribution(f, resolution: int) -> np.ndarray:
     """Exact outcome distribution over t for target mean f.
 
     The amplified state carries sin((2m+1) theta) / cos((2m+1) theta) on the
-    head / tail branch of register value m; the readout distribution is the
-    squared transform of both traces, p(t) = (|S_t|^2 + |C_t|^2) / P^2.
+    head / tail branch of register value m: the imaginary and real parts of
+    z_m = exp(i (2m+1) theta).  The readout distribution is the squared
+    transform of both traces, p(t) = (|S_t|^2 + |C_t|^2) / P^2, which one
+    transform of z gives as (|Z_t|^2 + |Z_{-t}|^2) / (2 P^2).
     f may be a 1-D array of means, which gives one row per mean; a float
     gives one distribution.
     """
     theta = _asin(np.sqrt(np.clip(np.ravel(np.asarray(f, dtype=float)), 0.0, 1.0)))
     blocks = _qss_blocks(theta.size, resolution)
+    odd = 2 * np.arange(resolution) + 1
     dist = np.empty((theta.size, resolution))
     for rows in blocks:
-        angles = (2 * np.arange(resolution) + 1) * theta[rows, None]
-        s_hat = np.fft.fft(np.sin(angles))
-        c_hat = np.fft.fft(np.cos(angles))
-        block = (np.abs(s_hat) ** 2 + np.abs(c_hat) ** 2) / resolution**2
-        dist[rows] = block / block.sum(axis=-1, keepdims=True)
+        angles = odd * theta[rows, None]
+        z = np.empty(angles.shape, complex)
+        np.cos(angles, out=z.real)
+        np.sin(angles, out=z.imag)
+        z = np.fft.fft(z, out=z)
+        power = z.real**2 + z.imag**2
+        # the factor 1 / (2 P^2) is a power of two: the normalisation cancels it exactly
+        block = power + np.roll(power[:, ::-1], 1, axis=-1)  # |Z_t|^2 + |Z_{-t}|^2
+        np.divide(block, block.sum(axis=-1, keepdims=True), out=dist[rows])
     return dist[0] if np.ndim(f) == 0 else dist
 
 
@@ -78,9 +92,10 @@ def qss_expected_error(f, resolution: int) -> float | np.ndarray:
     """Expectation of |f' - f| over the exact readout distribution; f may be
     a 1-D array of means (one error per mean), and a float gives a float."""
     fs = np.ravel(np.asarray(f, dtype=float))
+    blocks = _qss_blocks(fs.size, resolution)
     grid = qss_value_grid(resolution)
     err = np.empty(fs.size)
-    for rows in _qss_blocks(fs.size, resolution):
+    for rows in blocks:
         # one expression, so no block's distribution outlives its errors
         err[rows] = np.sum(qss_theoretical_distribution(fs[rows], resolution)
                            * np.abs(grid - fs[rows, None]), axis=-1)
@@ -158,6 +173,11 @@ class SweepSpec:
             raise ValueError("repetitions must be >= 1")
         if len(self.budgets) == 0 or list(self.budgets) != sorted(self.budgets):
             raise ValueError(f"budgets must be one or more, ascending, got {self.budgets}")
+        # the readout cap in budgets: a budget of 2P - 1 queries buys resolution P
+        largest = qss_queries(2 * QSS_MAX_RESOLUTION) - 1
+        if "qss" in self.algorithms and self.budgets[-1] > largest:
+            raise ValueError(f"qss budgets must be at most {largest} (P = {QSS_MAX_RESOLUTION}), "
+                             f"got {self.budgets}")
         if self.f_values is not None and not (
                 len(self.f_values) > 0 and all(0.0 <= f <= 1.0 for f in self.f_values)):
             raise ValueError(f"f_values must be one or more means in [0, 1], got {self.f_values}")

@@ -177,6 +177,14 @@ class TestExitCodes:
     (["supersample", "--algorithm", "qss"], "qss_P = 3\n", EXIT_VALIDATION, "power of two"),
     # a sweep whose every budget buys no qcoin trial (it wrote an empty CSV)
     (["sweep-value"], "algorithms = qcoin\nbudgets = 10, 17\n", EXIT_VALIDATION, "reach 18"),
+    # a closed-form qss readout past its cap, refused before it allocates (P = 2^28 asked
+    # about 20 GiB)
+    (["sweep-value"], "algorithms = qss\nbudgets = 1000000000\n", EXIT_VALIDATION, "4194302"),
+    (["supersample", "--algorithm", "qss"], "qss_P = 2097152\n", EXIT_VALIDATION, "qss_P"),
+    # a negative qcoin k, named by its key or flag (it was a bare "negative shift count")
+    (["sweep-value"], "k_values = -3\n", EXIT_VALIDATION, "k_values"),
+    (["supersample", "--algorithm", "qcoin"], "qcoin_k = -3\n", EXIT_VALIDATION, "qcoin_k"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--k", "-3"], "", EXIT_VALIDATION, "--k"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

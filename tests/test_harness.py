@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qmean.estimators import qcoin_queries, qss_queries
 from qmean.harness import (
     QSS_BLOCK_VALUES,
+    QSS_MAX_RESOLUTION,
+    _qss_rows,
     ConfigError,
     SupersampleJob,
     SweepSpec,
@@ -65,12 +67,37 @@ class TestQssExactError:
 
 
 def per_mean_distribution(f, resolution):
-    """The readout distribution one mean at a time, as it was computed before
-    it was batched over means: the reference for the batched rows."""
+    """The readout distribution one mean at a time, as one transform of
+    z_m = exp(i (2m+1) theta): the reference for the batched rows."""
+    theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
+    angles = (2 * np.arange(resolution) + 1) * theta
+    spectrum = np.fft.fft(np.cos(angles) + 1j * np.sin(angles))
+    power = spectrum.real**2 + spectrum.imag**2
+    dist = power + np.roll(power[::-1], 1)  # |Z_t|^2 + |Z_{-t}|^2
+    return dist / dist.sum()
+
+
+def two_trace_distribution(f, resolution):
+    """The readout distribution as it was computed before it took one
+    transform: one FFT of the sin trace and one of the cos trace."""
     theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
     angles = (2 * np.arange(resolution) + 1) * theta
     dist = (np.abs(np.fft.fft(np.sin(angles))) ** 2
             + np.abs(np.fft.fft(np.cos(angles))) ** 2) / resolution**2
+    return dist / dist.sum()
+
+
+def fejer_distribution(f, resolution):
+    """The readout distribution in closed form: two Fejer kernels centred at
+    +-theta (as the benchmark's reference computes it)."""
+    theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
+    x = np.concatenate([theta - np.pi * np.arange(resolution) / resolution,
+                        theta + np.pi * np.arange(resolution) / resolution])
+    s = np.sin(x)
+    small = np.abs(s) < 1e-12
+    kernel = np.where(small, float(resolution**2),
+                      np.sin(resolution * x) ** 2 / np.where(small, 1.0, s) ** 2)
+    dist = (kernel[:resolution] + kernel[resolution:]) / (2.0 * resolution**2)
     return dist / dist.sum()
 
 
@@ -100,6 +127,37 @@ class TestQssBatchedReadout:
             assert np.array_equal(dist, qss_theoretical_distribution(f, resolution))
             assert error == float(np.sum(reference * np.abs(grid - f)))
             assert error == qss_expected_error(f, resolution)
+
+    @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
+    def test_one_transform_matches_two(self, resolution):
+        # the one-transform rows differ from the two-trace formula only by rounding
+        fs = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(resolution).uniform(0, 1, 5)])
+        grid = np.sin(np.arange(resolution) * np.pi / resolution) ** 2
+        dists = qss_theoretical_distribution(fs, resolution)
+        errors = qss_expected_error(fs, resolution)
+        for f, dist, error in zip(fs, dists, errors):
+            reference = two_trace_distribution(f, resolution)
+            np.testing.assert_allclose(dist, reference, rtol=0, atol=1e-15)
+            old = float(np.sum(reference * np.abs(grid - f)))
+            assert abs(error - old) <= 4 * np.spacing(old)
+
+    @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
+    def test_matches_fejer_kernels(self, resolution):
+        fs = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(resolution).uniform(0, 1, 5)])
+        for f, dist in zip(fs, qss_theoretical_distribution(fs, resolution)):
+            np.testing.assert_allclose(dist, fejer_distribution(f, resolution), rtol=0, atol=1e-11)
+
+    def test_resolution_past_the_cap_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            for call in (qss_theoretical_distribution, qss_expected_error):
+                with pytest.raises(ValueError, match="qss_P"):
+                    call([0.3, 0.7], 2 * QSS_MAX_RESOLUTION)
+            assert tracemalloc.get_traced_memory()[1] < 1e5
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match="qss_P"):
+            next(_qss_rows(np.array([0.3]), 2 * QSS_MAX_RESOLUTION))
 
     def test_shape_contract(self):
         dist = qss_theoretical_distribution(0.3, 16)
