@@ -73,7 +73,7 @@ def qss_theoretical_distribution(f, resolution: int) -> np.ndarray:
         z = np.empty(angles.shape, complex)
         np.cos(angles, out=z.real)
         np.sin(angles, out=z.imag)
-        z = np.fft.fft(z, out=z)
+        np.fft.fft(z, out=z)
         power = z.real**2 + z.imag**2
         # the factor 1 / (2 P^2) is a power of two: the normalisation cancels it exactly
         block = power + np.roll(power[:, ::-1], 1, axis=-1)  # |Z_t|^2 + |Z_{-t}|^2
