@@ -20,6 +20,7 @@ from .estimators import (
     estimate_monte_carlo,
     estimate_qcoin,
     estimate_qss,
+    qcoin_queries,
 )
 from .harness import ConfigError, SweepSpec, SupersampleJob, parse_config
 from .primitives import OracleError, OracleSpec, dump_circuit
@@ -133,6 +134,15 @@ def _check_k(values, name: str):
         raise CliError(f"{name} must be non-negative, got {negative[0]}", EXIT_VALIDATION)
 
 
+def _check_trials(value: int, name: str, least: int = 1):
+    """A trial count below one, or a budget below ``least``, the queries of
+    one trial per step, buys no trial; it is refused by the flag ``name``
+    that gave it."""
+    if value < least:
+        raise CliError(f"{name} must be at least {least} (one trial per step), got {value}",
+                       EXIT_VALIDATION)
+
+
 def cmd_estimate(args):
     cfg = _load_config(args, ("seed", "f", "noise"))
     seed = _require_seed(args, cfg)
@@ -146,11 +156,13 @@ def cmd_estimate(args):
     _check_noise(noise, [args.algorithm], "estimate")
 
     if args.algorithm == "monte-carlo":
+        _check_trials(flags["trials"], "--trials")
         est = estimate_monte_carlo(oracle, flags["trials"], seed, noise)
     elif args.algorithm == "qss":
         est = estimate_qss(oracle, flags["P"], seed)
     else:
         _check_k([flags["k"]], "--k")
+        _check_trials(flags["L"], "--L")
         est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     rec = est.to_record(f_true=f)
     print(",".join(f"{k}={v}" for k, v in rec.items()))
@@ -228,6 +240,9 @@ def cmd_supersample(args):
     )
     if args.algorithm == "qcoin":
         _check_k([qcoin_k], "qcoin_k")
+    if "budget" in flags:
+        least = qcoin_queries(qcoin_k, 1) if args.algorithm == "qcoin" else 1
+        _check_trials(flags["budget"], "--budget", least)
     if args.image:
         try:
             image = harness.read_pgm(args.image)

@@ -170,12 +170,13 @@ def run_shift_scale(
     Each scheduled step (delta, m) shifts the coin by the interval's lower
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
 
-    Head probabilities come from the single-qubit hardware circuits under a
-    non-zero noise model (``noise.coin_head_probability``; one target mean
-    per call; ``head_prob_cache`` maps (offset, m) to a probability; a model
-    that could act only on multi-qubit gates is refused), from the
-    statevector when an ``integrand`` is given, and otherwise from the closed
-    form sin^2((2m+1) asin(f - E)).
+    Head probabilities come from the noisy closed form of the single-qubit
+    hardware circuit under a non-zero noise model
+    (``noise.coin_head_probability``; one target mean per call;
+    ``head_prob_cache`` maps (offset, m) to a probability; a model that
+    could act only on multi-qubit gates is refused), from the statevector
+    when an ``integrand`` is given, and otherwise from the closed form
+    sin^2((2m+1) asin(f - E)).
     Draws are batched per step, so one repetition draws exactly as the scalar
     loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
     estimates and a per-step trace of e_minus, e_plus, fraction and f_i.

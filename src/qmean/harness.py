@@ -422,6 +422,10 @@ def run_noise_comparison(
 
 SUBPIXEL_GRID = 8  # each output pixel averages an 8x8 subpixel block
 
+# Largest width x height of the synthetic test card, checked before its
+# 8 bytes per subpixel are allocated: 32 MiB at the cap (2048 x 2048).
+MAX_TEASER_SUBPIXELS = 1 << 22
+
 
 @dataclass
 class SupersampleJob:
@@ -444,7 +448,14 @@ class SupersampleJob:
 
 def build_teaser_image(width: int = 128, height: int = 128) -> np.ndarray:
     """Synthetic test card at subpixel resolution: five constant-value bands
-    along the bottom, a left flat region and a right-half vertical gradient."""
+    along the bottom, a left flat region and a right-half vertical gradient.
+    Refused below one output pixel a side or past MAX_TEASER_SUBPIXELS."""
+    for name, size in (("width", width), ("height", height)):
+        if size < SUBPIXEL_GRID:
+            raise ValueError(f"{name} must be at least {SUBPIXEL_GRID}, got {size}")
+    if width * height > MAX_TEASER_SUBPIXELS:
+        raise ValueError(f"width x height = {width} x {height} is more than the cap of "
+                         f"{MAX_TEASER_SUBPIXELS} subpixels")
     if width % SUBPIXEL_GRID or height % SUBPIXEL_GRID:
         raise ValueError("dimensions must be divisible by 8")
     img = np.zeros((height, width))

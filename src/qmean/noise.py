@@ -2,8 +2,9 @@
 bit flips, evaluated on the package's bound circuits (``primitives.Circuit``)
 by trajectories (``noisy_execute``) or exactly, by density-matrix evolution
 (``outcome_probabilities``).  The noisy-machine emulation uses the qcoin
-circuit with no input qubits, whose head probability has a closed form
-(``coin_head_probability``).
+circuit with no input qubits, whose head probability is a formula
+(``coin_head_probability``): the noiseless sin^2((2m + 1) theta), moved
+towards 1/2 by 1 - 4g/3 per gate and mixed by the readout flips.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from .primitives import (
     CircuitOp,
     OracleError,
     OracleSpec,
-    Repeat,
     coin_circuit,
 )
 from .statevector import (
-    UNITARY_TOL,
     MeasurementOutcome,
-    SimulatorError,
     StateVector,
     X_GATE,
     Y_GATE,
@@ -184,77 +182,21 @@ def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | No
     return float(probs[head_outcome])
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
-def _product(ops, matrix) -> tuple:
-    """Ordered product of one-qubit ops, each op's 2x2 the row-major tuple
-    ``matrix(op)``, later ops on the left; a repeated block is its product
-    raised to the count by repeated squaring, without expansion.  M ops are
-    skipped."""
-    u = _IDENTITY
-    for op in ops:
-        if isinstance(op, Repeat):
-            u = _mul(_power(_product(op.ops, matrix), op.count), u)
-        elif op.name != "M":
-            u = _mul(matrix(op), u)
-    return u
-
-
-def _power(u: tuple, count: int) -> tuple:
-    result = _IDENTITY
-    while count:
-        if count & 1:
-            result = _mul(u, result)
-        u = _mul(u, u)
-        count >>= 1
-    return result
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    # Python scalars, not a complex128 `@`: on an OpenBLAS 0.3.31 Haswell-kernel
-    # host one BLAS 2x2 product made the next large rng.binomial 2-3x slower.
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
-
-
-# coin_circuit(0, m) by m, for coin_head_probability: its lowered nodes, the
-# 2x2 of each kernel in them by kernel, and its gate count.  Built at the first
-# evaluation of each shape and bounded, like primitives._SHAPES, by the shapes
-# a process evaluates.
-_COINS: dict = {}
-
-
-def _coin(m: int) -> tuple:
-    coin = _COINS.get(m)
-    if coin is None:
-        template = coin_circuit(0, m).template
-        template.check_size()
-        nodes = template.lowered()
-        # the coin's ops but Q and Q_INV are FLIP_HEAD and RZERO: real matrices
-        fixed = {op.kernel: tuple(op.kernel.matrix().real.ravel().tolist())
-                 for node in nodes for op in (node.ops if isinstance(node, Repeat) else [node])
-                 if op.kernel is not None}
-        coin = _COINS[m] = (nodes, fixed, template.unmeasured.total())
-    return coin
-
-
 def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) -> float:
     """The head probability of ``simple_qcoin_circuit(f, offset, m)`` under
     ``model`` in closed form (Nielsen & Chuang 8.3), with no oracle and no bind.
 
-    A uniformly random Pauli with probability g after each gate is a
-    depolarizing channel: it shrinks the Bloch vector by 1 - 4g/3 and
-    commutes with every unitary, so the ideal head probability |U[1,0]|^2
-    moves towards 1/2 by that factor per gate; readout flips then mix the
-    outcomes.  U is the ordered product of the template of
-    ``coin_circuit(0, m)``: each op but Q and Q_INV gives the real 2x2 of its
-    kernel once per shape (``_coin``), Q is the rotation (c, -s; s, c) by
-    asin(f - offset) that ``primitives._rotation`` makes, Q_INV its
-    transpose.  ``head_probability`` of the bound circuit agrees to about
-    1e-14.  The oracle's range checks raise ``OracleError``, a
-    rotation that is not unitary ``SimulatorError``, and a circuit past
-    MAX_CIRCUIT_OPS ``ValueError``, as binding would.
+    On one qubit Q is the rotation by theta = asin(f - offset) and each G
+    block rotates by 2 theta, so the noiseless head probability is
+    sin^2((2m + 1) theta).  A uniformly random Pauli with probability g
+    after each gate is a depolarizing channel: it shrinks the Bloch vector by
+    1 - 4g/3 and commutes with every unitary, so over the n gates of
+    ``coin_circuit(0, m)`` the head probability moves towards 1/2 by
+    (1 - 4g/3)^n; readout flips with probability r then mix the outcomes.
+    The gate count comes from the shape's template, whose size check refuses
+    a circuit past MAX_CIRCUIT_OPS with ``ValueError``, as binding would; the
+    oracle's range checks raise ``OracleError``.  ``head_probability`` of the
+    bound circuit agrees to about 1e-14.
     """
     if not 0.0 <= f <= 1.0:
         raise OracleError("integrand values must lie in [0, 1]")
@@ -262,17 +204,12 @@ def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) ->
         raise OracleError(f"offset must lie in [0, 1), got {offset}")
     if abs(f - offset) > 1.0:
         raise OracleError("|F(i) - offset| must not exceed 1")
-    theta = math.asin(f - offset)
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c * c + s * s - 1.0) > UNITARY_TOL:
-        raise SimulatorError("oracle rotation is not unitary")
-    nodes, fixed, n_gates = _coin(m)
-    q, q_inv = (c, -s, s, c), (c, s, -s, c)
-    u = _product(nodes, lambda op: q if op.name == "Q" else q_inv if op.name == "Q_INV"
-                 else fixed[op.kernel])
-    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** n_gates
+    template = coin_circuit(0, m).template
+    template.check_size()
+    ideal = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
+    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** template.unmeasured.total()
     r = model.readout_flip_prob
-    return r + (1.0 - 2.0 * r) * (0.5 + shrink * (abs(u[2]) ** 2 - 0.5))
+    return r + (1.0 - 2.0 * r) * (0.5 + shrink * (ideal - 0.5))
 
 
 def simple_qcoin_circuit(f: float, offset: float, repetitions: int) -> Circuit:

@@ -185,6 +185,18 @@ class TestExitCodes:
     (["sweep-value"], "k_values = -3\n", EXIT_VALIDATION, "k_values"),
     (["supersample", "--algorithm", "qcoin"], "qcoin_k = -3\n", EXIT_VALIDATION, "qcoin_k"),
     (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--k", "-3"], "", EXIT_VALIDATION, "--k"),
+    # a trial count below one, named by its flag (it was a bare "every step needs at least
+    # one trial"), and a budget below the queries of one qcoin trial per step, k = 3 here
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--L", "0"], "", EXIT_VALIDATION, "--L"),
+    (["estimate", "--algorithm", "monte-carlo", "--f", "0.5", "--trials", "-5"], "",
+     EXIT_VALIDATION, "--trials"),
+    (["supersample", "--algorithm", "qcoin", "--budget", "5"], "", EXIT_VALIDATION,
+     "--budget must be at least 18"),
+    # a test card under one output pixel a side (0 was NumPy's zero-size error), and one
+    # past its cap, refused before it allocates (65536 x 65536 asked 32 GiB)
+    (["supersample", "--algorithm", "ideal"], "width = 0\n", EXIT_VALIDATION, "width"),
+    (["supersample", "--algorithm", "ideal"], "width = 65536\nheight = 65536\n",
+     EXIT_VALIDATION, "width x height"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

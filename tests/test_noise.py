@@ -226,7 +226,7 @@ class TestOneQubitClosedForm:
 
 
 class TestCoinHeadProbability:
-    """The coin evaluated from its template against its analytic value."""
+    """The coin's closed form against its formula and, at the edges, the bound circuit."""
 
     MODELS = (HARDWARE_PRESET, NoiseModel(readout_flip_prob=0.07), NoiseModel(gate_error_1q=0.01))
 
@@ -236,14 +236,19 @@ class TestCoinHeadProbability:
         cases = [(f, rng.uniform(0.0, f), int(rng.integers(0, 129)))
                  for f in rng.uniform(0.0, 1.0, 300)]
         # m = 0, offset 0, f = offset, f = 1
-        cases += [(0.6, 0.3, 0), (0.4, 0.0, 5), (0.0, 0.0, 3), (0.45, 0.45, 8),
-                  (1.0, 0.25, 64), (1.0, 0.0, 0), (1.0, 0.5, 128)]
+        edges = [(0.6, 0.3, 0), (0.4, 0.0, 5), (0.0, 0.0, 3), (0.45, 0.45, 8),
+                 (1.0, 0.25, 64), (1.0, 0.0, 0), (1.0, 0.5, 128)]
         r, shrink = model.readout_flip_prob, 1.0 - 4.0 * model.gate_error_1q / 3.0
-        for f, offset, m in cases:
+        for f, offset, m in cases + edges:
             ideal = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
             # four gates per G on one qubit (FLIP_HEAD, Q_INV, RZERO, Q), and the first Q
             expected = r + (1.0 - 2.0 * r) * (0.5 + shrink ** (4 * m + 1) * (ideal - 0.5))
             assert abs(coin_head_probability(f, offset, m, model) - expected) <= 1e-12, \
+                (f, offset, m)
+        # the edges also against the bound circuit's density-matrix evolution
+        for f, offset, m in edges:
+            bound = head_probability(simple_qcoin_circuit(f, offset, m), model)
+            assert abs(coin_head_probability(f, offset, m, model) - bound) <= 1e-12, \
                 (f, offset, m)
 
     @pytest.mark.parametrize("f,offset", [(1.2, 0.0), (-0.1, 0.0), (0.5, 1.0), (0.5, -0.2),
@@ -270,7 +275,7 @@ class TestCoinHeadProbability:
             estimate_qcoin(oracle, 5, 20, seed=7, noise=HARDWARE_PRESET)
             fast_qcoin_estimate(0.6, 7, 40, rng, HARDWARE_PRESET)
 
-        run()  # the first evaluation of each shape builds its 2x2s
+        run()  # the first evaluation of each shape builds its template
         calls = []
 
         def count(cls, name):
