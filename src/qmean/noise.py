@@ -21,6 +21,7 @@ from .primitives import (
     OracleError,
     OracleSpec,
     coin_circuit,
+    coin_template,
 )
 from .statevector import (
     MeasurementOutcome,
@@ -204,7 +205,7 @@ def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) ->
         raise OracleError(f"offset must lie in [0, 1), got {offset}")
     if abs(f - offset) > 1.0:
         raise OracleError("|F(i) - offset| must not exceed 1")
-    template = coin_circuit(0, m).template
+    template = coin_template(0, m)
     template.check_size()
     ideal = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
     shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** template.unmeasured.total()

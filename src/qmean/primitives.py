@@ -373,12 +373,16 @@ class _Template:
 _SHAPES: dict = {}
 
 
-def _shaped(key: tuple, build) -> Circuit:
-    """A new circuit of the shape ``key``, built by ``build`` the first time
-    and bound through the shape's one template."""
+def _template(key: tuple, build) -> _Template:
+    """The one template of the shape ``key``, built by ``build`` the first time."""
     template = _SHAPES.get(key)
     if template is None:
         template = _SHAPES[key] = _Template(build())
+    return template
+
+
+def _circuit(template: _Template) -> Circuit:
+    """A new circuit of the template's shape, bound through that template."""
     return Circuit(template.n_qubits, list(template.nodes), template.measured_qubits,
                    template=template)
 
@@ -785,6 +789,12 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
     Its head probability, outcome |1> (x) |0), is sin^2((2m+1) asin(mean - E))
     under a linear-amplitude oracle with offset E.
     """
+    return _circuit(coin_template(n_input, m))
+
+
+def coin_template(n_input: int, m: int) -> _Template:
+    """The template of ``coin_circuit(n_input, m)``, whose op counts and size
+    check it reads, without a new circuit."""
     def build():
         inputs, target = _coin_layout(n_input)
         if m < 0:
@@ -792,7 +802,7 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
         ops = _prepare_ops("qcoin", inputs, target) + [Repeat(_g_block("qcoin", inputs, target), m)]
         return Circuit(n_input + 1, ops).measure(inputs + (target,))
 
-    return _shaped(("qcoin", n_input, m), build)
+    return _template(("qcoin", n_input, m), build)
 
 
 def qss_circuit(n_input: int, resolution: int) -> Circuit:
@@ -813,7 +823,7 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
         circuit.ops += _qft_ops(register)
         return circuit.measure(register)
 
-    return _shaped(("qss", n_input, resolution), build)
+    return _circuit(_template(("qss", n_input, resolution), build))
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -826,9 +836,9 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
     if oracle.offset != 0.0:
         raise OracleError("prepare_qss_state requires offset 0")
     inputs, target = _coin_layout(oracle.n_input_qubits)
-    circuit = _shaped(("prepare", target),
-                      lambda: Circuit(target + 1, _prepare_ops("qss", inputs, target)))
-    return run_circuit(circuit.bind(oracle), ledger=ledger)[0]
+    template = _template(("prepare", target),
+                         lambda: Circuit(target + 1, _prepare_ops("qss", inputs, target)))
+    return run_circuit(_circuit(template).bind(oracle), ledger=ledger)[0]
 
 
 def head_state_index(oracle: OracleSpec) -> int:

@@ -197,6 +197,11 @@ class TestExitCodes:
     (["supersample", "--algorithm", "ideal"], "width = 0\n", EXIT_VALIDATION, "width"),
     (["supersample", "--algorithm", "ideal"], "width = 65536\nheight = 65536\n",
      EXIT_VALIDATION, "width x height"),
+    # a test-card size beside an input image, which sets its own (it was ignored)
+    (["supersample", "--algorithm", "ideal", "--image", "{empty}"], "width = 64\n", EXIT_CONFIG,
+     "'width'"),
+    (["supersample", "--algorithm", "ideal", "--image", "{empty}"], "height = 64\n", EXIT_CONFIG,
+     "'height'"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

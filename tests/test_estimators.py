@@ -79,8 +79,8 @@ class TestQssDistribution:
 
     @pytest.mark.parametrize("f", [0.13, 0.5, 0.87])
     def test_statevector_matches_analytic_transform(self, f):
-        """Dual route: full statevector circuit vs classical transform of the
-        amplified-rotation trace."""
+        """Dual route: full statevector circuit vs the closed-form readout,
+        two Fejer kernels."""
         dist = qss_exact_distribution(OracleSpec([f]), 16)
         expected = qss_theoretical_distribution(f, 16)
         np.testing.assert_allclose(dist, expected, atol=1e-12)

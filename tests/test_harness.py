@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmean.estimators import qcoin_queries, qss_queries
+from qmean.estimators import qcoin_queries, qss_queries, qss_value_grid
 from qmean.harness import (
     QSS_BLOCK_VALUES,
     QSS_MAX_RESOLUTION,
@@ -66,25 +66,50 @@ class TestQssExactError:
         assert errs == sorted(errs, reverse=True)
 
 
+# pi in four doubles: 33 significant bits, the rest of math.pi, and the next two terms
+PI_PARTS = (float.fromhex("0x1.921fb544p+1"), math.pi - float.fromhex("0x1.921fb544p+1"),
+            1.2246467991473532e-16, -2.9947698097183397e-33)
+
+
 def per_mean_distribution(f, resolution):
-    """The readout distribution one mean at a time, as one transform of
-    z_m = exp(i (2m+1) theta): the reference for the batched rows."""
+    """The readout distribution one mean at a time, as r_t^2 + r_{-t}^2 with
+    r_t = sin(P theta) / sin(x_t), x_t = theta - pi t / P: the reference for
+    the batched rows."""
     theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
-    angles = (2 * np.arange(resolution) + 1) * theta
-    spectrum = np.fft.fft(np.cos(angles) + 1j * np.sin(angles))
-    power = spectrum.real**2 + spectrum.imag**2
-    dist = power + np.roll(power[::-1], 1)  # |Z_t|^2 + |Z_{-t}|^2
+    t = np.arange(resolution) / resolution
+    s = np.sin(theta - t * PI_PARTS[0] - t * PI_PARTS[1] - t * PI_PARTS[2])
+    r = np.where(s == 0, resolution, math.sin(resolution * theta) / np.where(s == 0, 1.0, s))
+    dist = r * r + np.roll((r * r)[::-1], 1)
     return dist / dist.sum()
 
 
-def two_trace_distribution(f, resolution):
-    """The readout distribution as it was computed before it took one
-    transform: one FFT of the sin trace and one of the cos trace."""
-    theta = math.asin(math.sqrt(min(max(f, 0.0), 1.0)))
-    angles = (2 * np.arange(resolution) + 1) * theta
-    dist = (np.abs(np.fft.fft(np.sin(angles))) ** 2
-            + np.abs(np.fft.fft(np.cos(angles))) ** 2) / resolution**2
-    return dist / dist.sum()
+def long_double_distributions(fs, resolution):
+    """The readout distribution of each mean in turn, in long double, for the
+    double theta the package uses.  sin(x_t) = sin(theta) cos(pi t / P) -
+    cos(theta) sin(pi t / P) from one table, except near the zero of x_t,
+    where that difference cancels and x_t is formed from pi in four parts."""
+    ld, p = np.longdouble, resolution
+    half = np.sin(np.arange(p // 2 + 1) * ((ld(PI_PARTS[2]) + ld(math.pi)) / p))
+    sin_t = np.concatenate([half, half[p // 2 - 1:0:-1]])  # sin(pi t / P)
+    cos_t = np.concatenate([half[::-1], -half[1:p // 2]])  # cos(pi t / P)
+    for f in fs:
+        theta = math.asin(math.sqrt(f))
+        r = np.sin(ld(theta)) * cos_t
+        r -= np.cos(ld(theta)) * sin_t
+        t0 = round(theta * p / math.pi)
+        near = np.arange(max(0, t0 - p // 64 - 1), min(p, t0 + p // 64 + 2))  # all |x_t| < pi/64
+        x = np.full(near.size, ld(theta))
+        for part in PI_PARTS:
+            x -= near.astype(ld) * (ld(part) / p)
+        r[near] = np.sin(x)
+        zero = r == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.sin(p * x[t0 - near[0]]), r, out=r)  # sin(P x_t0) = +-sin(P theta)
+        r[zero] = p
+        r *= r
+        r += np.roll(r[::-1], 1)
+        r /= r.sum()
+        yield r
 
 
 def fejer_distribution(f, resolution):
@@ -102,7 +127,7 @@ def fejer_distribution(f, resolution):
 
 
 def peak_bytes(fn) -> int:
-    fn()  # NumPy's FFT plan cache fills on the first call
+    fn()  # the first call fills NumPy's internal caches
     tracemalloc.start()
     try:
         fn()
@@ -114,7 +139,7 @@ def peak_bytes(fn) -> int:
 class TestQssBatchedReadout:
     @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
     def test_rows_equal_per_mean_calls(self, resolution):
-        # one full block and a partial last one (P >= 4096: blocks of one row)
+        # one full block and a partial last one (P >= QSS_BLOCK_VALUES: blocks of one row)
         n = QSS_BLOCK_VALUES // resolution + 3 if resolution < QSS_BLOCK_VALUES else 3
         rng = np.random.default_rng(resolution)
         fs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
@@ -128,18 +153,26 @@ class TestQssBatchedReadout:
             assert error == float(np.sum(reference * np.abs(grid - f)))
             assert error == qss_expected_error(f, resolution)
 
-    @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
-    def test_one_transform_matches_two(self, resolution):
-        # the one-transform rows differ from the two-trace formula only by rounding
-        fs = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(resolution).uniform(0, 1, 5)])
-        grid = np.sin(np.arange(resolution) * np.pi / resolution) ** 2
-        dists = qss_theoretical_distribution(fs, resolution)
-        errors = qss_expected_error(fs, resolution)
-        for f, dist, error in zip(fs, dists, errors):
-            reference = two_trace_distribution(f, resolution)
-            np.testing.assert_allclose(dist, reference, rtol=0, atol=1e-15)
-            old = float(np.sum(reference * np.abs(grid - f)))
-            assert abs(error - old) <= 4 * np.spacing(old)
+    @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768, 2**20])
+    def test_matches_long_double_reference(self, resolution):
+        # the means where theta is 0, tiny, on the grid or next to pi / 2, and random ones;
+        # at 2^20, where one long-double row takes 0.1 s, one off the grid and the two
+        # next to pi / 2
+        fs = np.array([0.0, 5e-324, 1e-300, 0.25, 0.5, 1 - 2**-53, 1.0])
+        if resolution < 2**20:
+            fs = np.concatenate([fs, np.random.default_rng(resolution).uniform(0, 1, 3)])
+        else:
+            fs = fs[[3, 5, 6]]
+        grid = qss_value_grid(resolution).astype(np.longdouble)
+        rows = zip(fs, _qss_rows(fs, resolution), qss_expected_error(fs, resolution),
+                   long_double_distributions(fs, resolution))
+        for f, dist, error, reference in rows:
+            assert np.all(np.isfinite(dist)) and np.all(dist >= 0)
+            assert abs(dist.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(dist - reference.astype(float))) < 2e-14
+            expected = reference @ np.abs(grid - f)
+            if expected > 1e-12:
+                assert abs(error - expected) < 2e-13 * expected
 
     @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
     def test_matches_fejer_kernels(self, resolution):
