@@ -11,7 +11,6 @@ and a flag the chosen algorithm does not read (exit 4) are refused.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -88,12 +87,18 @@ def _config_value(cfg: dict, key: str, parse, default):
     return values[0]
 
 
+def _required(args, cfg, key: str, parse, what: str):
+    """The value of the flag ``--key``, else of the config key ``key``;
+    refused, naming both, when neither is given."""
+    if getattr(args, key) is not None:
+        return getattr(args, key)
+    if key in cfg:
+        return _config_value(cfg, key, parse, None)
+    raise CliError(f"{what} is required (flag --{key} or config key '{key}')", EXIT_VALIDATION)
+
+
 def _require_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return _config_value(cfg, "seed", int, None)
-    raise CliError("a seed is required (flag --seed or config key 'seed')", EXIT_VALIDATION)
+    return _required(args, cfg, "seed", int, "a seed")
 
 
 def _write_text(args, name: str, text: str):
@@ -148,7 +153,7 @@ def cmd_estimate(args):
     seed = _require_seed(args, cfg)
     flags = _algorithm_flags(args, {"monte-carlo": {"trials": 1000}, "qss": {"P": 64},
                                     "qcoin": {"k": 3, "L": 20}})
-    f = args.f if args.f is not None else _config_value(cfg, "f", float, math.nan)
+    f = _required(args, cfg, "f", float, "a target mean")
     if not 0.0 <= f <= 1.0:
         raise CliError(f"target mean must lie in [0, 1], got {f}", EXIT_VALIDATION)
     oracle = OracleSpec([f])

@@ -24,13 +24,13 @@ from .primitives import (
     coin_template,
 )
 from .statevector import (
+    Measurement,
     MeasurementOutcome,
     StateVector,
     X_GATE,
     Y_GATE,
     Z_GATE,
     lower_gate,
-    measure,
     qubit_axes,
 )
 
@@ -98,14 +98,10 @@ def noisy_execute(
                     if key not in paulis:
                         paulis[key] = lower_gate(_PAULIS[key[1]], [q], [], n)
                     paulis[key](psi)
-    outcome = measure(StateVector(n, amps), circuit.measured_qubits, rng)
+    bits = Measurement(n, circuit.measured_qubits).collapse(amps, rng)
     if model.readout_flip_prob > 0:
-        flipped = [
-            bit ^ (rng.random() < model.readout_flip_prob)
-            for bit in outcome.observed_bits
-        ]
-        outcome = MeasurementOutcome(outcome.qubit_indices, flipped, outcome.post_state)
-    return outcome
+        bits = [bit ^ (rng.random() < model.readout_flip_prob) for bit in bits]
+    return MeasurementOutcome(list(circuit.measured_qubits), bits, StateVector(n, amps))
 
 
 def _bound(circuit: Circuit) -> Circuit:

@@ -5,12 +5,14 @@ description of each circuit.
 ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (every
 op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
 supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
-each register of H as a few dense products and each repeated block of
+each register of H as a few dense products, each register's textbook Fourier
+transform as one FFT (``FourierKernel``), each repeated block of
 amplification steps G, a phase flip then the reflection S^-1 RZERO S, as
 one rotation in the plane of the reflection's vector (``ReflectionKernel``),
-that vector built the first time it runs.  The estimators run these
-circuits; the noise layer evaluates them op by op, ``dump_circuit`` prints
-them and the resource report counts them.  The dense gates (``oracle_gate``
+that vector built the first time it runs, and each measurement as one
+collapse of the amplitudes in place (``Measurement``).  The estimators run
+these circuits; the noise layer evaluates them op by op, ``dump_circuit``
+prints them and the resource report counts them.  The dense gates (``oracle_gate``
 and the reflections) and ``dft_matrix`` are the tests' references.
 
 Register layout used throughout: input qubits occupy indices
@@ -31,8 +33,10 @@ import numpy as np
 from .statevector import (
     UNITARY_TOL,
     GateMatrix,
+    FourierKernel,
     Kernel,
     MatrixKernel,
+    Measurement,
     MeasurementOutcome,
     PairKernel,
     PhaseKernel,
@@ -41,7 +45,6 @@ from .statevector import (
     check_qubits,
     hadamard_kernels,
     lower_gate,
-    measure,
     qubit_axes,
     qubit_index,
 )
@@ -416,21 +419,29 @@ def _has_slot(steps: list) -> bool:
 
 def _schedule(nodes, n_qubits: int, lower) -> list:
     """The run steps of a list of ops, each op lowered by ``lower``: a
-    kernel, an ``M`` op, or a repeated block's one step (``_raised`` or
-    ``_repeat_step``).
+    kernel, a ``Measurement``, or a repeated block's one step (``_raised``
+    or ``_repeat_step``).
     Each maximal run of formula H ops with the same controls and distinct
-    targets is a few dense kernels (``hadamard_kernels``).  A step that
-    needs the oracle is a ``_Slot``.
+    targets is a few dense kernels (``hadamard_kernels``), and each run of
+    ops equal to ``_qft_ops`` of a register of two or more qubits one
+    ``FourierKernel``.  A step that needs the oracle is a ``_Slot``.
     """
     return [step for run in _runs(nodes) for step in _steps(run, n_qubits, lower)]
 
 
 def _runs(nodes) -> list:
-    """``nodes`` with each maximal run of formula H ops with the same
+    """``nodes`` with each run of ops equal to ``_qft_ops(register)`` as the
+    tuple ``register``, each maximal run of formula H ops with the same
     controls and distinct targets as [controls, targets, first op], and
     every other node as it is; a block repeated zero times is left out."""
-    runs = []
-    for node in nodes:
+    runs, nodes, i = [], list(nodes), 0
+    while i < len(nodes):
+        register = _qft_register(nodes, i)
+        if register:
+            runs.append(register)
+            i += len(_qft_ops(register))
+            continue
+        node, i = nodes[i], i + 1
         if isinstance(node, Repeat) and not node.count:
             continue
         if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
@@ -443,15 +454,36 @@ def _runs(nodes) -> list:
     return runs
 
 
+def _qft_register(nodes: list, i: int) -> tuple[int, ...] | None:
+    """The register, of two or more qubits, whose ``_qft_ops`` are
+    ``nodes[i:]`` up to its length, else None.  The register is read from
+    the H at ``nodes[i]`` and the CPHASE ops it controls that follow."""
+    head, below = nodes[i], []
+    if not (isinstance(head, CircuitOp) and head.name == "H"):
+        return None
+    for node in nodes[i + 1:]:
+        if not (isinstance(node, CircuitOp) and node.name == "CPHASE"
+                and node.controls == head.targets and len(node.targets) == 1):
+            break
+        below.append(node.targets[0])
+    register = (*reversed(below), *head.targets)
+    if len(register) < 2:
+        return None
+    ops = _qft_ops(register)
+    return register if nodes[i:i + len(ops)] == ops else None
+
+
 def _steps(run, n_qubits: int, lower) -> list:
     """The run steps of one item of ``_runs``."""
     if isinstance(run, Repeat):
         return [_raised(run, n_qubits, lower) or _repeat_step(run, n_qubits, lower)]
+    if isinstance(run, tuple):
+        return [FourierKernel(n_qubits, run)]
     if isinstance(run, list):
         return (_steps(run[2], n_qubits, lower) if len(run[1]) == 1
                 else hadamard_kernels(n_qubits, run[1], run[0]))
     if run.name == "M":
-        return [run]
+        return [Measurement(n_qubits, run.targets)]
     if _needs_oracle(run):
         return [_Slot(lambda binding: binding.kernels[run.name, run.targets, run.controls])]
     return [lower(run).kernel]
@@ -654,11 +686,10 @@ def _placement(targets: tuple[int, ...], controls: tuple[int, ...], n_qubits: in
 
 def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of each bin's rotation: Q turns the pair (i, i | 1<<target)
-    by (c, -s; s, c)."""
-    # libm per element, not NumPy's SIMD functions, which can differ in the last bit
-    theta = list(map(math.asin, np.clip(oracle.target_amplitudes(), -1.0, 1.0).tolist()))
-    c = np.fromiter(map(math.cos, theta), float, len(theta))
-    s = np.fromiter(map(math.sin, theta), float, len(theta))
+    by (c, -s; s, c), s the bin's target amplitude and c = sqrt((1 - s)(1 + s)),
+    cos(asin(s)) without the three libm calls per bin."""
+    s = np.clip(oracle.target_amplitudes(), -1.0, 1.0)
+    c = np.sqrt((1.0 - s) * (1.0 + s))
     if np.abs(c * c + s * s - 1.0).max() > UNITARY_TOL:
         raise SimulatorError("oracle rotation is not unitary")
     return c, s
@@ -690,11 +721,13 @@ def run_circuit(
     (default all |0>), each repeated block by its count; the norm is checked
     once, on the result.
 
-    ``M`` collapses its targets with ``rng`` and records the outcome; without
-    a generator it is skipped, which leaves the amplitudes the caller reads a
-    distribution from.  Each Q or Q_INV is one query on ``ledger``; the ops
-    applied and their amplitude updates are added to ``WORK``, one per op
-    (a register of H counts as its H ops, a reflection as the ops it
+    ``M`` collapses its targets in place with ``rng`` (its ``Measurement``)
+    and records the observed bits, with no post-state: the returned state is
+    the final one.  Without a generator it is skipped, which leaves the
+    amplitudes the caller reads a distribution from.  Each Q or Q_INV is one
+    query on ``ledger``; the ops applied and their amplitude updates are
+    added to ``WORK``, one per op (a register of H counts as its H ops, a
+    Fourier transform as its textbook ops, a reflection as the ops it
     replaces), from the counts of the circuit's template.  Refused past
     MAX_AMPLITUDE_WORK before the state is allocated.
     """
@@ -707,12 +740,10 @@ def run_circuit(
     psi = qubit_axes(amps, n)
     outcomes = []
     for step in _walk(circuit.schedule):
-        if not isinstance(step, CircuitOp):
+        if not isinstance(step, Measurement):
             step(psi)
         elif rng is not None:
-            outcomes.append(measure(StateVector(n, amps), step.targets, rng))
-            amps = outcomes[-1].post_state.amplitudes.copy()
-            psi = qubit_axes(amps, n)
+            outcomes.append(MeasurementOutcome(list(step.qubits), step.collapse(amps, rng)))
     applied = template.counts if rng is not None else template.unmeasured
     WORK.ops.update(applied)
     WORK.amplitude_updates += applied.total() << n

@@ -4,9 +4,12 @@ An op runs as a kernel (``PairKernel``, ``PhaseKernel`` or, for a dense
 gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
-applies H to a register of qubits (``hadamard_kernels``) and, as
+applies H to a register of qubits (``hadamard_kernels``), the Fourier
+transform of a register as one FFT (``FourierKernel``) and, as
 ``primitives.ReflectionKernel``, a repeated block of a phase flip and a
-reflection about one vector, as an update of rank two.
+reflection about one vector, as an update of rank two.  A ``Measurement``
+draws an outcome and collapses the amplitudes in place; ``measure`` runs one
+on a copy of a state.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -103,9 +106,12 @@ Z_GATE = GateMatrix(np.array([[1, 0], [0, -1]]), "Z")
 
 @dataclass
 class MeasurementOutcome:
+    """The bits observed on the measured qubits, ``qubit_indices[0]`` first,
+    and the collapsed state where the caller keeps none of its own."""
+
     qubit_indices: list[int]
     observed_bits: list[int]
-    post_state: StateVector
+    post_state: StateVector | None = None
 
 
 def check_qubits(n_qubits: int, targets: Sequence[int], controls: Sequence[int]):
@@ -231,6 +237,19 @@ class MatrixKernel(Kernel):
         return sub, x.view(np.float64) if real else x
 
 
+class FourierKernel(MatrixKernel):
+    """The Fourier transform ``primitives.dft_matrix(2^k)`` on the target
+    qubits, ``targets[0]`` least significant: one FFT along the register's
+    axis of ``columns``, written back in place."""
+
+    def __init__(self, n_qubits: int, targets: Sequence[int]):
+        super().__init__(n_qubits, None, targets)
+
+    def __call__(self, psi: np.ndarray):
+        sub, x = self.columns(psi, False)
+        sub[...] = np.fft.fft(x, axis=0, norm="ortho").reshape(sub.shape)
+
+
 # Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,
 # so a product costs 2^c updates per amplitude against one call's overhead.
 HADAMARD_CHUNK = 4
@@ -295,37 +314,52 @@ def apply_gate(
     return StateVector(state.n_qubits, amps)
 
 
+class Measurement:
+    """A measurement of ``qubits`` on an n-qubit register; ``qubits[0]`` is
+    the least-significant bit of the outcome.
+
+    ``collapse`` draws an outcome with probability equal to the squared
+    amplitude mass of its subspace (a zero-probability branch is never
+    drawn), zeroes the other branches of the amplitudes in place and
+    renormalizes them.  The outcome of each basis state (``keys``) is built
+    at the first collapse and kept.
+    """
+
+    def __init__(self, n_qubits: int, qubits: Sequence[int]):
+        check_qubits(n_qubits, qubits, [])
+        if not qubits:
+            raise SimulatorError("must measure at least one qubit")
+        self.n_qubits, self.qubits = n_qubits, list(qubits)
+        self.keys: np.ndarray | None = None
+
+    def collapse(self, amplitudes: np.ndarray, rng: np.random.Generator) -> list[int]:
+        """Measure the 2^n ``amplitudes`` in place; the observed bits."""
+        if self.keys is None:
+            basis = np.arange(1 << self.n_qubits, dtype=np.int64)
+            self.keys = np.zeros_like(basis)
+            for j, q in enumerate(self.qubits):
+                self.keys |= ((basis >> q) & 1) << j
+        m = len(self.qubits)
+        marginal = np.bincount(self.keys, weights=np.abs(amplitudes) ** 2, minlength=1 << m)
+        marginal = np.clip(marginal, 0.0, None)
+        marginal /= marginal.sum()
+        outcome = int(rng.choice(1 << m, p=marginal))
+        amplitudes[self.keys != outcome] = 0.0
+        amplitudes /= np.linalg.norm(amplitudes)
+        return [(outcome >> j) & 1 for j in range(m)]
+
+
 def measure(
     state: StateVector,
     qubit_indices: Sequence[int],
     rng: np.random.Generator,
 ) -> MeasurementOutcome:
-    """Measure the given qubits, collapse and renormalize the state.
-
-    Bits are sampled with probability equal to the squared amplitude mass of
-    the consistent subspace; a zero-probability branch is never drawn.
-    """
+    """Measure the given qubits (``Measurement``) on a copy of the state: the
+    bits and the collapsed, renormalized state."""
     qubit_indices = list(qubit_indices)
-    check_qubits(state.n_qubits, qubit_indices, [])
-    m = len(qubit_indices)
-    if m == 0:
-        raise SimulatorError("must measure at least one qubit")
-
-    basis = np.arange(1 << state.n_qubits, dtype=np.int64)
-    keys = np.zeros_like(basis)
-    for j, q in enumerate(qubit_indices):
-        keys |= ((basis >> q) & 1) << j
-
-    marginal = np.bincount(keys, weights=state.probabilities(), minlength=1 << m)
-    marginal = np.clip(marginal, 0.0, None)
-    marginal /= marginal.sum()
-
-    outcome = int(rng.choice(1 << m, p=marginal))
-    observed = [(outcome >> j) & 1 for j in range(m)]
-
-    post = np.where(keys == outcome, state.amplitudes, 0.0)
-    post = post / np.linalg.norm(post)
-    return MeasurementOutcome(qubit_indices, observed, StateVector(state.n_qubits, post))
+    amps = state.amplitudes.copy()
+    bits = Measurement(state.n_qubits, qubit_indices).collapse(amps, rng)
+    return MeasurementOutcome(qubit_indices, bits, StateVector(state.n_qubits, amps))
 
 
 def gate_to_full_matrix(

@@ -202,6 +202,9 @@ class TestExitCodes:
      "'width'"),
     (["supersample", "--algorithm", "ideal", "--image", "{empty}"], "height = 64\n", EXIT_CONFIG,
      "'height'"),
+    # no target mean, by flag or key (it was "target mean must lie in [0, 1], got nan")
+    (["estimate", "--algorithm", "qss"], "", EXIT_VALIDATION,
+     "a target mean is required (flag --f or config key 'f')"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -48,6 +48,7 @@ from qmean.primitives import (
 )
 from qmean.statevector import (
     H_GATE,
+    FourierKernel,
     GateMatrix,
     MatrixKernel,
     PhaseKernel,
@@ -344,6 +345,79 @@ class TestQft:
                              StateVector.from_amplitudes(amps))
         probs = out.probabilities()
         assert set(np.argsort(probs)[-2:]) == {2, 14}
+
+
+def _within_amplitude_cap(circuit: Circuit) -> bool:
+    try:
+        circuit.check_size(on_statevector=True)
+    except ValueError:
+        return False
+    return True
+
+
+_QSS_SHAPES = [(n_in, 1 << j) for n_in in range(5) for j in range(2, 13)]
+
+
+class TestFourierStep:
+    """The register transform, ``_qft_ops`` in the circuit, run as one
+    ``FourierKernel`` step of the schedule."""
+
+    @pytest.mark.parametrize("n_in", range(5))
+    def test_qss_schedule_matches_each_op_kernel_in_turn(self, n_in):
+        for p in [p for k, p in _QSS_SHAPES if k == n_in]:
+            circuit = qss_circuit(n_in, p)
+            if not _within_amplitude_cap(circuit):
+                continue
+            bound = circuit.bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in)))
+            n = circuit.n_qubits
+            expected = StateVector.zero(n).amplitudes.copy()
+            for op in bound.expand():
+                if op.name != "M":
+                    op.kernel(qubit_axes(expected, n))
+            out, _ = run_circuit(bound)
+            np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13,
+                                       err_msg=f"P = {p}")
+
+    @pytest.mark.parametrize("register, n", [((1, 2), 3), ((0, 1), 3), ((2, 0), 3),
+                                             ((0, 1, 2), 3), ((3, 0, 2), 4)])
+    def test_kernel_is_the_dft_on_its_register(self, register, n):
+        (kernel,) = Circuit(n, _qft_ops(register)).bind().schedule
+        assert isinstance(kernel, FourierKernel)
+        size = 1 << len(register)
+        expected = gate_to_full_matrix(GateMatrix(dft_matrix(size)), register, [], n)
+        np.testing.assert_allclose(kernel.matrix(), expected, rtol=0, atol=1e-14)
+        if register == (1, 2):  # the top qubits: the transform on the high index bits
+            np.testing.assert_allclose(kernel.matrix(), np.kron(dft_matrix(4), np.eye(2)),
+                                       rtol=0, atol=1e-14)
+        if register == (0, 1):
+            np.testing.assert_allclose(kernel.matrix(), np.kron(np.eye(2), dft_matrix(4)),
+                                       rtol=0, atol=1e-14)
+
+    def test_each_qss_schedule_holds_one_transform(self):
+        for n_in, p in _QSS_SHAPES:
+            steps = qss_circuit(n_in, p).bind(OracleSpec([0.5] * (1 << n_in))).schedule
+            kernels = [step for step in steps if isinstance(step, FourierKernel)]
+            assert len(kernels) == 1
+            assert kernels[0].size == p
+        # at P = 2 the transform is one H, which runs as its own kernel
+        steps = qss_circuit(1, 2).bind(OracleSpec([0.5, 0.5])).schedule
+        assert not any(isinstance(step, FourierKernel) for step in steps)
+
+    @pytest.mark.parametrize("ops", [
+        _qft_ops((0,)),
+        [CircuitOp("H", (1,)), CircuitOp("H", (0,))],
+        # a transform cut short, or with a phase it does not have
+        _qft_ops((0, 1, 2))[:-1],
+        _qft_ops((0, 1))[:1] + [CircuitOp("CPHASE", (0,), (1,), 0.3)] + _qft_ops((0, 1))[2:],
+        [CircuitOp("H", (1,), (2,))] + _qft_ops((0, 1))[1:],
+    ], ids=["lone-H", "H-register", "no-swap", "other-angle", "controlled-H"])
+    def test_other_ops_are_not_a_transform(self, ops):
+        bound = Circuit(3, list(ops)).bind()
+        assert not any(isinstance(step, FourierKernel) for step in bound.schedule)
+        expected = StateVector.zero(3).amplitudes.copy()
+        for op in bound.expand():
+            op.kernel(qubit_axes(expected, 3))
+        np.testing.assert_allclose(run_circuit(bound)[0].amplitudes, expected, rtol=0, atol=1e-15)
 
 
 class TestDftMatrix:

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmean.noise import NoiseModel, noisy_execute
+from qmean.primitives import Circuit, CircuitOp, run_circuit
 from qmean.statevector import (
     GateMatrix,
     H_GATE,
     HADAMARD_CHUNK,
     MatrixKernel,
+    Measurement,
     PairKernel,
     PhaseKernel,
     SimulatorError,
@@ -311,6 +314,61 @@ class TestMeasurement:
     def test_requires_qubits(self):
         with pytest.raises(SimulatorError):
             measure(StateVector.zero(1), [], np.random.default_rng(0))
+
+
+def _projected(amps: np.ndarray, qubits, outcome: int) -> np.ndarray:
+    """P_k psi: the amplitudes whose bits on ``qubits`` spell ``outcome``."""
+    keep = [all((i >> q) & 1 == (outcome >> j) & 1 for j, q in enumerate(qubits))
+            for i in range(len(amps))]
+    return np.where(keep, amps, 0.0)
+
+
+class TestOneCollapse:
+    """``measure``, ``run_circuit`` and ``noisy_execute`` all measure through
+    ``Measurement.collapse``; each against the projector definition."""
+
+    @pytest.mark.parametrize("qubits", [[3, 0], [1, 3], [2], [0, 1, 2, 3]])
+    def test_paths_match_the_projector_reference(self, qubits):
+        rng = np.random.default_rng(17)
+        ops = [CircuitOp("H", (q,)) for q in range(4)] + [CircuitOp("CPHASE", (2,), (0,), 0.7)]
+        circuit = Circuit(4, ops)
+        for targets in [(3, 1), (0, 2)]:
+            q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            circuit.add(GateMatrix(q * (np.diag(r) / np.abs(np.diag(r)))), targets)
+        circuit.measure(qubits)
+        psi = run_circuit(circuit.bind())[0].amplitudes  # M is skipped without a generator
+        branches = [_projected(psi, qubits, k) for k in range(1 << len(qubits))]
+        weights = np.array([np.vdot(b, b).real for b in branches])
+        readout = Circuit(4).measure(qubits).bind()
+        drawn = set()
+        for seed in range(200):
+            k = int(np.random.default_rng(seed).choice(len(weights), p=weights / weights.sum()))
+            bits = [(k >> j) & 1 for j in range(len(qubits))]
+            post = branches[k] / np.sqrt(weights[k])
+            drawn.add(k)
+            out = measure(StateVector(4, psi), qubits, np.random.default_rng(seed))
+            state, (run,) = run_circuit(readout, StateVector(4, psi), np.random.default_rng(seed))
+            noisy = noisy_execute(circuit, NoiseModel(), np.random.default_rng(seed))
+            for outcome in (out, run, noisy):
+                assert outcome.qubit_indices == qubits and outcome.observed_bits == bits
+            assert run.post_state is None
+            for amps in (out.post_state.amplitudes, state.amplitudes, noisy.post_state.amplitudes):
+                np.testing.assert_allclose(amps, post, rtol=0, atol=1e-14)
+        assert len(drawn) > 1
+
+    def test_a_run_without_a_generator_builds_no_keys(self):
+        bound = Circuit(3, [CircuitOp("H", (q,)) for q in range(3)]).measure([0, 2]).bind()
+        (step,) = [step for step in bound.schedule if isinstance(step, Measurement)]
+        run_circuit(bound)
+        assert step.keys is None
+        run_circuit(bound, rng=np.random.default_rng(1))
+        keys = step.keys
+        np.testing.assert_array_equal(keys, [0, 1, 0, 1, 2, 3, 2, 3])
+        # a later bind of the same template keeps the step and its keys
+        again = bound.bind()
+        assert [s for s in again.schedule if isinstance(s, Measurement)] == [step]
+        run_circuit(again, rng=np.random.default_rng(2))
+        assert step.keys is keys
 
 
 class TestExpectation:
