@@ -12,8 +12,9 @@ one rotation in the plane of the reflection's vector (``ReflectionKernel``),
 that vector built the first time it runs, and each measurement as one
 collapse of the amplitudes in place (``Measurement``).  The estimators run
 these circuits; the noise layer evaluates them op by op, ``dump_circuit``
-prints them and the resource report counts them.  The dense gates (``oracle_gate``
-and the reflections) and ``dft_matrix`` are the tests' references.
+prints them and the resource report counts them.  The dense gates
+(``oracle_gate`` and the reflections) and ``dft_matrix`` are the tests'
+references.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -463,9 +464,9 @@ def _qft_register(nodes: list, i: int) -> tuple[int, ...] | None:
         return None
     for node in nodes[i + 1:]:
         if not (isinstance(node, CircuitOp) and node.name == "CPHASE"
-                and node.controls == head.targets and len(node.targets) == 1):
+                and node.controls == head.targets):
             break
-        below.append(node.targets[0])
+        below.extend(node.targets)
     register = (*reversed(below), *head.targets)
     if len(register) < 2:
         return None

@@ -341,7 +341,6 @@ class Measurement:
                 self.keys |= ((basis >> q) & 1) << j
         m = len(self.qubits)
         marginal = np.bincount(self.keys, weights=np.abs(amplitudes) ** 2, minlength=1 << m)
-        marginal = np.clip(marginal, 0.0, None)
         marginal /= marginal.sum()
         outcome = int(rng.choice(1 << m, p=marginal))
         amplitudes[self.keys != outcome] = 0.0
