@@ -97,10 +97,6 @@ def _required(args, cfg, key: str, parse, what: str):
     raise CliError(f"{what} is required (flag --{key} or config key '{key}')", EXIT_VALIDATION)
 
 
-def _require_seed(args, cfg) -> int:
-    return _required(args, cfg, "seed", int, "a seed")
-
-
 def _write_text(args, name: str, text: str):
     """``text`` into the file ``name`` of the ``--out`` directory, or onto stdout."""
     if args.out is None:
@@ -150,7 +146,7 @@ def _check_trials(value: int, name: str, least: int = 1):
 
 def cmd_estimate(args):
     cfg = _load_config(args, ("seed", "f", "noise"))
-    seed = _require_seed(args, cfg)
+    seed = _required(args, cfg, "seed", int, "a seed")
     flags = _algorithm_flags(args, {"monte-carlo": {"trials": 1000}, "qss": {"P": 64},
                                     "qcoin": {"k": 3, "L": 20}})
     f = _required(args, cfg, "f", float, "a target mean")
@@ -177,7 +173,7 @@ def cmd_estimate(args):
 def cmd_sweep_value(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "f_values", "k_values"))
-    seed = _require_seed(args, cfg)
+    seed = _required(args, cfg, "seed", int, "a seed")
     algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, algorithms, "sweep-value")
@@ -204,7 +200,7 @@ def cmd_sweep_value(args):
 def cmd_sweep_convergence(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "k_values"))
-    seed = _require_seed(args, cfg)
+    seed = _required(args, cfg, "seed", int, "a seed")
     algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
     out = _out_dir(args)
@@ -237,7 +233,7 @@ def cmd_supersample(args):
     if args.image and sized:
         raise CliError(f"supersample --image does not read config key {sized[0]!r} "
                        f"(the image sets its own size)", EXIT_CONFIG)
-    seed = _require_seed(args, cfg)
+    seed = _required(args, cfg, "seed", int, "a seed")
     flags = _algorithm_flags(args, {"monte-carlo": {"budget": 240}, "qcoin": {"budget": 240},
                                     "qss": {}, "ideal": {}})
     noise = harness.noise_from_config(cfg)
