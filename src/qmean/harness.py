@@ -202,13 +202,14 @@ class SweepSpec:
                              f"{', '.join(SWEEP_ALGORITHMS)}, got {self.algorithms}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if len(self.budgets) == 0 or list(self.budgets) != sorted(self.budgets):
-            raise ValueError(f"budgets must be one or more, ascending, got {self.budgets}")
-        # the readout cap in budgets: a budget of 2P - 1 queries buys resolution P
-        largest = qss_queries(2 * QSS_MAX_RESOLUTION) - 1
-        if "qss" in self.algorithms and self.budgets[-1] > largest:
-            raise ValueError(f"qss budgets must be at most {largest} (P = {QSS_MAX_RESOLUTION}), "
+        if len(self.budgets) == 0 or list(self.budgets) != sorted(set(self.budgets)):
+            raise ValueError(f"budgets must be one or more, ascending, each once, "
                              f"got {self.budgets}")
+        # the readout's range in budgets: a budget of 2P - 1 queries buys resolution P
+        least, largest = qss_queries(2), qss_queries(2 * QSS_MAX_RESOLUTION) - 1
+        if "qss" in self.algorithms and not least <= self.budgets[0] <= self.budgets[-1] <= largest:
+            raise ValueError(f"qss budgets must be at least {least} (P = 2) and at most {largest} "
+                             f"(P = {QSS_MAX_RESOLUTION}), got {self.budgets}")
         if self.f_values is not None and not (
                 len(self.f_values) > 0 and all(0.0 <= f <= 1.0 for f in self.f_values)):
             raise ValueError(f"f_values must be one or more means in [0, 1], got {self.f_values}")
@@ -218,13 +219,17 @@ def fit_loglog_slope(queries, errors, skip_first: bool = True) -> float:
     """Least-squares slope of log10(error) against log10(queries).
 
     The smallest budget point is excluded by default; estimates there are
-    dominated by too-few-trials startup effects.
+    dominated by too-few-trials startup effects.  Refused unless the points
+    fitted hold two or more distinct query counts.
     """
     q = np.asarray(queries, dtype=float)
     e = np.asarray(errors, dtype=float)
     if skip_first and q.size > 2:
         order = np.argsort(q)
         q, e = q[order][1:], e[order][1:]
+    if np.unique(q).size < 2:
+        raise ValueError(f"key 'budgets' must give two or more distinct query counts to fit "
+                         f"a slope; they give {q.astype(int).tolist()}")
     slope, _ = np.polyfit(np.log10(q), np.log10(e), 1)
     return float(slope)
 

@@ -2,14 +2,15 @@
 description of each circuit.
 
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
-ops; ``Circuit.bind`` lowers each distinct op into a statevector kernel (every
+ops, and declare the blocks that run as one step: the register's textbook
+Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and each
+block of amplification steps G, a phase flip then the reflection S^-1 RZERO
+S (``_g_block``), as one rotation in the plane of the reflection's vector
+(``ReflectionKernel``), that vector built the first time it runs.
+``Circuit.bind`` lowers each distinct op into a statevector kernel (every
 op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
 supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
-each register of H as a few dense products, each register's textbook Fourier
-transform as one FFT (``FourierKernel``), each repeated block of
-amplification steps G, a phase flip then the reflection S^-1 RZERO S, as
-one rotation in the plane of the reflection's vector (``ReflectionKernel``),
-that vector built the first time it runs, and each measurement as one
+each register of H as a few dense products and each measurement as one
 collapse of the amplitudes in place (``Measurement``).  The estimators run
 these circuits; the noise layer evaluates them op by op, ``dump_circuit``
 prints them and the resource report counts them.  The dense gates
@@ -201,6 +202,11 @@ class CircuitOp:
 class Repeat:
     """A block of ops applied ``count`` times in a row, kept as one node.
 
+    ``step`` names the one step the block runs as (``_steps``); only
+    the builders declare it: ``"fourier"`` for the transform of a register
+    (``_fourier``), ``"qss"`` or ``"qcoin"`` for G of that variant
+    (``_g_block``).  A block without one runs op by op.
+
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
     every freed tuple of exactly 20 items (the qcoin G block on 4 input
     qubits) on its free list and never reuses it, up to 2,000 of them.
@@ -208,6 +214,7 @@ class Repeat:
 
     ops: Sequence[CircuitOp]
     count: int
+    step: str | None = None
 
 
 @dataclass
@@ -326,7 +333,7 @@ class _Template:
                 ops[i] = binding.lowered(node)
                 continue
             if node is self.ops[i]:
-                node = ops[i] = Repeat(list(node.ops), node.count)
+                node = ops[i] = Repeat(list(node.ops), node.count, node.step)
             node.ops[j] = binding.lowered(node.ops[j])
         return Circuit(self.n_qubits, ops, self.measured_qubits, _fill(self.steps, binding), self)
 
@@ -341,7 +348,7 @@ class _Template:
             return op
 
         # a block repeated zero times never runs, so it gets no kernels
-        ops = [Repeat([lower(op) for op in node.ops], node.count)
+        ops = [Repeat([lower(op) for op in node.ops], node.count, node.step)
                if isinstance(node, Repeat) else lower(node)
                for node in self.nodes if getattr(node, "count", 1)]
         sites, placements = [], {}
@@ -414,35 +421,22 @@ def _fill(steps: list, binding: _Binding) -> list:
     return [step.make(binding) if isinstance(step, _Slot) else step for step in steps]
 
 
-def _has_slot(steps: list) -> bool:
-    return any(isinstance(step, _Slot) for step in steps)
-
-
 def _schedule(nodes, n_qubits: int, lower) -> list:
     """The run steps of a list of ops, each op lowered by ``lower``: a
-    kernel, a ``Measurement``, or a repeated block's one step (``_raised``
-    or ``_repeat_step``).
-    Each maximal run of formula H ops with the same controls and distinct
-    targets is a few dense kernels (``hadamard_kernels``), and each run of
-    ops equal to ``_qft_ops`` of a register of two or more qubits one
-    ``FourierKernel``.  A step that needs the oracle is a ``_Slot``.
+    kernel, a ``Measurement``, a block's one declared step or its own steps
+    (``_steps``).  Each maximal run of formula H ops with the same controls
+    and distinct targets is a few dense kernels (``hadamard_kernels``).  A
+    step that needs the oracle is a ``_Slot``.
     """
     return [step for run in _runs(nodes) for step in _steps(run, n_qubits, lower)]
 
 
 def _runs(nodes) -> list:
-    """``nodes`` with each run of ops equal to ``_qft_ops(register)`` as the
-    tuple ``register``, each maximal run of formula H ops with the same
+    """``nodes`` with each maximal run of formula H ops with the same
     controls and distinct targets as [controls, targets, first op], and
     every other node as it is; a block repeated zero times is left out."""
-    runs, nodes, i = [], list(nodes), 0
-    while i < len(nodes):
-        register = _qft_register(nodes, i)
-        if register:
-            runs.append(register)
-            i += len(_qft_ops(register))
-            continue
-        node, i = nodes[i], i + 1
+    runs = []
+    for node in nodes:
         if isinstance(node, Repeat) and not node.count:
             continue
         if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
@@ -455,31 +449,25 @@ def _runs(nodes) -> list:
     return runs
 
 
-def _qft_register(nodes: list, i: int) -> tuple[int, ...] | None:
-    """The register, of two or more qubits, whose ``_qft_ops`` are
-    ``nodes[i:]`` up to its length, else None.  The register is read from
-    the H at ``nodes[i]`` and the CPHASE ops it controls that follow."""
-    head, below = nodes[i], []
-    if not (isinstance(head, CircuitOp) and head.name == "H"):
-        return None
-    for node in nodes[i + 1:]:
-        if not (isinstance(node, CircuitOp) and node.name == "CPHASE"
-                and node.controls == head.targets):
-            break
-        below.extend(node.targets)
-    register = (*reversed(below), *head.targets)
-    if len(register) < 2:
-        return None
-    ops = _qft_ops(register)
-    return register if nodes[i:i + len(ops)] == ops else None
-
-
 def _steps(run, n_qubits: int, lower) -> list:
-    """The run steps of one item of ``_runs``."""
+    """The run steps of one item of ``_runs``.  A block runs as the step it
+    declares (``Repeat.step``): a transform of two or more qubits as one
+    ``FourierKernel``, G^count as one ``ReflectionKernel``.  Any other
+    block runs op by op: its steps once, or (steps, count)."""
     if isinstance(run, Repeat):
-        return [_raised(run, n_qubits, lower) or _repeat_step(run, n_qubits, lower)]
-    if isinstance(run, tuple):
-        return [FourierKernel(n_qubits, run)]
+        if run.step == "fourier":
+            # ``_qft_ops`` puts H on the register's qubits from the top one down
+            register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
+            if len(register) > 1:
+                return [FourierKernel(n_qubits, register)]
+        elif run.step:
+            return [_reflection(run, n_qubits, lower)]
+        body = _schedule(run.ops, n_qubits, lower)
+        if run.count == 1:
+            return body
+        if any(isinstance(step, _Slot) for step in body):
+            return [_Slot(lambda binding: (_fill(body, binding), run.count))]
+        return [(body, run.count)]
     if isinstance(run, list):
         return (_steps(run[2], n_qubits, lower) if len(run[1]) == 1
                 else hadamard_kernels(n_qubits, run[1], run[0]))
@@ -490,75 +478,28 @@ def _steps(run, n_qubits: int, lower) -> list:
     return [lower(run).kernel]
 
 
-def _repeat_step(block: Repeat, n_qubits: int, lower):
-    """A repeated block that is not one amplification step (``_raised``) as
-    one step: (its steps, count)."""
-    body = _schedule(block.ops, n_qubits, lower)
-    if _has_slot(body):
-        return _Slot(lambda binding: (_fill(body, binding), block.count))
-    return body, block.count
-
-
-def _raised(block: Repeat, n_qubits: int, lower):
-    """The block as one ``ReflectionKernel`` (a ``_Slot`` when S^-1 needs
-    the oracle), or None unless its runs are exactly a formula phase D, ops
-    S, a formula RZERO and the mirror S^-1 of S, and D fits (``_signs``).
-
-    The mirror lists the runs of S in reverse order, an H run for one on the
-    same qubits, Q for Q_INV and Q_INV for Q, every op a formula op under
-    RZERO's controls and on its targets.
-    """
-    runs = _runs(block.ops)
-    if len(runs) < 2 or len(runs) % 2:
-        return None
-    depth = len(runs) // 2 - 1  # runs: D, S (depth runs), RZERO, S^-1 (depth runs)
-    phase, centre, after = runs[0], runs[depth + 1], runs[depth + 2:]
-    if not (isinstance(phase, CircuitOp) and isinstance(centre, CircuitOp)
-            and centre.name == "RZERO" and centre.gate is None):
-        return None
-    inside = set(centre.targets)
-
-    def mirrored(a, b) -> bool:
-        if isinstance(a, list) and isinstance(b, list):  # H runs
-            return a[0] == b[0] == centre.controls and set(a[1]) == set(b[1]) <= inside
-        return (isinstance(a, CircuitOp) and isinstance(b, CircuitOp)
-                and _needs_oracle(a) and _needs_oracle(b) and {a.name, b.name} == {"Q", "Q_INV"}
-                and a.targets == b.targets and a.controls == b.controls == centre.controls
-                and set(a.targets) <= inside)
-
-    phase = lower(phase)
-    if not (isinstance(phase.kernel, PhaseKernel)
-            and all(mirrored(a, b) for a, b in zip(runs[depth:0:-1], after))):
-        return None
-    mirror = [step for run in after for step in _steps(run, n_qubits, lower)]
-    # what a = S^-1 |0> and its split depend on: the ops without the controls they share
-    key = tuple(("H", *sorted(run[1])) if isinstance(run, list) else
-                (run.name, run.targets, run.angle, *sorted(set(run.controls) - set(centre.controls)))
-                for run in [centre, *after, phase])
-    kernel = ReflectionKernel(n_qubits, centre.targets, centre.controls, mirror, key, block.count)
-    kernel.signs = _signs(kernel, phase.kernel)
-    if kernel.signs is None:
-        return None
-    return _Slot(kernel.bound) if _has_slot(mirror) else kernel
-
-
-def _signs(kernel: MatrixKernel, phase: PhaseKernel) -> np.ndarray | None:
-    """The diagonal of ``phase`` on the targets of ``kernel``, when it is
-    +-1, the same in every column of ``kernel`` and 1 outside them; else None."""
-    diagonal = np.ones(1 << kernel.n_qubits, dtype=np.complex128)
-    psi = qubit_axes(diagonal, kernel.n_qubits)
-    phase(psi)
-    inside = kernel.columns(psi, False)[1]
-    signs = inside[:, 0].real.copy()
-    fits = (inside == signs[:, None]).all() and (np.abs(signs) == 1).all()
-    psi[kernel.index] = 1.0
-    return signs if fits and (diagonal == 1).all() else None
+def _reflection(block: Repeat, n_qubits: int, lower) -> _Slot:
+    """A declared G block, D then S, RZERO and S^-1 (``_g_block``), as one
+    ``ReflectionKernel`` that each bind completes, since S^-1 holds Q.
+    S^-1 is the ops after RZERO; D follows from the variant."""
+    centre = [op.name for op in block.ops].index("RZERO")
+    rzero, mirror = block.ops[centre], _schedule(block.ops[centre + 1:], n_qubits, lower)
+    # one sign per coin column, the target (RZERO's last target) the top bit
+    signs = np.ones(1 << len(rzero.targets))
+    if block.step == "qss":
+        signs[len(signs) // 2:] = -1.0  # Z on the target
+    else:
+        signs[len(signs) // 2] = -1.0  # FLIP_HEAD on the head state |1> (x) |0)
+    kernel = ReflectionKernel(n_qubits, rzero.targets, rzero.controls, signs, mirror,
+                              (block.step, rzero.targets), block.count)
+    return _Slot(kernel.bound)
 
 
 class ReflectionKernel(MatrixKernel):
     """G^count on the target qubits where every control is |1>, with
-    G = (2|a><a| - I) D: a repeated block of a phase D and the reflection
-    S^-1 RZERO S as one step, in O(2^n) per call for any count.
+    G = (2|a><a| - I) D: a declared G block (``_g_block``), a phase D and
+    the reflection S^-1 RZERO S, as one step, in O(2^n) per call for any
+    count.
 
     D is ``signs``, a +-1 diagonal on the targets.  With u and
     v the unit parts of a = S^-1 |0> where D is +1 and -1, B = [u, v] and
@@ -572,17 +513,16 @@ class ReflectionKernel(MatrixKernel):
     a comes from ``mirror``, the lowered steps of S^-1, applied to |0> at
     the first call, so a bound circuit that never runs on the statevector
     (the noise layer's) pays only for this object.  B and phi (``_plane``)
-    are kept in ``planes`` by ``key``, which a bind shares among its
-    reflections whose S^-1 and D differ only in their controls.  a is real:
-    S^-1 holds only H, Q and Q_INV.
+    are kept in the bind's ``planes`` (``bound``) by ``key``, (variant, coin
+    qubits), which blocks that differ only in their controls share.  a is
+    real: S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
-                 mirror: list, key: tuple, count: int):
+                 signs: np.ndarray, mirror: list, key: tuple, count: int):
         super().__init__(n_qubits, None, targets, controls)
-        self.controls, self.mirror, self.key, self.count = controls, mirror, key, count
-        self.signs: np.ndarray | None = None  # D, set by ``_raised`` once it fits
-        self.planes: dict = {}
+        self.controls, self.signs, self.mirror, self.key, self.count = (
+            controls, signs, mirror, key, count)
         # with no controls and the targets in order, ``columns`` is a view of psi
         self.in_place = not controls and self.perm == tuple(sorted(self.perm))
 
@@ -774,8 +714,10 @@ def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int) -> list[Cir
     return ops + _h(inputs) if variant == "qcoin" else ops
 
 
-def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) -> list[CircuitOp]:
-    """One amplification step G, every op conditioned on ``controls``.
+def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
+             count: int = 1) -> Repeat:
+    """``count`` amplification steps G, every op conditioned on ``controls``,
+    as a block declared to run as one ``ReflectionKernel``.
 
     ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
     ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}
@@ -785,8 +727,10 @@ def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=()) ->
     h = _h(inputs, controls)
     q, q_inv, rzero = (CircuitOp(name, coin, controls) for name in ("Q", "Q_INV", "RZERO"))
     if variant == "qss":
-        return [CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q]
-    return [CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h]
+        ops = [CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q]
+    else:
+        ops = [CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h]
+    return Repeat(ops, count, variant)
 
 
 def _qft_ops(register: tuple[int, ...]) -> list[CircuitOp]:
@@ -801,6 +745,12 @@ def _qft_ops(register: tuple[int, ...]) -> list[CircuitOp]:
             ops.append(CircuitOp("CPHASE", (register[jj],), (register[j],),
                                  -math.pi / (1 << (j - jj))))
     return ops + [CircuitOp("SWAP", (register[j], register[n - 1 - j])) for j in range(n // 2)]
+
+
+def _fourier(register: tuple[int, ...]) -> Repeat:
+    """The textbook transform of ``register`` (``_qft_ops``) as a block
+    declared to run as one ``FourierKernel``."""
+    return Repeat(_qft_ops(register), 1, "fourier")
 
 
 def _coin_layout(n_input: int) -> tuple[tuple[int, ...], int]:
@@ -831,7 +781,7 @@ def coin_template(n_input: int, m: int) -> _Template:
         inputs, target = _coin_layout(n_input)
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
-        ops = _prepare_ops("qcoin", inputs, target) + [Repeat(_g_block("qcoin", inputs, target), m)]
+        ops = _prepare_ops("qcoin", inputs, target) + [_g_block("qcoin", inputs, target, count=m)]
         return Circuit(n_input + 1, ops).measure(inputs + (target,))
 
     return _template(("qcoin", n_input, m), build)
@@ -849,10 +799,9 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
         check_resolution(resolution)
         register = tuple(range(target + 1, target + resolution.bit_length()))
         ops = _h(register) + _prepare_ops("qss", inputs, target)
-        ops += [Repeat(_g_block("qss", inputs, target, (ctrl,)), 1 << j)
-                for j, ctrl in enumerate(register)]
+        ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
         circuit = Circuit(target + len(register) + 1, ops).measure([target])
-        circuit.ops += _qft_ops(register)
+        circuit.ops.append(_fourier(register))
         return circuit.measure(register)
 
     return _circuit(_template(("qss", n_input, resolution), build))

@@ -205,6 +205,16 @@ class TestExitCodes:
     # no target mean, by flag or key (it was "target mean must lie in [0, 1], got nan")
     (["estimate", "--algorithm", "qss"], "", EXIT_VALIDATION,
      "a target mean is required (flag --f or config key 'f')"),
+    # a slope fitted through one query count (it printed a slope and a RankWarning): a
+    # repeated budget, and two qss budgets that buy the same P = 32
+    (["sweep-convergence"], "budgets = 100, 100\n", EXIT_VALIDATION, "budgets"),
+    (["sweep-value"], "budgets = 100, 100\n", EXIT_VALIDATION, "budgets"),
+    (["sweep-convergence"], "algorithms = qss\nbudgets = 100, 120\n", EXIT_VALIDATION,
+     "budgets"),
+    # qss budgets below the 3 queries of P = 2 (they wrote rows of 3 queries)
+    (["sweep-value"], "algorithms = qss\nbudgets = 1, 2\n", EXIT_VALIDATION, "at least 3"),
+    (["sweep-convergence"], "algorithms = qss\nbudgets = 2, 100\n", EXIT_VALIDATION,
+     "at least 3"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmean import harness
 from qmean.estimators import qcoin_queries, qss_queries, qss_value_grid
 from qmean.harness import (
     QSS_BLOCK_VALUES,
@@ -138,9 +139,12 @@ def peak_bytes(fn) -> int:
 
 class TestQssBatchedReadout:
     @pytest.mark.parametrize("resolution", [2, 8, 256, 4096, 32768])
-    def test_rows_equal_per_mean_calls(self, resolution):
-        # one full block and a partial last one (P >= QSS_BLOCK_VALUES: blocks of one row)
-        n = QSS_BLOCK_VALUES // resolution + 3 if resolution < QSS_BLOCK_VALUES else 3
+    def test_rows_equal_per_mean_calls(self, resolution, monkeypatch):
+        # one full block and a partial last one (P >= QSS_BLOCK_VALUES: blocks of one row);
+        # below P = 256 a block of 32 rows, so that the means checked one by one are few
+        block = min(QSS_BLOCK_VALUES, 32 * resolution)
+        monkeypatch.setattr(harness, "QSS_BLOCK_VALUES", block)
+        n = block // resolution + 3 if resolution < block else 3
         rng = np.random.default_rng(resolution)
         fs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
         dists = qss_theoretical_distribution(fs, resolution)

@@ -1,6 +1,6 @@
 """Tests for oracles, coin preparation, amplitude amplification and the
 Fourier transform, each reached through the circuits the estimators run
-(``coin_circuit``, a bound ``Repeat`` of ``_g_block``, ``_qft_ops``) and
+(``coin_circuit``, a bound ``_g_block``, ``_qft_ops``) and
 checked against the dense references; and for binding, scheduling and
 running those circuits."""
 
@@ -33,6 +33,7 @@ from qmean.primitives import (
     Repeat,
     SQRT_AMPLITUDE,
     WORK,
+    _fourier,
     _g_block,
     _qft_ops,
     coin_circuit,
@@ -212,13 +213,13 @@ class TestReflections:
 
 class TestAmplitudeAmplification:
     """G blocks as the circuits hold them: ``coin_circuit`` with ``m`` blocks,
-    or a bound ``Repeat`` of ``_g_block`` run on a given state."""
+    or a bound ``_g_block`` run on a given state."""
 
     def test_zero_repetitions_is_identity(self):
         oracle = OracleSpec([0.3, 0.7])
         state = prepare_qss_state(oracle)
         ledger = QueryLedger()
-        block = Circuit(2, [Repeat(_g_block("qss", (0,), 1), 0)]).bind(oracle)
+        block = Circuit(2, [_g_block("qss", (0,), 1, count=0)]).bind(oracle)
         out, _ = run_circuit(block, state, ledger=ledger)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
         assert ledger.count == 0
@@ -239,7 +240,7 @@ class TestAmplitudeAmplification:
     def test_angle_additivity(self):
         oracle = OracleSpec([0.2, 0.3, 0.1, 0.4], encoding=LINEAR_AMPLITUDE)
         two, _ = run_circuit(coin_circuit(2, 2).bind(oracle))
-        three_more = Circuit(3, [Repeat(_g_block("qcoin", (0, 1), 2), 3)]).bind(oracle)
+        three_more = Circuit(3, [_g_block("qcoin", (0, 1), 2, count=3)]).bind(oracle)
         chained, _ = run_circuit(three_more, two)
         direct, _ = run_circuit(coin_circuit(2, 5).bind(oracle))
         np.testing.assert_allclose(chained.amplitudes, direct.amplitudes, atol=1e-10)
@@ -247,7 +248,7 @@ class TestAmplitudeAmplification:
     def test_query_cost_two_per_repetition(self):
         oracle = OracleSpec([0.4, 0.6])
         ledger = QueryLedger()
-        block = Circuit(2, [Repeat(_g_block("qss", (0,), 1), 4)]).bind(oracle)
+        block = Circuit(2, [_g_block("qss", (0,), 1, count=4)]).bind(oracle)
         run_circuit(block, prepare_qss_state(oracle), ledger=ledger)
         assert ledger.count == 8
 
@@ -261,7 +262,7 @@ def phase_aligned(a, b):
 def g_matrix(variant, oracle):
     """One bound G block run on each basis state of the coin qubits, as columns."""
     n = oracle.n_input_qubits + 1
-    block = Circuit(n, [Repeat(_g_block(variant, tuple(range(n - 1)), n - 1), 1)]).bind(oracle)
+    block = Circuit(n, [_g_block(variant, tuple(range(n - 1)), n - 1)]).bind(oracle)
     return np.column_stack([run_circuit(block, StateVector(n, col))[0].amplitudes
                             for col in np.eye(1 << n)])
 
@@ -348,8 +349,8 @@ class TestQft:
 
 
 class TestFourierStep:
-    """The register transform, ``_qft_ops`` in the circuit, run as one
-    ``FourierKernel`` step of the schedule."""
+    """The register transform, declared in the circuit (``_fourier``), run
+    as one ``FourierKernel`` step of the schedule."""
 
     @pytest.mark.parametrize("n_in", range(5))
     def test_qss_schedule_matches_each_op_kernel_in_turn(self, n_in):
@@ -372,7 +373,7 @@ class TestFourierStep:
     @pytest.mark.parametrize("register, n", [((1, 2), 3), ((0, 1), 3), ((2, 0), 3),
                                              ((0, 1, 2), 3), ((3, 0, 2), 4)])
     def test_kernel_is_the_dft_on_its_register(self, register, n):
-        (kernel,) = Circuit(n, _qft_ops(register)).bind().schedule
+        (kernel,) = Circuit(n, [_fourier(register)]).bind().schedule
         assert isinstance(kernel, FourierKernel)
         size = 1 << len(register)
         expected = gate_to_full_matrix(GateMatrix(dft_matrix(size)), register, [], n)
@@ -469,8 +470,8 @@ def _qss_case(n_in, p):
 
 _RZERO = CircuitOp("RZERO", (0, 1))
 _TWO_BINS = OracleSpec([0.3, 0.7], 0.1, LINEAR_AMPLITUDE)  # Q on input 0, target 1
-# blocks on 3 qubits of a phase D that fits, then an RZERO framed by ops that
-# are not S and its mirror S^-1: each G runs op by op
+# undeclared blocks on 3 qubits of a phase D, then an RZERO framed by ops that
+# are not S and its mirror S^-1: each runs op by op
 NOT_MIRRORED = {name: [Repeat([CircuitOp("Z", (1,)), *ops], 2)] for name, ops in {
     "other-controls": [CircuitOp("H", (0,)), CircuitOp("Q_INV", (0, 1), (2,)), _RZERO,
                        CircuitOp("Q", (0, 1), (2,)), CircuitOp("H", (0,))],
@@ -482,8 +483,8 @@ NOT_MIRRORED = {name: [Repeat([CircuitOp("Z", (1,)), *ops], 2)] for name, ops in
     "other-qubits": [CircuitOp("H", (0,)), _RZERO, CircuitOp("H", (1,))],
 }.items()}
 _H0 = CircuitOp("H", (0,))
-# blocks of a phase D, then a reflection on qubits 0 and 1, where D is not +-1
-# on the reflection's qubits alone and 1 elsewhere: each G runs as two steps
+# undeclared blocks of a phase D, then a reflection on qubits 0 and 1, where D
+# is not +-1 on the reflection's qubits alone and 1 elsewhere: each runs op by op
 NOT_RAISED = {
     "phase-off-targets": [Repeat([CircuitOp("Z", (2,)), _H0, _RZERO, _H0], 3)],
     "phase-outside-controls": [Repeat([CircuitOp("Z", (1,)), CircuitOp("H", (0,), (2,)),
@@ -523,9 +524,9 @@ class TestCircuit:
         lambda: (qss_circuit(2, 8), OracleSpec([0.1, 0.5, 0.8, 0.3])),
         lambda: (qss_circuit(1, 16), OracleSpec([0.3, 0.6])),
         # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
-        lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
+        lambda: (Circuit(5, [_g_block("qcoin", (3, 1), 0, (2,), count=3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
-        lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
+        lambda: (Circuit(5, [_g_block("qss", (3, 1), 0, (2,), count=3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3])),
         # every G block one raised reflection
         *[pytest.param(_coin_case(n_in, m), id=f"qcoin-n{n_in}-m{m}")
@@ -539,13 +540,18 @@ class TestCircuit:
                      id="partial-mirror"),
         pytest.param(_ops_case([_H0, CircuitOp("Q", (0, 1)), _RZERO, CircuitOp("Q_INV", (0, 1)),
                                 _H0]), id="standalone-reflection"),
+        # a declared G block, then an undeclared one with the same S^-1 and another phase
+        pytest.param(lambda: (Circuit(4, [_g_block("qss", (0, 2), 1, (3,), count=2),
+                                          Repeat([CircuitOp("FLIP_HEAD", (0, 2, 1), (3,)),
+                                                  *_g_block("qss", (0, 2), 1, (3,)).ops[1:]], 3)]),
+                              OracleSpec([0.1, 0.5, 0.8, 0.3])), id="two-phases"),
         *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_MIRRORED.items()],
         *[pytest.param(_ops_case(ops), id=name) for name, ops in NOT_RAISED.items()],
     ])
     def test_run_matches_each_op_kernel_in_turn(self, build):
-        """The schedule (H registers as dense kernels, reflections, repeats
-        walked or raised) against every op's own kernel, applied in the order
-        of ``expand()``."""
+        """The schedule (H registers as dense kernels, declared blocks as one
+        step, other repeats walked) against every op's own kernel, applied in
+        the order of ``expand()``."""
         circuit, oracle = build()
         bound = circuit.bind(oracle)
         rng = np.random.default_rng(3)
@@ -573,6 +579,7 @@ class TestCircuit:
         assert sum(isinstance(step, PhaseKernel) for step in body) == 2  # D, and RZERO on its own
 
     def test_every_block_the_estimators_run_is_one_raised_step(self):
+        # every declared G block is one reflection; the transform is one step too
         circuits = [(coin_circuit(n_in, 1 << j), OracleSpec([0.5] * (1 << n_in), 0.1,
                                                             LINEAR_AMPLITUDE))
                     for n_in in range(9) for j in range(7)]
@@ -580,10 +587,39 @@ class TestCircuit:
                      for n_in in range(5) for j in range(1, 13)]
         for circuit, oracle in circuits:
             bound = circuit.bind(oracle)
-            counts = [node.count for node in bound.ops if isinstance(node, Repeat)]
+            counts = [node.count for node in bound.ops
+                      if isinstance(node, Repeat) and node.step in ("qss", "qcoin")]
             assert not any(isinstance(step, tuple) for step in bound.schedule)
             assert [step.count for step in bound.schedule
                     if isinstance(step, ReflectionKernel)] == counts
+
+    @pytest.mark.parametrize("build", [_qss_case(2, 8), _coin_case(2, 3)], ids=["qss", "qcoin"])
+    def test_the_declaration_not_the_ops_picks_the_step(self, build):
+        """The same ops undeclared, each G block's as a ``Repeat`` of its
+        count and the transform's as a bare ``_qft_ops`` list, run op by op
+        and match the declared run."""
+        declared, oracle = build()
+        nodes = []
+        for node in declared.ops:
+            if not isinstance(node, Repeat):
+                nodes.append(node)
+            elif node.step == "fourier":
+                nodes += node.ops
+            else:
+                nodes.append(Repeat(list(node.ops), node.count))
+        undeclared = Circuit(declared.n_qubits, nodes, declared.measured_qubits)
+        assert undeclared.expand() == declared.expand()
+        ran = [list(primitives._walk(circuit.bind(oracle).schedule))
+               for circuit in (declared, undeclared)]
+        assert any(isinstance(step, ReflectionKernel) for step in ran[0])
+        assert not any(isinstance(step, (ReflectionKernel, FourierKernel)) for step in ran[1])
+        rng = np.random.default_rng(13)
+        n = declared.n_qubits
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        out = [run_circuit(circuit.bind(oracle), state)[0].amplitudes
+               for circuit in (declared, undeclared)]
+        np.testing.assert_allclose(out[1], out[0], rtol=0, atol=1e-12)
 
     def test_each_amplification_step_is_one_reflection(self):
         # each qss block G^(2^j), G being Z then S, RZERO, S^-1, is one
@@ -661,19 +697,14 @@ class TestCircuit:
           for n_in, p in [(0, 4), (0, 1024), (2, 8), (2, 1024), (4, 16), (4, 512)]],
         lambda: (coin_circuit(4, 16), OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)),
         # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
-        lambda: (Circuit(5, [Repeat(_g_block("qcoin", (3, 1), 0, (2,)), 3)]),
+        lambda: (Circuit(5, [_g_block("qcoin", (3, 1), 0, (2,), count=3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
-        lambda: (Circuit(5, [Repeat(_g_block("qss", (3, 1), 0, (2,)), 3)]),
+        lambda: (Circuit(5, [_g_block("qss", (3, 1), 0, (2,), count=3)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3])),
-        # two blocks on the same qubits with different ops share no plane
-        lambda: (Circuit(4, [Repeat(_g_block("qss", (0, 2), 1, (3,)), 2),
-                             Repeat(_g_block("qcoin", (0, 2), 1, (3,)), 5)]),
+        # two blocks of different variants on the same qubits share no plane
+        lambda: (Circuit(4, [_g_block("qss", (0, 2), 1, (3,), count=2),
+                             _g_block("qcoin", (0, 2), 1, (3,), count=5)]),
                  OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
-        # two blocks with the same S^-1 and different phases share no plane
-        lambda: (Circuit(4, [Repeat(_g_block("qss", (0, 2), 1, (3,)), 2),
-                             Repeat([CircuitOp("FLIP_HEAD", (0, 2, 1), (3,)),
-                                     *_g_block("qss", (0, 2), 1, (3,))[1:]], 3)]),
-                 OracleSpec([0.1, 0.5, 0.8, 0.3])),
         # degenerate planes: a lies wholly where D is +1 (Q is the identity, or
         # every bin's target amplitude is 0) or wholly where it is -1
         lambda: (coin_circuit(3, 5), OracleSpec([0.1] * 8, 0.1, LINEAR_AMPLITUDE)),
@@ -684,8 +715,7 @@ class TestCircuit:
         # the largest count the caps allow on one bin: G^2048
         lambda: (qss_circuit(0, 4096), OracleSpec([0.3])),
     ], ids=["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P16", "qss-n4-P512",
-            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks", "two-phases",
-            "qcoin-all-offset",
+            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks", "qcoin-all-offset",
             "qss-all-0", "qss-all-1", "qss-n6-P128", "qss-n0-P4096"])
     def test_fused_blocks_match_each_op_kernel_in_turn(self, build):
         """A schedule whose repeated blocks each run as one raised reflection
@@ -918,7 +948,7 @@ class TestKernelsAgainstDenseReference:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        block = Repeat(_g_block(variant, tuple(inputs), target, tuple(controls)), 3)
+        block = _g_block(variant, tuple(inputs), target, tuple(controls), count=3)
         out, _ = run_circuit(Circuit(n, [block]).bind(oracle), state)
         np.testing.assert_allclose(out.amplitudes,
                                    np.linalg.matrix_power(g, 3) @ state.amplitudes,
