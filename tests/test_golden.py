@@ -7,8 +7,11 @@ written by this module's ``golden_lines`` before the Hadamard-layer kernel
 existed (``python tests/test_golden.py > tests/data/estimate-records.txt``);
 ``qss-closed-form.txt`` was written by ``qss_closed_form_lines`` before the
 readout was batched over target means (``python tests/test_golden.py
-qss-closed-form > tests/data/qss-closed-form.txt``).  A change that alters a
-line changes the package's numbers and must say so, not rewrite the file.
+qss-closed-form > tests/data/qss-closed-form.txt``); ``coin-sweeps.txt`` was
+written by ``coin_sweep_lines`` before the sweeps' Monte Carlo and qcoin rows
+shared one error point (``python tests/test_golden.py coin-sweeps >
+tests/data/coin-sweeps.txt``).  A change that alters a line changes the
+package's numbers and must say so, not rewrite the file.
 
 ``qss-closed-form.txt`` has been rewritten twice.  The first time, the
 readout went from one FFT of the sin traces and one of the cos traces to one
@@ -35,12 +38,14 @@ import numpy as np
 
 from qmean.cli import main
 from qmean.estimators import estimate_qcoin, estimate_qss
-from qmean.harness import qss_mean_error
+from qmean.harness import run_noise_comparison, qss_mean_error
+from qmean.noise import HARDWARE_PRESET
 from qmean.primitives import OracleSpec
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "estimate-records.txt"
 QSS_GOLDEN = DATA / "qss-closed-form.txt"
+COIN_GOLDEN = DATA / "coin-sweeps.txt"
 
 SEEDS = (3, 17, 2024)
 MEANS = (0.0, 0.13, 0.5, 0.77, 1.0)
@@ -114,6 +119,44 @@ def qss_closed_form_lines(work_dir: Path) -> list[str]:
     return lines
 
 
+def coin_sweep_lines(work_dir: Path) -> list[str]:
+    """The Monte Carlo and qcoin rows of the sweeps, at small sizes: the
+    ``sweep-value`` CSVs without noise and with ``hardware`` (budget 10 buys
+    no qcoin trial at k = 3), the three ``sweep-convergence`` CSVs of all three
+    algorithms (k = 6 fits only budgets from 133), the sha256 of supersampled
+    images on a 64 x 64 card, and the rows of a small noise comparison."""
+    lines = []
+    for noise in ("none", "hardware"):
+        config = work_dir / f"value-{noise}.cfg"
+        config.write_text(f"algorithms = monte-carlo, qcoin\nbudgets = 10, 100, 1000\n"
+                          f"repetitions = 30\nf_values = 0, 0.13, 0.5, 1\nnoise = {noise}\n")
+        out = work_dir / f"value-{noise}"
+        _run(["sweep-value", "--config", str(config), "--seed", "7", "--out", str(out)])
+        lines += [f"sweep-value noise={noise}: {row}"
+                  for row in (out / "value-sweep.csv").read_text().splitlines()]
+    config = work_dir / "convergence.cfg"
+    config.write_text("budgets = 50, 100, 400, 1000\nrepetitions = 40\nk_values = 2, 3, 6\n")
+    out = work_dir / "convergence"
+    _run(["sweep-convergence", "--config", str(config), "--seed", "9", "--out", str(out)])
+    for name in ("convergence.csv", "optimal-k.csv", "slopes.csv"):
+        lines += [f"sweep-convergence {name}: {row}"
+                  for row in (out / name).read_text().splitlines()]
+    for algorithm in ("monte-carlo", "qcoin"):
+        for noise in ("none", "hardware"):
+            config = work_dir / f"supersample-{algorithm}-{noise}.cfg"
+            config.write_text(f"width = 64\nheight = 64\nnoise = {noise}\n")
+            out = work_dir / f"supersample-{algorithm}-{noise}"
+            _run(["supersample", "--algorithm", algorithm, "--config", str(config),
+                  "--seed", "13", "--out", str(out)])
+            digest = hashlib.sha256((out / f"supersampled-{algorithm}.pgm").read_bytes())
+            lines.append(f"supersample {algorithm} noise={noise} seed=13 sha256: "
+                         f"{digest.hexdigest()}")
+    comparison = run_noise_comparison(0.3, [10, 1000], 1000, [0, 2, 3], 12, HARDWARE_PRESET,
+                                      seed_base=4)
+    lines += [f"run_noise_comparison: {row!r}" for row in comparison["rows"]]
+    return lines
+
+
 def _assert_unchanged(golden: Path, got: list[str]):
     expected = golden.read_text().splitlines()
     changed = [(want, have) for want, have in zip(expected, got) if want != have]
@@ -129,7 +172,12 @@ def test_qss_closed_form_outputs_are_unchanged(tmp_path):
     _assert_unchanged(QSS_GOLDEN, qss_closed_form_lines(tmp_path))
 
 
+def test_coin_sweep_outputs_are_unchanged(tmp_path):
+    _assert_unchanged(COIN_GOLDEN, coin_sweep_lines(tmp_path))
+
+
 if __name__ == "__main__":
-    make = qss_closed_form_lines if sys.argv[1:] == ["qss-closed-form"] else golden_lines
+    make = {"qss-closed-form": qss_closed_form_lines,
+            "coin-sweeps": coin_sweep_lines}.get(" ".join(sys.argv[1:]), golden_lines)
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.write("".join(line + "\n" for line in make(Path(tmp))))
