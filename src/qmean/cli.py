@@ -56,12 +56,11 @@ def _load_config(args, reads: tuple[str, ...]) -> dict[str, str]:
 
 
 def _out_dir(args) -> Path:
+    """The ``--out`` directory, made when the first output is written, so that
+    a refused run leaves none behind."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
         raise CliError(f"output directory {out} not writable: {exc}", EXIT_IO)
     return out
@@ -127,21 +126,13 @@ def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qco
         raise CliError(f"{command} applies no noise to {', '.join(ignored)}", EXIT_VALIDATION)
 
 
-def _check_k(values, name: str):
-    """A qcoin k counts shift-and-scale steps; a negative one is refused by the
-    key or flag ``name`` that gave it."""
-    negative = [k for k in values if k < 0]
-    if negative:
-        raise CliError(f"{name} must be non-negative, got {negative[0]}", EXIT_VALIDATION)
-
-
 def _check_trials(value: int, name: str, least: int = 1):
     """A trial count below one, or a budget below ``least``, the queries of
-    one trial per step, buys no trial; it is refused by the flag ``name``
-    that gave it."""
-    if value < least:
-        raise CliError(f"{name} must be at least {least} (one trial per step), got {value}",
-                       EXIT_VALIDATION)
+    one trial per step, buys no trial, and NumPy's binomial draw takes no
+    count of 2^63 or more; either is refused by the flag ``name`` that gave it."""
+    if not least <= value < 2**63:
+        raise CliError(f"{name} must be at least {least} (one trial per step) and below 2^63, "
+                       f"got {value}", EXIT_VALIDATION)
 
 
 def cmd_estimate(args):
@@ -162,7 +153,7 @@ def cmd_estimate(args):
     elif args.algorithm == "qss":
         est = estimate_qss(oracle, flags["P"], seed)
     else:
-        _check_k([flags["k"]], "--k")
+        harness.check_qcoin_k(flags["k"], "--k")
         _check_trials(flags["L"], "--L")
         est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     rec = est.to_record(f_true=f)
@@ -177,7 +168,6 @@ def cmd_sweep_value(args):
     algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, algorithms, "sweep-value")
-    out = _out_dir(args)
     spec = SweepSpec(
         algorithms=algorithms,
         budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000]),
@@ -187,9 +177,8 @@ def cmd_sweep_value(args):
         noise=noise,
         seed_base=seed,
     )
-    if "qcoin" in algorithms:
-        _check_k(spec.qcoin_k, "k_values")
     rows = harness.run_value_sweep(spec)
+    out = _out_dir(args)
     _clear_config_echo(out)
     harness.write_csv(out / "value-sweep.csv", rows)
     _echo_config(out, {**cfg, "seed": seed})
@@ -203,7 +192,6 @@ def cmd_sweep_convergence(args):
     seed = _required(args, cfg, "seed", int, "a seed")
     algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
-    out = _out_dir(args)
     spec = SweepSpec(
         algorithms=algorithms,
         budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000, 100000]),
@@ -211,9 +199,8 @@ def cmd_sweep_convergence(args):
         qcoin_k=harness.config_list(cfg, "k_values", int, [3, 4, 5, 6]),
         seed_base=seed,
     )
-    if "qcoin" in algorithms:
-        _check_k(spec.qcoin_k, "k_values")
     result = harness.run_convergence_sweep(spec)
+    out = _out_dir(args)
     _clear_config_echo(out)
     harness.write_csv(out / "convergence.csv", result["rows"])
     if result["optimal_k_table"]:
@@ -238,13 +225,12 @@ def cmd_supersample(args):
                                     "qss": {}, "ideal": {}})
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, [args.algorithm], "supersample")
-    out = _out_dir(args)
     width, height, qcoin_k, qss_p = (
         _config_value(cfg, key, int, default)
         for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))
     )
     if args.algorithm == "qcoin":
-        _check_k([qcoin_k], "qcoin_k")
+        harness.check_qcoin_k(qcoin_k, "qcoin_k")
     if "budget" in flags:
         least = qcoin_queries(qcoin_k, 1) if args.algorithm == "qcoin" else 1
         _check_trials(flags["budget"], "--budget", least)
@@ -265,6 +251,7 @@ def cmd_supersample(args):
         seed_base=seed,
     )
     result = harness.run_supersample(job)
+    out = _out_dir(args)
     _clear_config_echo(out)
     harness.write_pgm(out / f"supersampled-{args.algorithm}.pgm", result.estimated)
     harness.write_pgm(out / "ideal.pgm", result.ideal)

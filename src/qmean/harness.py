@@ -185,6 +185,18 @@ def fast_qcoin_estimate(
 # the algorithms a sweep runs, each with the id that seeds its rows
 SWEEP_ALGORITHMS = {"monte-carlo": 1, "qss": 2, "qcoin": 3}
 
+# Most repetitions a sweep takes, checked before anything is allocated.
+MAX_REPETITIONS = 10**5
+
+
+def check_qcoin_k(k: int, name: str):
+    """A qcoin k counts shift-and-scale steps.  A negative one, and one from
+    62 on, whose one trial costs 2^63 queries or more, past every count that
+    NumPy's binomial draw takes, are refused by the key or flag ``name`` that
+    gave it, before its schedule is built."""
+    if not 0 <= k <= 61:
+        raise ValueError(f"{name} must be from 0 to 61, got {k}")
+
 
 @dataclass
 class SweepSpec:
@@ -200,16 +212,25 @@ class SweepSpec:
         if not self.algorithms or not set(self.algorithms) <= set(SWEEP_ALGORITHMS):
             raise ValueError(f"algorithms must be one or more of "
                              f"{', '.join(SWEEP_ALGORITHMS)}, got {self.algorithms}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if len(self.budgets) == 0 or list(self.budgets) != sorted(set(self.budgets)):
-            raise ValueError(f"budgets must be one or more, ascending, each once, "
-                             f"got {self.budgets}")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be from 1 to {MAX_REPETITIONS}, "
+                             f"got {self.repetitions}")
+        # a budget is the trial count of a Monte Carlo row, and NumPy's binomial
+        # draw takes counts below 2^63
+        if (len(self.budgets) == 0 or list(self.budgets) != sorted(set(self.budgets))
+                or not 1 <= self.budgets[0] <= self.budgets[-1] < 2**63):
+            raise ValueError(f"budgets must be one or more, ascending, each once, from 1 "
+                             f"to 2^63 - 1, got {self.budgets}")
         # the readout's range in budgets: a budget of 2P - 1 queries buys resolution P
         least, largest = qss_queries(2), qss_queries(2 * QSS_MAX_RESOLUTION) - 1
         if "qss" in self.algorithms and not least <= self.budgets[0] <= self.budgets[-1] <= largest:
             raise ValueError(f"qss budgets must be at least {least} (P = 2) and at most {largest} "
                              f"(P = {QSS_MAX_RESOLUTION}), got {self.budgets}")
+        for k in self.qcoin_k if "qcoin" in self.algorithms else ():
+            check_qcoin_k(k, "k_values")
+            if qcoin_queries(k, 1) > self.budgets[-1]:
+                raise ValueError(f"no budget buys one qcoin trial at k = {k} (key 'k_values'): "
+                                 f"budgets must reach {qcoin_queries(k, 1)}, got {self.budgets}")
         if self.f_values is not None and not (
                 len(self.f_values) > 0 and all(0.0 <= f <= 1.0 for f in self.f_values)):
             raise ValueError(f"f_values must be one or more means in [0, 1], got {self.f_values}")
@@ -234,6 +255,22 @@ def fit_loglog_slope(queries, errors, skip_first: bool = True) -> float:
     return float(slope)
 
 
+def _coin_error(seed, f, repetitions: int, k: int, budget: int, noise=None):
+    """Queries spent and mean |estimate - f| of one coin row: ``repetitions``
+    estimates of the k-step shift-and-scale loop (Monte Carlo at k = 0), each
+    with the trials per step that ``budget`` buys.  They draw from a generator
+    seeded by ``seed``, at the mean ``f``, or at uniform-random means drawn
+    from it first when f is None.  None when the budget buys no trial, and
+    then no generator is built."""
+    trials = budget // qcoin_queries(k, 1)
+    if trials < 1:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    fs = np.full(repetitions, f) if f is not None else rng.uniform(0.0, 1.0, size=repetitions)
+    est = fast_qcoin_estimate(fs, k, trials, rng, noise)
+    return qcoin_queries(k, trials), float(np.mean(np.abs(est - fs)))
+
+
 def run_value_sweep(spec: SweepSpec) -> list[dict]:
     """Mean absolute error per (algorithm, f, budget) at fixed target means."""
     if spec.f_values is None:
@@ -248,38 +285,29 @@ def run_value_sweep(spec: SweepSpec) -> list[dict]:
             qss_errors = [qss_expected_error(spec.f_values, p) for p in resolutions]
         for i, f in enumerate(spec.f_values):
             for j, budget in enumerate(spec.budgets):
-                # each row that draws gets its own generator; qss rows draw nothing
-                seed = [spec.seed_base, alg_id, int(f * 1e9), budget]
-                if algorithm == "monte-carlo":
-                    rng = np.random.default_rng(np.random.SeedSequence(seed))
-                    est = sample_monte_carlo(
-                        np.full(spec.repetitions, f), budget, rng, spec.noise
-                    )
-                    mae = float(np.mean(np.abs(est - f)))
-                    queries = budget
-                elif algorithm == "qss":
-                    mae = float(qss_errors[j][i])
-                    queries = qss_queries(resolutions[j])
-                else:
-                    k = spec.qcoin_k[0]
-                    trials = budget // (qcoin_queries(k, 1))
-                    if trials < 1:
+                if algorithm == "qss":
+                    spent = qss_queries(resolutions[j]), float(qss_errors[j][i])
+                else:  # each row that draws gets its own generator; only qcoin skips a budget
+                    k = spec.qcoin_k[0] if algorithm == "qcoin" else 0
+                    spent = _coin_error([spec.seed_base, alg_id, int(f * 1e9), budget], f,
+                                        spec.repetitions, k, budget, spec.noise)
+                    if spent is None:
                         continue
-                    rng = np.random.default_rng(np.random.SeedSequence(seed))
-                    est = fast_qcoin_estimate(
-                        np.full(spec.repetitions, f), k, trials, rng, spec.noise
-                    )
-                    mae = float(np.mean(np.abs(est - f)))
-                    queries = qcoin_queries(k, trials)
                 rows.append({
-                    "algorithm": algorithm, "f": f, "budget": budget,
-                    "queries": queries, "mae": mae, "repetitions": spec.repetitions,
+                    "algorithm": algorithm, "f": f, "budget": budget, "queries": spent[0],
+                    "mae": spent[1], "repetitions": spec.repetitions,
                 })
-    if not rows:  # only qcoin skips a budget: one that buys no trial
-        k = spec.qcoin_k[0]
-        raise ValueError(f"no budget buys one qcoin trial at k = {k}: budgets must reach "
-                         f"{qcoin_queries(k, 1)}, got {spec.budgets}")
     return rows
+
+
+def _coin_table(budgets, k_values, repetitions: int, seed: int) -> dict[int, dict[int, tuple]]:
+    """{budget: {k: (queries, error)}} of coin rows over uniform-random means,
+    leaving out each k whose schedule does not fit in the budget."""
+    table = {}
+    for budget in budgets:
+        spent = {k: _coin_error([seed, budget, k], None, repetitions, k, budget) for k in k_values}
+        table[int(budget)] = {k: row for k, row in spent.items() if row is not None}
+    return table
 
 
 def calibrate_optimal_k(
@@ -291,20 +319,11 @@ def calibrate_optimal_k(
     """Mean-error table {budget: {k: error}} over uniform-random target means.
 
     The reusable calibration artifact behind optimal-k selection; k values
-    whose schedule does not fit in the budget are skipped (k=0 always fits).
+    whose schedule does not fit in the budget are skipped (k=0 fits every
+    budget of at least 1, the least a sweep takes).
     """
-    table: dict[int, dict[int, float]] = {}
-    for budget in budgets:
-        row = {}
-        for k in k_values:
-            trials = budget // qcoin_queries(k, 1)
-            if trials < 1:
-                continue
-            rng = np.random.default_rng(np.random.SeedSequence([seed, budget, k]))
-            fs = rng.uniform(0.0, 1.0, size=repetitions)
-            row[k] = float(np.mean(np.abs(fast_qcoin_estimate(fs, k, trials, rng) - fs)))
-        table[int(budget)] = row
-    return table
+    return {budget: {k: mae for k, (_, mae) in row.items()}
+            for budget, row in _coin_table(budgets, k_values, repetitions, seed).items()}
 
 
 def calibration_rows(table: dict[int, dict[int, float]]) -> list[dict]:
@@ -334,51 +353,34 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
     optimal_k_table = None
 
     for algorithm in spec.algorithms:
-        if algorithm == "monte-carlo":
-            queries, errors = [], []
-            for budget in spec.budgets:
-                rng = np.random.default_rng(np.random.SeedSequence([spec.seed_base, 1, budget]))
-                fs = rng.uniform(0.0, 1.0, size=spec.repetitions)
-                est = sample_monte_carlo(fs, budget, rng)
-                mae = float(np.mean(np.abs(est - fs)))
-                rows.append({"algorithm": algorithm, "budget": budget,
-                             "queries": budget, "mae": mae,
-                             "repetitions": spec.repetitions})
-                queries.append(budget)
-                errors.append(mae)
-            slopes[algorithm] = fit_loglog_slope(queries, errors)
-        elif algorithm == "qss":
-            queries, errors = [], []
-            for budget in spec.budgets:
-                p = nearest_power_of_two_resolution(budget)
-                mae = qss_mean_error(p)
-                rows.append({"algorithm": algorithm, "budget": budget,
-                             "queries": qss_queries(p), "mae": mae,
-                             "repetitions": 0})
-                queries.append(qss_queries(p))
-                errors.append(mae)
-            slopes[algorithm] = fit_loglog_slope(queries, errors, skip_first=False)
-        else:
-            optimal_k_table = calibrate_optimal_k(
-                spec.budgets, spec.qcoin_k + [0],
-                repetitions=spec.repetitions, seed=spec.seed_base + 2,
-            )
-            best_queries, best_errors = [], []
-            for budget in spec.budgets:
-                row = optimal_k_table[budget]
-                for k in sorted(row):
-                    trials = budget // qcoin_queries(k, 1)
-                    rows.append({"algorithm": f"qcoin-k{k}", "budget": budget,
-                                 "queries": qcoin_queries(k, trials),
-                                 "mae": row[k], "repetitions": spec.repetitions})
+        if algorithm == "qcoin":
+            spent = _coin_table(spec.budgets, spec.qcoin_k + [0], spec.repetitions,
+                                spec.seed_base + 2)
+            optimal_k_table = {budget: {k: mae for k, (_, mae) in row.items()}
+                               for budget, row in spent.items()}
+            best_errors = []
+            for budget, row in spent.items():
                 best_k = select_optimal_k(budget, optimal_k_table)
-                trials = budget // qcoin_queries(best_k, 1)
-                rows.append({"algorithm": "qcoin-optimal", "budget": budget,
-                             "queries": qcoin_queries(best_k, trials),
-                             "mae": row[best_k], "repetitions": spec.repetitions})
-                best_queries.append(budget)
-                best_errors.append(row[best_k])
-            slopes["qcoin-optimal"] = fit_loglog_slope(best_queries, best_errors)
+                for name, k in [*((f"qcoin-k{k}", k) for k in sorted(row)),
+                                ("qcoin-optimal", best_k)]:
+                    rows.append({"algorithm": name, "budget": budget, "queries": row[k][0],
+                                 "mae": row[k][1], "repetitions": spec.repetitions})
+                best_errors.append(row[best_k][1])
+            slopes["qcoin-optimal"] = fit_loglog_slope(spec.budgets, best_errors)
+            continue
+        queries, errors = [], []
+        for budget in spec.budgets:
+            if algorithm == "qss":
+                p = nearest_power_of_two_resolution(budget)
+                used, mae = qss_queries(p), qss_mean_error(p)
+            else:
+                used, mae = _coin_error([spec.seed_base, 1, budget], None, spec.repetitions,
+                                        0, budget)
+            rows.append({"algorithm": algorithm, "budget": budget, "queries": used, "mae": mae,
+                         "repetitions": 0 if algorithm == "qss" else spec.repetitions})
+            queries.append(used)
+            errors.append(mae)
+        slopes[algorithm] = fit_loglog_slope(queries, errors, skip_first=algorithm != "qss")
 
     return {"rows": rows, "slopes": slopes, "optimal_k_table": optimal_k_table}
 
@@ -431,9 +433,7 @@ def run_noise_comparison(
     rows = []
     mc_errors = {}
     for budget in mc_budgets:
-        rng = np.random.default_rng(np.random.SeedSequence([seed_base, 0, budget]))
-        est = sample_monte_carlo(np.full(repetitions, f), budget, rng, model)
-        mae = float(np.mean(np.abs(est - f)))
+        _, mae = _coin_error([seed_base, 0, budget], f, repetitions, 0, budget, model)
         mc_errors[budget] = mae
         rows.append({"algorithm": "monte-carlo", "k": "", "budget": budget,
                      "mae": mae, "repetitions": repetitions})
@@ -543,11 +543,10 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
     for f in means:
         same = ideal == f
         fs = np.full(int(same.sum()), f)
-        if job.algorithm == "monte-carlo":
-            out[same] = sample_monte_carlo(fs, job.per_pixel_budget, rng, job.noise)
-        elif job.algorithm == "qcoin":
-            trials = job.per_pixel_budget // qcoin_queries(job.qcoin_k, 1)
-            out[same] = fast_qcoin_estimate(fs, job.qcoin_k, trials, rng, job.noise)
+        if job.algorithm in ("monte-carlo", "qcoin"):
+            k = job.qcoin_k if job.algorithm == "qcoin" else 0
+            trials = job.per_pixel_budget // qcoin_queries(k, 1)
+            out[same] = fast_qcoin_estimate(fs, k, trials, rng, job.noise)
         elif job.algorithm == "qss":
             dist = next(dists)
             t = rng.choice(dist.size, p=dist, size=fs.size)

@@ -754,8 +754,9 @@ def _fourier(register: tuple[int, ...]) -> Repeat:
 
 
 def _coin_layout(n_input: int) -> tuple[tuple[int, ...], int]:
-    if n_input < 0:
-        raise ValueError(f"n_input must be non-negative, got {n_input}")
+    # each input qubit takes an op, so past the op cap none is built
+    if not 0 <= n_input <= MAX_CIRCUIT_OPS:
+        raise ValueError(f"n_input must be from 0 to {MAX_CIRCUIT_OPS}, got {n_input}")
     return tuple(range(n_input)), n_input
 
 

@@ -215,6 +215,43 @@ class TestExitCodes:
     (["sweep-value"], "algorithms = qss\nbudgets = 1, 2\n", EXIT_VALIDATION, "at least 3"),
     (["sweep-convergence"], "algorithms = qss\nbudgets = 2, 100\n", EXIT_VALIDATION,
      "at least 3"),
+    # budgets below 1 (qcoin printed "min() arg is an empty sequence", Monte Carlo "every
+    # step needs at least one trial", and the value sweep dropped -5 without a word)
+    (["sweep-convergence"], "algorithms = qcoin\nbudgets = 0, 100\n", EXIT_VALIDATION,
+     "budgets must be"),
+    (["sweep-convergence"], "algorithms = monte-carlo\nbudgets = 0, 100\n", EXIT_VALIDATION,
+     "budgets must be"),
+    (["sweep-value"], "algorithms = qcoin\nbudgets = -5, 100\nf_values = 0.5\n",
+     EXIT_VALIDATION, "budgets must be"),
+    # counts of 2^63 or more, past NumPy's binomial draw (each was an OverflowError)
+    (["estimate", "--algorithm", "monte-carlo", "--f", "0.5", "--trials", str(10**24)], "",
+     EXIT_VALIDATION, "--trials"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--L", str(10**24)], "",
+     EXIT_VALIDATION, "--L"),
+    (["supersample", "--algorithm", "monte-carlo", "--budget", str(10**24)], "",
+     EXIT_VALIDATION, "--budget"),
+    (["sweep-value"], f"budgets = {10**30}\n", EXIT_VALIDATION, "budgets must be"),
+    # a qcoin k refused before its schedule is built (1100 overflowed the schedule) or its
+    # least budget printed (2^1101, 2^100001 past Python's digit limit, and 2^(10^11 + 1)
+    # a MemoryError), and one whose trial no budget buys
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5", "--k", "1100"], "", EXIT_VALIDATION,
+     "--k must be from 0 to 61"),
+    (["sweep-value"], "k_values = 1100\n", EXIT_VALIDATION, "k_values must be from 0 to 61"),
+    (["sweep-value"], "k_values = 100000\n", EXIT_VALIDATION, "k_values must be from 0 to 61"),
+    (["sweep-value"], "k_values = 100000000000\n", EXIT_VALIDATION,
+     "k_values must be from 0 to 61"),
+    (["supersample", "--algorithm", "qcoin"], "qcoin_k = 1100\n", EXIT_VALIDATION,
+     "qcoin_k must be from 0 to 61"),
+    (["sweep-convergence"], "budgets = 100, 1000\nk_values = 3, 20\n", EXIT_VALIDATION,
+     "k = 20 (key 'k_values'): budgets must reach 2097171"),
+    # repetitions past the cap (10^15 asked NumPy for 7 PiB)
+    (["sweep-value"], f"repetitions = {10**15}\n", EXIT_VALIDATION, "repetitions must be"),
+    (["sweep-convergence"], f"repetitions = {10**5 + 1}\n", EXIT_VALIDATION,
+     "repetitions must be"),
+    # an input register past the op cap, refused before its ops are built (10^9 input
+    # qubits was a MemoryError)
+    (["dump-circuit", "--algorithm", "qcoin", "--n-input", str(10**9)], "", EXIT_VALIDATION,
+     "n_input must be from 0 to"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -231,6 +268,8 @@ def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_pa
     assert "Traceback" not in captured.err
     assert named in captured.err
     assert captured.out == ""
+    # a refused run leaves no output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv,written", [

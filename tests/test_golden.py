@@ -38,7 +38,7 @@ import numpy as np
 
 from qmean.cli import main
 from qmean.estimators import estimate_qcoin, estimate_qss
-from qmean.harness import run_noise_comparison, qss_mean_error
+from qmean.harness import qss_mean_error, run_noise_comparison
 from qmean.noise import HARDWARE_PRESET
 from qmean.primitives import OracleSpec
 
