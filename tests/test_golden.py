@@ -23,6 +23,14 @@ one closer to a long-double evaluation of the same distribution and none
 away.  The largest moves were at f = 1, whose expected error is 1e-31 to
 1e-28, where the FFT's rounding had given up to 5e-24.  Both times both
 supersampled image digests stayed the same, as did ``estimate-records.txt``.
+
+``python tests/test_golden.py digest`` prints one sha256 per part of
+``digest_lines``: fixed-seed estimates, the work counter, the final
+amplitudes of bound circuits, circuit listings and the resource report.  It
+is a guard for changes meant to leave every number and every bit of the
+simulator's state as it was: run it at the parent commit and at the change,
+on one machine, and compare.  It is not a golden file, because amplitudes
+depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -36,11 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
+from qmean import primitives
 from qmean.cli import main
-from qmean.estimators import estimate_qcoin, estimate_qss
+from qmean.estimators import estimate_monte_carlo, estimate_qcoin, estimate_qss
 from qmean.harness import qss_mean_error, run_noise_comparison
 from qmean.noise import HARDWARE_PRESET
-from qmean.primitives import OracleSpec
+from qmean.primitives import OracleSpec, coin_circuit, prepare_qss_state, qss_circuit, run_circuit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "estimate-records.txt"
@@ -157,6 +166,37 @@ def coin_sweep_lines(work_dir: Path) -> list[str]:
     return lines
 
 
+def digest_lines(work_dir: Path) -> list[str]:
+    """The sha256 of each part: the ``repr`` of fixed-seed qcoin (k = 5,
+    L = 20), qss (P = 64 and 8) and Monte Carlo (100 trials) estimates at
+    n_in 0, 2, 4 and 8 by 40 seeds; ``primitives.WORK`` after them; the final
+    amplitudes of seven bound circuits; two ``dump-circuit`` listings; and the
+    ``resources --N 16 --P 64`` report."""
+    parts = {}
+    primitives.WORK.reset()
+    estimates = []
+    for n_in in (0, 2, 4, 8):
+        oracle = _integrand(1 << n_in)
+        for seed in range(40):
+            estimates += [estimate_qcoin(oracle, 5, 20, seed), estimate_qss(oracle, 64, seed),
+                          estimate_qss(oracle, 8, seed), estimate_monte_carlo(oracle, 100, seed)]
+    parts["estimates"] = repr(estimates).encode()
+    parts["work"] = repr(primitives.WORK).encode()
+    amplitudes = [prepare_qss_state(_integrand(8)).amplitudes]
+    for p in (2, 8, 64):
+        amplitudes.append(run_circuit(qss_circuit(2, p).bind(_integrand(4)))[0].amplitudes)
+    for n_in in (0, 3, 6):
+        oracle = OracleSpec(0.3 + 0.2 * np.sin(np.arange(1 << n_in)), 0.25, "linear-amplitude")
+        amplitudes.append(run_circuit(coin_circuit(n_in, 3).bind(oracle))[0].amplitudes)
+    parts["amplitudes"] = b"".join(a.tobytes() for a in amplitudes)
+    parts["dump-circuit qss"] = _run(["dump-circuit", "--algorithm", "qss", "--n-input", "2",
+                                      "--P", "8"]).encode()
+    parts["dump-circuit qcoin"] = _run(["dump-circuit", "--algorithm", "qcoin", "--n-input", "2",
+                                        "--m", "3"]).encode()
+    parts["resources"] = _run(["resources", "--N", "16", "--P", "64"]).encode()
+    return [f"{name} sha256: {hashlib.sha256(data).hexdigest()}" for name, data in parts.items()]
+
+
 def _assert_unchanged(golden: Path, got: list[str]):
     expected = golden.read_text().splitlines()
     changed = [(want, have) for want, have in zip(expected, got) if want != have]
@@ -178,6 +218,7 @@ def test_coin_sweep_outputs_are_unchanged(tmp_path):
 
 if __name__ == "__main__":
     make = {"qss-closed-form": qss_closed_form_lines,
-            "coin-sweeps": coin_sweep_lines}.get(" ".join(sys.argv[1:]), golden_lines)
+            "coin-sweeps": coin_sweep_lines,
+            "digest": digest_lines}.get(" ".join(sys.argv[1:]), golden_lines)
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.write("".join(line + "\n" for line in make(Path(tmp))))
