@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import harness
 from .estimators import (
+    check_qcoin_k,
     estimate_monte_carlo,
     estimate_qcoin,
     estimate_qss,
@@ -153,7 +154,7 @@ def cmd_estimate(args):
     elif args.algorithm == "qss":
         est = estimate_qss(oracle, flags["P"], seed)
     else:
-        harness.check_qcoin_k(flags["k"], "--k")
+        check_qcoin_k(flags["k"], "--k")
         _check_trials(flags["L"], "--L")
         est = estimate_qcoin(oracle, flags["k"], flags["L"], seed, noise)
     rec = est.to_record(f_true=f)
@@ -230,7 +231,7 @@ def cmd_supersample(args):
         for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))
     )
     if args.algorithm == "qcoin":
-        harness.check_qcoin_k(qcoin_k, "qcoin_k")
+        check_qcoin_k(qcoin_k, "qcoin_k")
     if "budget" in flags:
         least = qcoin_queries(qcoin_k, 1) if args.algorithm == "qcoin" else 1
         _check_trials(flags["budget"], "--budget", least)

@@ -133,10 +133,18 @@ def estimate_qss(
     return Estimate("qss", value, ledger.count, seed, trace)
 
 
+def check_qcoin_k(k: int, name: str):
+    """A qcoin k counts shift-and-scale steps.  A negative one, and one from
+    62 on, whose one trial costs 2^63 queries or more, past every count that
+    NumPy's binomial draw takes, are refused by the key or flag ``name`` that
+    gave it, before its schedule is built."""
+    if not 0 <= k <= 61:
+        raise ValueError(f"{name} must be from 0 to 61, got {k}")
+
+
 def shift_scale_schedule(k: int) -> list[tuple[float, int]]:
     """Per-step (hypothetical error delta, amplification count m) pairs."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_qcoin_k(k, "k")
     return [(math.sin(math.pi / (1 << (i + 1))), 1 << (i - 1)) for i in range(1, k + 1)]
 
 
@@ -179,7 +187,9 @@ def run_shift_scale(
     sin^2((2m+1) asin(f - E)).
     Draws are batched per step, so one repetition draws exactly as the scalar
     loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
-    estimates and a per-step trace of e_minus, e_plus, fraction and f_i.
+    estimates and a per-step trace of repetition 0's e_minus, e_plus,
+    fraction and f_i, each a NumPy scalar that holds no array, so the trace
+    does not grow with the repetitions.
     """
     shape = np.shape(f)
     f = np.ravel(np.asarray(f, dtype=float))
@@ -225,7 +235,9 @@ def run_shift_scale(
     # the noisy coin has amplitude f, so its head fraction estimates f^2
     f_cur = np.sqrt(fraction) if noisy else fraction
     e_minus, e_plus = 0.0, 1.0
-    trace = [{"step": 0, "e_minus": e_minus, "e_plus": e_plus, "fraction": fraction, "f_i": f_cur}]
+    first = 0 if f.size else slice(0)  # repetition 0, or none
+    trace = [{"step": 0, "e_minus": e_minus, "e_plus": e_plus, "fraction": fraction[first],
+              "f_i": f_cur[first]}]
     queries = trials[0]
 
     for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
@@ -237,8 +249,8 @@ def run_shift_scale(
             p = np.array([head_prob(e, reps) for e in e_minus.tolist()])
         fraction = rng.binomial(n_trials, np.clip(p, 0.0, 1.0)) / n_trials
         f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
-        trace.append({"step": step, "e_minus": e_minus, "e_plus": e_plus,
-                      "fraction": fraction, "f_i": f_cur})
+        trace.append({"step": step, "e_minus": e_minus[first], "e_plus": e_plus[first],
+                      "fraction": fraction[first], "f_i": f_cur[first]})
         queries += n_trials * (1 + 2 * reps)
 
     if ledger is not None:
@@ -267,8 +279,7 @@ def estimate_qcoin(
         np.array([oracle.mean]), schedule, trials_per_step, rng, noise,
         integrand=oracle, ledger=ledger,
     )
-    trace = [{key: v if key == "step" else float(np.ravel(v)[0]) for key, v in t.items()}
-             for t in trace]
+    trace = [{key: v if key == "step" else float(v) for key, v in t.items()} for t in trace]
     return Estimate("qcoin", float(value[0]), ledger.count, seed, trace)
 
 

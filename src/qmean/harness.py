@@ -16,6 +16,7 @@ import numpy as np
 from . import noise as noise_mod
 from .estimators import (
     _asin,
+    check_qcoin_k,
     qcoin_queries,
     qss_queries,
     qss_value_grid,
@@ -187,15 +188,6 @@ SWEEP_ALGORITHMS = {"monte-carlo": 1, "qss": 2, "qcoin": 3}
 
 # Most repetitions a sweep takes, checked before anything is allocated.
 MAX_REPETITIONS = 10**5
-
-
-def check_qcoin_k(k: int, name: str):
-    """A qcoin k counts shift-and-scale steps.  A negative one, and one from
-    62 on, whose one trial costs 2^63 queries or more, past every count that
-    NumPy's binomial draw takes, are refused by the key or flag ``name`` that
-    gave it, before its schedule is built."""
-    if not 0 <= k <= 61:
-        raise ValueError(f"{name} must be from 0 to 61, got {k}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .primitives import (
     coin_template,
 )
 from .statevector import (
+    Kernel,
     Measurement,
     MeasurementOutcome,
     StateVector,
@@ -80,15 +81,15 @@ def noisy_execute(
     random draws happen before measurement, so the trajectory is bit-identical
     to the noiseless path for any seed.  The returned post_state is the
     collapsed pre-readout state; only the observed bits carry readout flips.
-    The gates' kernels come from binding the circuit, and each Pauli is
-    lowered at most once per call.
+    The gates' kernels come from the circuit's bind (``Circuit.kernel``),
+    and each Pauli is lowered at most once per call.
     """
     n = circuit.n_qubits
     amps = StateVector.zero(n).amplitudes
     psi = qubit_axes(amps, n)
     paulis: dict = {}
-    gates = [(op.kernel, model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
-              op.touched) for op in _gates(circuit)]
+    gates = [(kernel, model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
+              op.touched) for op, kernel in _gates(circuit)]
     for kernel, g, touched in gates:
         kernel(psi)
         if g > 0:
@@ -110,11 +111,13 @@ def _bound(circuit: Circuit) -> Circuit:
     return circuit if circuit.schedule is not None else circuit.bind()
 
 
-def _gates(circuit: Circuit) -> list[CircuitOp]:
-    """The bound circuit's gates in run order.  M ops are skipped: the
-    package's circuits measure mid-circuit only qubits that no later gate
-    touches, which leaves the readout distribution unchanged."""
-    return [op for op in _bound(circuit).expand() if op.name != "M"]
+def _gates(circuit: Circuit) -> list[tuple[CircuitOp, Kernel]]:
+    """The circuit's gates in run order, each with its kernel from the bind.
+    M ops are skipped: the package's circuits measure mid-circuit only qubits
+    that no later gate touches, which leaves the readout distribution
+    unchanged."""
+    bound = _bound(circuit)
+    return [(op, bound.kernel(op)) for op in bound.expand() if op.name != "M"]
 
 
 # Largest products x 8^n_qubits that ``outcome_probabilities`` evolves, a
@@ -136,9 +139,9 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     MAX_DENSITY_WORK before rho or any Pauli is allocated.
     """
     gates, n = _gates(circuit), circuit.n_qubits
-    rates = [model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q for op in gates]
+    rates = [model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q for op, _ in gates]
     # conjugations of rho: one per gate, and one per Pauli on each noisy qubit
-    products = sum(1 + 3 * len(op.touched) * (g > 0) for op, g in zip(gates, rates))
+    products = sum(1 + 3 * len(op.touched) * (g > 0) for (op, _), g in zip(gates, rates))
     work = max(products, 1) << 3 * n
     if work > MAX_DENSITY_WORK:
         raise ValueError(f"density-matrix evolution needs {products} products x 8^{n} = {work} "
@@ -146,8 +149,8 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     rho[0, 0] = 1.0
     paulis: dict = {}  # the dense X, Y and Z on each qubit that a noisy gate touches
-    for op, g in zip(gates, rates):
-        full = op.kernel.matrix()
+    for (op, kernel), g in zip(gates, rates):
+        full = kernel.matrix()
         rho = full @ rho @ full.conj().T
         for q in op.touched if g else ():
             if q not in paulis:

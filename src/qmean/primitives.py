@@ -7,15 +7,16 @@ Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and each
 block of amplification steps G, a phase flip then the reflection S^-1 RZERO
 S (``_g_block``), as one rotation in the plane of the reflection's vector
 (``ReflectionKernel``), that vector built the first time it runs.
-``Circuit.bind`` lowers each distinct op into a statevector kernel (every
-op but Q and Q_INV once per circuit shape, in its ``_Template``; the oracle
-supplies Q at each bind) and ``run_circuit`` applies the kernels in place,
-each register of H as a few dense products and each measurement as one
-collapse of the amplitudes in place (``Measurement``).  The estimators run
-these circuits; the noise layer evaluates them op by op, ``dump_circuit``
-prints them and the resource report counts them.  The dense gates
-(``oracle_gate`` and the reflections) and ``dft_matrix`` are the tests'
-references.
+``Circuit.bind`` adds statevector kernels beside the description and leaves
+its ops as they are: every op but Q and Q_INV is lowered once per circuit
+shape, in its ``_Template``, and the oracle supplies Q at each bind.
+``run_circuit`` applies the bound schedule in place, each register of H as a
+few dense products and each measurement as one collapse of the amplitudes in
+place (``Measurement``).  The estimators run these circuits; the noise layer
+evaluates them op by op, each op's kernel from ``Circuit.kernel``;
+``dump_circuit`` prints them and the resource report counts them.  The
+dense gates (``oracle_gate`` and the reflections) and ``dft_matrix`` are the
+tests' references.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -174,9 +175,9 @@ MAX_AMPLITUDE_WORK = 1 << 28
 class CircuitOp:
     """One op: a gate name, target and control qubits, and an optional angle.
 
-    ``gate`` is a user-supplied matrix, for ops that have no formula here;
-    ``kernel`` is the op lowered for the statevector once the circuit is
-    bound.  ``M`` measures its targets and has neither.
+    ``gate`` is a user-supplied matrix, for ops that have no formula here.
+    ``M`` measures its targets and has none.  An op is a description only:
+    its kernel comes from a bound circuit (``Circuit.kernel``).
     """
 
     name: str
@@ -184,10 +185,6 @@ class CircuitOp:
     controls: tuple[int, ...] = ()
     angle: float | None = None
     gate: GateMatrix | None = None
-    kernel: Kernel | None = None
-
-    def lowered(self, kernel: Kernel) -> "CircuitOp":
-        return CircuitOp(self.name, self.targets, self.controls, self.angle, self.gate, kernel)
 
     @property
     def touched(self) -> tuple[int, ...]:
@@ -222,10 +219,11 @@ class Circuit:
     """A straight-line list of ops and repeated blocks.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
-    ``schedule`` is what ``run_circuit`` runs; ``bind`` builds it from
-    ``template`` (``_Template``), which a circuit from ``coin_circuit``,
-    ``qss_circuit`` or ``bind`` shares with every circuit of its shape.
-    Adding an op clears both.
+    ``schedule`` is what ``run_circuit`` runs and ``binding`` holds the Q
+    and Q_INV kernels of the bind; ``bind`` sets both, from ``template``
+    (``_Template``), which a circuit from ``coin_circuit``, ``qss_circuit``
+    or ``bind`` shares with every circuit of its shape.  A bound circuit's
+    ops are its template's.  Adding an op clears all three.
     """
 
     n_qubits: int
@@ -233,16 +231,17 @@ class Circuit:
     measured_qubits: Sequence[int] = ()
     schedule: list | None = field(default=None, repr=False, compare=False)
     template: _Template | None = field(default=None, repr=False, compare=False)
+    binding: _Binding | None = field(default=None, repr=False, compare=False)
 
     def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
         self.ops.append(CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate))
-        self.schedule = self.template = None
+        self.schedule = self.template = self.binding = None
         return self
 
     def measure(self, qubits: Sequence[int]):
         self.ops.append(CircuitOp("M", tuple(qubits)))
         self.measured_qubits = list(qubits)
-        self.schedule = self.template = None
+        self.schedule = self.template = self.binding = None
         return self
 
     def counted_ops(self):
@@ -268,43 +267,57 @@ class Circuit:
         return flat
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
-        """The same circuit with every op but ``M`` lowered to a kernel, and
-        its run schedule, made from its template (``_Template.bind``): the
-        one of its shape, or one made for this call.  ``oracle`` supplies Q
-        and Q_INV.  Refused past MAX_CIRCUIT_OPS."""
+        """The same ops with a run schedule and kernels, made from the
+        circuit's template (``_Template.bind``): the one of its shape, or one
+        made for this call.  ``oracle`` supplies Q and Q_INV.  Refused past
+        MAX_CIRCUIT_OPS."""
         return (self.template or _Template(self)).bind(oracle)
+
+    def kernel(self, op: CircuitOp) -> Kernel:
+        """The statevector kernel of one of this bound circuit's ops other
+        than ``M``: Q and Q_INV from the bind, any other from the template."""
+        if self.binding is None:
+            raise SimulatorError("an op's kernel needs a bound circuit (Circuit.bind)")
+        if _needs_oracle(op):
+            return self.binding.kernels[op.name, op.targets, op.controls]
+        return self.template.lower(op)
 
 
 def _needs_oracle(op: CircuitOp) -> bool:
-    """Q or Q_INV from its formula, not lowered yet."""
-    return op.kernel is None and op.gate is None and op.name in ("Q", "Q_INV")
+    """Q or Q_INV from its formula."""
+    return op.gate is None and op.name in ("Q", "Q_INV")
 
 
 class _Template:
-    """A circuit bound to no oracle yet: every op but Q and Q_INV lowered to
-    its kernel, one per distinct op (an op lowered before keeps its kernel),
-    and the run schedule (``_schedule``) with a ``_Slot`` for each step that
-    needs the oracle.
+    """A circuit bound to no oracle yet: its ops (``nodes``), the kernel of
+    each distinct op but Q, Q_INV and M (``lower``), and the run schedule
+    (``_schedule``), in which each Q and Q_INV op waits for the bind.
 
-    ``bind`` lowers Q and Q_INV at each of their placements and fills the
-    slots; no other op is lowered again.  The op counts that ``run_circuit``
-    adds to ``WORK`` and the ledger, and the size the caps check, are
-    computed here once.  The lowering (``lowered``) waits for the first
-    bind or noisy evaluation, since ``resources`` and ``dump-circuit`` build
-    circuits they never bind.
+    ``bind`` lowers Q and Q_INV at each of their placements and puts them
+    into the schedule (``_fill``); no other op is lowered again.  The op
+    counts that ``run_circuit`` adds to ``WORK`` and the ledger, and the
+    size the caps check, are computed here once.  The schedule waits for the
+    first bind, and each kernel for its first use, since ``resources`` and
+    ``dump-circuit`` build circuits they never bind.
     """
 
     def __init__(self, circuit: Circuit):
         self.n_qubits, self.nodes = circuit.n_qubits, list(circuit.ops)
         self.measured_qubits = list(circuit.measured_qubits)
         self.counts: Counter = Counter()  # ops by name, M included
+        # the (targets, controls) of each Q and Q_INV that runs; the first bind
+        # builds each one's placement (``_placement``)
+        self.placements: dict = {}
         for op, count in circuit.counted_ops():
             if count:
                 self.counts[op.name] += count
+                if _needs_oracle(op):
+                    self.placements[op.targets, op.controls] = None
         self.size = self.counts.total()
         self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
         self.queries = self.counts["Q"] + self.counts["Q_INV"]
-        self.ops: list | None = None  # the lowered nodes, set by ``lowered``
+        self.kernels: dict = {}  # by op, filled by ``lower``
+        self.steps: list | None = None  # the schedule, set by the first bind
 
     def check_size(self, on_statevector: bool = False):
         if self.size > MAX_CIRCUIT_OPS:
@@ -314,52 +327,23 @@ class _Template:
             raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
                              f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
 
-    def lowered(self) -> list:
-        """The nodes with every op but Q, Q_INV and M lowered to its kernel,
-        a block repeated zero times left out; lowered at the first call."""
-        if self.ops is None:
-            self._lower()
-        return self.ops
+    def lower(self, op: CircuitOp) -> Kernel:
+        """The kernel of an op other than Q, Q_INV and M, lowered at its
+        first call."""
+        kernel = self.kernels.get(op)
+        if kernel is None:
+            kernel = self.kernels[op] = _lower_op(op, self.n_qubits)
+        return kernel
 
     def bind(self, oracle: OracleSpec | None) -> Circuit:
         """The circuit bound to ``oracle``."""
         self.check_size()
-        self.lowered()
+        if self.steps is None:
+            self.placements = {key: _placement(*key, self.n_qubits) for key in self.placements}
+            self.steps = _schedule(self.nodes, self)
         binding = _Binding(self._oracle_kernels(oracle))
-        ops = list(self.ops)
-        for i, j in self.sites:  # each Q and Q_INV op gets its kernel
-            node = ops[i]
-            if j is None:
-                ops[i] = binding.lowered(node)
-                continue
-            if node is self.ops[i]:
-                node = ops[i] = Repeat(list(node.ops), node.count, node.step)
-            node.ops[j] = binding.lowered(node.ops[j])
-        return Circuit(self.n_qubits, ops, self.measured_qubits, _fill(self.steps, binding), self)
-
-    def _lower(self):
-        n, lowered = self.n_qubits, {}
-
-        def lower(op: CircuitOp) -> CircuitOp:
-            if op.kernel is None and op.name != "M" and not _needs_oracle(op):
-                if op not in lowered:
-                    lowered[op] = op.lowered(_lower_op(op, n))
-                return lowered[op]
-            return op
-
-        # a block repeated zero times never runs, so it gets no kernels
-        ops = [Repeat([lower(op) for op in node.ops], node.count, node.step)
-               if isinstance(node, Repeat) else lower(node)
-               for node in self.nodes if getattr(node, "count", 1)]
-        sites, placements = [], {}
-        for i, node in enumerate(ops):
-            for j, op in (enumerate(node.ops) if isinstance(node, Repeat) else [(None, node)]):
-                if _needs_oracle(op):
-                    sites.append((i, j))
-                    if (op.targets, op.controls) not in placements:
-                        placements[op.targets, op.controls] = _placement(op.targets, op.controls, n)
-        self.steps = _schedule(self.nodes, n, lower)
-        self.sites, self.placements, self.ops = sites, placements, ops
+        return Circuit(self.n_qubits, list(self.nodes), self.measured_qubits,
+                       _fill(self.steps, binding), self, binding)
 
     def _oracle_kernels(self, oracle: OracleSpec | None) -> dict:
         """Q and Q_INV at each placement, keyed by (name, targets, controls)."""
@@ -406,29 +390,23 @@ class _Binding:
     kernels: dict
     planes: dict = field(default_factory=dict)
 
-    def lowered(self, op: CircuitOp) -> CircuitOp:
-        return op.lowered(self.kernels[op.name, op.targets, op.controls])
-
-
-class _Slot:
-    """A schedule step that needs the oracle: ``make(binding)`` builds it."""
-
-    def __init__(self, make):
-        self.make = make
-
 
 def _fill(steps: list, binding: _Binding) -> list:
-    return [step.make(binding) if isinstance(step, _Slot) else step for step in steps]
+    """The steps of one bind: each Q and Q_INV op its kernel, and each
+    ``ReflectionKernel`` bound (``ReflectionKernel.bound``)."""
+    return [binding.kernels[step.name, step.targets, step.controls] if isinstance(step, CircuitOp)
+            else step.bound(binding) if isinstance(step, ReflectionKernel) else step
+            for step in steps]
 
 
-def _schedule(nodes, n_qubits: int, lower) -> list:
-    """The run steps of a list of ops, each op lowered by ``lower``: a
+def _schedule(nodes, template: _Template) -> list:
+    """The run steps of a list of ops, each lowered by ``template``: a
     kernel, a ``Measurement``, a block's one declared step or its own steps
     (``_steps``).  Each maximal run of formula H ops with the same controls
     and distinct targets is a few dense kernels (``hadamard_kernels``).  A
-    step that needs the oracle is a ``_Slot``.
+    Q or Q_INV op stays an op until ``_fill`` puts its kernel in its place.
     """
-    return [step for run in _runs(nodes) for step in _steps(run, n_qubits, lower)]
+    return [step for run in _runs(nodes) for step in _steps(run, template)]
 
 
 def _runs(nodes) -> list:
@@ -449,11 +427,12 @@ def _runs(nodes) -> list:
     return runs
 
 
-def _steps(run, n_qubits: int, lower) -> list:
+def _steps(run, template: _Template) -> list:
     """The run steps of one item of ``_runs``.  A block runs as the step it
     declares (``Repeat.step``): a transform of two or more qubits as one
     ``FourierKernel``, G^count as one ``ReflectionKernel``.  Any other
-    block runs op by op: its steps once, or (steps, count)."""
+    block runs op by op, its steps ``count`` times in a row."""
+    n_qubits = template.n_qubits
     if isinstance(run, Repeat):
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
@@ -461,38 +440,30 @@ def _steps(run, n_qubits: int, lower) -> list:
             if len(register) > 1:
                 return [FourierKernel(n_qubits, register)]
         elif run.step:
-            return [_reflection(run, n_qubits, lower)]
-        body = _schedule(run.ops, n_qubits, lower)
-        if run.count == 1:
-            return body
-        if any(isinstance(step, _Slot) for step in body):
-            return [_Slot(lambda binding: (_fill(body, binding), run.count))]
-        return [(body, run.count)]
+            return [_reflection(run, template)]
+        return _schedule(run.ops, template) * run.count
     if isinstance(run, list):
-        return (_steps(run[2], n_qubits, lower) if len(run[1]) == 1
+        return (_steps(run[2], template) if len(run[1]) == 1
                 else hadamard_kernels(n_qubits, run[1], run[0]))
     if run.name == "M":
         return [Measurement(n_qubits, run.targets)]
-    if _needs_oracle(run):
-        return [_Slot(lambda binding: binding.kernels[run.name, run.targets, run.controls])]
-    return [lower(run).kernel]
+    return [run if _needs_oracle(run) else template.lower(run)]
 
 
-def _reflection(block: Repeat, n_qubits: int, lower) -> _Slot:
+def _reflection(block: Repeat, template: _Template) -> ReflectionKernel:
     """A declared G block, D then S, RZERO and S^-1 (``_g_block``), as one
     ``ReflectionKernel`` that each bind completes, since S^-1 holds Q.
     S^-1 is the ops after RZERO; D follows from the variant."""
     centre = [op.name for op in block.ops].index("RZERO")
-    rzero, mirror = block.ops[centre], _schedule(block.ops[centre + 1:], n_qubits, lower)
+    rzero, mirror = block.ops[centre], _schedule(block.ops[centre + 1:], template)
     # one sign per coin column, the target (RZERO's last target) the top bit
     signs = np.ones(1 << len(rzero.targets))
     if block.step == "qss":
         signs[len(signs) // 2:] = -1.0  # Z on the target
     else:
         signs[len(signs) // 2] = -1.0  # FLIP_HEAD on the head state |1> (x) |0)
-    kernel = ReflectionKernel(n_qubits, rzero.targets, rzero.controls, signs, mirror,
-                              (block.step, rzero.targets), block.count)
-    return _Slot(kernel.bound)
+    return ReflectionKernel(template.n_qubits, rzero.targets, rzero.controls, signs, mirror,
+                            (block.step, rzero.targets), block.count)
 
 
 class ReflectionKernel(MatrixKernel):
@@ -659,8 +630,7 @@ def run_circuit(
     ledger: QueryLedger | None = None,
 ) -> tuple[StateVector, list[MeasurementOutcome]]:
     """Run a bound circuit's schedule in place on a copy of ``state``
-    (default all |0>), each repeated block by its count; the norm is checked
-    once, on the result.
+    (default all |0>); the norm is checked once, on the result.
 
     ``M`` collapses its targets in place with ``rng`` (its ``Measurement``)
     and records the observed bits, with no post-state: the returned state is
@@ -680,7 +650,7 @@ def run_circuit(
     amps = (StateVector.zero(n) if state is None else state).amplitudes.copy()
     psi = qubit_axes(amps, n)
     outcomes = []
-    for step in _walk(circuit.schedule):
+    for step in circuit.schedule:
         if not isinstance(step, Measurement):
             step(psi)
         elif rng is not None:
@@ -691,17 +661,6 @@ def run_circuit(
     if ledger is not None:
         ledger.add(template.queries)
     return StateVector(n, amps), outcomes
-
-
-def _walk(steps):
-    """The steps of a schedule in run order, each repeated block ``count`` times."""
-    for step in steps:
-        if isinstance(step, tuple):
-            body, count = step
-            for _ in range(count):
-                yield from _walk(body)
-        else:
-            yield step
 
 
 def _h(qubits, controls=()) -> list[CircuitOp]:

@@ -18,7 +18,7 @@ from qmean.estimators import (
     select_optimal_k,
     shift_scale_schedule,
 )
-from qmean.harness import calibrate_optimal_k, qss_theoretical_distribution
+from qmean.harness import calibrate_optimal_k, fast_qcoin_estimate, qss_theoretical_distribution
 from qmean.primitives import (
     LINEAR_AMPLITUDE,
     OracleSpec,
@@ -161,6 +161,28 @@ class TestQcoin:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             estimate_qcoin(OracleSpec([0.5]), -1, 10)
+
+    @pytest.mark.parametrize("k", [62, 1100])
+    def test_rejects_k_past_61(self, k):
+        # 1100 would overflow the schedule's float conversion
+        with pytest.raises(ValueError, match="k must be from 0 to 61"):
+            estimate_qcoin(OracleSpec([0.5]), k, 20, 1)
+        with pytest.raises(ValueError, match="k must be from 0 to 61"):
+            fast_qcoin_estimate(0.3, k, 1, np.random.default_rng(0))
+
+    def test_trace_keeps_one_repetition(self):
+        # the trace keeps repetition 0's values: 36 more steps over 10^4
+        # repetitions add less than one step's four arrays to the peak
+        f = np.full(10**4, 0.3)
+        peaks = []
+        for k in (4, 40):
+            tracemalloc.start()
+            try:
+                run_shift_scale(f, shift_scale_schedule(k), 10, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * f.nbytes
 
     def test_trial_schedule_length_checked(self):
         with pytest.raises(ValueError):

@@ -199,22 +199,26 @@ class TestOneQubitClosedForm:
 
     def test_bound_circuit_is_not_bound_again(self, monkeypatch):
         circuit = simple_qcoin_circuit(0.5, 0.2, 16)
-        unscheduled = Circuit(1, circuit.ops, circuit.measured_qubits)
+        unbound = Circuit(1, circuit.ops, circuit.measured_qubits)
         binds = []
         bind = Circuit.bind
         monkeypatch.setattr(Circuit, "bind", lambda self, *a: binds.append(self) or bind(self, *a))
         head_probability(circuit, HARDWARE_PRESET)
         assert binds == []
-        head_probability(unscheduled, HARDWARE_PRESET)
-        assert len(binds) == 1 and binds[0] is unscheduled
+        # an unbound circuit is bound, and its ops hold Q, which needs an oracle
+        with pytest.raises(OracleError, match="needs an oracle"):
+            head_probability(unbound, HARDWARE_PRESET)
+        assert len(binds) == 1 and binds[0] is unbound
 
     def test_bound_circuit_matches_a_fresh_bind(self):
         rng = np.random.default_rng(54)
         for _ in range(300):
             f = rng.uniform(0.0, 1.0)
-            circuit = simple_qcoin_circuit(f, rng.uniform(0.0, f), int(rng.integers(0, 33)))
-            fresh = Circuit(1, circuit.ops, circuit.measured_qubits)
-            assert fresh.schedule is None
+            offset = rng.uniform(0.0, f)
+            circuit = simple_qcoin_circuit(f, offset, int(rng.integers(0, 33)))
+            fresh = Circuit(1, circuit.ops, circuit.measured_qubits).bind(
+                OracleSpec([f], offset, LINEAR_AMPLITUDE))
+            assert fresh.template is not circuit.template
             assert (head_probability(circuit, HARDWARE_PRESET)
                     == head_probability(fresh, HARDWARE_PRESET))
 

@@ -365,7 +365,7 @@ class TestFourierStep:
             expected = StateVector.zero(n).amplitudes.copy()
             for op in bound.expand():
                 if op.name != "M":
-                    op.kernel(qubit_axes(expected, n))
+                    bound.kernel(op)(qubit_axes(expected, n))
             out, _ = run_circuit(bound)
             np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13,
                                        err_msg=f"P = {p}")
@@ -408,7 +408,7 @@ class TestFourierStep:
         assert not any(isinstance(step, FourierKernel) for step in bound.schedule)
         expected = StateVector.zero(3).amplitudes.copy()
         for op in bound.expand():
-            op.kernel(qubit_axes(expected, 3))
+            bound.kernel(op)(qubit_axes(expected, 3))
         np.testing.assert_allclose(run_circuit(bound)[0].amplitudes, expected, rtol=0, atol=1e-15)
 
 
@@ -498,24 +498,53 @@ def _ops_case(ops):
     return lambda: (Circuit(3, list(ops)), _TWO_BINS)
 
 
+# circuits whose repeated blocks each run as one raised reflection
+FUSED = [
+    *[_qss_case(n_in, p) for n_in, p in [(0, 4), (0, 1024), (2, 8), (2, 1024), (4, 16), (4, 512)]],
+    _coin_case(4, 16),
+    # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
+    lambda: (Circuit(5, [_g_block("qcoin", (3, 1), 0, (2,), count=3)]),
+             OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+    lambda: (Circuit(5, [_g_block("qss", (3, 1), 0, (2,), count=3)]),
+             OracleSpec([0.1, 0.5, 0.8, 0.3])),
+    # two blocks of different variants on the same qubits share no plane
+    lambda: (Circuit(4, [_g_block("qss", (0, 2), 1, (3,), count=2),
+                         _g_block("qcoin", (0, 2), 1, (3,), count=5)]),
+             OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+    # degenerate planes: a lies wholly where D is +1 (Q is the identity, or
+    # every bin's target amplitude is 0) or wholly where it is -1
+    lambda: (coin_circuit(3, 5), OracleSpec([0.1] * 8, 0.1, LINEAR_AMPLITUDE)),
+    lambda: (qss_circuit(2, 64), OracleSpec([0.0] * 4)),
+    lambda: (qss_circuit(2, 64), OracleSpec([1.0] * 4)),
+    # 7 coin qubits
+    _qss_case(6, 128),
+    # the largest count the caps allow on one bin: G^2048
+    lambda: (qss_circuit(0, 4096), OracleSpec([0.3])),
+]
+FUSED_IDS = ["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P16", "qss-n4-P512",
+             "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks", "qcoin-all-offset",
+             "qss-all-0", "qss-all-1", "qss-n6-P128", "qss-n0-P4096"]
+
+
 class TestCircuit:
     def test_bind_builds_each_gate_once(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
-        ops = coin_circuit(2, 3).bind(oracle).expand()
+        bound = coin_circuit(2, 3).bind(oracle)
+        ops = bound.expand()
         for name in ("Q", "Q_INV", "RZERO", "FLIP_HEAD"):
-            assert len({id(op.kernel) for op in ops if op.name == name}) == 1
+            assert len({id(bound.kernel(op)) for op in ops if op.name == name}) == 1
         # one H kernel per input qubit
-        assert len({id(op.kernel) for op in ops if op.name == "H"}) == 2
+        assert len({id(bound.kernel(op)) for op in ops if op.name == "H"}) == 2
 
         # a second oracle gets new Q and Q_INV kernels and shares every other one
         other = OracleSpec([0.3, 0.3, 0.5, 0.9], offset=0.2, encoding=LINEAR_AMPLITUDE)
-        again = coin_circuit(2, 3).bind(other).expand()
-        for first, second in zip(ops, again):
-            assert first.name == second.name
-            if first.name in ("Q", "Q_INV"):
-                assert first.kernel is not second.kernel
-            elif first.name != "M":
-                assert first.kernel is second.kernel
+        again = coin_circuit(2, 3).bind(other)
+        assert again.expand() == ops
+        for op in ops:
+            if op.name in ("Q", "Q_INV"):
+                assert bound.kernel(op) is not again.kernel(op)
+            elif op.name != "M":
+                assert bound.kernel(op) is again.kernel(op)
 
     @pytest.mark.parametrize("build", [
         lambda: (coin_circuit(3, 2), OracleSpec([0.2, 0.4, 0.6, 0.8, 0.1, 0.9, 0.5, 0.3], 0.1,
@@ -550,8 +579,8 @@ class TestCircuit:
     ])
     def test_run_matches_each_op_kernel_in_turn(self, build):
         """The schedule (H registers as dense kernels, declared blocks as one
-        step, other repeats walked) against every op's own kernel, applied in
-        the order of ``expand()``."""
+        step, other repeats op by op) against every op's own kernel, applied
+        in the order of ``expand()``."""
         circuit, oracle = build()
         bound = circuit.bind(oracle)
         rng = np.random.default_rng(3)
@@ -561,22 +590,27 @@ class TestCircuit:
         expected = state.amplitudes.copy()
         for op in bound.expand():
             if op.name != "M":
-                op.kernel(qubit_axes(expected, n))
+                bound.kernel(op)(qubit_axes(expected, n))
         out, _ = run_circuit(bound, state)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(NOT_MIRRORED))
     def test_reflection_needs_an_exact_mirror(self, name):
-        (body, count), = Circuit(3, list(NOT_MIRRORED[name])).bind(_TWO_BINS).schedule
-        assert count == 2 and not any(isinstance(step, ReflectionKernel) for step in body)
-        assert sum(isinstance(step, PhaseKernel) for step in body) == 2  # D, and RZERO on its own
+        steps = Circuit(3, list(NOT_MIRRORED[name])).bind(_TWO_BINS).schedule
+        count = NOT_MIRRORED[name][0].count
+        assert count == 2 and not any(isinstance(step, ReflectionKernel) for step in steps)
+        # the body's steps count times in a row
+        assert steps == steps[:len(steps) // count] * count
+        # D, and RZERO on its own, in each run of the body
+        assert sum(isinstance(step, PhaseKernel) for step in steps) == 2 * count
 
     @pytest.mark.parametrize("name", sorted(NOT_RAISED))
     def test_raised_step_needs_a_phase_of_signs_on_the_reflection(self, name):
-        (body, count), = Circuit(3, list(NOT_RAISED[name])).bind().schedule
-        assert count == NOT_RAISED[name][0].count
-        assert not any(isinstance(step, ReflectionKernel) for step in body)
-        assert sum(isinstance(step, PhaseKernel) for step in body) == 2  # D, and RZERO on its own
+        steps = Circuit(3, list(NOT_RAISED[name])).bind().schedule
+        count = NOT_RAISED[name][0].count
+        assert not any(isinstance(step, ReflectionKernel) for step in steps)
+        assert steps == steps[:len(steps) // count] * count
+        assert sum(isinstance(step, PhaseKernel) for step in steps) == 2 * count
 
     def test_every_block_the_estimators_run_is_one_raised_step(self):
         # every declared G block is one reflection; the transform is one step too
@@ -589,7 +623,8 @@ class TestCircuit:
             bound = circuit.bind(oracle)
             counts = [node.count for node in bound.ops
                       if isinstance(node, Repeat) and node.step in ("qss", "qcoin")]
-            assert not any(isinstance(step, tuple) for step in bound.schedule)
+            # no more steps than nodes: no block runs op by op
+            assert len(bound.schedule) <= len(bound.ops)
             assert [step.count for step in bound.schedule
                     if isinstance(step, ReflectionKernel)] == counts
 
@@ -609,8 +644,7 @@ class TestCircuit:
                 nodes.append(Repeat(list(node.ops), node.count))
         undeclared = Circuit(declared.n_qubits, nodes, declared.measured_qubits)
         assert undeclared.expand() == declared.expand()
-        ran = [list(primitives._walk(circuit.bind(oracle).schedule))
-               for circuit in (declared, undeclared)]
+        ran = [circuit.bind(oracle).schedule for circuit in (declared, undeclared)]
         assert any(isinstance(step, ReflectionKernel) for step in ran[0])
         assert not any(isinstance(step, (ReflectionKernel, FourierKernel)) for step in ran[1])
         rng = np.random.default_rng(13)
@@ -625,8 +659,9 @@ class TestCircuit:
         # each qss block G^(2^j), G being Z then S, RZERO, S^-1, is one
         # reflection raised to 2^j on the coin where its register qubit is |1>
         n_in = 6
-        steps = qss_circuit(n_in, 64).bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))).schedule
-        assert not any(isinstance(step, tuple) for step in steps)
+        bound = qss_circuit(n_in, 64).bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in)))
+        steps = bound.schedule
+        assert len(steps) <= len(bound.ops)
         blocks = [step for step in steps if isinstance(step, ReflectionKernel)]
         assert [block.count for block in blocks] == [1, 2, 4, 8, 16, 32]
         for j, block in enumerate(blocks):
@@ -665,7 +700,7 @@ class TestCircuit:
             expected = StateVector.zero(2).amplitudes.copy()
             for op in bound.expand():
                 if op.name != "M":
-                    op.kernel(qubit_axes(expected, 2))
+                    bound.kernel(op)(qubit_axes(expected, 2))
             np.testing.assert_allclose(run_circuit(bound)[0].amplitudes, expected,
                                        rtol=0, atol=1e-12)
         # the shape itself is unchanged
@@ -691,32 +726,7 @@ class TestCircuit:
         steps = circuit.bind().schedule
         assert [isinstance(s, MatrixKernel) for s in steps] == [True, False, False]
 
-    @pytest.mark.parametrize("build", [
-        *[(lambda n_in, p: lambda: (qss_circuit(n_in, p),
-                                    OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))))(n_in, p)
-          for n_in, p in [(0, 4), (0, 1024), (2, 8), (2, 1024), (4, 16), (4, 512)]],
-        lambda: (coin_circuit(4, 16), OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)),
-        # a G block with inputs on 3 and 1, target 0, every gate controlled by 2
-        lambda: (Circuit(5, [_g_block("qcoin", (3, 1), 0, (2,), count=3)]),
-                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
-        lambda: (Circuit(5, [_g_block("qss", (3, 1), 0, (2,), count=3)]),
-                 OracleSpec([0.1, 0.5, 0.8, 0.3])),
-        # two blocks of different variants on the same qubits share no plane
-        lambda: (Circuit(4, [_g_block("qss", (0, 2), 1, (3,), count=2),
-                             _g_block("qcoin", (0, 2), 1, (3,), count=5)]),
-                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
-        # degenerate planes: a lies wholly where D is +1 (Q is the identity, or
-        # every bin's target amplitude is 0) or wholly where it is -1
-        lambda: (coin_circuit(3, 5), OracleSpec([0.1] * 8, 0.1, LINEAR_AMPLITUDE)),
-        lambda: (qss_circuit(2, 64), OracleSpec([0.0] * 4)),
-        lambda: (qss_circuit(2, 64), OracleSpec([1.0] * 4)),
-        # 7 coin qubits
-        lambda: (qss_circuit(6, 128), OracleSpec(np.linspace(0.1, 0.9, 64))),
-        # the largest count the caps allow on one bin: G^2048
-        lambda: (qss_circuit(0, 4096), OracleSpec([0.3])),
-    ], ids=["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P16", "qss-n4-P512",
-            "qcoin-n4-m16", "qcoin-placed", "qss-placed", "two-blocks", "qcoin-all-offset",
-            "qss-all-0", "qss-all-1", "qss-n6-P128", "qss-n0-P4096"])
+    @pytest.mark.parametrize("build", FUSED, ids=FUSED_IDS)
     def test_fused_blocks_match_each_op_kernel_in_turn(self, build):
         """A schedule whose repeated blocks each run as one raised reflection
         against every op's own kernel, applied in the order of ``expand()``;
@@ -725,7 +735,7 @@ class TestCircuit:
         bound = circuit.bind(oracle)
         assert any(isinstance(step, ReflectionKernel) and step.signs is not None
                    for step in bound.schedule)
-        assert not any(isinstance(step, tuple) for step in bound.schedule)
+        assert len(bound.schedule) <= len(bound.ops)
         rng = np.random.default_rng(5)
         n = circuit.n_qubits
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -733,9 +743,17 @@ class TestCircuit:
         expected = state.amplitudes.copy()
         for op in bound.expand():
             if op.name != "M":
-                op.kernel(qubit_axes(expected, n))
+                bound.kernel(op)(qubit_axes(expected, n))
         out, _ = run_circuit(bound, state)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("build", FUSED, ids=FUSED_IDS)
+    def test_bind_leaves_the_description(self, build):
+        """A bound circuit lists its description's ops, not a lowered copy."""
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        assert bound.ops == circuit.ops
+        assert bound.expand() == circuit.expand()
 
     def test_shared_vector_is_built_once_at_the_first_run(self, monkeypatch):
         built = []
@@ -798,6 +816,16 @@ class TestCircuit:
         bound.add(Z_GATE, [0])
         with pytest.raises(SimulatorError, match="bound"):
             run_circuit(bound)
+
+    def test_kernel_needs_a_bound_circuit(self):
+        circuit = coin_circuit(1, 1)
+        with pytest.raises(SimulatorError, match="bound"):
+            circuit.kernel(circuit.ops[0])
+        bound = circuit.bind(OracleSpec([0.2, 0.7], 0.1, LINEAR_AMPLITUDE))
+        bound.kernel(bound.ops[0])
+        bound.add(Z_GATE, [0])
+        with pytest.raises(SimulatorError, match="bound"):
+            bound.kernel(bound.ops[0])
 
     def test_op_without_formula_or_matrix_is_refused(self):
         with pytest.raises(SimulatorError, match="no formula"):
@@ -914,9 +942,9 @@ class TestKernelsAgainstDenseReference:
             bound = circuit.bind(oracle)
 
             product = np.eye(1 << n)
-            for op, kernel_op in zip(circuit.expand(), bound.expand()):
+            for op in bound.expand():
                 full = gate_to_full_matrix(dense_reference(op, oracle), op.targets, op.controls, n)
-                np.testing.assert_allclose(kernel_op.kernel.matrix(), full, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(bound.kernel(op).matrix(), full, rtol=0, atol=1e-12)
                 product = full @ product
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             state = StateVector(n, amps / np.linalg.norm(amps))
