@@ -169,7 +169,6 @@ def run_shift_scale(
     noise: "noise_mod.NoiseModel | None" = None,
     integrand: OracleSpec | None = None,
     ledger: QueryLedger | None = None,
-    head_prob_cache: dict | None = None,
 ) -> tuple[np.ndarray, list[dict]]:
     """The shift-and-scale loop, vectorised over repetitions.
 
@@ -178,13 +177,14 @@ def run_shift_scale(
     Each scheduled step (delta, m) shifts the coin by the interval's lower
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
 
-    Head probabilities come from the noisy closed form of the single-qubit
-    hardware circuit under a non-zero noise model
-    (``noise.coin_head_probability``; one target mean per call;
-    ``head_prob_cache`` maps (offset, m) to a probability; a model that
-    could act only on multi-qubit gates is refused), from the statevector
-    when an ``integrand`` is given, and otherwise from the closed form
-    sin^2((2m+1) asin(f - E)).
+    Head probabilities come from the closed form sin^2((2m+1) asin(f - E)),
+    one array expression per step over all repetitions, or from the
+    statevector when an ``integrand`` is given and there is no noise.  A
+    non-zero noise model maps the closed form through
+    ``noise.noisy_coin_probability``; step 0 evaluates
+    ``noise.coin_head_probability`` once, whose range check refuses a bad
+    target mean first.  It takes one target mean per call; a model that could
+    act only on multi-qubit gates is refused.
     Draws are batched per step, so one repetition draws exactly as the scalar
     loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
     estimates and a per-step trace of repetition 0's e_minus, e_plus,
@@ -209,27 +209,16 @@ def run_shift_scale(
         if not (noise.readout_flip_prob or noise.gate_error_1q):
             raise ValueError("the one-qubit coin has no multi-qubit gate, so a noise model "
                              "whose only non-zero rate is gate_error_mq would change nothing")
-        if np.any(f != f[0]):
+        # an empty call draws nothing, as on the noiseless route
+        p0 = noise_mod.coin_head_probability(float(f[0]), 0.0, 0, noise) if f.size else f
+        if np.any(f != f[:1]):
             raise ValueError("noisy estimation needs a single target mean per call")
-        cache = {} if head_prob_cache is None else head_prob_cache
-        target = float(f[0])
-
-        def head_prob(offset, reps):
-            key = (round(offset, 12), reps)
-            if key not in cache:
-                cache[key] = noise_mod.coin_head_probability(target, offset, reps, noise)
-            return cache[key]
-
-        p0 = noise_mod.coin_head_probability(target, 0.0, 0, noise)
     elif integrand is not None:
-
-        def head_prob(offset, reps):
-            return _statevector_coin_probability(integrand.values, offset, reps)
-
         state = prepare_qss_state(_sqrt_oracle(integrand))
         p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
     else:
-        head_prob, p0 = None, f
+        p0 = f
+    on_statevector = integrand is not None and not noisy
 
     fraction = rng.binomial(trials[0], p0, size=f.size) / trials[0]
     # the noisy coin has amplitude f, so its head fraction estimates f^2
@@ -243,10 +232,13 @@ def run_shift_scale(
     for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
         e_minus = np.maximum(f_cur - delta / 2.0, e_minus)
         e_plus = np.minimum(f_cur + delta / 2.0, e_plus)
-        if head_prob is None:
-            p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
+        if on_statevector:
+            p = np.array([_statevector_coin_probability(integrand.values, e, reps)
+                          for e in e_minus.tolist()])
         else:
-            p = np.array([head_prob(e, reps) for e in e_minus.tolist()])
+            p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
+            if noisy:
+                p = noise_mod.noisy_coin_probability(p, reps, noise)
         fraction = rng.binomial(n_trials, np.clip(p, 0.0, 1.0)) / n_trials
         f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
         trace.append({"step": step, "e_minus": e_minus[first], "e_plus": e_plus[first],

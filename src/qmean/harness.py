@@ -173,10 +173,10 @@ def fast_qcoin_estimate(
 
     Exact for any integrand because amplification is an exact rotation in
     the coin plane; agreement with the statevector path is asserted in the
-    test suite.
+    test suite.  ``head_prob_cache`` is accepted and not read: each step
+    evaluates its head probabilities as one array expression.
     """
-    est, _ = run_shift_scale(f, shift_scale_schedule(k), trials_per_step, rng, noise,
-                             head_prob_cache=head_prob_cache)
+    est, _ = run_shift_scale(f, shift_scale_schedule(k), trials_per_step, rng, noise)
     return float(est) if np.ndim(f) == 0 else est
 
 
@@ -432,11 +432,10 @@ def run_noise_comparison(
     qcoin_errors = {}
     for k in k_values:
         trials = qcoin_budget // qcoin_queries(k, 1)
-        cache: dict = {}
         errs = []
         for r in range(repetitions):
             rng = np.random.default_rng(np.random.SeedSequence([seed_base, 1, r]))
-            est = fast_qcoin_estimate(f, k, trials, rng, model, head_prob_cache=cache)
+            est = fast_qcoin_estimate(f, k, trials, rng, model)
             errs.append(abs(est - f))
         mae = float(np.mean(errs))
         qcoin_errors[k] = mae

@@ -184,19 +184,13 @@ def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | No
 
 def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) -> float:
     """The head probability of ``simple_qcoin_circuit(f, offset, m)`` under
-    ``model`` in closed form (Nielsen & Chuang 8.3), with no oracle and no bind.
+    ``model`` in closed form, with no oracle and no bind.
 
     On one qubit Q is the rotation by theta = asin(f - offset) and each G
     block rotates by 2 theta, so the noiseless head probability is
-    sin^2((2m + 1) theta).  A uniformly random Pauli with probability g
-    after each gate is a depolarizing channel: it shrinks the Bloch vector by
-    1 - 4g/3 and commutes with every unitary, so over the n gates of
-    ``coin_circuit(0, m)`` the head probability moves towards 1/2 by
-    (1 - 4g/3)^n; readout flips with probability r then mix the outcomes.
-    The gate count comes from the shape's template, whose size check refuses
-    a circuit past MAX_CIRCUIT_OPS with ``ValueError``, as binding would; the
-    oracle's range checks raise ``OracleError``.  ``head_probability`` of the
-    bound circuit agrees to about 1e-14.
+    sin^2((2m + 1) theta), which ``noisy_coin_probability`` maps through the
+    noise.  The oracle's range checks raise ``OracleError``.
+    ``head_probability`` of the bound circuit agrees to about 1e-14.
     """
     if not 0.0 <= f <= 1.0:
         raise OracleError("integrand values must lie in [0, 1]")
@@ -204,9 +198,20 @@ def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) ->
         raise OracleError(f"offset must lie in [0, 1), got {offset}")
     if abs(f - offset) > 1.0:
         raise OracleError("|F(i) - offset| must not exceed 1")
+    return noisy_coin_probability(math.sin((2 * m + 1) * math.asin(f - offset)) ** 2, m, model)
+
+
+def noisy_coin_probability(ideal, m: int, model: NoiseModel):
+    """The head probability of ``coin_circuit(0, m)`` under ``model`` from its
+    noiseless one ``ideal``, a float or an array (Nielsen & Chuang 8.3): a
+    random Pauli with probability g after each of its n gates is a
+    depolarizing channel, which shrinks the Bloch vector by 1 - 4g/3 and
+    commutes with every unitary, so the probability moves towards 1/2 by
+    (1 - 4g/3)^n; readout flips with probability r then mix the outcomes.
+    The template's size check refuses a circuit past MAX_CIRCUIT_OPS with
+    ``ValueError``, as binding would."""
     template = coin_template(0, m)
     template.check_size()
-    ideal = math.sin((2 * m + 1) * math.asin(f - offset)) ** 2
     shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** template.unmeasured.total()
     r = model.readout_flip_prob
     return r + (1.0 - 2.0 * r) * (0.5 + shrink * (ideal - 0.5))

@@ -19,6 +19,7 @@ from qmean.estimators import (
     shift_scale_schedule,
 )
 from qmean.harness import calibrate_optimal_k, fast_qcoin_estimate, qss_theoretical_distribution
+from qmean.noise import HARDWARE_PRESET
 from qmean.primitives import (
     LINEAR_AMPLITUDE,
     OracleSpec,
@@ -171,18 +172,21 @@ class TestQcoin:
             fast_qcoin_estimate(0.3, k, 1, np.random.default_rng(0))
 
     def test_trace_keeps_one_repetition(self):
-        # the trace keeps repetition 0's values: 36 more steps over 10^4
-        # repetitions add less than one step's four arrays to the peak
+        # the trace keeps repetition 0's values, and the noisy steps keep no
+        # table of head probabilities: more steps over 10^4 repetitions add
+        # less than one step's four arrays to the peak (under noise m stays
+        # under the op cap)
         f = np.full(10**4, 0.3)
-        peaks = []
-        for k in (4, 40):
-            tracemalloc.start()
-            try:
-                run_shift_scale(f, shift_scale_schedule(k), 10, np.random.default_rng(0))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 4 * f.nbytes
+        for noise, ks in ((None, (4, 40)), (HARDWARE_PRESET, (4, 18))):
+            peaks = []
+            for k in ks:
+                tracemalloc.start()
+                try:
+                    run_shift_scale(f, shift_scale_schedule(k), 10, np.random.default_rng(0), noise)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] < 4 * f.nbytes, (noise, peaks)
 
     def test_trial_schedule_length_checked(self):
         with pytest.raises(ValueError):

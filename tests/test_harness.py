@@ -253,9 +253,12 @@ class TestSamplers:
 
     def test_monte_carlo_noisy_constant_array(self):
         rng = np.random.default_rng(0)
-        est = sample_monte_carlo(np.full(100, 0.5), 10000, rng, HARDWARE_PRESET)
-        assert est.shape == (100,)
-        assert np.all((est >= 0) & (est <= 1))
+        # an empty call returns an empty array, as without noise
+        for fs in (np.full(100, 0.5), np.array([])):
+            est = sample_monte_carlo(fs, 10000, rng, HARDWARE_PRESET)
+            assert est.shape == fs.shape
+            assert np.all((est >= 0) & (est <= 1))
+            assert fast_qcoin_estimate(fs, 3, 100, rng, HARDWARE_PRESET).shape == fs.shape
 
     def test_qss_sampler_support(self):
         # 200 draws at one mean off the grid: a 10 x 20 pixel image of 0.37

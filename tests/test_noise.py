@@ -16,6 +16,7 @@ from qmean.noise import (
     PRESETS,
     coin_head_probability,
     head_probability,
+    noisy_coin_probability,
     noisy_execute,
     outcome_probabilities,
     simple_qcoin_circuit,
@@ -249,6 +250,18 @@ class TestCoinHeadProbability:
             expected = r + (1.0 - 2.0 * r) * (0.5 + shrink ** (4 * m + 1) * (ideal - 0.5))
             assert abs(coin_head_probability(f, offset, m, model) - expected) <= 1e-12, \
                 (f, offset, m)
+        # the shift-and-scale loop's array route: the noiseless closed form over
+        # an array of offsets at one m, mapped through the noise
+        by_m = {}
+        for f, offset, m in cases + edges:
+            by_m.setdefault(m, []).append((f, offset))
+        for m, pairs in by_m.items():
+            fs, offsets = np.array(pairs).T
+            ideal = np.sin((2 * m + 1) * np.array([math.asin(x) for x in fs - offsets])) ** 2
+            mapped = noisy_coin_probability(ideal, m, model)
+            for f, offset, p in zip(fs, offsets, mapped):
+                assert abs(coin_head_probability(f, offset, m, model) - p) <= 1e-15, \
+                    (f, offset, m)
         # the edges also against the bound circuit's density-matrix evolution
         for f, offset, m in edges:
             bound = head_probability(simple_qcoin_circuit(f, offset, m), model)
@@ -267,6 +280,9 @@ class TestCoinHeadProbability:
         # the bound route let a NaN mean through to a NaN probability
         with pytest.raises(OracleError):
             coin_head_probability(math.nan, 0.0, 2, HARDWARE_PRESET)
+        # the estimate checks its range before it asks for a single mean, which NaN is not
+        with pytest.raises(OracleError):
+            fast_qcoin_estimate(math.nan, 3, 100, np.random.default_rng(0), HARDWARE_PRESET)
 
     def test_op_cap(self):
         with pytest.raises(ValueError, match="cap"):
