@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmean import primitives
-from qmean.noise import HARDWARE_PRESET, head_probability, simple_qcoin_circuit
+from qmean.noise import (
+    HARDWARE_PRESET,
+    NoiseModel,
+    head_probability,
+    outcome_probabilities,
+    simple_qcoin_circuit,
+)
 from qmean.primitives import (
     Circuit,
     CircuitOp,
@@ -56,6 +62,7 @@ from qmean.statevector import (
     SimulatorError,
     StateVector,
     X_GATE,
+    Y_GATE,
     Z_GATE,
     apply_gate,
     gate_to_full_matrix,
@@ -950,6 +957,42 @@ class TestKernelsAgainstDenseReference:
             state = StateVector(n, amps / np.linalg.norm(amps))
             out, _ = run_circuit(bound, state)
             np.testing.assert_allclose(out.amplitudes, product @ state.amplitudes,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_noisy_circuits(self, n):
+        # rho conjugated by gate_to_full_matrix products, each touched qubit of
+        # a gate taking (1 - g) rho + (g/3) (X rho X + Y rho Y + Z rho Z)
+        rng = np.random.default_rng(200 + n)
+        for _ in range(8):
+            n_in = int(rng.integers(0, n))
+            values = rng.uniform(0.0, 1.0, 1 << n_in)
+            oracle = OracleSpec(values, float(rng.uniform(0.0, values.min())), LINEAR_AMPLITUDE)
+            ops = [random_op(rng, n, n_in) for _ in range(int(rng.integers(1, 6)))]
+            ops.append(Repeat(tuple(random_op(rng, n, n_in) for _ in range(2)),
+                              int(rng.integers(0, 4))))
+            measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+            bound = Circuit(n, ops).measure(measured).bind(oracle)
+            model = NoiseModel(*(float(x) for x in rng.uniform(0.0, 0.2, 3)))
+
+            rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+            rho[0, 0] = 1.0
+            for op in bound.expand():
+                if op.name == "M":
+                    continue
+                full = gate_to_full_matrix(dense_reference(op, oracle), op.targets, op.controls, n)
+                rho = full @ rho @ full.conj().T
+                g = model.gate_error_mq if len(op.touched) > 1 else model.gate_error_1q
+                for q in op.touched:
+                    paulis = [gate_to_full_matrix(p, [q], [], n) for p in (X_GATE, Y_GATE, Z_GATE)]
+                    rho = (1.0 - g) * rho + (g / 3.0) * sum(p @ rho @ p for p in paulis)
+            probs = np.zeros(1 << len(measured))
+            for i, p in enumerate(np.real(np.diag(rho))):
+                probs[sum(((i >> q) & 1) << j for j, q in enumerate(measured))] += p
+            r, outcomes = model.readout_flip_prob, np.arange(len(probs))
+            for j in range(len(measured)):
+                probs = (1.0 - r) * probs + r * probs[outcomes ^ (1 << j)]
+            np.testing.assert_allclose(outcome_probabilities(bound, model), probs,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["qss", "qcoin"])
