@@ -420,8 +420,9 @@ def run_noise_comparison(
     model: NoiseModel,
     seed_base: int = 0,
 ) -> dict:
-    """Noisy-machine emulation: Monte Carlo error across budgets versus the
-    coin estimator at several k, all with paired per-repetition seeds."""
+    """Noisy-machine emulation: Monte Carlo error across budgets, each row from
+    one generator seeded [seed_base, 0, budget], versus the coin estimator at
+    several k, whose rows share the per-repetition seeds [seed_base, 1, r]."""
     rows = []
     mc_errors = {}
     for budget in mc_budgets:
@@ -499,15 +500,15 @@ def build_teaser_image(width: int = 128, height: int = 128) -> np.ndarray:
 
 
 def default_regions(width: int, height: int) -> dict[str, tuple[int, int, int, int]]:
-    """Region rectangles (x0, y0, x1, y1) in output-pixel coordinates."""
-    pw, ph = width // SUBPIXEL_GRID, height // SUBPIXEL_GRID
-    band_top = ph - ph // 4
-    band_w = pw // 5
+    """Region rectangles (x0, y0, x1, y1) in output-pixel coordinates: the
+    pixels whose 8x8 subpixel block lies wholly inside one band, or inside
+    the gradient, of ``build_teaser_image``, from the card's subpixel edges."""
+    g, band_top, band_w = SUBPIXEL_GRID, height - height // 4, width // 5
     regions = {}
     for i, v in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
-        x1 = pw if i == 4 else (i + 1) * band_w
-        regions[f"band-{v:g}"] = (i * band_w, band_top, x1, ph)
-    regions["gradient"] = (pw // 2, 0, pw, band_top)
+        x1 = width if i == 4 else (i + 1) * band_w
+        regions[f"band-{v:g}"] = (-(-i * band_w // g), -(-band_top // g), x1 // g, height // g)
+    regions["gradient"] = (-(-(width // 2) // g), 0, width // g, band_top // g)
     return regions
 
 

@@ -1,10 +1,10 @@
 """NISQ-style error injection: stochastic Pauli gate noise plus readout
 bit flips, evaluated on the package's bound circuits (``primitives.Circuit``)
-by trajectories (``noisy_execute``) or exactly, by density-matrix evolution
-(``outcome_probabilities``).  The noisy-machine emulation uses the qcoin
-circuit with no input qubits, whose head probability is a formula
-(``coin_head_probability``): the noiseless sin^2((2m + 1) theta), moved
-towards 1/2 by 1 - 4g/3 per gate and mixed by the readout flips.
+by trajectories (``noisy_execute``) or exactly, by a density matrix that the
+circuit's own kernels evolve (``outcome_probabilities``).  The noisy-machine
+emulation uses the qcoin circuit with no input qubits, whose head probability
+is a formula (``coin_head_probability``): the noiseless sin^2((2m + 1)
+theta), moved towards 1/2 by 1 - 4g/3 per gate and mixed by the readout flips.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .primitives import (
     LINEAR_AMPLITUDE,
     Circuit,
-    CircuitOp,
     OracleError,
     OracleSpec,
     coin_circuit,
@@ -88,9 +87,7 @@ def noisy_execute(
     amps = StateVector.zero(n).amplitudes
     psi = qubit_axes(amps, n)
     paulis: dict = {}
-    gates = [(kernel, model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
-              op.touched) for op, kernel in _gates(circuit)]
-    for kernel, g, touched in gates:
+    for kernel, g, touched in _gates(circuit, model):
         kernel(psi)
         if g > 0:
             for q in touched:
@@ -111,21 +108,23 @@ def _bound(circuit: Circuit) -> Circuit:
     return circuit if circuit.schedule is not None else circuit.bind()
 
 
-def _gates(circuit: Circuit) -> list[tuple[CircuitOp, Kernel]]:
-    """The circuit's gates in run order, each with its kernel from the bind.
-    M ops are skipped: the package's circuits measure mid-circuit only qubits
-    that no later gate touches, which leaves the readout distribution
-    unchanged."""
+def _gates(circuit: Circuit, model: NoiseModel) -> list[tuple[Kernel, float, tuple[int, ...]]]:
+    """The circuit's gates in run order, each as its kernel from the bind, its
+    gate-error rate under the model and the qubits it touches.  M ops are
+    skipped: the package's circuits measure mid-circuit only qubits that no
+    later gate touches, which leaves the readout distribution unchanged."""
     bound = _bound(circuit)
-    return [(op, bound.kernel(op)) for op in bound.expand() if op.name != "M"]
+    return [(bound.kernel(op), model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
+             op.touched) for op in bound.expand() if op.name != "M"]
 
 
 # Largest products x 8^n_qubits that ``outcome_probabilities`` evolves, a
-# product being one conjugation of the dense rho: one per gate, three per
-# noisy qubit it touches.  At the cap one gate on 10 qubits takes 0.26 s and
-# 75 MiB; qss_circuit(0, 32) under the hardware preset (996 products on 6
-# qubits) 0.13 s with one BLAS thread, 1.3 s with two (2-core Xeon, Python
-# 3.11.7, NumPy 2.4.6); qss_circuit(0, 64) (1,942 on 7 qubits) is refused.
+# product being a gate or one Pauli on a qubit that a noisy gate touches, as
+# when each was a dense O(8^n) conjugation.  The kernels cost O(4^n), so what
+# the cap bounds now is rho at no more than 10 qubits (16 MiB): at the cap one
+# H on 10 qubits takes 32 ms and 48 MiB traced, and qss_circuit(0, 32) under
+# the hardware preset 11 ms (2-core Xeon, Python 3.11.7, NumPy 2.4.6, one BLAS
+# thread).
 MAX_DENSITY_WORK = 1 << 30
 
 
@@ -133,32 +132,32 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     """Exact observed-bit distribution under the noise model, the
     infinite-trajectory limit of noisy_execute, by density-matrix evolution.
 
-    Each gate's full matrix is its kernel applied to the identity, and each
-    qubit a gate touches takes its Pauli channel when the gate's rate is
-    non-zero; the readout flips are one 2x2 per measured bit.  Refused past
-    MAX_DENSITY_WORK before rho or any Pauli is allocated.
+    Each gate's kernel turns rho into U rho, column by column; rho being
+    Hermitian, the conjugate transpose is rho U^dagger, which the kernel turns
+    into U rho U^dagger.  Each qubit q that a gate of rate g > 0 touches then
+    takes its Pauli channel in place, (1 - 4g/3) rho + (4g/3) Tr_q(rho) (x) I/2
+    (Nielsen & Chuang 8.3.4): O(4^n) per gate and per noisy qubit.  Each
+    readout flip is a 2x2 on its bit.  Refused past MAX_DENSITY_WORK before
+    rho is allocated.
     """
-    gates, n = _gates(circuit), circuit.n_qubits
-    rates = [model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q for op, _ in gates]
-    # conjugations of rho: one per gate, and one per Pauli on each noisy qubit
-    products = sum(1 + 3 * len(op.touched) * (g > 0) for (op, _), g in zip(gates, rates))
+    gates, n = _gates(circuit, model), circuit.n_qubits
+    products = sum(1 + 3 * len(touched) * (g > 0) for _, g, touched in gates)
     work = max(products, 1) << 3 * n
     if work > MAX_DENSITY_WORK:
         raise ValueError(f"density-matrix evolution needs {products} products x 8^{n} = {work} "
                          f"operations, more than the cap of {MAX_DENSITY_WORK}")
     rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     rho[0, 0] = 1.0
-    paulis: dict = {}  # the dense X, Y and Z on each qubit that a noisy gate touches
-    for (op, kernel), g in zip(gates, rates):
-        full = kernel.matrix()
-        rho = full @ rho @ full.conj().T
-        for q in op.touched if g else ():
-            if q not in paulis:
-                paulis[q] = [lower_gate(pauli, [q], [], n).matrix() for pauli in _PAULIS]
-            acc = (1.0 - g) * rho
-            for pauli in paulis[q]:  # Hermitian
-                acc = acc + (g / 3.0) * (pauli @ rho @ pauli)
-            rho = acc
+    for kernel, g, touched in gates:
+        kernel(qubit_axes(rho, n))
+        rho = rho.conj().T.copy()
+        kernel(qubit_axes(rho, n))
+        for q in touched if g else ():  # row and column each split as (above q, q, below q)
+            blocks = rho.reshape((1 << (n - 1 - q), 2, 1 << q) * 2)
+            mixed = (2.0 * g / 3.0) * (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1])
+            blocks *= 1.0 - 4.0 * g / 3.0
+            for bit in (0, 1):
+                blocks[:, bit, :, :, bit] += mixed
 
     # the diagonal with an axis per qubit, qubit n-1 first, summed onto one
     # axis per measured bit, the last bit first, as in the outcome's index

@@ -437,6 +437,19 @@ class TestTeaserImage:
         for x0, y0, x1, y1 in regions.values():
             assert 0 <= x0 < x1 <= 16 and 0 <= y0 < y1 <= 16
 
+    @pytest.mark.parametrize("width, height", [(64, 64), (128, 128), (136, 72), (320, 320)])
+    def test_regions_hold_only_their_own_pixels(self, width, height):
+        img, band_top = build_teaser_image(width, height), height - height // 4
+        for name, (x0, y0, x1, y1) in default_regions(width, height).items():
+            assert x0 < x1 and y0 < y1, name
+            subpixels = img[8 * y0:8 * y1, 8 * x0:8 * x1]
+            if name == "gradient":  # each row the gradient's value, every block above the bands
+                assert 8 * x0 >= width // 2 and 8 * y1 <= band_top
+                column = np.linspace(0.0, 1.0, band_top)[8 * y0:8 * y1, None]
+                np.testing.assert_array_equal(subpixels, np.broadcast_to(column, subpixels.shape))
+            else:
+                assert np.all(subpixels == float(name.removeprefix("band-"))), name
+
 
 class TestSupersample:
     def test_uniform_image_ideal(self):

@@ -10,7 +10,6 @@ from qmean.estimators import estimate_qcoin
 from qmean.harness import fast_qcoin_estimate, qss_theoretical_distribution
 from qmean.noise import (
     Circuit,
-    CircuitOp,
     HARDWARE_PRESET,
     NoiseModel,
     PRESETS,
@@ -22,6 +21,7 @@ from qmean.noise import (
     simple_qcoin_circuit,
 )
 from qmean.primitives import (
+    CircuitOp,
     LINEAR_AMPLITUDE,
     OracleError,
     OracleSpec,
@@ -310,9 +310,12 @@ class TestCoinHeadProbability:
                 count(kernel, "matrix")
         run()
         assert calls == []
-        # the counters see the bound route
+        # the counters see the bound route, which evolves rho by the kernels
+        # and builds no dense matrix; and a dense matrix when one is built
         head_probability(simple_qcoin_circuit(0.6, 0.2, 4), HARDWARE_PRESET)
-        assert {"__post_init__", "bind", "matrix"} <= set(calls)
+        assert {"__post_init__", "bind"} <= set(calls) and "matrix" not in calls
+        statevector.lower_gate(H_GATE, [0], [], 1).matrix()
+        assert "matrix" in calls
 
 
 class TestDensityCap:
