@@ -16,7 +16,6 @@ import numpy as np
 
 from . import noise as noise_mod
 from .primitives import (
-    LINEAR_AMPLITUDE,
     OracleSpec,
     QueryLedger,
     SQRT_AMPLITUDE,
@@ -154,9 +153,10 @@ def _asin(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.asin, x.tolist()), float, x.size)
 
 
-def _statevector_coin_probability(values: np.ndarray, offset: float, repetitions: int) -> float:
-    """Head probability of the shifted coin after m amplifications, simulated."""
-    coin_oracle = OracleSpec(values, offset, LINEAR_AMPLITUDE)
+def _statevector_coin_probability(integrand: OracleSpec, offset: float, repetitions: int) -> float:
+    """Head probability of the coin shifted by ``offset`` after m
+    amplifications, simulated; the integrand's bins are not checked again."""
+    coin_oracle = integrand.shifted(offset)
     state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, repetitions).bind(coin_oracle))
     return float(state.probabilities()[head_state_index(coin_oracle)])
 
@@ -179,7 +179,9 @@ def run_shift_scale(
 
     Head probabilities come from the closed form sin^2((2m+1) asin(f - E)),
     one array expression per step over all repetitions, or from the
-    statevector when an ``integrand`` is given and there is no noise.  A
+    statevector when an ``integrand`` is given and there is no noise; each
+    step's oracle is the integrand ``shifted`` to its offset, so only the
+    offset is checked per step.  A
     non-zero noise model maps the closed form through
     ``noise.noisy_coin_probability``; step 0 evaluates
     ``noise.coin_head_probability`` once, whose range check refuses a bad
@@ -233,7 +235,7 @@ def run_shift_scale(
         e_minus = np.maximum(f_cur - delta / 2.0, e_minus)
         e_plus = np.minimum(f_cur + delta / 2.0, e_plus)
         if on_statevector:
-            p = np.array([_statevector_coin_probability(integrand.values, e, reps)
+            p = np.array([_statevector_coin_probability(integrand, e, reps)
                           for e in e_minus.tolist()])
         else:
             p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2

@@ -6,10 +6,12 @@ ops, and declare the blocks that run as one step: the register's textbook
 Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and each
 block of amplification steps G, a phase flip then the reflection S^-1 RZERO
 S (``_g_block``), as one rotation in the plane of the reflection's vector
-(``ReflectionKernel``), that vector built the first time it runs.
-``Circuit.bind`` adds statevector kernels beside the description and leaves
-its ops as they are: every op but Q and Q_INV is lowered once per circuit
-shape, in its ``_Template``, and the oracle supplies Q at each bind.
+(``ReflectionKernel``), that vector built on the coin qubits alone the
+first time it runs.  ``Circuit.bind`` adds a run schedule beside the
+description and leaves its ops as they are: every op but Q and Q_INV is
+lowered once per circuit shape, in its ``_Template``, and a bind checks the
+oracle and builds Q from it only where a step or ``Circuit.kernel`` first
+asks for it (``_Binding``).
 ``run_circuit`` applies the bound schedule in place, each register of H as a
 few dense products and each measurement as one collapse of the amplitudes in
 place (``Measurement``).  The estimators run these circuits; the noise layer
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -89,14 +91,20 @@ class OracleSpec:
         n = self.values.shape[0]
         if n < 1 or n & (n - 1):
             raise OracleError(f"number of bins must be a power of two, got {n}")
-        if np.any(self.values < 0) or np.any(self.values > 1):
+        if not np.all((self.values >= 0) & (self.values <= 1)):  # NaN fails too
             raise OracleError("integrand values must lie in [0, 1]")
-        if not 0.0 <= self.offset < 1.0:
-            raise OracleError(f"offset must lie in [0, 1), got {self.offset}")
-        if np.any(np.abs(self.values - self.offset) > 1.0):
-            raise OracleError("|F(i) - offset| must not exceed 1")
+        _check_offset(self.offset)
         if self.encoding not in (SQRT_AMPLITUDE, LINEAR_AMPLITUDE):
             raise OracleError(f"unknown encoding {self.encoding!r}")
+
+    def shifted(self, offset: float) -> "OracleSpec":
+        """The same bins under a linear-amplitude oracle with offset
+        ``offset``; only the offset is checked, since the bins were checked
+        when this spec was made."""
+        _check_offset(offset)
+        spec = object.__new__(OracleSpec)
+        spec.__dict__.update(self.__dict__, offset=offset, encoding=LINEAR_AMPLITUDE)
+        return spec
 
     @property
     def n_bins(self) -> int:
@@ -115,6 +123,11 @@ class OracleSpec:
         if self.encoding == SQRT_AMPLITUDE:
             return np.sqrt(self.values)
         return self.values - self.offset
+
+
+def _check_offset(offset: float):
+    if not 0.0 <= offset < 1.0:
+        raise OracleError(f"offset must lie in [0, 1), got {offset}")
 
 
 def oracle_gate(oracle: OracleSpec) -> GateMatrix:
@@ -219,7 +232,7 @@ class Circuit:
     """A straight-line list of ops and repeated blocks.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
-    ``schedule`` is what ``run_circuit`` runs and ``binding`` holds the Q
+    ``schedule`` is what ``run_circuit`` runs and ``binding`` builds the Q
     and Q_INV kernels of the bind; ``bind`` sets both, from ``template``
     (``_Template``), which a circuit from ``coin_circuit``, ``qss_circuit``
     or ``bind`` shares with every circuit of its shape.  A bound circuit's
@@ -279,7 +292,7 @@ class Circuit:
         if self.binding is None:
             raise SimulatorError("an op's kernel needs a bound circuit (Circuit.bind)")
         if _needs_oracle(op):
-            return self.binding.kernels[op.name, op.targets, op.controls]
+            return self.binding.kernel(op, self.n_qubits)
         return self.template.lower(op)
 
 
@@ -290,33 +303,35 @@ def _needs_oracle(op: CircuitOp) -> bool:
 
 class _Template:
     """A circuit bound to no oracle yet: its ops (``nodes``), the kernel of
-    each distinct op but Q, Q_INV and M (``lower``), and the run schedule
-    (``_schedule``), in which each Q and Q_INV op waits for the bind.
+    each distinct op but Q, Q_INV and M (``lower``), the run schedule
+    (``_schedule``), in which each Q and Q_INV stays an op, and the index
+    arrays of each placement of Q (``_placement``).
 
-    ``bind`` lowers Q and Q_INV at each of their placements and puts them
-    into the schedule (``_fill``); no other op is lowered again.  The op
-    counts that ``run_circuit`` adds to ``WORK`` and the ledger, and the
-    size the caps check, are computed here once.  The schedule waits for the
-    first bind, and each kernel for its first use, since ``resources`` and
-    ``dump-circuit`` build circuits they never bind.
+    ``bind`` checks the oracle against every Q and Q_INV that runs and
+    builds no kernel; its ``_Binding`` builds each one when it is first
+    asked for.  The op counts that ``run_circuit`` adds to ``WORK`` and the
+    ledger, and the size the caps check, are computed here once.  The
+    schedule waits for the first bind, and each kernel and placement for its
+    first use, since ``resources`` and ``dump-circuit`` build circuits they
+    never bind.
     """
 
     def __init__(self, circuit: Circuit):
         self.n_qubits, self.nodes = circuit.n_qubits, list(circuit.ops)
         self.measured_qubits = list(circuit.measured_qubits)
         self.counts: Counter = Counter()  # ops by name, M included
-        # the (targets, controls) of each Q and Q_INV that runs; the first bind
-        # builds each one's placement (``_placement``)
-        self.placements: dict = {}
+        self.sites: set = set()  # the (targets, controls) of each Q and Q_INV that runs
         for op, count in circuit.counted_ops():
             if count:
                 self.counts[op.name] += count
                 if _needs_oracle(op):
-                    self.placements[op.targets, op.controls] = None
+                    self.sites.add((op.targets, op.controls))
         self.size = self.counts.total()
         self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
         self.queries = self.counts["Q"] + self.counts["Q_INV"]
         self.kernels: dict = {}  # by op, filled by ``lower``
+        # Q's ``_placement`` by (register size, targets, controls), at its first use
+        self.placements: dict = {}
         self.steps: list | None = None  # the schedule, set by the first bind
 
     def check_size(self, on_statevector: bool = False):
@@ -339,26 +354,18 @@ class _Template:
         """The circuit bound to ``oracle``."""
         self.check_size()
         if self.steps is None:
-            self.placements = {key: _placement(*key, self.n_qubits) for key in self.placements}
+            for targets, controls in self.sites:
+                check_qubits(self.n_qubits, targets, controls)
             self.steps = _schedule(self.nodes, self)
-        binding = _Binding(self._oracle_kernels(oracle))
+        if self.sites and oracle is None:
+            raise OracleError("binding Q needs an oracle")
+        for targets, _ in self.sites:
+            if len(targets) - 1 != oracle.n_input_qubits:
+                raise OracleError(f"Q on {len(targets) - 1} input qubits, "
+                                  f"oracle has {oracle.n_input_qubits}")
+        binding = _Binding(self, _rotation(oracle) if self.sites else None)
         return Circuit(self.n_qubits, list(self.nodes), self.measured_qubits,
                        _fill(self.steps, binding), self, binding)
-
-    def _oracle_kernels(self, oracle: OracleSpec | None) -> dict:
-        """Q and Q_INV at each placement, keyed by (name, targets, controls)."""
-        if not self.placements:
-            return {}
-        if oracle is None:
-            raise OracleError("binding Q needs an oracle")
-        kernels, rotation = {}, None
-        for (targets, controls), (n_inputs, bins, lo, hi) in self.placements.items():
-            if n_inputs != oracle.n_input_qubits:
-                raise OracleError(f"Q on {n_inputs} input qubits, oracle has {oracle.n_input_qubits}")
-            c, s = rotation = rotation or _rotation(oracle)
-            q = PairKernel(self.n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
-            kernels["Q", targets, controls], kernels["Q_INV", targets, controls] = q, q.inverse()
-        return kernels
 
 
 # One template per circuit shape: ("qcoin", n_input, m), ("qss", n_input, P)
@@ -382,21 +389,38 @@ def _circuit(template: _Template) -> Circuit:
                    template=template)
 
 
-@dataclass
 class _Binding:
-    """One bind: its Q and Q_INV kernels by (name, targets, controls), and
-    the planes (``_plane``) that its reflections share by key."""
+    """One bind of a template to an oracle: the oracle's ``_rotation``, the
+    Q and Q_INV kernels built from it, and the planes (``_plane``) that its
+    reflections share by key.  Q is built at a placement the first time a
+    step or ``Circuit.kernel`` asks for it, and kept by register size and
+    placement, so qcoin's reflection, whose mirror runs on the whole
+    register, reuses the preparation's Q.  Only the noise layer asks for
+    Q_INV."""
 
-    kernels: dict
-    planes: dict = field(default_factory=dict)
+    def __init__(self, template: _Template, rotation):
+        self.template, self.rotation = template, rotation
+        self.kernels: dict = {}
+        self.planes: dict = {}
+
+    def kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
+        """The kernel of a Q or Q_INV op on an n-qubit register."""
+        site = n_qubits, op.targets, op.controls
+        if (op.name, site) not in self.kernels:
+            placements = self.template.placements
+            if site not in placements:
+                placements[site] = _placement(op.targets, op.controls, n_qubits)
+            bins, lo, hi = placements[site]
+            c, s = self.rotation
+            q = PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+            self.kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
+        return self.kernels[op.name, site]
 
 
 def _fill(steps: list, binding: _Binding) -> list:
-    """The steps of one bind: each Q and Q_INV op its kernel, and each
-    ``ReflectionKernel`` bound (``ReflectionKernel.bound``)."""
-    return [binding.kernels[step.name, step.targets, step.controls] if isinstance(step, CircuitOp)
-            else step.bound(binding) if isinstance(step, ReflectionKernel) else step
-            for step in steps]
+    """The steps of one bind: each ``ReflectionKernel`` bound
+    (``ReflectionKernel.bound``), every other step as it is."""
+    return [step.bound(binding) if isinstance(step, ReflectionKernel) else step for step in steps]
 
 
 def _schedule(nodes, template: _Template) -> list:
@@ -404,7 +428,7 @@ def _schedule(nodes, template: _Template) -> list:
     kernel, a ``Measurement``, a block's one declared step or its own steps
     (``_steps``).  Each maximal run of formula H ops with the same controls
     and distinct targets is a few dense kernels (``hadamard_kernels``).  A
-    Q or Q_INV op stays an op until ``_fill`` puts its kernel in its place.
+    Q or Q_INV op stays an op, whose kernel a bind builds at its first run.
     """
     return [step for run in _runs(nodes) for step in _steps(run, template)]
 
@@ -452,18 +476,25 @@ def _steps(run, template: _Template) -> list:
 
 def _reflection(block: Repeat, template: _Template) -> ReflectionKernel:
     """A declared G block, D then S, RZERO and S^-1 (``_g_block``), as one
-    ``ReflectionKernel`` that each bind completes, since S^-1 holds Q.
-    S^-1 is the ops after RZERO; D follows from the variant."""
+    ``ReflectionKernel``.  S^-1 is the ops after RZERO, lowered here once
+    per template on the k coin qubits alone: RZERO's targets[j] is qubit j
+    of a k-qubit register and the controls, which every op of the block
+    shares, are fixed to 1.  D follows from the variant."""
     centre = [op.name for op in block.ops].index("RZERO")
-    rzero, mirror = block.ops[centre], _schedule(block.ops[centre + 1:], template)
+    rzero = block.ops[centre]
+    coin = {q: j for j, q in enumerate(rzero.targets)}
+    mirror = _Template(Circuit(len(coin), [replace(op, targets=tuple(coin[q] for q in op.targets),
+                                                   controls=())
+                                           for op in block.ops[centre + 1:]]))
     # one sign per coin column, the target (RZERO's last target) the top bit
     signs = np.ones(1 << len(rzero.targets))
     if block.step == "qss":
         signs[len(signs) // 2:] = -1.0  # Z on the target
     else:
         signs[len(signs) // 2] = -1.0  # FLIP_HEAD on the head state |1> (x) |0)
-    return ReflectionKernel(template.n_qubits, rzero.targets, rzero.controls, signs, mirror,
-                            (block.step, rzero.targets), block.count)
+    return ReflectionKernel(template.n_qubits, rzero.targets, rzero.controls, signs,
+                            _schedule(mirror.nodes, mirror), (block.step, rzero.targets),
+                            block.count)
 
 
 class ReflectionKernel(MatrixKernel):
@@ -481,12 +512,13 @@ class ReflectionKernel(MatrixKernel):
         G^count x = (-D)^count x + K B^T x,
         K = B Rot(2 count phi) - B diag((-1)^count, 1).
 
-    a comes from ``mirror``, the lowered steps of S^-1, applied to |0> at
-    the first call, so a bound circuit that never runs on the statevector
-    (the noise layer's) pays only for this object.  B and phi (``_plane``)
-    are kept in the bind's ``planes`` (``bound``) by ``key``, (variant, coin
-    qubits), which blocks that differ only in their controls share.  a is
-    real: S^-1 holds only H, Q and Q_INV.
+    ``mirror`` is S^-1 lowered on the k target qubits alone
+    (``_reflection``).  B and phi (``_plane``) are kept in the bind's
+    ``planes`` by ``key``, (variant, coin qubits), which blocks that differ
+    only in their controls share: the first of them to run builds them with
+    the bind's Q (``bound``), so a bound circuit that never runs on the
+    statevector (the noise layer's) pays only for this object.  a is real:
+    S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
@@ -498,10 +530,10 @@ class ReflectionKernel(MatrixKernel):
         self.in_place = not controls and self.perm == tuple(sorted(self.perm))
 
     def bound(self, binding: _Binding) -> "ReflectionKernel":
-        """This step with S^-1 bound to the oracle of ``binding``."""
+        """This step in the bind ``binding``."""
         # a shallow copy, without copy.copy's cost: it runs at every bind
         kernel = object.__new__(type(self))
-        kernel.__dict__.update(self.__dict__, mirror=_fill(self.mirror, binding), planes=binding.planes)
+        kernel.__dict__.update(self.__dict__, binding=binding)
         return kernel
 
     def __call__(self, psi: np.ndarray):
@@ -516,9 +548,10 @@ class ReflectionKernel(MatrixKernel):
             sub[...] = x.view(np.complex128).reshape(sub.shape)
 
     def _build(self):
-        if self.key not in self.planes:
-            self.planes[self.key] = _plane(self)
-        basis, phi = self.planes[self.key]
+        planes = self.binding.planes
+        if self.key not in planes:
+            planes[self.key] = _plane(self, self.binding)
+        basis, phi = planes[self.key]
         c, s = math.cos(2 * self.count * phi), math.sin(2 * self.count * phi)
         odd = self.count & 1
         # K = B (Rot - diag((-1)^count, 1)); (-D)^count is I for an even count
@@ -527,15 +560,17 @@ class ReflectionKernel(MatrixKernel):
         self.sign = -self.signs[:, None] if odd else None
 
 
-def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
-    """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> from its
-    mirror, split by its signs; a part that is zero stays zero."""
-    amps = np.zeros(1 << kernel.n_qubits, dtype=np.complex128)
-    amps[sum(1 << q for q in kernel.controls)] = 1.0
-    psi = qubit_axes(amps, kernel.n_qubits)
+def _plane(kernel: ReflectionKernel, binding: _Binding) -> tuple[np.ndarray, float]:
+    """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> on its k
+    coin qubits, its mirror run on 2^k amplitudes with Q from ``binding``,
+    split by its signs; a part that is zero stays zero."""
+    k = len(kernel.signs).bit_length() - 1
+    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps[0] = 1.0
+    psi = qubit_axes(amps, k)
     for step in kernel.mirror:
-        step(psi)
-    a = kernel.columns(psi, False)[1][:, 0].real
+        (binding.kernel(step, k) if isinstance(step, CircuitOp) else step)(psi)
+    a = amps.real
     plus = np.where(kernel.signs > 0, a, 0.0)
     minus = a - plus
     norms = [float(np.linalg.norm(part)) for part in (plus, minus)]
@@ -581,10 +616,10 @@ def _lower_op(op: CircuitOp, n_qubits: int) -> Kernel:
 
 
 def _placement(targets: tuple[int, ...], controls: tuple[int, ...], n_qubits: int) -> tuple:
-    """Q on (inputs, target) before an oracle is known: the number of
-    inputs, each pair's bin (gathered from the input bits, ``inputs[0]``
-    least significant, shaped to broadcast over the pairs), and the pair
-    indices (lo, hi) of ``PairKernel``.  O(N) memory, no 2N x 2N matrix."""
+    """Q on (inputs, target) before an oracle is known: each pair's bin
+    (gathered from the input bits, ``inputs[0]`` least significant, shaped
+    to broadcast over the pairs), and the pair indices (lo, hi) of
+    ``PairKernel``.  O(N) memory, no 2N x 2N matrix."""
     check_qubits(n_qubits, targets, controls)
     *inputs, target = targets
     # axes of the pair view: the free qubits, highest first, then the columns
@@ -593,7 +628,7 @@ def _placement(targets: tuple[int, ...], controls: tuple[int, ...], n_qubits: in
                for j, q in enumerate(inputs))
     on = dict.fromkeys(controls, 1)
     lo, hi = (qubit_index(n_qubits, {**on, target: bit}) for bit in (0, 1))
-    return len(inputs), bins, lo, hi
+    return bins, lo, hi
 
 
 def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -602,7 +637,7 @@ def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     cos(asin(s)) without the three libm calls per bin."""
     s = np.clip(oracle.target_amplitudes(), -1.0, 1.0)
     c = np.sqrt((1.0 - s) * (1.0 + s))
-    if np.abs(c * c + s * s - 1.0).max() > UNITARY_TOL:
+    if not np.abs(c * c + s * s - 1.0).max() <= UNITARY_TOL:  # NaN fails too
         raise SimulatorError("oracle rotation is not unitary")
     return c, s
 
@@ -629,13 +664,14 @@ def run_circuit(
     rng: np.random.Generator | None = None,
     ledger: QueryLedger | None = None,
 ) -> tuple[StateVector, list[MeasurementOutcome]]:
-    """Run a bound circuit's schedule in place on a copy of ``state``
-    (default all |0>); the norm is checked once, on the result.
+    """Run a bound circuit's schedule in place on a copy of ``state``, or
+    on a new all-|0> array; the norm is checked once, on the result.
 
     ``M`` collapses its targets in place with ``rng`` (its ``Measurement``)
     and records the observed bits, with no post-state: the returned state is
     the final one.  Without a generator it is skipped, which leaves the
-    amplitudes the caller reads a distribution from.  Each Q or Q_INV is one
+    amplitudes the caller reads a distribution from.  A Q or Q_INV step
+    runs the bind's kernel (``_Binding.kernel``).  Each Q or Q_INV is one
     query on ``ledger``; the ops applied and their amplitude updates are
     added to ``WORK``, one per op (a register of H counts as its H ops, a
     Fourier transform as its textbook ops, a reflection as the ops it
@@ -644,14 +680,20 @@ def run_circuit(
     """
     if circuit.schedule is None:
         raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
-    template = circuit.template
+    template, binding = circuit.template, circuit.binding
     template.check_size(on_statevector=True)
     n = circuit.n_qubits
-    amps = (StateVector.zero(n) if state is None else state).amplitudes.copy()
+    if state is None:
+        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps[0] = 1.0
+    else:
+        amps = state.amplitudes.copy()
     psi = qubit_axes(amps, n)
     outcomes = []
     for step in circuit.schedule:
-        if not isinstance(step, Measurement):
+        if isinstance(step, CircuitOp):
+            binding.kernel(step, n)(psi)
+        elif not isinstance(step, Measurement):
             step(psi)
         elif rng is not None:
             outcomes.append(MeasurementOutcome(list(step.qubits), step.collapse(amps, rng)))

@@ -49,7 +49,7 @@ class StateVector:
                 f"amplitude array has length {self.amplitudes.shape}, "
                 f"expected {1 << self.n_qubits}"
             )
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
+        if not abs(self.norm_squared() - 1.0) <= NORM_TOL:  # NaN fails too
             raise SimulatorError(
                 f"state is not normalized: sum |amp|^2 = {self.norm_squared()!r}"
             )
@@ -193,7 +193,7 @@ class PhaseKernel(Kernel):
 
     def __init__(self, n_qubits: int, terms: Sequence[tuple[tuple, complex]]):
         for _, phase in terms:
-            if abs(abs(phase) - 1.0) > UNITARY_TOL:
+            if not abs(abs(phase) - 1.0) <= UNITARY_TOL:
                 raise SimulatorError(f"phase {phase!r} does not have modulus 1")
         self.n_qubits = n_qubits
         self.terms = [(index, np.asarray(phase, dtype=np.complex128)) for index, phase in terms]
@@ -321,8 +321,10 @@ class Measurement:
     ``collapse`` draws an outcome with probability equal to the squared
     amplitude mass of its subspace (a zero-probability branch is never
     drawn), zeroes the other branches of the amplitudes in place and
-    renormalizes them.  The outcome of each basis state (``keys``) is built
-    at the first collapse and kept.
+    renormalizes them.  The outcome of each basis state (``keys``) and, for
+    each measured qubit and bit, the ``qubit_axes`` index of the branch
+    that this bit rules out (``others``) are built at the first collapse
+    and kept.
     """
 
     def __init__(self, n_qubits: int, qubits: Sequence[int]):
@@ -331,21 +333,37 @@ class Measurement:
             raise SimulatorError("must measure at least one qubit")
         self.n_qubits, self.qubits = n_qubits, list(qubits)
         self.keys: np.ndarray | None = None
+        self.others: list | None = None
 
     def collapse(self, amplitudes: np.ndarray, rng: np.random.Generator) -> list[int]:
-        """Measure the 2^n ``amplitudes`` in place; the observed bits."""
+        """Measure the 2^n ``amplitudes`` in place; the observed bits.
+
+        The draw is ``rng.choice(2^m, p=marginal)``'s, written out: the same
+        cumulative sum, one uniform and the same search, without the
+        checks and conversions of a general ``choice``.  A marginal whose
+        sum is not finite and positive is refused.
+        """
+        n = self.n_qubits
         if self.keys is None:
-            basis = np.arange(1 << self.n_qubits, dtype=np.int64)
+            basis = np.arange(1 << n, dtype=np.int64)
             self.keys = np.zeros_like(basis)
             for j, q in enumerate(self.qubits):
                 self.keys |= ((basis >> q) & 1) << j
+            self.others = [(qubit_index(n, {q: 1}), qubit_index(n, {q: 0})) for q in self.qubits]
         m = len(self.qubits)
         marginal = np.bincount(self.keys, weights=np.abs(amplitudes) ** 2, minlength=1 << m)
-        marginal /= marginal.sum()
-        outcome = int(rng.choice(1 << m, p=marginal))
-        amplitudes[self.keys != outcome] = 0.0
+        total = marginal.sum()
+        if not 0.0 < total < math.inf:
+            raise SimulatorError(f"cannot measure a state of squared norm {total!r}")
+        cdf = np.cumsum(marginal / total)
+        cdf /= cdf[-1]
+        outcome = int(cdf.searchsorted(rng.random(), side="right"))
+        bits = [(outcome >> j) & 1 for j in range(m)]
+        psi = qubit_axes(amplitudes, n)
+        for other, bit in zip(self.others, bits):
+            psi[other[bit]] = 0.0
         amplitudes /= np.linalg.norm(amplitudes)
-        return [(outcome >> j) & 1 for j in range(m)]
+        return bits
 
 
 def measure(

@@ -22,6 +22,7 @@ from qmean import primitives
 from qmean.noise import (
     HARDWARE_PRESET,
     NoiseModel,
+    _gates as noise_gates,
     head_probability,
     outcome_probabilities,
     simple_qcoin_circuit,
@@ -58,6 +59,7 @@ from qmean.statevector import (
     FourierKernel,
     GateMatrix,
     MatrixKernel,
+    PairKernel,
     PhaseKernel,
     SimulatorError,
     StateVector,
@@ -99,6 +101,31 @@ class TestOracleSpec:
     def test_offset_range(self):
         with pytest.raises(OracleError):
             OracleSpec([0.5], offset=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_values_and_offset_that_are_not_in_range(self, bad):
+        for encoding in (SQRT_AMPLITUDE, LINEAR_AMPLITUDE):
+            with pytest.raises(OracleError, match="values"):
+                OracleSpec([bad, 0.5], encoding=encoding)
+            with pytest.raises(OracleError, match="offset"):
+                OracleSpec([0.5, 0.5], bad, encoding)
+            with pytest.raises(OracleError, match="offset"):
+                OracleSpec([0.5, 0.5], encoding=encoding).shifted(bad)
+
+    def test_shifted_keeps_the_bins(self):
+        oracle = OracleSpec([0.2, 0.9])
+        shifted = oracle.shifted(0.15)
+        assert shifted.values is oracle.values and oracle.offset == 0.0
+        assert (shifted.offset, shifted.encoding) == (0.15, LINEAR_AMPLITUDE)
+        with pytest.raises(OracleError, match="offset"):
+            oracle.shifted(1.0)
+
+    def test_rotation_refuses_what_is_not_a_number(self):
+        # a spec whose bins were changed after its checks
+        oracle = OracleSpec([0.5, 0.5])
+        oracle.values[0] = math.nan
+        with pytest.raises(SimulatorError, match="unitary"):
+            coin_circuit(1, 0).bind(oracle.shifted(0.0))
 
     def test_unknown_encoding(self):
         with pytest.raises(OracleError):
@@ -765,9 +792,9 @@ class TestCircuit:
     def test_shared_vector_is_built_once_at_the_first_run(self, monkeypatch):
         built = []
 
-        def counted(kernel):
+        def counted(kernel, binding):
             built.append(kernel)
-            return plane(kernel)
+            return plane(kernel, binding)
 
         plane = primitives._plane
         monkeypatch.setattr(primitives, "_plane", counted)
@@ -776,11 +803,12 @@ class TestCircuit:
         bound = qss_circuit(2, 8).bind(oracle)
         blocks = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
         assert [block.count for block in blocks] == [1, 2, 4] and not built
-        assert len({id(block.planes) for block in blocks}) == 1 and not blocks[0].planes
+        assert (len({id(block.binding.planes) for block in blocks}) == 1
+                and not blocks[0].binding.planes)
         first, _ = run_circuit(bound)
         gates = [block.gate for block in blocks]
         second, _ = run_circuit(bound)
-        assert len(built) == 1 and len(blocks[0].planes) == 1
+        assert len(built) == 1 and len(blocks[0].binding.planes) == 1
         assert all(block.gate is gate for block, gate in zip(blocks, gates))
         np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
         # each bind builds its own
@@ -792,6 +820,63 @@ class TestCircuit:
         assert any(isinstance(step, ReflectionKernel) for step in circuit.schedule)
         head_probability(circuit, HARDWARE_PRESET)
         assert len(built) == 2
+
+    def test_a_run_builds_only_the_kernels_it_runs(self, monkeypatch):
+        """qss at P = 64 on 4 inputs runs Q once to prepare the coin and once
+        in the plane of its six G blocks, run on the 5 coin qubits alone: 2
+        kernels, where Q and Q_INV at all 7 placements would be 14.  In qcoin
+        the mirror's Q is the preparation's."""
+        built, planes = [], []
+        pair_init, plane = PairKernel.__init__, primitives._plane
+
+        def counted_pair(kernel, n_qubits, *args):
+            built.append(n_qubits)
+            pair_init(kernel, n_qubits, *args)
+
+        def counted_plane(kernel, binding):
+            planes.append(plane(kernel, binding))
+            return planes[-1]
+
+        monkeypatch.setattr(PairKernel, "__init__", counted_pair)
+        monkeypatch.setattr(primitives, "_plane", counted_plane)
+        oracle = OracleSpec(np.linspace(0.1, 0.9, 16))
+        qss_circuit(4, 64).bind(oracle)  # the template's own kernels, once per shape
+        built.clear()
+        bound = qss_circuit(4, 64).bind(oracle)
+        assert not built
+        run_circuit(bound)
+        assert sorted(built) == [5, 11] and len(planes) == 1
+        basis, _ = planes[0]
+        assert basis.shape == (32, 2)
+        assert all(step.n_qubits == 5 for block in bound.schedule
+                   if isinstance(block, ReflectionKernel)
+                   for step in block.mirror if not isinstance(step, CircuitOp))
+
+        coin = OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)
+        coin_circuit(4, 16).bind(coin)
+        built.clear()
+        run_circuit(coin_circuit(4, 16).bind(coin))
+        assert built == [5] and len(planes) == 2
+
+    @pytest.mark.parametrize("build", [_qss_case(2, 8), _coin_case(2, 3), _qss_case(0, 4),
+                                       _coin_case(3, 0)], ids=["qss", "qcoin", "qss-n0", "qcoin-m0"])
+    def test_noise_layer_gets_q_and_its_inverse_at_every_placement(self, build):
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        n, dense = bound.n_qubits, oracle_gate(oracle)
+        ops = [op for op in bound.expand() if op.name != "M"]
+        gates = noise_gates(bound, HARDWARE_PRESET)
+        assert len(gates) == len(ops)
+        for op, (kernel, _, touched) in zip(ops, gates):
+            assert touched == op.touched
+            if op.name in ("Q", "Q_INV"):
+                reference = dense if op.name == "Q" else dense.inverse()
+                np.testing.assert_allclose(
+                    kernel.matrix(), gate_to_full_matrix(reference, op.targets, op.controls, n),
+                    rtol=0, atol=1e-12)
+        # the preparation's placement, and one per register qubit
+        assert len({(op.targets, op.controls) for op in ops if op.name == "Q"}) == (
+            n - oracle.n_input_qubits)
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="counts CPython's tuple free list")

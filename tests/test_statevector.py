@@ -53,6 +53,16 @@ class TestStateVector:
         with pytest.raises(SimulatorError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_what_is_not_a_number(self, bad):
+        with pytest.raises(SimulatorError, match="normalized"):
+            StateVector(1, np.array([bad, 0.0]))
+        with pytest.raises(SimulatorError, match="modulus"):
+            PhaseKernel(1, [(qubit_index(1, {0: 1}), bad)])
+        with pytest.raises(SimulatorError, match="squared norm"):
+            Measurement(2, [0]).collapse(np.array([bad, 0.5, 0.5, 0.5], dtype=complex),
+                                         np.random.default_rng(0))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(SimulatorError):
             StateVector(2, np.array([1.0, 0.0]))
@@ -355,6 +365,36 @@ class TestOneCollapse:
             for amps in (out.post_state.amplitudes, state.amplitudes, noisy.post_state.amplitudes):
                 np.testing.assert_allclose(amps, post, rtol=0, atol=1e-14)
         assert len(drawn) > 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_draws_as_choice_did(self, n):
+        """The outcome, the collapsed amplitudes and the generator's next
+        draw are those of the collapse that drew with ``rng.choice(2^m,
+        p=marginal)``; a zero-probability branch is never drawn."""
+        rng = np.random.default_rng(100 + n)
+        basis = np.arange(1 << n)
+        for trial in range(60):
+            qubits = [int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)]]
+            m = len(qubits)
+            keys = sum(((basis >> q) & 1) << j for j, q in enumerate(qubits))
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            if trial % 2:  # outcomes of probability zero, the first and last among them
+                amps[np.isin(keys, [0, (1 << m) - 1, *rng.integers(0, 1 << m, m)])] = 0.0
+                if not amps.any():
+                    continue
+            marginal = np.bincount(keys, weights=np.abs(amps) ** 2, minlength=1 << m)
+            marginal /= marginal.sum()
+            for seed in range(trial * 10, trial * 10 + 10):
+                before = np.random.default_rng(seed)
+                outcome = int(before.choice(1 << m, p=marginal))
+                expected = np.where(keys == outcome, amps, 0.0)
+                expected /= np.linalg.norm(expected)
+                after, collapsed = np.random.default_rng(seed), amps.copy()
+                bits = Measurement(n, qubits).collapse(collapsed, after)
+                assert marginal[outcome] > 0
+                assert bits == [(outcome >> j) & 1 for j in range(m)]
+                np.testing.assert_array_equal(collapsed, expected)
+                assert after.random() == before.random()
 
     def test_a_run_without_a_generator_builds_no_keys(self):
         bound = Circuit(3, [CircuitOp("H", (q,)) for q in range(3)]).measure([0, 2]).bind()
