@@ -11,6 +11,7 @@ and a flag the chosen algorithm does not read (exit 4) are refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -297,15 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="qcoin scaling steps (default 3)")
     p.add_argument("--L", type=int, help="qcoin trials per step (default 20)")
     common(p, needs_out=False)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep-value", help="error vs budget at fixed target means")
     common(p)
-    p.set_defaults(func=cmd_sweep_value)
 
     p = sub.add_parser("sweep-convergence", help="error vs queries with fitted slopes")
     common(p)
-    p.set_defaults(func=cmd_sweep_convergence)
 
     p = sub.add_parser("supersample", help="8x8 subpixel supersampling of a graymap")
     p.add_argument("--algorithm", required=True,
@@ -313,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", help="input P5 graymap (default: synthetic test card)")
     p.add_argument("--budget", type=int, help="monte-carlo/qcoin queries per pixel (default 240)")
     common(p)
-    p.set_defaults(func=cmd_supersample)
 
     p = sub.add_parser("dump-circuit", help="plain-text gate listing")
     p.add_argument("--algorithm", required=True, choices=["qss", "qcoin"])
@@ -321,21 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int, help="qss amplification resolution (default 16)")
     p.add_argument("--m", type=int, help="qcoin amplification count (default 1)")
     p.add_argument("--out", help="write into this directory instead of stdout")
-    p.set_defaults(func=cmd_dump_circuit)
 
     p = sub.add_parser("resources", help="qubit / gate / connectivity report")
     p.add_argument("--N", type=int, required=True, help="input size (power of two)")
     p.add_argument("--P", type=int, required=True, help="amplification resolution")
     p.add_argument("--out", help="write into this directory instead of stdout")
-    p.set_defaults(func=cmd_resources)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built at the first call and kept: a parse leaves
+    the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    """Run one command; the one place a failure becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    """Run one command; the one place a failure becomes an exit code.  The
+    command's ``cmd_*`` function is looked up by name at each call, so one
+    rebound after the parser was built (as a tracer does) is the one run."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         message, code = str(exc), exc.code
     except ConfigError as exc:

@@ -118,14 +118,16 @@ def _gates(circuit: Circuit, model: NoiseModel) -> list[tuple[Kernel, float, tup
              op.touched) for op in bound.expand() if op.name != "M"]
 
 
-# Largest products x 8^n_qubits that ``outcome_probabilities`` evolves, a
-# product being a gate or one Pauli on a qubit that a noisy gate touches, as
-# when each was a dense O(8^n) conjugation.  The kernels cost O(4^n), so what
-# the cap bounds now is rho at no more than 10 qubits (16 MiB): at the cap one
-# H on 10 qubits takes 32 ms and 48 MiB traced, and qss_circuit(0, 32) under
-# the hardware preset 11 ms (2-core Xeon, Python 3.11.7, NumPy 2.4.6, one BLAS
-# thread).
-MAX_DENSITY_WORK = 1 << 30
+# Largest products x 4^n_qubits that ``outcome_probabilities`` evolves, a
+# product being a gate or one Pauli on a qubit that a noisy gate touches, each
+# a few O(4^n) passes over rho.  Under the hardware preset it admits
+# qss_circuit(0, 128) (3,784 products on 8 qubits, 2.5e8, just under the cap),
+# whose readout takes 0.42 s and 3.5 MiB traced (2-core Xeon, Python 3.11.7,
+# NumPy 2.4.6, one BLAS thread), and refuses qss_circuit(0, 256) (1.9e9).
+MAX_DENSITY_WORK = 1 << 28
+# Most qubits rho may have: 2^10 x 2^10 complex entries are 16 MiB, and the
+# per-product count alone would admit a 1 GiB rho of 13 qubits.
+MAX_DENSITY_QUBITS = 10
 
 
 def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
@@ -137,14 +139,18 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     into U rho U^dagger.  Each qubit q that a gate of rate g > 0 touches then
     takes its Pauli channel in place, (1 - 4g/3) rho + (4g/3) Tr_q(rho) (x) I/2
     (Nielsen & Chuang 8.3.4): O(4^n) per gate and per noisy qubit.  Each
-    readout flip is a 2x2 on its bit.  Refused past MAX_DENSITY_WORK before
-    rho is allocated.
+    readout flip is a 2x2 on its bit.  Refused past MAX_DENSITY_QUBITS or
+    MAX_DENSITY_WORK before rho is allocated.
     """
-    gates, n = _gates(circuit, model), circuit.n_qubits
+    n = circuit.n_qubits
+    if n > MAX_DENSITY_QUBITS:
+        raise ValueError(f"density-matrix evolution on {n} qubits needs a 2^{n} x 2^{n} rho, "
+                         f"more than the cap of {MAX_DENSITY_QUBITS} qubits")
+    gates = _gates(circuit, model)
     products = sum(1 + 3 * len(touched) * (g > 0) for _, g, touched in gates)
-    work = max(products, 1) << 3 * n
+    work = max(products, 1) << 2 * n
     if work > MAX_DENSITY_WORK:
-        raise ValueError(f"density-matrix evolution needs {products} products x 8^{n} = {work} "
+        raise ValueError(f"density-matrix evolution needs {products} products x 4^{n} = {work} "
                          f"operations, more than the cap of {MAX_DENSITY_WORK}")
     rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     rho[0, 0] = 1.0

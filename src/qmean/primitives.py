@@ -3,11 +3,13 @@ description of each circuit.
 
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
 ops, and declare the blocks that run as one step: the register's textbook
-Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and each
-block of amplification steps G, a phase flip then the reflection S^-1 RZERO
-S (``_g_block``), as one rotation in the plane of the reflection's vector
-(``ReflectionKernel``), that vector built on the coin qubits alone the
-first time it runs.  ``Circuit.bind`` adds a run schedule beside the
+Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and the
+blocks of amplification steps G, a phase flip then the reflection S^-1 RZERO
+S (``_g_block``), each run of them that raises one G under its own controls
+and counts as one step (``ReflectionKernel``): in each branch of the other
+qubits a rotation, by that branch's power of G, in the plane of the
+reflection's vector, that vector built on the coin qubits alone the first
+time it runs.  ``Circuit.bind`` adds a run schedule beside the
 description and leaves its ops as they are: every op but Q and Q_INV is
 lowered once per circuit shape, in its ``_Template``, and a bind checks the
 oracle and builds Q from it only where a step or ``Circuit.kernel`` first
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,7 +179,7 @@ MAX_CIRCUIT_OPS = 1 << 20
 # runs on the statevector: one update per amplitude per op.  It is twice the
 # work of qss at P = 4096 and N = 1 (13 qubits, 1.35e8 updates, 0.40 s op by
 # op on a 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  It counts the ops, not
-# the steps they run as (that qss runs its 4095 G as 12 rotations), so it
+# the steps they run as (that qss runs its 4095 G as one step), so it
 # still bounds a circuit whose blocks run op by op.  The kernels hold no index
 # array larger than the oracle's N bins, so memory at the cap is the state and
 # its temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
@@ -215,7 +217,8 @@ class Repeat:
     ``step`` names the one step the block runs as (``_steps``); only
     the builders declare it: ``"fourier"`` for the transform of a register
     (``_fourier``), ``"qss"`` or ``"qcoin"`` for G of that variant
-    (``_g_block``).  A block without one runs op by op.
+    (``_g_block``), which runs as one step with the blocks next to it that
+    raise the same G (``_runs``).  A block without one runs op by op.
 
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
     every freed tuple of exactly 20 items (the qcoin G block on 4 input
@@ -425,46 +428,78 @@ def _fill(steps: list, binding: _Binding) -> list:
 
 def _schedule(nodes, template: _Template) -> list:
     """The run steps of a list of ops, each lowered by ``template``: a
-    kernel, a ``Measurement``, a block's one declared step or its own steps
-    (``_steps``).  Each maximal run of formula H ops with the same controls
-    and distinct targets is a few dense kernels (``hadamard_kernels``).  A
-    Q or Q_INV op stays an op, whose kernel a bind builds at its first run.
+    kernel, a ``Measurement``, a block's or a ladder's one declared step or
+    a block's own steps (``_steps``).  Each maximal run of formula H ops
+    with the same controls and distinct targets is a few dense kernels
+    (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel a
+    bind builds at its first run.
     """
     return [step for run in _runs(nodes) for step in _steps(run, template)]
 
 
+class _Ladder(NamedTuple):
+    """A maximal run of declared G blocks with one ``_ladder_key``."""
+
+    key: tuple
+    blocks: list
+
+
 def _runs(nodes) -> list:
     """``nodes`` with each maximal run of formula H ops with the same
-    controls and distinct targets as [controls, targets, first op], and
-    every other node as it is; a block repeated zero times is left out."""
+    controls and distinct targets as [controls, targets, first op], each
+    maximal run of declared G blocks with one ``_ladder_key`` as a
+    ``_Ladder``, and every other node as it is.  A block repeated zero
+    times is left out, so it ends no run; any other node ends one."""
     runs = []
     for node in nodes:
         if isinstance(node, Repeat) and not node.count:
             continue
+        last = runs[-1] if runs else None
         if isinstance(node, CircuitOp) and node.name == "H" and node.gate is None:
-            last = runs[-1] if runs else None
             if isinstance(last, list) and last[0] == node.controls and node.targets[0] not in last[1]:
                 last[1].append(node.targets[0])
                 continue
             node = [node.controls, [node.targets[0]], node]
+        elif isinstance(node, Repeat) and node.step in ("qss", "qcoin"):
+            key = _ladder_key(node)
+            if isinstance(last, _Ladder) and last.key == key:
+                last.blocks.append(node)
+                continue
+            node = _Ladder(key, [node])
         runs.append(node)
     return runs
 
 
+def _rzero(block: Repeat) -> CircuitOp:
+    """The RZERO op of a declared G block (``_g_block``)."""
+    return next(op for op in block.ops if op.name == "RZERO")
+
+
+def _ladder_key(block: Repeat) -> tuple:
+    """What the declared G blocks of one ladder share: the variant, the
+    coin qubits (RZERO's targets) and S^-1, the ops after RZERO, with the
+    controls stripped.  The blocks differ only in their controls and counts,
+    so they raise one G."""
+    centre = block.ops.index(_rzero(block))
+    return (block.step, block.ops[centre].targets,
+            tuple(replace(op, controls=()) for op in block.ops[centre + 1:]))
+
+
 def _steps(run, template: _Template) -> list:
-    """The run steps of one item of ``_runs``.  A block runs as the step it
-    declares (``Repeat.step``): a transform of two or more qubits as one
-    ``FourierKernel``, G^count as one ``ReflectionKernel``.  Any other
-    block runs op by op, its steps ``count`` times in a row."""
+    """The run steps of one item of ``_runs``.  A ladder of G blocks runs
+    as one ``ReflectionKernel``; a block runs as the step it declares
+    (``Repeat.step``), a transform of two or more qubits as one
+    ``FourierKernel``.  Any other block runs op by op, its steps ``count``
+    times in a row."""
     n_qubits = template.n_qubits
+    if isinstance(run, _Ladder):
+        return [_reflection(run, template)]
     if isinstance(run, Repeat):
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
             register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
             if len(register) > 1:
                 return [FourierKernel(n_qubits, register)]
-        elif run.step:
-            return [_reflection(run, template)]
         return _schedule(run.ops, template) * run.count
     if isinstance(run, list):
         return (_steps(run[2], template) if len(run[1]) == 1
@@ -474,60 +509,84 @@ def _steps(run, template: _Template) -> list:
     return [run if _needs_oracle(run) else template.lower(run)]
 
 
-def _reflection(block: Repeat, template: _Template) -> ReflectionKernel:
-    """A declared G block, D then S, RZERO and S^-1 (``_g_block``), as one
-    ``ReflectionKernel``.  S^-1 is the ops after RZERO, lowered here once
-    per template on the k coin qubits alone: RZERO's targets[j] is qubit j
-    of a k-qubit register and the controls, which every op of the block
-    shares, are fixed to 1.  D follows from the variant."""
-    centre = [op.name for op in block.ops].index("RZERO")
-    rzero = block.ops[centre]
-    coin = {q: j for j, q in enumerate(rzero.targets)}
-    mirror = _Template(Circuit(len(coin), [replace(op, targets=tuple(coin[q] for q in op.targets),
-                                                   controls=())
-                                           for op in block.ops[centre + 1:]]))
+def _reflection(ladder: _Ladder, template: _Template) -> ReflectionKernel:
+    """A ladder of G blocks, each D then S, RZERO and S^-1 (``_g_block``),
+    as one ``ReflectionKernel`` with a term of (RZERO's controls, count) per
+    block.  S^-1 is lowered here once per template on the k coin qubits
+    alone: RZERO's targets[j] is qubit j of a k-qubit register, with the
+    controls stripped.  D follows from the variant."""
+    variant, coin, mirror = ladder.key
+    local = {q: j for j, q in enumerate(coin)}
+    mirror = _Template(Circuit(len(coin), [replace(op, targets=tuple(local[q] for q in op.targets))
+                                           for op in mirror]))
     # one sign per coin column, the target (RZERO's last target) the top bit
-    signs = np.ones(1 << len(rzero.targets))
-    if block.step == "qss":
+    signs = np.ones(1 << len(coin))
+    if variant == "qss":
         signs[len(signs) // 2:] = -1.0  # Z on the target
     else:
         signs[len(signs) // 2] = -1.0  # FLIP_HEAD on the head state |1> (x) |0)
-    return ReflectionKernel(template.n_qubits, rzero.targets, rzero.controls, signs,
-                            _schedule(mirror.nodes, mirror), (block.step, rzero.targets),
-                            block.count)
+    terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
+    return ReflectionKernel(template.n_qubits, coin, terms, signs,
+                            _schedule(mirror.nodes, mirror), (variant, coin))
+
+
+# the signs of sin in the rows of ``ReflectionKernel``'s M(e)
+_TURN = np.array([-1.0, 1.0])[:, None, None]
 
 
 class ReflectionKernel(MatrixKernel):
-    """G^count on the target qubits where every control is |1>, with
-    G = (2|a><a| - I) D: a declared G block (``_g_block``), a phase D and
-    the reflection S^-1 RZERO S, as one step, in O(2^n) per call for any
-    count.
+    """A ladder of powers of one G = (2|a><a| - I) D on the target qubits,
+    G^count of each term (controls, count) where its controls are |1>, as
+    one step, in O(2^n) per call for any counts.  Each term is a declared G
+    block (``_g_block``): a phase D and the reflection S^-1 RZERO S.
 
-    D is ``signs``, a +-1 diagonal on the targets.  With u and
-    v the unit parts of a = S^-1 |0> where D is +1 and -1, B = [u, v] and
-    phi = atan2(|a-|, |a+|), G turns the plane of B by 2 phi and acts as -D
-    on the rest of the space (Brassard, Hoyer, Mosca and Tapp,
-    arXiv:quant-ph/0005055), so
+    Powers of one G commute, so the ladder is |b>|y> -> |b> G^e(b) |y>
+    (Brassard, Hoyer, Mosca and Tapp, arXiv:quant-ph/0005055, Lambda_M(Q)),
+    where e(b) (``exponents``) sums the counts of the terms whose controls
+    are all 1 in the branch b of the other qubits.  D is ``signs``, a +-1
+    diagonal on the targets.  With u and v the unit parts of a = S^-1 |0>
+    where D is +1 and -1, B = [u, v] and phi = atan2(|a-|, |a+|), G turns
+    the plane of B by 2 phi and acts as -D on the rest of the space, so in
+    each branch
 
-        G^count x = (-D)^count x + K B^T x,
-        K = B Rot(2 count phi) - B diag((-1)^count, 1).
+        G^e x = (-D)^e x + B M(e) B^T x,
+        M(e) = Rot(2 e phi) - diag((-1)^e, 1).
 
-    ``mirror`` is S^-1 lowered on the k target qubits alone
-    (``_reflection``).  B and phi (``_plane``) are kept in the bind's
-    ``planes`` by ``key``, (variant, coin qubits), which blocks that differ
-    only in their controls share: the first of them to run builds them with
-    the bind's Q (``bound``), so a bound circuit that never runs on the
+    e and its parity are computed here, once per template; cos and sin of
+    2 e phi once per bind.  ``mirror`` is S^-1 lowered on the k target
+    qubits alone (``_reflection``).  B and phi (``_plane``) are kept in the
+    bind's ``planes`` by ``key``, (variant, coin qubits), which ladders
+    split by other ops share: the first of them to run builds them with the
+    bind's Q (``bound``), so a bound circuit that never runs on the
     statevector (the noise layer's) pays only for this object.  a is real:
     S^-1 holds only H, Q and Q_INV.
     """
 
-    def __init__(self, n_qubits: int, targets: Sequence[int], controls: Sequence[int],
-                 signs: np.ndarray, mirror: list, key: tuple, count: int):
-        super().__init__(n_qubits, None, targets, controls)
-        self.controls, self.signs, self.mirror, self.key, self.count = (
-            controls, signs, mirror, key, count)
-        # with no controls and the targets in order, ``columns`` is a view of psi
-        self.in_place = not controls and self.perm == tuple(sorted(self.perm))
+    def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
+                 signs: np.ndarray, mirror: list, key: tuple):
+        super().__init__(n_qubits, None, targets)
+        self.terms, self.signs, self.mirror, self.key = terms, signs, mirror, key
+        # ``columns`` with psi's own columns (its last axis) before the other
+        # qubits, so that an array over the branches broadcasts over them
+        k = len(targets)
+        self.perm = self.perm[:k] + self.perm[-1:] + self.perm[k:-1]
+        # with the targets in order, ``columns`` is a view of psi
+        self.in_place = self.perm == tuple(sorted(self.perm))
+        # e of each branch of the other qubits, whose j-th lowest is bit j
+        others = [q for q in range(n_qubits) if q not in targets]
+        branch = np.arange(1 << len(others))
+        exponents = np.zeros_like(branch)
+        for controls, count in terms:
+            on = np.ones_like(branch)
+            for q in controls:
+                on &= branch >> others.index(q)
+            exponents += count * (on & 1)
+        # e, diag((-1)^e, 1) and (-D)^e by float column, a branch's (re, im)
+        # pair; no (-D)^e where every e is even
+        self.exponents = np.repeat(exponents, 2).astype(float)  # exact below 2^53
+        odd = np.repeat(exponents & 1, 2).astype(bool)
+        self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
+        self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
 
     def bound(self, binding: _Binding) -> "ReflectionKernel":
         """This step in the bind ``binding``."""
@@ -540,9 +599,14 @@ class ReflectionKernel(MatrixKernel):
         if self.gate is None:
             self._build()
         sub, x = self.columns(psi, True)
-        new = self.gate @ (self.bra @ x)
-        if self.sign is not None:
-            x *= self.sign
+        width = len(self.exponents)
+        # y = B^T x, then M(e) y = C y + S y[::-1] by float column
+        y = (self.bra @ x).reshape(2, -1, width)
+        cos_part, sin_part = self.gate
+        new = self.basis @ (cos_part * y + sin_part * y[::-1]).reshape(2, -1)
+        if self.flip is not None:
+            by_column = x.reshape(self.size, -1, width)
+            by_column *= self.flip
         x += new
         if not self.in_place:
             sub[...] = x.view(np.complex128).reshape(sub.shape)
@@ -551,19 +615,19 @@ class ReflectionKernel(MatrixKernel):
         planes = self.binding.planes
         if self.key not in planes:
             planes[self.key] = _plane(self, self.binding)
-        basis, phi = planes[self.key]
-        c, s = math.cos(2 * self.count * phi), math.sin(2 * self.count * phi)
-        odd = self.count & 1
-        # K = B (Rot - diag((-1)^count, 1)); (-D)^count is I for an even count
-        self.gate = basis @ np.array([[c + 1.0 if odd else c - 1.0, -s], [s, c - 1.0]])
-        self.bra = basis.T.copy()
-        self.sign = -self.signs[:, None] if odd else None
+        self.basis, phi = planes[self.key]
+        self.bra = self.basis.T
+        angle = self.exponents * (2 * phi)
+        # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
+        # C = [C0, C1] and S = [-s, s], by float column
+        self.gate = np.cos(angle) - self.diagonal, np.sin(angle) * _TURN
 
 
 def _plane(kernel: ReflectionKernel, binding: _Binding) -> tuple[np.ndarray, float]:
     """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> on its k
     coin qubits, its mirror run on 2^k amplitudes with Q from ``binding``,
-    split by its signs; a part that is zero stays zero."""
+    split by its signs; a part that is zero stays zero.  B is the transpose
+    of a C-ordered B^T, which the kernel multiplies by without a copy."""
     k = len(kernel.signs).bit_length() - 1
     amps = np.zeros(1 << k, dtype=np.complex128)
     amps[0] = 1.0
@@ -571,12 +635,12 @@ def _plane(kernel: ReflectionKernel, binding: _Binding) -> tuple[np.ndarray, flo
     for step in kernel.mirror:
         (binding.kernel(step, k) if isinstance(step, CircuitOp) else step)(psi)
     a = amps.real
-    plus = np.where(kernel.signs > 0, a, 0.0)
+    plus = a * (kernel.signs > 0)
     minus = a - plus
-    norms = [float(np.linalg.norm(part)) for part in (plus, minus)]
-    basis = np.stack([part / norm if norm else part for part, norm in zip((plus, minus), norms)],
-                     axis=1)
-    return basis, math.atan2(norms[1], norms[0])
+    # np.linalg.norm's own sum for a real vector, without its checks
+    norms = [math.sqrt(part @ part) for part in (plus, minus)]
+    bra = np.array([part / norm if norm else part for part, norm in zip((plus, minus), norms)])
+    return bra.T, math.atan2(norms[1], norms[0])
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -718,7 +782,8 @@ def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int) -> list[Cir
 def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
              count: int = 1) -> Repeat:
     """``count`` amplification steps G, every op conditioned on ``controls``,
-    as a block declared to run as one ``ReflectionKernel``.
+    as a block declared to run as one ``ReflectionKernel``, a term of it
+    with each block next to it that raises the same G (``_runs``).
 
     ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
     ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}

@@ -6,10 +6,11 @@ place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
 applies H to a register of qubits (``hadamard_kernels``), the Fourier
 transform of a register as one FFT (``FourierKernel``) and, as
-``primitives.ReflectionKernel``, a repeated block of a phase flip and a
-reflection about one vector, as an update of rank two.  A ``Measurement``
-draws an outcome and collapses the amplitudes in place; ``measure`` runs one
-on a copy of a state.
+``primitives.ReflectionKernel``, a ladder of controlled powers of one phase
+flip and reflection about one vector, as an update of rank two in each
+branch of the other qubits.  A ``Measurement`` draws an outcome and
+collapses the amplitudes in place; ``measure`` runs one on a copy of a
+state.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion

@@ -528,3 +528,26 @@ class TestResources:
     def test_non_power_of_two_rejected(self, capsys):
         code = main(["resources", "--N", "12", "--P", "32"])
         assert code == EXIT_VALIDATION
+
+
+def test_parser_is_built_once_and_each_command_looked_up_at_its_call(monkeypatch, capsys):
+    """A process builds the parser at its first ``main`` and keeps it; the
+    ``cmd_*`` function runs by its module name at each call, so one
+    replaced after the first call (as a tracer does) is the one that runs."""
+    from qmean import cli
+
+    built, ran = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["dump-circuit", "--algorithm", "qss", "--n-input", "1", "--P", "4"]
+    assert main(argv) == 0
+    listing = capsys.readouterr().out
+    command = cli.cmd_dump_circuit
+    monkeypatch.setattr(cli, "cmd_dump_circuit", lambda args: ran.append(args.P) or command(args))
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == listing
+    assert main(["resources", "--N", "12", "--P", "32"]) == EXIT_VALIDATION
+    assert built == [1] and ran == [4, 4]
+    cli._parser.cache_clear()

@@ -1,6 +1,7 @@
 """Tests for stochastic noise injection and its exact density-matrix average."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,15 +321,37 @@ class TestCoinHeadProbability:
 
 class TestDensityCap:
     def test_refused_before_rho_is_allocated(self):
-        # 1,942 products on 7 qubits; and no gate, but a rho of 2^84 bytes
-        with pytest.raises(ValueError, match="1942 products x 8\\^7"):
-            head_probability(qss_circuit(0, 64).bind(OracleSpec([0.3])), HARDWARE_PRESET)
+        # 7,432 products on 9 qubits, past the cap, refused before its 4 MiB
+        # rho exists; and no gate, but a rho of 2^84 bytes
+        circuit = qss_circuit(0, 256).bind(OracleSpec([0.3]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="7432 products x 4\\^9"):
+                head_probability(circuit, HARDWARE_PRESET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 18  # a rho on 9 qubits is 16 x 2^18 bytes
         with pytest.raises(ValueError, match="cap"):
             outcome_probabilities(Circuit(40).measure([0]), ZERO)
 
+    def test_qss_at_p64_is_evolved(self):
+        # 1,942 products on 7 qubits, 3.2e7 products x 4^n
+        dist = outcome_probabilities(qss_circuit(0, 64).bind(OracleSpec([0.3])), HARDWARE_PRESET)
+        assert dist.shape == (64,) and np.all(dist >= 0.0)
+        assert abs(dist.sum() - 1.0) <= 1e-12
+
+    def test_rho_past_ten_qubits_is_refused(self):
+        # one gate on 11 qubits is 4^11 = 4.2e6 products x 4^n, under the work
+        # cap, but its rho would be 64 MiB
+        with pytest.raises(ValueError, match="on 11 qubits .* cap of 10 qubits"):
+            outcome_probabilities(Circuit(11, [CircuitOp("H", (10,))]).measure([10]), ZERO)
+        ten = outcome_probabilities(Circuit(10, [CircuitOp("H", (9,))]).measure([9]), ZERO)
+        np.testing.assert_allclose(ten, [0.5, 0.5], rtol=0, atol=1e-12)
+
     def test_each_noisy_qubit_adds_three_products(self, monkeypatch):
         circuit = Circuit(2, [CircuitOp("H", (0,)), CircuitOp("SWAP", (0, 1))]).measure([0, 1])
-        monkeypatch.setattr(noise, "MAX_DENSITY_WORK", 5 << 6)
+        monkeypatch.setattr(noise, "MAX_DENSITY_WORK", 5 << 4)  # 5 products x 4^2
         outcome_probabilities(circuit, NoiseModel(gate_error_1q=0.1))  # 1 + 3, then 1
         with pytest.raises(ValueError, match="8 products"):
             outcome_probabilities(circuit, NoiseModel(gate_error_mq=0.1))  # 1, then 1 + 6

@@ -560,6 +560,32 @@ FUSED_IDS = ["qss-n0-P4", "qss-n0-P1024", "qss-n2-P8", "qss-n2-P1024", "qss-n4-P
              "qss-all-0", "qss-all-1", "qss-n6-P128", "qss-n0-P4096"]
 
 
+# ladders of G blocks that no builder makes, on 6 qubits: inputs 0 and 1,
+# target 2, controls among 3, 4 and 5; each with the (controls, count) terms
+# of the raised reflections its schedule runs, one list per step
+def _g(variant, controls, count):
+    return _g_block(variant, (0, 1), 2, controls, count)
+
+
+LADDERS = {
+    "two-qubit-controls": ([_g("qss", (3, 4), 1), _g("qss", (4, 5), 2), _g("qss", (5, 3), 4)],
+                           [[((3, 4), 1), ((4, 5), 2), ((5, 3), 4)]]),
+    "uncontrolled-among-controlled": ([_g("qcoin", (3,), 2), _g("qcoin", (), 3),
+                                       _g("qcoin", (4, 5), 1), _g("qcoin", (5,), 5)],
+                                      [[((3,), 2), ((), 3), ((4, 5), 1), ((5,), 5)]]),
+    "zero-count-inside": ([_g("qss", (3,), 1), _g("qss", (4,), 0), _g("qss", (5,), 4)],
+                         [[((3,), 1), ((5,), 4)]]),
+    "broken-by-an-op": ([_g("qss", (3,), 1), _g("qss", (4,), 2), CircuitOp("H", (4,)),
+                         _g("qss", (5,), 4), _g("qss", (3, 4), 3)],
+                        [[((3,), 1), ((4,), 2)], [((5,), 4), ((3, 4), 3)]]),
+    "broken-by-an-undeclared-block": ([_g("qcoin", (3,), 3), Repeat(list(_g("qcoin", (4,), 1).ops), 2),
+                                       _g("qcoin", (5,), 2)],
+                                      [[((3,), 3)], [((5,), 2)]]),
+    "split-by-variant": ([_g("qss", (3,), 1), _g("qcoin", (4,), 2), _g("qcoin", (), 1)],
+                         [[((3,), 1)], [((4,), 2), ((), 1)]]),
+}
+
+
 class TestCircuit:
     def test_bind_builds_each_gate_once(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
@@ -647,7 +673,8 @@ class TestCircuit:
         assert sum(isinstance(step, PhaseKernel) for step in steps) == 2 * count
 
     def test_every_block_the_estimators_run_is_one_raised_step(self):
-        # every declared G block is one reflection; the transform is one step too
+        # the declared G blocks of a circuit are one reflection, with a term of
+        # (controls, count) per block in order; the transform is one step too
         circuits = [(coin_circuit(n_in, 1 << j), OracleSpec([0.5] * (1 << n_in), 0.1,
                                                             LINEAR_AMPLITUDE))
                     for n_in in range(9) for j in range(7)]
@@ -655,12 +682,12 @@ class TestCircuit:
                      for n_in in range(5) for j in range(1, 13)]
         for circuit, oracle in circuits:
             bound = circuit.bind(oracle)
-            counts = [node.count for node in bound.ops
-                      if isinstance(node, Repeat) and node.step in ("qss", "qcoin")]
+            terms = [(node.ops[0].controls, node.count) for node in bound.ops
+                     if isinstance(node, Repeat) and node.step in ("qss", "qcoin")]
             # no more steps than nodes: no block runs op by op
             assert len(bound.schedule) <= len(bound.ops)
-            assert [step.count for step in bound.schedule
-                    if isinstance(step, ReflectionKernel)] == counts
+            assert [step.terms for step in bound.schedule
+                    if isinstance(step, ReflectionKernel)] == [terms]
 
     @pytest.mark.parametrize("build", [_qss_case(2, 8), _coin_case(2, 3)], ids=["qss", "qcoin"])
     def test_the_declaration_not_the_ops_picks_the_step(self, build):
@@ -690,18 +717,19 @@ class TestCircuit:
         np.testing.assert_allclose(out[1], out[0], rtol=0, atol=1e-12)
 
     def test_each_amplification_step_is_one_reflection(self):
-        # each qss block G^(2^j), G being Z then S, RZERO, S^-1, is one
-        # reflection raised to 2^j on the coin where its register qubit is |1>
+        # the qss blocks G^(2^j), G being Z then S, RZERO, S^-1, are one
+        # reflection, a term per block: G^(2^j) on the coin where register
+        # qubit j is |1>, so the register's value is each branch's exponent
         n_in = 6
         bound = qss_circuit(n_in, 64).bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in)))
         steps = bound.schedule
         assert len(steps) <= len(bound.ops)
-        blocks = [step for step in steps if isinstance(step, ReflectionKernel)]
-        assert [block.count for block in blocks] == [1, 2, 4, 8, 16, 32]
-        for j, block in enumerate(blocks):
-            assert block.controls == (n_in + 1 + j,)
-            # D is Z on the target, the top qubit of the coin
-            np.testing.assert_array_equal(block.signs, [1.0] * (1 << n_in) + [-1.0] * (1 << n_in))
+        [block] = [step for step in steps if isinstance(step, ReflectionKernel)]
+        assert block.terms == [((n_in + 1 + j,), 1 << j) for j in range(6)]
+        # one exponent per (re, im) column of each branch
+        np.testing.assert_array_equal(block.exponents, np.repeat(np.arange(64), 2))
+        # D is Z on the target, the top qubit of the coin
+        np.testing.assert_array_equal(block.signs, [1.0] * (1 << n_in) + [-1.0] * (1 << n_in))
 
     @pytest.mark.parametrize("build, n_in, encoding", [
         (lambda: coin_circuit(3, 5), 3, LINEAR_AMPLITUDE),
@@ -750,7 +778,8 @@ class TestCircuit:
         assert [len(s.gate) for s in steps[:2]] == [8, 8]
         # G^2, G being FLIP_HEAD then H, Q_INV, H, RZERO, H, Q, H, as one
         # raised reflection, and the readout
-        assert isinstance(steps[5], ReflectionKernel) and steps[5].count == 2 and len(steps) == 7
+        assert isinstance(steps[5], ReflectionKernel) and steps[5].terms == [((), 2)]
+        assert len(steps) == 7
         # on 3 inputs, one kernel per H register
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
         assert isinstance(steps[3], ReflectionKernel) and len(steps) == 5
@@ -781,6 +810,43 @@ class TestCircuit:
         out, _ = run_circuit(bound, state)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(LADDERS))
+    def test_hand_built_ladders_match_each_op_kernel_in_turn(self, name):
+        """Each maximal run of declared G blocks with one variant, coin and
+        mirror is one raised reflection with a term per block, a block of
+        count zero left out; any other op ends the run.  Every step against
+        every op's own kernel, applied in the order of ``expand()``."""
+        nodes, terms = LADDERS[name]
+        circuit = Circuit(6, list(nodes))
+        oracle = OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)
+        bound = circuit.bind(oracle)
+        steps = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
+        assert [step.terms for step in steps] == terms
+        # no G block runs op by op
+        assert not any(isinstance(step, PhaseKernel) and step is bound.kernel(op)
+                       for step in bound.schedule for node in nodes if isinstance(node, Repeat)
+                       and node.step for op in node.ops if op.name == "RZERO")
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            amps = rng.normal(size=1 << 6) + 1j * rng.normal(size=1 << 6)
+            state = StateVector(6, amps / np.linalg.norm(amps))
+            expected = state.amplitudes.copy()
+            for op in bound.expand():
+                bound.kernel(op)(qubit_axes(expected, 6))
+            out, _ = run_circuit(bound, state)
+            np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+        if len(steps) == 1 and all(isinstance(node, Repeat) for node in nodes):
+            # the whole circuit is one step: on every column of a matrix too
+            expected = np.eye(1 << 6, dtype=complex)
+            for op in bound.expand():
+                bound.kernel(op)(qubit_axes(expected, 6))
+            np.testing.assert_allclose(steps[0].matrix(), expected, rtol=0, atol=1e-12)
+        # steps of one variant and coin share one plane, built by the first to run
+        for step in steps:
+            same = [other for other in steps if other.key == step.key]
+            assert all(other.basis is step.basis for other in same)
+        assert len(bound.binding.planes) == len({step.key for step in steps})
+
     @pytest.mark.parametrize("build", FUSED, ids=FUSED_IDS)
     def test_bind_leaves_the_description(self, build):
         """A bound circuit lists its description's ops, not a lowered copy."""
@@ -798,18 +864,17 @@ class TestCircuit:
 
         plane = primitives._plane
         monkeypatch.setattr(primitives, "_plane", counted)
-        # register qubits 0, 1 and 2 control G, G^2 and G^4: one vector, shared
+        # register qubits 0, 1 and 2 control G, G^2 and G^4: one step, one vector
         oracle = OracleSpec([0.1, 0.5, 0.8, 0.3])
         bound = qss_circuit(2, 8).bind(oracle)
-        blocks = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
-        assert [block.count for block in blocks] == [1, 2, 4] and not built
-        assert (len({id(block.binding.planes) for block in blocks}) == 1
-                and not blocks[0].binding.planes)
+        [block] = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
+        assert [count for _, count in block.terms] == [1, 2, 4] and not built
+        assert not block.binding.planes
         first, _ = run_circuit(bound)
-        gates = [block.gate for block in blocks]
+        gate = block.gate
         second, _ = run_circuit(bound)
-        assert len(built) == 1 and len(blocks[0].binding.planes) == 1
-        assert all(block.gate is gate for block, gate in zip(blocks, gates))
+        assert len(built) == 1 and len(block.binding.planes) == 1
+        assert block.gate is gate
         np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
         # each bind builds its own
         run_circuit(qss_circuit(2, 8).bind(oracle))
