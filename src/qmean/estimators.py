@@ -9,6 +9,7 @@ exact query count on the ledger.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -161,6 +162,18 @@ def _statevector_coin_probability(integrand: OracleSpec, offset: float, repetiti
     return float(state.probabilities()[head_state_index(coin_oracle)])
 
 
+def _binomial(rng: np.random.Generator, n: int, p: float | np.ndarray, size: int) -> np.ndarray:
+    """``size`` draws of the heads in ``n`` trials at head probability ``p``,
+    one value for every draw or an array of one per draw.  An array of one
+    value goes to NumPy as its scalar: both forms run the same C draw per
+    element, leave the generator in the same state and refuse NaN and values
+    outside [0, 1], but the array form checks ``p`` with Python-level
+    reductions, about 12 us of a one-repetition draw."""
+    if isinstance(p, np.ndarray) and p.size == 1:
+        p = p.item()
+    return rng.binomial(n, p, size)
+
+
 def run_shift_scale(
     f: np.ndarray,
     schedule: Sequence[tuple[float, int]],
@@ -188,10 +201,11 @@ def run_shift_scale(
     target mean first.  It takes one target mean per call; a model that could
     act only on multi-qubit gates is refused.
     Draws are batched per step, so one repetition draws exactly as the scalar
-    loop did.  ``ledger`` counts the queries of all repetitions.  Returns the
-    estimates and a per-step trace of repetition 0's e_minus, e_plus,
-    fraction and f_i, each a NumPy scalar that holds no array, so the trace
-    does not grow with the repetitions.
+    loop did; each step draws through ``_binomial``, with integer trial
+    counts of at least one.  ``ledger`` counts the queries of all
+    repetitions.  Returns the estimates and a per-step trace of repetition
+    0's e_minus, e_plus, fraction and f_i, each a NumPy scalar that holds no
+    array, so the trace does not grow with the repetitions.
     """
     shape = np.shape(f)
     f = np.ravel(np.asarray(f, dtype=float))
@@ -199,6 +213,10 @@ def run_shift_scale(
     trials = [trials_per_step] * n_steps if np.ndim(trials_per_step) == 0 else list(trials_per_step)
     if len(trials) != n_steps:
         raise ValueError("trial schedule must cover step 0 and every scaling step")
+    try:
+        trials = [operator.index(t) for t in trials]
+    except TypeError:
+        raise ValueError(f"each trial count must be an integer, got {trials_per_step!r}") from None
     if any(t < 1 for t in trials):
         raise ValueError("every step needs at least one trial")
 
@@ -213,7 +231,7 @@ def run_shift_scale(
                              "whose only non-zero rate is gate_error_mq would change nothing")
         # an empty call draws nothing, as on the noiseless route
         p0 = noise_mod.coin_head_probability(float(f[0]), 0.0, 0, noise) if f.size else f
-        if np.any(f != f[:1]):
+        if f.size > 1 and (f != f[0]).any():
             raise ValueError("noisy estimation needs a single target mean per call")
     elif integrand is not None:
         state = prepare_qss_state(_sqrt_oracle(integrand))
@@ -222,7 +240,7 @@ def run_shift_scale(
         p0 = f
     on_statevector = integrand is not None and not noisy
 
-    fraction = rng.binomial(trials[0], p0, size=f.size) / trials[0]
+    fraction = _binomial(rng, trials[0], p0, f.size) / trials[0]
     # the noisy coin has amplitude f, so its head fraction estimates f^2
     f_cur = np.sqrt(fraction) if noisy else fraction
     e_minus, e_plus = 0.0, 1.0
@@ -241,7 +259,7 @@ def run_shift_scale(
             p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
             if noisy:
                 p = noise_mod.noisy_coin_probability(p, reps, noise)
-        fraction = rng.binomial(n_trials, np.clip(p, 0.0, 1.0)) / n_trials
+        fraction = _binomial(rng, n_trials, np.minimum(np.maximum(p, 0.0), 1.0), f.size) / n_trials
         f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
         trace.append({"step": step, "e_minus": e_minus[first], "e_plus": e_plus[first],
                       "fraction": fraction[first], "f_i": f_cur[first]})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qmean.estimators import (
+    _binomial,
     estimate_monte_carlo,
     estimate_qcoin,
     estimate_qss,
@@ -54,6 +55,13 @@ class TestMonteCarlo:
     def test_needs_a_trial(self):
         with pytest.raises(ValueError):
             estimate_monte_carlo(OracleSpec([0.5]), 0)
+
+    @pytest.mark.parametrize("trials", [10.7, 10.0, np.float64(3.5)])
+    def test_needs_an_integral_trial_count(self, trials):
+        # the draw would truncate the count while the fraction divides by it
+        # and the ledger records it
+        with pytest.raises(ValueError, match="trial count must be an integer"):
+            estimate_monte_carlo(OracleSpec([0.5]), trials, seed=1)
 
     def test_query_count(self):
         assert estimate_monte_carlo(OracleSpec([0.5]), 123, seed=0).queries_used == 123
@@ -193,6 +201,13 @@ class TestQcoin:
             run_shift_scale(np.array([0.5]), shift_scale_schedule(2), [10, 10],
                             np.random.default_rng(0))
 
+    def test_trial_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="trial count must be an integer, got 2.5"):
+            estimate_qcoin(OracleSpec([0.5]), 2, 2.5, seed=1)
+        with pytest.raises(ValueError, match="trial count must be an integer"):
+            run_shift_scale(np.array([0.5]), shift_scale_schedule(2), [10, 10, 2.5],
+                            np.random.default_rng(0))
+
     def test_large_oracle_needs_no_dense_matrix(self):
         # 13 qubits: a dense oracle and its unitarity check need more than 1 GiB
         oracle = OracleSpec(np.random.default_rng(4).uniform(0.0, 1.0, 4096))
@@ -204,6 +219,32 @@ class TestQcoin:
             tracemalloc.stop()
         assert 0.0 <= est.value <= 1.0
         assert peak < 32 * 2**20
+
+
+class TestOneValueDraw:
+    """A head probability of one value is drawn through NumPy's scalar
+    binomial path, which must draw as the array path does."""
+
+    def test_scalar_path_draws_as_the_array_path(self):
+        picks = np.random.default_rng(27)
+        ns = picks.integers(1, 10**5, size=300, endpoint=True).tolist()
+        ps = [0.0, 1.0] + picks.uniform(0.0, 1.0, size=298).tolist()
+        for seed, (n, p) in enumerate(zip(ns, ps)):
+            one, array = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got = _binomial(one, n, np.array([p]), 1)
+                expected = array.binomial(n, np.array([p]))
+                assert got.dtype == expected.dtype and got.shape == (1,)
+                np.testing.assert_array_equal(got, expected, err_msg=f"n = {n}, p = {p}")
+            assert one.bit_generator.state == array.bit_generator.state
+
+    @pytest.mark.parametrize("p", [np.nan, -0.1, 1.1])
+    def test_both_paths_refuse_a_bad_probability(self, p):
+        for probabilities in (np.array([p]), np.array([0.5, p])):
+            with pytest.raises(ValueError):
+                _binomial(np.random.default_rng(0), 10, probabilities, probabilities.size)
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).binomial(10, probabilities)
 
 
 class TestAmplifiedCoinHeadProbability:

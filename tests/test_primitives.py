@@ -388,12 +388,12 @@ class TestFourierStep:
 
     @pytest.mark.parametrize("n_in", range(5))
     def test_qss_schedule_matches_each_op_kernel_in_turn(self, n_in):
-        for p in (1 << j for j in range(2, 13)):
+        # the largest P per input register is listed, not read from the
+        # statevector cap, so a cap that admits more cannot make these
+        # op-by-op runs larger
+        largest = {0: 4096, 1: 2048, 2: 1024, 3: 1024, 4: 512}[n_in]
+        for p in (1 << j for j in range(2, largest.bit_length())):
             circuit = qss_circuit(n_in, p)
-            try:
-                circuit.check_size(on_statevector=True)
-            except ValueError:  # past the amplitude cap
-                continue
             bound = circuit.bind(OracleSpec(np.linspace(0.1, 0.9, 1 << n_in)))
             n = circuit.n_qubits
             expected = StateVector.zero(n).amplitudes.copy()
