@@ -121,9 +121,9 @@ def _algorithm_flags(args, reads: dict[str, dict]) -> dict:
             for flag, default in mine.items()}
 
 
-def _check_noise(noise, algorithms, command: str, supported=("monte-carlo", "qcoin")):
+def _check_noise(noise, algorithms, command: str):
     """Noise takes effect or is rejected; it is never silently dropped."""
-    ignored = [a for a in algorithms if a not in supported]
+    ignored = [a for a in algorithms if a not in ("monte-carlo", "qcoin")]
     if not noise.is_zero and ignored:
         raise CliError(f"{command} applies no noise to {', '.join(ignored)}", EXIT_VALIDATION)
 
@@ -192,13 +192,12 @@ def cmd_sweep_convergence(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "k_values"))
     seed = _required(args, cfg, "seed", int, "a seed")
-    algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
-    _check_noise(harness.noise_from_config(cfg), algorithms, "sweep-convergence", supported=())
     spec = SweepSpec(
-        algorithms=algorithms,
+        algorithms=harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS),
         budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000, 100000]),
         repetitions=_config_value(cfg, "repetitions", int, 3000),
         qcoin_k=harness.config_list(cfg, "k_values", int, [3, 4, 5, 6]),
+        noise=harness.noise_from_config(cfg),
         seed_base=seed,
     )
     result = harness.run_convergence_sweep(spec)
@@ -226,7 +225,6 @@ def cmd_supersample(args):
     flags = _algorithm_flags(args, {"monte-carlo": {"budget": 240}, "qcoin": {"budget": 240},
                                     "qss": {}, "ideal": {}})
     noise = harness.noise_from_config(cfg)
-    _check_noise(noise, [args.algorithm], "supersample")
     width, height, qcoin_k, qss_p = (
         _config_value(cfg, key, int, default)
         for key, default in (("width", 128), ("height", 128), ("qcoin_k", 3), ("qss_P", 128))

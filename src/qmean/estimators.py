@@ -26,6 +26,7 @@ from .primitives import (
     qss_circuit,
     run_circuit,
 )
+from .statevector import Measurement
 
 
 @dataclass
@@ -95,16 +96,12 @@ def qss_exact_distribution(oracle: OracleSpec, resolution: int) -> np.ndarray:
     """Exact readout distribution over register outcomes t = 0..P-1.
 
     Deterministic: the Fourier-readout circuit runs without its measurements
-    and the register index is marginalized.
+    and its readout, the register, is marginalized.
     """
     oracle = _sqrt_oracle(oracle)
-    n_in = oracle.n_input_qubits
-    state, _ = run_circuit(qss_circuit(n_in, resolution).bind(oracle))
-    probs = state.probabilities()
-    reg_index = (np.arange(probs.shape[0]) >> (n_in + 1)) & (resolution - 1)
-    dist = np.zeros(resolution)
-    np.add.at(dist, reg_index, probs)
-    return dist
+    circuit = qss_circuit(oracle.n_input_qubits, resolution).bind(oracle)
+    state, _ = run_circuit(circuit)
+    return Measurement(circuit.n_qubits, circuit.measured_qubits).marginal(state.probabilities())
 
 
 def qss_value_grid(resolution: int) -> np.ndarray:

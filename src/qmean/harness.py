@@ -54,19 +54,11 @@ _PI_PARTS = (float.fromhex("0x1.921fb544p+1"),
              1.2246467991473532e-16)
 
 
-def _qss_blocks(n_means: int, resolution: int):
-    check_resolution(resolution)  # every readout comes through here
-    if resolution > QSS_MAX_RESOLUTION:
-        raise ValueError(f"the closed-form qss readout takes P (qss_P) up to "
-                         f"{QSS_MAX_RESOLUTION}, got {resolution}")
-    step = max(1, QSS_BLOCK_VALUES // resolution)
-    return (slice(i, i + step) for i in range(0, n_means, step))
-
-
-def _qss_readout(fs: np.ndarray, resolution: int):
-    """The blocks of means (slices of ``fs``) and ``rows(block, out=None)``,
-    which gives the readout distributions of one block, in ``out`` if given.
-    A resolution past the cap is refused before anything is allocated.
+def _qss_rows(fs: np.ndarray, resolution: int):
+    """The readout distributions of the means ``fs`` as (block, rows) pairs,
+    one block of means (a slice of ``fs``) at a time, so that many means
+    never hold more than a block of rows.  A P that no qss circuit has, or
+    one past the cap, is refused at the call, before anything is allocated.
 
     Outcome t has probability proportional to K(theta - pi t / P) +
     K(theta + pi t / P), two Fejer kernels K(x) = sin^2(P x) / sin^2(x)
@@ -77,14 +69,18 @@ def _qss_readout(fs: np.ndarray, resolution: int):
     limit, where sin(x_t) = 0.  Dividing before squaring keeps a tiny theta
     finite: f = 5e-324 gives theta = 2e-162.
     """
-    blocks = _qss_blocks(fs.size, resolution)
+    check_resolution(resolution)  # every readout comes through here
+    if resolution > QSS_MAX_RESOLUTION:
+        raise ValueError(f"the closed-form qss readout takes P (qss_P) up to "
+                         f"{QSS_MAX_RESOLUTION}, got {resolution}")
+    step = max(1, QSS_BLOCK_VALUES // resolution)
     theta = _asin(np.sqrt(np.clip(fs, 0.0, 1.0)))
     # P theta is exact, P being a power of two, and libm's sine of it is good to an ulp
     peak = np.fromiter((math.sin(resolution * a) for a in theta.tolist()), float, theta.size)
     pi_t = np.multiply.outer(_PI_PARTS, np.arange(resolution) / resolution)
 
-    def rows(block: slice, out: np.ndarray | None = None) -> np.ndarray:
-        r = np.subtract(theta[block, None], pi_t[0], out=out)
+    def rows(block: slice) -> np.ndarray:
+        r = np.subtract(theta[block, None], pi_t[0])
         r -= pi_t[1]
         r -= pi_t[2]
         np.sin(r, out=r)
@@ -98,39 +94,31 @@ def _qss_readout(fs: np.ndarray, resolution: int):
         r /= r.sum(axis=-1, keepdims=True)
         return r
 
-    return blocks, rows
+    blocks = (slice(i, i + step) for i in range(0, fs.size, step))
+    return ((block, rows(block)) for block in blocks)
 
 
 def qss_theoretical_distribution(f, resolution: int) -> np.ndarray:
     """Exact outcome distribution over t for target mean f (two Fejer
-    kernels, see ``_qss_readout``).  f may be a 1-D array of means, which
+    kernels, see ``_qss_rows``).  f may be a 1-D array of means, which
     gives one row per mean; a float gives one distribution."""
     fs = np.ravel(np.asarray(f, dtype=float))
-    blocks, rows = _qss_readout(fs, resolution)
+    readout = _qss_rows(fs, resolution)
     dist = np.empty((fs.size, resolution))
-    for block in blocks:
-        rows(block, out=dist[block])
+    for block, rows in readout:
+        dist[block] = rows
     return dist[0] if np.ndim(f) == 0 else dist
-
-
-def _qss_rows(fs: np.ndarray, resolution: int):
-    """The distribution of each mean in turn, computed one block at a time,
-    so that many means never hold more than a block of rows."""
-    blocks, rows = _qss_readout(fs, resolution)
-    for block in blocks:
-        yield from rows(block)
 
 
 def qss_expected_error(f, resolution: int) -> float | np.ndarray:
     """Expectation of |f' - f| over the exact readout distribution; f may be
     a 1-D array of means (one error per mean), and a float gives a float."""
     fs = np.ravel(np.asarray(f, dtype=float))
-    blocks, rows = _qss_readout(fs, resolution)
+    readout = _qss_rows(fs, resolution)
     grid = qss_value_grid(resolution)
     err = np.empty(fs.size)
-    for block in blocks:
-        # one expression, so no block's distribution outlives its errors
-        err[block] = np.sum(rows(block) * np.abs(grid - fs[block, None]), axis=-1)
+    for block, rows in readout:
+        err[block] = np.sum(rows * np.abs(grid - fs[block, None]), axis=-1)
     return float(err[0]) if np.ndim(f) == 0 else err
 
 
@@ -339,7 +327,8 @@ def run_convergence_sweep(spec: SweepSpec) -> dict:
     if spec.f_values is not None:
         raise ValueError("the convergence sweep draws f per repetition; leave f_values unset")
     if spec.noise is not None and not spec.noise.is_zero:
-        raise ValueError("the convergence sweep applies no noise; leave noise unset")
+        raise ValueError(f"the convergence sweep applies no noise to "
+                         f"{', '.join(spec.algorithms)}; leave noise unset")
     rows = []
     slopes = {}
     optimal_k_table = None
@@ -466,6 +455,8 @@ class SupersampleJob:
     seed_base: int = 0
 
     def __post_init__(self):
+        if self.algorithm in ("qss", "ideal") and self.noise is not None and not self.noise.is_zero:
+            raise ValueError(f"supersample applies no noise to {self.algorithm}; leave noise unset")
         self.image = np.asarray(self.image, dtype=float)
         h, w = self.image.shape
         if h % SUBPIXEL_GRID or w % SUBPIXEL_GRID:
@@ -530,23 +521,24 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
 
     # pixels with the same block mean are repetitions of one estimate
     means = np.unique(ideal)
-    if job.algorithm == "qss":
-        dists = _qss_rows(means, job.qss_resolution)
-    for f in means:
-        same = ideal == f
-        fs = np.full(int(same.sum()), f)
-        if job.algorithm in ("monte-carlo", "qcoin"):
-            k = job.qcoin_k if job.algorithm == "qcoin" else 0
-            trials = job.per_pixel_budget // qcoin_queries(k, 1)
-            out[same] = fast_qcoin_estimate(fs, k, trials, rng, job.noise)
-        elif job.algorithm == "qss":
-            dist = next(dists)
-            t = rng.choice(dist.size, p=dist, size=fs.size)
-            out[same] = np.sin(t * np.pi / dist.size) ** 2
-        elif job.algorithm == "ideal":
-            out[same] = f
-        else:
-            raise ValueError(f"unknown algorithm {job.algorithm!r}")
+    if job.algorithm in ("monte-carlo", "qcoin"):
+        k = job.qcoin_k if job.algorithm == "qcoin" else 0
+        trials = job.per_pixel_budget // qcoin_queries(k, 1)
+        for f in means:
+            same = ideal == f
+            out[same] = fast_qcoin_estimate(np.full(int(same.sum()), f), k, trials, rng,
+                                            job.noise)
+    elif job.algorithm == "qss":
+        readout = _qss_rows(means, job.qss_resolution)
+        grid = qss_value_grid(job.qss_resolution)
+        for block, rows in readout:
+            for f, dist in zip(means[block], rows):
+                same = ideal == f
+                out[same] = grid[rng.choice(dist.size, p=dist, size=int(same.sum()))]
+    elif job.algorithm == "ideal":
+        out = ideal.copy()
+    else:
+        raise ValueError(f"unknown algorithm {job.algorithm!r}")
 
     if regions is None:
         regions = default_regions(w, h)
@@ -666,12 +658,10 @@ def noise_from_config(cfg: dict) -> NoiseModel | None:
     raise ConfigError(f"unknown noise preset {name!r}")
 
 
-def write_csv(path, rows, fieldnames=None):
+def write_csv(path, rows):
     rows = list(rows)
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else [])
         writer.writeheader()
         writer.writerows(rows)
 

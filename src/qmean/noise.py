@@ -74,12 +74,13 @@ def noisy_execute(
     """One stochastic trajectory of the circuit under the noise model.
 
     After each gate, each touched qubit suffers a uniformly random Pauli with
-    the corresponding gate-error probability; ``M`` ops are not gates, and
-    the readout is ``circuit.measured_qubits``, whose bits then flip
-    independently with the readout probability.  With an all-zero model no
-    random draws happen before measurement, so the trajectory is bit-identical
-    to the noiseless path for any seed.  The returned post_state is the
-    collapsed pre-readout state; only the observed bits carry readout flips.
+    the corresponding gate-error probability; ``M`` ops are not gates (a gate
+    on a qubit after its ``M`` is refused), and the readout is
+    ``circuit.measured_qubits``, whose bits then flip independently with the
+    readout probability.  With an all-zero model no random draws happen
+    before measurement, so the trajectory is bit-identical to the noiseless
+    path for any seed.  The returned post_state is the collapsed pre-readout
+    state; only the observed bits carry readout flips.
     The gates' kernels come from the circuit's bind (``Circuit.kernel``),
     and each Pauli is lowered at most once per call.
     """
@@ -111,11 +112,20 @@ def _bound(circuit: Circuit) -> Circuit:
 def _gates(circuit: Circuit, model: NoiseModel) -> list[tuple[Kernel, float, tuple[int, ...]]]:
     """The circuit's gates in run order, each as its kernel from the bind, its
     gate-error rate under the model and the qubits it touches.  M ops are
-    skipped: the package's circuits measure mid-circuit only qubits that no
-    later gate touches, which leaves the readout distribution unchanged."""
-    bound = _bound(circuit)
-    return [(bound.kernel(op), model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q,
-             op.touched) for op in bound.expand() if op.name != "M"]
+    skipped, which leaves the readout unchanged only if no gate touches a
+    qubit after measuring it, so such a gate is refused."""
+    bound, measured, gates = _bound(circuit), set(), []
+    for op in bound.expand():
+        gated = [q for q in op.touched if q in measured]
+        if op.name == "M":
+            measured.update(op.targets)
+        elif gated:
+            raise ValueError(f"{op.name} acts on qubit {gated[0]} after it is measured; the noise "
+                             f"layer reads measured qubits only at the end of the circuit")
+        else:
+            rate = model.gate_error_mq if op.is_multi_qubit else model.gate_error_1q
+            gates.append((bound.kernel(op), rate, op.touched))
+    return gates
 
 
 # Largest products x 4^n_qubits that ``outcome_probabilities`` evolves, a
@@ -165,10 +175,10 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
             for bit in (0, 1):
                 blocks[:, bit, :, :, bit] += mixed
 
-    # the diagonal with an axis per qubit, qubit n-1 first, summed onto one
-    # axis per measured bit, the last bit first, as in the outcome's index
-    marginal = np.einsum(np.real(np.diag(rho)).reshape((2,) * n), list(range(n)),
-                         [n - 1 - q for q in reversed(circuit.measured_qubits)])
+    # an axis per measured bit, the last bit first, as in the outcome's index
+    diagonal, measured = np.real(np.diag(rho)), circuit.measured_qubits
+    marginal = Measurement(n, measured).marginal(diagonal) if measured else diagonal.sum()
+    marginal = np.reshape(marginal, (2,) * len(measured))
     r = model.readout_flip_prob
     for axis in range(marginal.ndim):
         marginal = np.moveaxis(np.tensordot([[1.0 - r, r], [r, 1.0 - r]], marginal, (1, axis)),
@@ -176,15 +186,12 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     return marginal.ravel() / marginal.sum()
 
 
-def head_probability(circuit: Circuit, model: NoiseModel, head_outcome: int | None = None) -> float:
-    """Probability of observing the outcome ``head_outcome`` under the noise
-    model.  By default that is the head state |1>|0..0> of ``coin_circuit``,
-    which measures its inputs and then its target: the last measured bit 1,
-    the others 0."""
+def head_probability(circuit: Circuit, model: NoiseModel) -> float:
+    """Probability of observing the head state |1>|0..0> of ``coin_circuit``
+    under the noise model.  That circuit measures its inputs and then its
+    target: the head is the last measured bit 1, the others 0."""
     probs = outcome_probabilities(circuit, model)
-    if head_outcome is None:
-        head_outcome = probs.shape[0] // 2
-    return float(probs[head_outcome])
+    return float(probs[probs.shape[0] // 2])
 
 
 def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) -> float:

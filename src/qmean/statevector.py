@@ -319,13 +319,13 @@ class Measurement:
     """A measurement of ``qubits`` on an n-qubit register; ``qubits[0]`` is
     the least-significant bit of the outcome.
 
+    ``marginal`` sums a distribution over the basis onto the outcomes.
     ``collapse`` draws an outcome with probability equal to the squared
     amplitude mass of its subspace (a zero-probability branch is never
     drawn), zeroes the other branches of the amplitudes in place and
     renormalizes them.  The outcome of each basis state (``keys``) and, for
     each measured qubit and bit, the ``qubit_axes`` index of the branch
-    that this bit rules out (``others``) are built at the first collapse
-    and kept.
+    that this bit rules out (``others``) are built at first use and kept.
     """
 
     def __init__(self, n_qubits: int, qubits: Sequence[int]):
@@ -336,6 +336,15 @@ class Measurement:
         self.keys: np.ndarray | None = None
         self.others: list | None = None
 
+    def marginal(self, probabilities: np.ndarray) -> np.ndarray:
+        """Each outcome's mass in ``probabilities`` (2^n), summed in basis order."""
+        if self.keys is None:
+            basis = np.arange(1 << self.n_qubits, dtype=np.int64)
+            self.keys = np.zeros_like(basis)
+            for j, q in enumerate(self.qubits):
+                self.keys |= ((basis >> q) & 1) << j
+        return np.bincount(self.keys, weights=probabilities, minlength=1 << len(self.qubits))
+
     def collapse(self, amplitudes: np.ndarray, rng: np.random.Generator) -> list[int]:
         """Measure the 2^n ``amplitudes`` in place; the observed bits.
 
@@ -344,15 +353,10 @@ class Measurement:
         checks and conversions of a general ``choice``.  A marginal whose
         sum is not finite and positive is refused.
         """
-        n = self.n_qubits
-        if self.keys is None:
-            basis = np.arange(1 << n, dtype=np.int64)
-            self.keys = np.zeros_like(basis)
-            for j, q in enumerate(self.qubits):
-                self.keys |= ((basis >> q) & 1) << j
+        n, m = self.n_qubits, len(self.qubits)
+        if self.others is None:
             self.others = [(qubit_index(n, {q: 1}), qubit_index(n, {q: 0})) for q in self.qubits]
-        m = len(self.qubits)
-        marginal = np.bincount(self.keys, weights=np.abs(amplitudes) ** 2, minlength=1 << m)
+        marginal = self.marginal(np.abs(amplitudes) ** 2)
         total = marginal.sum()
         if not 0.0 < total < math.inf:
             raise SimulatorError(f"cannot measure a state of squared norm {total!r}")

@@ -252,6 +252,14 @@ class TestExitCodes:
     # qubits was a MemoryError)
     (["dump-circuit", "--algorithm", "qcoin", "--n-input", str(10**9)], "", EXIT_VALIDATION,
      "n_input must be from 0 to"),
+    # noise refused below the CLI, by the supersampling job and by the convergence sweep,
+    # which now receives the config's noise
+    (["supersample", "--algorithm", "qss"], "noise = 0, 0.001, 0\n", EXIT_VALIDATION,
+     "supersample applies no noise to qss"),
+    (["supersample", "--algorithm", "ideal"], "noise = 0.05, 0, 0\n", EXIT_VALIDATION,
+     "supersample applies no noise to ideal"),
+    (["sweep-convergence"], "algorithms = qss\nnoise = 0, 0, 0.05\n", EXIT_VALIDATION,
+     "the convergence sweep applies no noise to qss"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

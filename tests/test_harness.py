@@ -168,7 +168,8 @@ class TestQssBatchedReadout:
         else:
             fs = fs[[3, 5, 6]]
         grid = qss_value_grid(resolution).astype(np.longdouble)
-        rows = zip(fs, _qss_rows(fs, resolution), qss_expected_error(fs, resolution),
+        dists = (dist for _, rows in _qss_rows(fs, resolution) for dist in rows)
+        rows = zip(fs, dists, qss_expected_error(fs, resolution),
                    long_double_distributions(fs, resolution))
         for f, dist, error, reference in rows:
             assert np.all(np.isfinite(dist)) and np.all(dist >= 0)
@@ -187,14 +188,27 @@ class TestQssBatchedReadout:
     def test_resolution_past_the_cap_refused_before_allocation(self):
         tracemalloc.start()
         try:
-            for call in (qss_theoretical_distribution, qss_expected_error):
+            for call in (qss_theoretical_distribution, qss_expected_error, _qss_rows):
                 with pytest.raises(ValueError, match="qss_P"):
-                    call([0.3, 0.7], 2 * QSS_MAX_RESOLUTION)
+                    call(np.array([0.3, 0.7]), 2 * QSS_MAX_RESOLUTION)
             assert tracemalloc.get_traced_memory()[1] < 1e5
         finally:
             tracemalloc.stop()
-        with pytest.raises(ValueError, match="qss_P"):
-            next(_qss_rows(np.array([0.3]), 2 * QSS_MAX_RESOLUTION))
+        # refused at the call, not at the first block
+        with pytest.raises(ValueError, match="power of two"):
+            _qss_rows(np.array([0.3]), 12)
+
+    @pytest.mark.parametrize("resolution", [2, 256, QSS_BLOCK_VALUES, 32768])
+    def test_blocks_cover_the_means_in_order(self, resolution):
+        fs = np.linspace(0.0, 1.0, 2 * QSS_BLOCK_VALUES // resolution + 3)
+        readout = list(_qss_rows(fs, resolution))
+        step = max(1, QSS_BLOCK_VALUES // resolution)
+        assert [block for block, _ in readout] == [
+            slice(i, i + step) for i in range(0, fs.size, step)]
+        assert [rows.shape for _, rows in readout] == [
+            (fs[block].size, resolution) for block, _ in readout]
+        np.testing.assert_array_equal(np.concatenate([rows for _, rows in readout]),
+                                      qss_theoretical_distribution(fs, resolution))
 
     def test_shape_contract(self):
         dist = qss_theoretical_distribution(0.3, 16)
@@ -496,6 +510,13 @@ class TestSupersample:
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             SupersampleJob(image=np.full((16, 16), 1.5), algorithm="ideal")
+
+    @pytest.mark.parametrize("algorithm", ["qss", "ideal"])
+    def test_refuses_noise_it_would_drop(self, algorithm):
+        with pytest.raises(ValueError, match=f"no noise to {algorithm}"):
+            SupersampleJob(image=np.zeros((16, 16)), algorithm=algorithm, noise=HARDWARE_PRESET)
+        # a model of zero rates drops nothing
+        SupersampleJob(image=np.zeros((16, 16)), algorithm=algorithm, noise=NoiseModel())
 
 
 def closed_form_resources(n_bins, resolution):

@@ -417,15 +417,39 @@ class TestSimpleCircuits:
             qss_circuit(0, 6)
 
 
+class TestGateAfterMeasurement:
+    """Both noise routes skip M and read the measured qubits at the end, so a
+    gate on a qubit after its M is refused: without noise, on H M H M, the
+    density route gave [1, 0] and every trajectory read 0, where the circuit
+    reads 1 half the time."""
+
+    @staticmethod
+    def circuits():
+        yield Circuit(1).add(H_GATE, [0]).measure([0]).add(H_GATE, [0]).measure([0]), 0
+        # a measured qubit as a control
+        yield Circuit(2).add(H_GATE, [1]).measure([1]).add(X_GATE, [0], [1]).measure([0]), 1
+
+    @pytest.mark.parametrize("route", [
+        lambda circuit: outcome_probabilities(circuit, HARDWARE_PRESET),
+        lambda circuit: head_probability(circuit, ZERO),
+        lambda circuit: noisy_execute(circuit, HARDWARE_PRESET, np.random.default_rng(0)),
+    ], ids=["density", "head_probability", "trajectory"])
+    def test_refused(self, route):
+        for circuit, qubit in self.circuits():
+            name = circuit.ops[2].name
+            with pytest.raises(ValueError, match=f"{name} acts on qubit {qubit} after it is"):
+                route(circuit)
+
+
 class TestMultiQubitGateErrors:
     def test_controlled_gates_use_mq_rate(self):
         # only the controlled gate is noisy under a pure-mq model
         model = NoiseModel(gate_error_mq=0.3)
         single = Circuit(2, measured_qubits=[0])
         single.add(X_GATE, [0])
-        assert abs(head_probability(single, model, head_outcome=1) - 1.0) < 1e-12
+        assert abs(head_probability(single, model) - 1.0) < 1e-12
 
         controlled = Circuit(2, measured_qubits=[0])
         controlled.add(X_GATE, [1])
         controlled.add(X_GATE, [0], controls=[1])
-        assert head_probability(controlled, model, head_outcome=1) < 1.0
+        assert head_probability(controlled, model) < 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmean.noise import NoiseModel, noisy_execute
-from qmean.primitives import Circuit, CircuitOp, run_circuit
+from qmean.primitives import Circuit, CircuitOp, OracleSpec, qss_circuit, run_circuit
 from qmean.statevector import (
     GateMatrix,
     H_GATE,
@@ -395,6 +395,27 @@ class TestOneCollapse:
                 assert bits == [(outcome >> j) & 1 for j in range(m)]
                 np.testing.assert_array_equal(collapsed, expected)
                 assert after.random() == before.random()
+
+    def test_marginal_sums_as_add_at(self):
+        """``marginal`` against ``np.add.at`` over the outcome index: random
+        distributions on qubit subsets in random order, and the register,
+        the readout of ``qss_circuit``."""
+        rng = np.random.default_rng(29)
+        cases = []
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            qubits = [int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)]]
+            cases.append((n, qubits, rng.dirichlet(np.ones(1 << n))))
+        circuit = qss_circuit(2, 16).bind(OracleSpec([0.1, 0.5, 0.7, 0.2]))
+        cases.append((circuit.n_qubits, circuit.measured_qubits,
+                      run_circuit(circuit)[0].probabilities()))
+        assert circuit.measured_qubits == [3, 4, 5, 6]
+        for n, qubits, probs in cases:
+            basis = np.arange(1 << n)
+            keys = sum(((basis >> q) & 1) << j for j, q in enumerate(qubits))
+            expected = np.zeros(1 << len(qubits))
+            np.add.at(expected, keys, probs)
+            np.testing.assert_array_equal(Measurement(n, qubits).marginal(probs), expected)
 
     def test_a_run_without_a_generator_builds_no_keys(self):
         bound = Circuit(3, [CircuitOp("H", (q,)) for q in range(3)]).measure([0, 2]).bind()
