@@ -478,27 +478,29 @@ def build_teaser_image(width: int = 128, height: int = 128) -> np.ndarray:
     if width % SUBPIXEL_GRID or height % SUBPIXEL_GRID:
         raise ValueError("dimensions must be divisible by 8")
     img = np.zeros((height, width))
-    band_top = height - height // 4
+    band_top, bands = _bands(width, height)
     img[:band_top, : width // 2] = 0.5
-    gradient = np.linspace(0.0, 1.0, band_top)
-    img[:band_top, width // 2:] = gradient[:, None]
-    band_values = [0.0, 0.25, 0.5, 0.75, 1.0]
-    band_w = width // len(band_values)
-    for i, v in enumerate(band_values):
-        x1 = width if i == len(band_values) - 1 else (i + 1) * band_w
-        img[band_top:, i * band_w: x1] = v
+    img[:band_top, width // 2:] = np.linspace(0.0, 1.0, band_top)[:, None]
+    for v, x0, x1 in bands:
+        img[band_top:, x0:x1] = v
     return img
+
+
+def _bands(width: int, height: int) -> tuple[int, list[tuple[float, int, int]]]:
+    """The test card's bands in subpixels: their top row, and each one's value
+    and columns [x0, x1), five of equal width with the last reaching the edge."""
+    edges = [i * (width // 5) for i in range(5)] + [width]
+    return height - height // 4, list(zip([0.0, 0.25, 0.5, 0.75, 1.0], edges, edges[1:]))
 
 
 def default_regions(width: int, height: int) -> dict[str, tuple[int, int, int, int]]:
     """Region rectangles (x0, y0, x1, y1) in output-pixel coordinates: the
     pixels whose 8x8 subpixel block lies wholly inside one band, or inside
-    the gradient, of ``build_teaser_image``, from the card's subpixel edges."""
-    g, band_top, band_w = SUBPIXEL_GRID, height - height // 4, width // 5
-    regions = {}
-    for i, v in enumerate([0.0, 0.25, 0.5, 0.75, 1.0]):
-        x1 = width if i == 4 else (i + 1) * band_w
-        regions[f"band-{v:g}"] = (-(-i * band_w // g), -(-band_top // g), x1 // g, height // g)
+    the gradient, of ``build_teaser_image``, from the card's subpixel edges
+    (``_bands``)."""
+    g, (band_top, bands) = SUBPIXEL_GRID, _bands(width, height)
+    regions = {f"band-{v:g}": (-(-x0 // g), -(-band_top // g), x1 // g, height // g)
+               for v, x0, x1 in bands}
     regions["gradient"] = (-(-(width // 2) // g), 0, width // g, band_top // g)
     return regions
 
@@ -510,7 +512,7 @@ class SupersampleResult:
     region_mae: dict[str, float]
 
 
-def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
+def run_supersample(job: SupersampleJob) -> SupersampleResult:
     """Estimate every output pixel's subpixel mean with the chosen algorithm."""
     h, w = job.image.shape
     ph, pw = h // SUBPIXEL_GRID, w // SUBPIXEL_GRID
@@ -540,10 +542,8 @@ def run_supersample(job: SupersampleJob, regions=None) -> SupersampleResult:
     else:
         raise ValueError(f"unknown algorithm {job.algorithm!r}")
 
-    if regions is None:
-        regions = default_regions(w, h)
     region_mae = {}
-    for name, (x0, y0, x1, y1) in regions.items():
+    for name, (x0, y0, x1, y1) in default_regions(w, h).items():
         if x0 >= x1 or y0 >= y1:  # degenerate at very small output sizes
             continue
         region_mae[name] = float(np.mean(np.abs(out[y0:y1, x0:x1] - ideal[y0:y1, x0:x1])))

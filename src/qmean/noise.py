@@ -77,7 +77,8 @@ def noisy_execute(
     the corresponding gate-error probability; ``M`` ops are not gates (a gate
     on a qubit after its ``M`` is refused), and the readout is
     ``circuit.measured_qubits``, whose bits then flip independently with the
-    readout probability.  With an all-zero model no random draws happen
+    readout probability; a circuit that measures nothing is refused before
+    any gate runs.  With an all-zero model no random draws happen
     before measurement, so the trajectory is bit-identical to the noiseless
     path for any seed.  The returned post_state is the collapsed pre-readout
     state; only the observed bits carry readout flips.
@@ -85,6 +86,7 @@ def noisy_execute(
     and each Pauli is lowered at most once per call.
     """
     n = circuit.n_qubits
+    readout = Measurement(n, circuit.measured_qubits)
     amps = StateVector.zero(n).amplitudes
     psi = qubit_axes(amps, n)
     paulis: dict = {}
@@ -97,7 +99,7 @@ def noisy_execute(
                     if key not in paulis:
                         paulis[key] = lower_gate(_PAULIS[key[1]], [q], [], n)
                     paulis[key](psi)
-    bits = Measurement(n, circuit.measured_qubits).collapse(amps, rng)
+    bits = readout.collapse(amps, rng)
     if model.readout_flip_prob > 0:
         bits = [bit ^ (rng.random() < model.readout_flip_prob) for bit in bits]
     return MeasurementOutcome(list(circuit.measured_qubits), bits, StateVector(n, amps))
@@ -149,16 +151,18 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
     into U rho U^dagger.  Each qubit q that a gate of rate g > 0 touches then
     takes its Pauli channel in place, (1 - 4g/3) rho + (4g/3) Tr_q(rho) (x) I/2
     (Nielsen & Chuang 8.3.4): O(4^n) per gate and per noisy qubit.  Each
-    readout flip is a 2x2 on its bit.  Refused past MAX_DENSITY_QUBITS or
-    MAX_DENSITY_WORK before rho is allocated.
+    readout flip is a 2x2 on its bit.  A circuit that measures nothing is
+    refused, as ``noisy_execute`` refuses it, and so is one past
+    MAX_DENSITY_QUBITS or MAX_DENSITY_WORK, before rho is allocated.
     """
     n = circuit.n_qubits
+    readout = Measurement(n, circuit.measured_qubits)
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix evolution on {n} qubits needs a 2^{n} x 2^{n} rho, "
                          f"more than the cap of {MAX_DENSITY_QUBITS} qubits")
     gates = _gates(circuit, model)
     products = sum(1 + 3 * len(touched) * (g > 0) for _, g, touched in gates)
-    work = max(products, 1) << 2 * n
+    work = products << 2 * n
     if work > MAX_DENSITY_WORK:
         raise ValueError(f"density-matrix evolution needs {products} products x 4^{n} = {work} "
                          f"operations, more than the cap of {MAX_DENSITY_WORK}")
@@ -176,9 +180,7 @@ def outcome_probabilities(circuit: Circuit, model: NoiseModel) -> np.ndarray:
                 blocks[:, bit, :, :, bit] += mixed
 
     # an axis per measured bit, the last bit first, as in the outcome's index
-    diagonal, measured = np.real(np.diag(rho)), circuit.measured_qubits
-    marginal = Measurement(n, measured).marginal(diagonal) if measured else diagonal.sum()
-    marginal = np.reshape(marginal, (2,) * len(measured))
+    marginal = np.reshape(readout.marginal(np.real(np.diag(rho))), (2,) * len(readout.qubits))
     r = model.readout_flip_prob
     for axis in range(marginal.ndim):
         marginal = np.moveaxis(np.tensordot([[1.0 - r, r], [r, 1.0 - r]], marginal, (1, axis)),

@@ -5,15 +5,15 @@ description of each circuit.
 ops, and declare the blocks that run as one step: the register's textbook
 Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and the
 blocks of amplification steps G, a phase flip then the reflection S^-1 RZERO
-S (``_g_block``), each run of them that raises one G under its own controls
-and counts as one step (``ReflectionKernel``): in each branch of the other
-qubits a rotation, by that branch's power of G, in the plane of the
-reflection's vector, that vector built on the coin qubits alone the first
-time it runs.  ``Circuit.bind`` adds a run schedule beside the
-description and leaves its ops as they are: every op but Q and Q_INV is
-lowered once per circuit shape, in its ``_Template``, and a bind checks the
-oracle and builds Q from it only where a step or ``Circuit.kernel`` first
-asks for it (``_Binding``).
+S (``_g_block``), each run of them of one variant on the same coin qubits
+as one step (``ReflectionKernel``): in each branch of the other qubits a
+rotation, by that branch's power of G, in the plane of the reflection's
+vector, that vector built on the coin qubits alone the first time the step
+runs.  ``Circuit.bind`` adds a run schedule beside the description and
+leaves its ops as they are: every op but Q and Q_INV is lowered once per
+circuit shape, in its ``_Template``, cached by its builder's arguments, and
+a bind checks the oracle and builds Q from it only where a step or
+``Circuit.kernel`` first asks for it (``_Binding``).
 ``run_circuit`` applies the bound schedule in place, each register of H as a
 few dense products and each measurement as one collapse of the amplitudes in
 place (``Measurement``).  The estimators run these circuits; the noise layer
@@ -30,6 +30,7 @@ occupies the indices above the target.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -217,8 +218,9 @@ class Repeat:
     ``step`` names the one step the block runs as (``_steps``); only
     the builders declare it: ``"fourier"`` for the transform of a register
     (``_fourier``), ``"qss"`` or ``"qcoin"`` for G of that variant
-    (``_g_block``), which runs as one step with the blocks next to it that
-    raise the same G (``_runs``).  A block without one runs op by op.
+    (``_g_block``), which runs as one step with the blocks next to it of
+    that variant on the same coin qubits (``_runs``).  A block without one
+    runs op by op.
 
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
     every freed tuple of exactly 20 items (the qcoin G block on 4 input
@@ -371,21 +373,6 @@ class _Template:
                        _fill(self.steps, binding), self, binding)
 
 
-# One template per circuit shape: ("qcoin", n_input, m), ("qss", n_input, P)
-# or ("prepare", n_input).  Bounded by the shapes a process builds; each holds
-# index tuples, small dense matrices and, per placement of Q, an index array of
-# the oracle's N bins.
-_SHAPES: dict = {}
-
-
-def _template(key: tuple, build) -> _Template:
-    """The one template of the shape ``key``, built by ``build`` the first time."""
-    template = _SHAPES.get(key)
-    if template is None:
-        template = _SHAPES[key] = _Template(build())
-    return template
-
-
 def _circuit(template: _Template) -> Circuit:
     """A new circuit of the template's shape, bound through that template."""
     return Circuit(template.n_qubits, list(template.nodes), template.measured_qubits,
@@ -393,18 +380,16 @@ def _circuit(template: _Template) -> Circuit:
 
 
 class _Binding:
-    """One bind of a template to an oracle: the oracle's ``_rotation``, the
-    Q and Q_INV kernels built from it, and the planes (``_plane``) that its
-    reflections share by key.  Q is built at a placement the first time a
-    step or ``Circuit.kernel`` asks for it, and kept by register size and
-    placement, so qcoin's reflection, whose mirror runs on the whole
-    register, reuses the preparation's Q.  Only the noise layer asks for
-    Q_INV."""
+    """One bind of a template to an oracle: the oracle's ``_rotation`` and
+    the Q and Q_INV kernels built from it.  Q is built at a placement the
+    first time a step or ``Circuit.kernel`` asks for it, and kept by
+    register size and placement, so qcoin's reflection, whose mirror runs
+    on the whole register, reuses the preparation's Q.  Only the noise layer
+    asks for Q_INV."""
 
     def __init__(self, template: _Template, rotation):
         self.template, self.rotation = template, rotation
         self.kernels: dict = {}
-        self.planes: dict = {}
 
     def kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
         """The kernel of a Q or Q_INV op on an n-qubit register."""
@@ -438,7 +423,8 @@ def _schedule(nodes, template: _Template) -> list:
 
 
 class _Ladder(NamedTuple):
-    """A maximal run of declared G blocks with one ``_ladder_key``."""
+    """A maximal run of declared G blocks of one variant on the same coin
+    qubits: ``key`` is (``Repeat.step``, RZERO's targets)."""
 
     key: tuple
     blocks: list
@@ -447,8 +433,8 @@ class _Ladder(NamedTuple):
 def _runs(nodes) -> list:
     """``nodes`` with each maximal run of formula H ops with the same
     controls and distinct targets as [controls, targets, first op], each
-    maximal run of declared G blocks with one ``_ladder_key`` as a
-    ``_Ladder``, and every other node as it is.  A block repeated zero
+    maximal run of declared G blocks of one variant on the same coin qubits
+    as a ``_Ladder``, and every other node as it is.  A block repeated zero
     times is left out, so it ends no run; any other node ends one."""
     runs = []
     for node in nodes:
@@ -461,7 +447,7 @@ def _runs(nodes) -> list:
                 continue
             node = [node.controls, [node.targets[0]], node]
         elif isinstance(node, Repeat) and node.step in ("qss", "qcoin"):
-            key = _ladder_key(node)
+            key = node.step, _rzero(node).targets
             if isinstance(last, _Ladder) and last.key == key:
                 last.blocks.append(node)
                 continue
@@ -473,16 +459,6 @@ def _runs(nodes) -> list:
 def _rzero(block: Repeat) -> CircuitOp:
     """The RZERO op of a declared G block (``_g_block``)."""
     return next(op for op in block.ops if op.name == "RZERO")
-
-
-def _ladder_key(block: Repeat) -> tuple:
-    """What the declared G blocks of one ladder share: the variant, the
-    coin qubits (RZERO's targets) and S^-1, the ops after RZERO, with the
-    controls stripped.  The blocks differ only in their controls and counts,
-    so they raise one G."""
-    centre = block.ops.index(_rzero(block))
-    return (block.step, block.ops[centre].targets,
-            tuple(replace(op, controls=()) for op in block.ops[centre + 1:]))
 
 
 def _steps(run, template: _Template) -> list:
@@ -512,22 +488,20 @@ def _steps(run, template: _Template) -> list:
 def _reflection(ladder: _Ladder, template: _Template) -> ReflectionKernel:
     """A ladder of G blocks, each D then S, RZERO and S^-1 (``_g_block``),
     as one ``ReflectionKernel`` with a term of (RZERO's controls, count) per
-    block.  S^-1 is lowered here once per template on the k coin qubits
-    alone: RZERO's targets[j] is qubit j of a k-qubit register, with the
-    controls stripped.  D follows from the variant."""
-    variant, coin, mirror = ladder.key
+    block.  D, the first block's first op, and S^-1, its ops after RZERO,
+    are lowered here once per template on the k coin qubits alone: RZERO's
+    targets[j] is qubit j of a k-qubit register, with the controls
+    stripped.  D applied to a vector of ones gives one sign per coin column."""
+    first, coin = ladder.blocks[0], ladder.key[1]
     local = {q: j for j, q in enumerate(coin)}
-    mirror = _Template(Circuit(len(coin), [replace(op, targets=tuple(local[q] for q in op.targets))
-                                           for op in mirror]))
-    # one sign per coin column, the target (RZERO's last target) the top bit
-    signs = np.ones(1 << len(coin))
-    if variant == "qss":
-        signs[len(signs) // 2:] = -1.0  # Z on the target
-    else:
-        signs[len(signs) // 2] = -1.0  # FLIP_HEAD on the head state |1> (x) |0)
+    on_coin = [replace(op, targets=tuple(local[q] for q in op.targets), controls=())
+               for op in first.ops]
+    mirror = _Template(Circuit(len(coin), on_coin[first.ops.index(_rzero(first)) + 1:]))
+    signs = np.ones(1 << len(coin), dtype=np.complex128)
+    _lower_op(on_coin[0], len(coin))(qubit_axes(signs, len(coin)))
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
-    return ReflectionKernel(template.n_qubits, coin, terms, signs,
-                            _schedule(mirror.nodes, mirror), (variant, coin))
+    return ReflectionKernel(template.n_qubits, coin, terms, signs.real,
+                            _schedule(mirror.nodes, mirror))
 
 
 # the signs of sin in the rows of ``ReflectionKernel``'s M(e)
@@ -544,7 +518,8 @@ class ReflectionKernel(MatrixKernel):
     (Brassard, Hoyer, Mosca and Tapp, arXiv:quant-ph/0005055, Lambda_M(Q)),
     where e(b) (``exponents``) sums the counts of the terms whose controls
     are all 1 in the branch b of the other qubits.  D is ``signs``, a +-1
-    diagonal on the targets.  With u and v the unit parts of a = S^-1 |0>
+    diagonal on the targets, read from the first block's first op
+    (``_reflection``).  With u and v the unit parts of a = S^-1 |0>
     where D is +1 and -1, B = [u, v] and phi = atan2(|a-|, |a+|), G turns
     the plane of B by 2 phi and acts as -D on the rest of the space, so in
     each branch
@@ -554,18 +529,16 @@ class ReflectionKernel(MatrixKernel):
 
     e and its parity are computed here, once per template; cos and sin of
     2 e phi once per bind.  ``mirror`` is S^-1 lowered on the k target
-    qubits alone (``_reflection``).  B and phi (``_plane``) are kept in the
-    bind's ``planes`` by ``key``, (variant, coin qubits), which ladders
-    split by other ops share: the first of them to run builds them with the
-    bind's Q (``bound``), so a bound circuit that never runs on the
-    statevector (the noise layer's) pays only for this object.  a is real:
-    S^-1 holds only H, Q and Q_INV.
+    qubits alone (``_reflection``).  A bound step (``bound``) builds B and
+    phi (``_plane``) with the bind's Q at its first call, so a bound circuit
+    that never runs on the statevector (the noise layer's) pays only for
+    this object.  a is real: S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
-                 signs: np.ndarray, mirror: list, key: tuple):
+                 signs: np.ndarray, mirror: list):
         super().__init__(n_qubits, None, targets)
-        self.terms, self.signs, self.mirror, self.key = terms, signs, mirror, key
+        self.terms, self.signs, self.mirror = terms, signs, mirror
         # ``columns`` with psi's own columns (its last axis) before the other
         # qubits, so that an array over the branches broadcasts over them
         k = len(targets)
@@ -612,10 +585,7 @@ class ReflectionKernel(MatrixKernel):
             sub[...] = x.view(np.complex128).reshape(sub.shape)
 
     def _build(self):
-        planes = self.binding.planes
-        if self.key not in planes:
-            planes[self.key] = _plane(self, self.binding)
-        self.basis, phi = planes[self.key]
+        self.basis, phi = _plane(self, self.binding)
         self.bra = self.basis.T
         angle = self.exponents * (2 * phi)
         # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
@@ -783,7 +753,8 @@ def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
              count: int = 1) -> Repeat:
     """``count`` amplification steps G, every op conditioned on ``controls``,
     as a block declared to run as one ``ReflectionKernel``, a term of it
-    with each block next to it that raises the same G (``_runs``).
+    with each block next to it of this variant on the same coin qubits
+    (``_runs``).  D is its first op, and S^-1 its ops after RZERO.
 
     ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
     ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}
@@ -841,17 +812,19 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
     return _circuit(coin_template(n_input, m))
 
 
+# Each template below is the one of its shape for the process, cached by its
+# builder's arguments: bounded by the shapes a process builds, each holds index
+# tuples, small dense matrices and, per placement of Q, an index array of the
+# oracle's N bins.
+@functools.cache
 def coin_template(n_input: int, m: int) -> _Template:
     """The template of ``coin_circuit(n_input, m)``, whose op counts and size
     check it reads, without a new circuit."""
-    def build():
-        inputs, target = _coin_layout(n_input)
-        if m < 0:
-            raise ValueError(f"m must be non-negative, got {m}")
-        ops = _prepare_ops("qcoin", inputs, target) + [_g_block("qcoin", inputs, target, count=m)]
-        return Circuit(n_input + 1, ops).measure(inputs + (target,))
-
-    return _template(("qcoin", n_input, m), build)
+    inputs, target = _coin_layout(n_input)
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    ops = _prepare_ops("qcoin", inputs, target) + [_g_block("qcoin", inputs, target, count=m)]
+    return _Template(Circuit(n_input + 1, ops).measure(inputs + (target,)))
 
 
 def qss_circuit(n_input: int, resolution: int) -> Circuit:
@@ -861,17 +834,25 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     G^(2^j), a mid-circuit measurement of the target, the textbook transform
     of the register and its readout.  Query cost 2P - 1.
     """
-    def build():
-        inputs, target = _coin_layout(n_input)
-        check_resolution(resolution)
-        register = tuple(range(target + 1, target + resolution.bit_length()))
-        ops = _h(register) + _prepare_ops("qss", inputs, target)
-        ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
-        circuit = Circuit(target + len(register) + 1, ops).measure([target])
-        circuit.ops.append(_fourier(register))
-        return circuit.measure(register)
+    return _circuit(_qss_template(n_input, resolution))
 
-    return _circuit(_template(("qss", n_input, resolution), build))
+
+@functools.cache
+def _qss_template(n_input: int, resolution: int) -> _Template:
+    inputs, target = _coin_layout(n_input)
+    check_resolution(resolution)
+    register = tuple(range(target + 1, target + resolution.bit_length()))
+    ops = _h(register) + _prepare_ops("qss", inputs, target)
+    ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
+    circuit = Circuit(target + len(register) + 1, ops).measure([target])
+    circuit.ops.append(_fourier(register))
+    return _Template(circuit.measure(register))
+
+
+@functools.cache
+def _prepare_template(n_input: int) -> _Template:
+    inputs, target = _coin_layout(n_input)
+    return _Template(Circuit(target + 1, _prepare_ops("qss", inputs, target)))
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -883,9 +864,7 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
         raise OracleError("prepare_qss_state requires a sqrt-amplitude oracle")
     if oracle.offset != 0.0:
         raise OracleError("prepare_qss_state requires offset 0")
-    inputs, target = _coin_layout(oracle.n_input_qubits)
-    template = _template(("prepare", target),
-                         lambda: Circuit(target + 1, _prepare_ops("qss", inputs, target)))
+    template = _prepare_template(oracle.n_input_qubits)
     return run_circuit(_circuit(template).bind(oracle), ledger=ledger)[0]
 
 

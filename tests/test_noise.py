@@ -35,6 +35,7 @@ from qmean.primitives import (
 from qmean.statevector import (
     GateMatrix,
     H_GATE,
+    SimulatorError,
     StateVector,
     X_GATE,
     Y_GATE,
@@ -224,11 +225,14 @@ class TestOneQubitClosedForm:
             assert (head_probability(circuit, HARDWARE_PRESET)
                     == head_probability(fresh, HARDWARE_PRESET))
 
-    def test_circuit_without_readout_uses_density_matrix(self):
-        circuit = Circuit(1)
-        circuit.add(H_GATE, [0])
-        model = NoiseModel(readout_flip_prob=0.1, gate_error_1q=0.05)
-        np.testing.assert_array_equal(outcome_probabilities(circuit, model), [1.0])
+    def test_circuit_without_readout_is_refused(self):
+        # every route refuses a circuit that measures nothing, before it runs
+        circuit = Circuit(1).add(H_GATE, [0])
+        for route in (lambda: outcome_probabilities(circuit, HARDWARE_PRESET),
+                      lambda: head_probability(circuit, HARDWARE_PRESET),
+                      lambda: noisy_execute(circuit, HARDWARE_PRESET, np.random.default_rng(0))):
+            with pytest.raises(SimulatorError, match="must measure at least one qubit"):
+                route()
 
 
 class TestCoinHeadProbability:

@@ -541,7 +541,7 @@ FUSED = [
              OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
     lambda: (Circuit(5, [_g_block("qss", (3, 1), 0, (2,), count=3)]),
              OracleSpec([0.1, 0.5, 0.8, 0.3])),
-    # two blocks of different variants on the same qubits share no plane
+    # two blocks of different variants on the same qubits are two ladders
     lambda: (Circuit(4, [_g_block("qss", (0, 2), 1, (3,), count=2),
                          _g_block("qcoin", (0, 2), 1, (3,), count=5)]),
              OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
@@ -728,8 +728,19 @@ class TestCircuit:
         assert block.terms == [((n_in + 1 + j,), 1 << j) for j in range(6)]
         # one exponent per (re, im) column of each branch
         np.testing.assert_array_equal(block.exponents, np.repeat(np.arange(64), 2))
-        # D is Z on the target, the top qubit of the coin
-        np.testing.assert_array_equal(block.signs, [1.0] * (1 << n_in) + [-1.0] * (1 << n_in))
+        # D is the block's first op on the coin, the target its top qubit: Z
+        # on the target for qss, the flip of the head state |1> (x) |0..0>
+        # for qcoin
+        for n_in in (0, 1, 3):
+            half = [1.0] * (1 << n_in)
+            for circuit, oracle, signs in [
+                (qss_circuit(n_in, 8), OracleSpec(half), half + [-1.0] * len(half)),
+                (coin_circuit(n_in, 3), OracleSpec(half, 0.1, LINEAR_AMPLITUDE),
+                 half + [-1.0] + half[1:]),
+            ]:
+                [block] = [step for step in circuit.bind(oracle).schedule
+                           if isinstance(step, ReflectionKernel)]
+                np.testing.assert_array_equal(block.signs, signs)
 
     @pytest.mark.parametrize("build, n_in, encoding", [
         (lambda: coin_circuit(3, 5), 3, LINEAR_AMPLITUDE),
@@ -812,8 +823,8 @@ class TestCircuit:
 
     @pytest.mark.parametrize("name", sorted(LADDERS))
     def test_hand_built_ladders_match_each_op_kernel_in_turn(self, name):
-        """Each maximal run of declared G blocks with one variant, coin and
-        mirror is one raised reflection with a term per block, a block of
+        """Each maximal run of declared G blocks with one variant and coin is
+        one raised reflection with a term per block, a block of
         count zero left out; any other op ends the run.  Every step against
         every op's own kernel, applied in the order of ``expand()``."""
         nodes, terms = LADDERS[name]
@@ -841,11 +852,6 @@ class TestCircuit:
             for op in bound.expand():
                 bound.kernel(op)(qubit_axes(expected, 6))
             np.testing.assert_allclose(steps[0].matrix(), expected, rtol=0, atol=1e-12)
-        # steps of one variant and coin share one plane, built by the first to run
-        for step in steps:
-            same = [other for other in steps if other.key == step.key]
-            assert all(other.basis is step.basis for other in same)
-        assert len(bound.binding.planes) == len({step.key for step in steps})
 
     @pytest.mark.parametrize("build", FUSED, ids=FUSED_IDS)
     def test_bind_leaves_the_description(self, build):
@@ -869,11 +875,10 @@ class TestCircuit:
         bound = qss_circuit(2, 8).bind(oracle)
         [block] = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
         assert [count for _, count in block.terms] == [1, 2, 4] and not built
-        assert not block.binding.planes
         first, _ = run_circuit(bound)
         gate = block.gate
         second, _ = run_circuit(bound)
-        assert len(built) == 1 and len(block.binding.planes) == 1
+        assert len(built) == 1
         assert block.gate is gate
         np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
         # each bind builds its own
