@@ -86,10 +86,8 @@ def estimate_monte_carlo(
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
-    value, _ = run_shift_scale(
-        np.array([oracle.mean]), [], trials, rng, noise, integrand=oracle, ledger=ledger
-    )
-    return Estimate("monte-carlo", float(value[0]), ledger.count, seed)
+    value, _ = run_shift_scale(oracle.mean, [], trials, rng, noise, integrand=oracle, ledger=ledger)
+    return Estimate("monte-carlo", value, ledger.count, seed)
 
 
 def qss_exact_distribution(oracle: OracleSpec, resolution: int) -> np.ndarray:
@@ -159,16 +157,18 @@ def _statevector_coin_probability(integrand: OracleSpec, offset: float, repetiti
     return float(state.probabilities()[head_state_index(coin_oracle)])
 
 
-def _binomial(rng: np.random.Generator, n: int, p: float | np.ndarray, size: int) -> np.ndarray:
-    """``size`` draws of the heads in ``n`` trials at head probability ``p``,
-    one value for every draw or an array of one per draw.  An array of one
-    value goes to NumPy as its scalar: both forms run the same C draw per
-    element, leave the generator in the same state and refuse NaN and values
-    outside [0, 1], but the array form checks ``p`` with Python-level
-    reductions, about 12 us of a one-repetition draw."""
-    if isinstance(p, np.ndarray) and p.size == 1:
-        p = p.item()
-    return rng.binomial(n, p, size)
+# The element functions of one step, (sin, asin, sqrt, maximum, minimum,
+# binomial(rng, n, p, size), first): Python floats for one repetition, whose
+# steps cost dispatch, not arithmetic, and arrays for any other count.  Both
+# give the same bits: libm's arcsine (``_asin``), NumPy 2's float64 sine equal
+# to libm's (5 x 10^6 arguments checked on an AVX-512 x86-64), builtin max/min
+# picking NumPy's operand for non-NaN floats, and NumPy's scalar binomial draw
+# drawing as its array draw.  On arrays the square root works in place, so
+# the trace reads each fraction before its root.
+_FLOATS = (math.sin, math.asin, math.sqrt, max, min,
+           lambda rng, n, p, size: rng.binomial(n, p), lambda x: x)
+_ARRAYS = (np.sin, _asin, lambda x: np.sqrt(x, out=x), np.maximum, np.minimum,
+           lambda rng, n, p, size: rng.binomial(n, p, size), lambda x: x[0] if x.size else x)
 
 
 def run_shift_scale(
@@ -182,30 +182,30 @@ def run_shift_scale(
 ) -> tuple[np.ndarray, list[dict]]:
     """The shift-and-scale loop, vectorised over repetitions.
 
-    ``f`` holds one target mean per repetition; the result has its shape.
+    ``f`` holds one target mean per repetition; the result has its shape (a
+    float for a scalar).  One repetition runs on floats (``_FLOATS``), any
+    other count on arrays (``_ARRAYS``), with the same bits and draws.
     Step 0 samples the direct coin, which alone is the Monte Carlo estimate.
     Each scheduled step (delta, m) shifts the coin by the interval's lower
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
 
     Head probabilities come from the closed form sin^2((2m+1) asin(f - E)),
-    one array expression per step over all repetitions, or from the
-    statevector when an ``integrand`` is given and there is no noise; each
-    step's oracle is the integrand ``shifted`` to its offset, so only the
-    offset is checked per step.  A
-    non-zero noise model maps the closed form through
-    ``noise.noisy_coin_probability``; step 0 evaluates
+    one expression per step over all repetitions, or from the statevector
+    when an ``integrand`` is given and there is no noise, for one repetition;
+    each step's oracle is the integrand ``shifted`` to its offset, so only
+    the offset is checked per step.  A non-zero noise model maps the closed
+    form through ``noise.noisy_coin_probability``; step 0 evaluates
     ``noise.coin_head_probability`` once, whose range check refuses a bad
     target mean first.  It takes one target mean per call; a model that could
-    act only on multi-qubit gates is refused.
-    Draws are batched per step, so one repetition draws exactly as the scalar
-    loop did; each step draws through ``_binomial``, with integer trial
-    counts of at least one.  ``ledger`` counts the queries of all
-    repetitions.  Returns the estimates and a per-step trace of repetition
-    0's e_minus, e_plus, fraction and f_i, each a NumPy scalar that holds no
-    array, so the trace does not grow with the repetitions.
+    act only on multi-qubit gates is refused.  Each step makes one binomial
+    draw, with an integer trial count of at least one.  ``ledger`` counts
+    the queries of all repetitions.  Returns the estimates and a trace of
+    repetition 0's e_minus, e_plus, fraction and f_i per step, each a float
+    or a NumPy scalar, so the trace does not grow with the repetitions.
     """
     shape = np.shape(f)
     f = np.ravel(np.asarray(f, dtype=float))
+    size = f.size
     n_steps = len(schedule) + 1
     trials = [trials_per_step] * n_steps if np.ndim(trials_per_step) == 0 else list(trials_per_step)
     if len(trials) != n_steps:
@@ -218,53 +218,57 @@ def run_shift_scale(
         raise ValueError("every step needs at least one trial")
 
     noisy = noise is not None and not noise.is_zero
-    if schedule and (noisy or integrand is not None):
+    on_statevector = integrand is not None and not noisy
+    if on_statevector and size != 1:
+        raise ValueError("the statevector route takes one target mean per call")
+    if schedule and (noisy or on_statevector):
         # the last step runs the largest circuit: refuse it before any gate runs
         largest = coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1])
         largest.check_size(on_statevector=not noisy)
+    f = f.item() if size == 1 else f
+    sin, asin, sqrt, maximum, minimum, binomial, first = _FLOATS if size == 1 else _ARRAYS
     if noisy:
         if not (noise.readout_flip_prob or noise.gate_error_1q):
             raise ValueError("the one-qubit coin has no multi-qubit gate, so a noise model "
                              "whose only non-zero rate is gate_error_mq would change nothing")
         # an empty call draws nothing, as on the noiseless route
-        p0 = noise_mod.coin_head_probability(float(f[0]), 0.0, 0, noise) if f.size else f
-        if f.size > 1 and (f != f[0]).any():
+        p0 = noise_mod.coin_head_probability(float(first(f)), 0.0, 0, noise) if size else f
+        if size > 1 and (f != f[0]).any():
             raise ValueError("noisy estimation needs a single target mean per call")
-    elif integrand is not None:
+    elif on_statevector:
         state = prepare_qss_state(_sqrt_oracle(integrand))
         p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
     else:
         p0 = f
-    on_statevector = integrand is not None and not noisy
 
-    fraction = _binomial(rng, trials[0], p0, f.size) / trials[0]
-    # the noisy coin has amplitude f, so its head fraction estimates f^2
-    f_cur = np.sqrt(fraction) if noisy else fraction
+    fraction = binomial(rng, trials[0], p0, size) / trials[0]
     e_minus, e_plus = 0.0, 1.0
-    first = 0 if f.size else slice(0)  # repetition 0, or none
-    trace = [{"step": 0, "e_minus": e_minus, "e_plus": e_plus, "fraction": fraction[first],
-              "f_i": f_cur[first]}]
+    trace = [{"step": 0, "e_minus": e_minus, "e_plus": e_plus, "fraction": first(fraction)}]
+    # the noisy coin has amplitude f, so its head fraction estimates f^2
+    f_cur = sqrt(fraction) if noisy else fraction
+    trace[-1]["f_i"] = first(f_cur)
     queries = trials[0]
 
     for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
-        e_minus = np.maximum(f_cur - delta / 2.0, e_minus)
-        e_plus = np.minimum(f_cur + delta / 2.0, e_plus)
+        e_minus = maximum(f_cur - delta / 2.0, e_minus)
+        e_plus = minimum(f_cur + delta / 2.0, e_plus)
         if on_statevector:
-            p = np.array([_statevector_coin_probability(integrand, e, reps)
-                          for e in e_minus.tolist()])
+            p = _statevector_coin_probability(integrand, e_minus, reps)
         else:
-            p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
+            s = sin((2 * reps + 1) * asin(f - e_minus))
+            p = s * s
             if noisy:
                 p = noise_mod.noisy_coin_probability(p, reps, noise)
-        fraction = _binomial(rng, n_trials, np.minimum(np.maximum(p, 0.0), 1.0), f.size) / n_trials
-        f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
-        trace.append({"step": step, "e_minus": e_minus[first], "e_plus": e_plus[first],
-                      "fraction": fraction[first], "f_i": f_cur[first]})
+        fraction = binomial(rng, n_trials, minimum(maximum(p, 0.0), 1.0), size) / n_trials
+        trace.append({"step": step, "e_minus": first(e_minus), "e_plus": first(e_plus),
+                      "fraction": first(fraction)})
+        f_cur = minimum(e_minus + sin(asin(sqrt(fraction)) / (2 * reps + 1)), e_plus)
+        trace[-1]["f_i"] = first(f_cur)
         queries += n_trials * (1 + 2 * reps)
 
     if ledger is not None:
-        ledger.add(queries * f.size)
-    return f_cur.reshape(shape), trace
+        ledger.add(queries * size)
+    return (np.reshape(f_cur, shape) if shape else f_cur), trace
 
 
 def estimate_qcoin(
@@ -284,12 +288,9 @@ def estimate_qcoin(
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
-    value, trace = run_shift_scale(
-        np.array([oracle.mean]), schedule, trials_per_step, rng, noise,
-        integrand=oracle, ledger=ledger,
-    )
-    trace = [{key: v if key == "step" else float(v) for key, v in t.items()} for t in trace]
-    return Estimate("qcoin", float(value[0]), ledger.count, seed, trace)
+    value, trace = run_shift_scale(oracle.mean, schedule, trials_per_step, rng, noise,
+                                   integrand=oracle, ledger=ledger)
+    return Estimate("qcoin", value, ledger.count, seed, trace)
 
 
 def select_optimal_k(budget: int, error_table: dict[int, dict[int, float]]) -> int:

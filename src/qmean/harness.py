@@ -155,17 +155,16 @@ def fast_qcoin_estimate(
     noise: NoiseModel | None = None,
     head_prob_cache: dict | None = None,
 ) -> float | np.ndarray:
-    """Shift-and-scale estimates using the closed-form head probability
-    sin^2((2m+1) asin(f - E)), or the single-qubit hardware circuits under
-    noise; f may be an array (one per rep), and a float gives a float.
+    """Shift-and-scale estimates from the closed-form head probability
+    sin^2((2m+1) asin(f - E)), through ``noise.noisy_coin_probability``
+    under noise; f may be an array (one per rep), and a float gives a float.
 
     Exact for any integrand because amplification is an exact rotation in
     the coin plane; agreement with the statevector path is asserted in the
     test suite.  ``head_prob_cache`` is accepted and not read: each step
-    evaluates its head probabilities as one array expression.
+    evaluates its head probabilities as one expression.
     """
-    est, _ = run_shift_scale(f, shift_scale_schedule(k), trials_per_step, rng, noise)
-    return float(est) if np.ndim(f) == 0 else est
+    return run_shift_scale(f, shift_scale_schedule(k), trials_per_step, rng, noise)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmean.estimators import (
-    _binomial,
+    _asin,
     estimate_monte_carlo,
     estimate_qcoin,
     estimate_qss,
@@ -20,12 +20,13 @@ from qmean.estimators import (
     shift_scale_schedule,
 )
 from qmean.harness import calibrate_optimal_k, fast_qcoin_estimate, qss_theoretical_distribution
-from qmean.noise import HARDWARE_PRESET
+from qmean.noise import HARDWARE_PRESET, coin_head_probability, noisy_coin_probability
 from qmean.primitives import (
     LINEAR_AMPLITUDE,
     OracleSpec,
     coin_circuit,
     head_state_index,
+    prepare_qss_state,
     run_circuit,
 )
 
@@ -222,8 +223,8 @@ class TestQcoin:
 
 
 class TestOneValueDraw:
-    """A head probability of one value is drawn through NumPy's scalar
-    binomial path, which must draw as the array path does."""
+    """One repetition draws with a float head probability through NumPy's
+    scalar binomial path, which must draw as its array path does."""
 
     def test_scalar_path_draws_as_the_array_path(self):
         picks = np.random.default_rng(27)
@@ -232,19 +233,88 @@ class TestOneValueDraw:
         for seed, (n, p) in enumerate(zip(ns, ps)):
             one, array = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                got = _binomial(one, n, np.array([p]), 1)
+                got = one.binomial(n, p)
                 expected = array.binomial(n, np.array([p]))
-                assert got.dtype == expected.dtype and got.shape == (1,)
-                np.testing.assert_array_equal(got, expected, err_msg=f"n = {n}, p = {p}")
+                assert isinstance(got, int) and expected.shape == (1,)
+                assert got == expected[0], f"n = {n}, p = {p}"
             assert one.bit_generator.state == array.bit_generator.state
 
     @pytest.mark.parametrize("p", [np.nan, -0.1, 1.1])
     def test_both_paths_refuse_a_bad_probability(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).binomial(10, p)
         for probabilities in (np.array([p]), np.array([0.5, p])):
             with pytest.raises(ValueError):
-                _binomial(np.random.default_rng(0), 10, probabilities, probabilities.size)
-            with pytest.raises(ValueError):
                 np.random.default_rng(0).binomial(10, probabilities)
+
+
+def _array_shift_scale(f, k, trials, rng, noise=None, integrand=None):
+    """The one-repetition loop as size-1 arrays, kept to pin the float path:
+    NumPy's maximum, minimum, sine and square root, ``_asin`` and a draw of
+    one value per step."""
+    f = np.array([f])
+    if noise is not None:
+        p = np.array([coin_head_probability(f.item(), 0.0, 0, noise)])
+    elif integrand is not None:
+        state = prepare_qss_state(OracleSpec(integrand.values))
+        p = np.array([np.sum(state.probabilities()[head_state_index(integrand):])])
+    else:
+        p = f
+    fraction = rng.binomial(trials, p, 1) / trials
+    f_cur = np.sqrt(fraction) if noise is not None else fraction
+    e_minus, e_plus = 0.0, 1.0
+    trace = [(e_minus, e_plus, fraction[0], f_cur[0])]
+    for delta, reps in shift_scale_schedule(k):
+        e_minus = np.maximum(f_cur - delta / 2.0, e_minus)
+        e_plus = np.minimum(f_cur + delta / 2.0, e_plus)
+        if integrand is not None and noise is None:
+            oracle = integrand.shifted(e_minus.item())
+            state, _ = run_circuit(coin_circuit(oracle.n_input_qubits, reps).bind(oracle))
+            p = np.array([state.probabilities()[head_state_index(oracle)]])
+        else:
+            p = np.sin((2 * reps + 1) * _asin(f - e_minus)) ** 2
+            if noise is not None:
+                p = noisy_coin_probability(p, reps, noise)
+        fraction = rng.binomial(trials, np.minimum(np.maximum(p, 0.0), 1.0), 1) / trials
+        f_cur = np.minimum(e_minus + np.sin(_asin(np.sqrt(fraction)) / (2 * reps + 1)), e_plus)
+        trace.append((e_minus[0], e_plus[0], fraction[0], f_cur[0]))
+    return f_cur[0], trace
+
+
+class TestOneRepetitionOnFloats:
+    """One repetition runs on Python floats and must give the bits and draws
+    of the same loop on one-value arrays."""
+
+    CASES = {
+        "noiseless": (0.3, None, None),
+        "hardware": (0.3, HARDWARE_PRESET, None),
+        "statevector": (None, None, OracleSpec([0.1, 0.7, 0.35, 0.52])),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float_path_matches_one_value_arrays(self, case):
+        f, noise, integrand = self.CASES[case]
+        f = integrand.mean if integrand is not None else f
+        for k in range(9):
+            for seed in range(20):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, trace = run_shift_scale(f, shift_scale_schedule(k), 30, got_rng, noise,
+                                             integrand=integrand)
+                want, want_trace = _array_shift_scale(f, k, 30, want_rng, noise, integrand)
+                assert type(got) is float and got == want, (k, seed)
+                assert [tuple(row.values())[1:] for row in trace] == want_trace, (k, seed)
+                assert all(type(v) is float for row in trace for v in list(row.values())[1:])
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_a_float_gives_a_float(self):
+        for noise in (None, HARDWARE_PRESET):
+            assert type(fast_qcoin_estimate(0.3, 4, 20, np.random.default_rng(0), noise)) is float
+        assert type(estimate_qcoin(OracleSpec([0.3]), 4, 20, seed=0).value) is float
+
+    def test_statevector_takes_one_repetition(self):
+        with pytest.raises(ValueError, match="one target mean per call"):
+            run_shift_scale(np.full(2, 0.5), shift_scale_schedule(2), 10,
+                            np.random.default_rng(0), integrand=OracleSpec([0.5]))
 
 
 class TestAmplifiedCoinHeadProbability:
