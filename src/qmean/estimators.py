@@ -21,6 +21,7 @@ from .primitives import (
     QueryLedger,
     SQRT_AMPLITUDE,
     coin_circuit,
+    coin_template,
     head_state_index,
     prepare_qss_state,
     qss_circuit,
@@ -83,11 +84,8 @@ def estimate_monte_carlo(
     With a noise model the hardware-style single-qubit coin (head probability
     f^2, square-root recovery) is used instead.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    ledger = QueryLedger()
-    value, _ = run_shift_scale(oracle.mean, [], trials, rng, noise, integrand=oracle, ledger=ledger)
-    return Estimate("monte-carlo", value, ledger.count, seed)
+    value, queries, _ = _coin_estimate(oracle, [], trials, seed, noise, rng)
+    return Estimate("monte-carlo", value, queries, seed)
 
 
 def qss_exact_distribution(oracle: OracleSpec, resolution: int) -> np.ndarray:
@@ -149,14 +147,6 @@ def _asin(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.asin, x.tolist()), float, x.size)
 
 
-def _statevector_coin_probability(integrand: OracleSpec, offset: float, repetitions: int) -> float:
-    """Head probability of the coin shifted by ``offset`` after m
-    amplifications, simulated; the integrand's bins are not checked again."""
-    coin_oracle = integrand.shifted(offset)
-    state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, repetitions).bind(coin_oracle))
-    return float(state.probabilities()[head_state_index(coin_oracle)])
-
-
 # The element functions of one step, (sin, asin, sqrt, maximum, minimum,
 # binomial(rng, n, p, size), first): Python floats for one repetition, whose
 # steps cost dispatch, not arithmetic, and arrays for any other count.  Both
@@ -188,20 +178,12 @@ def run_shift_scale(
     Step 0 samples the direct coin, which alone is the Monte Carlo estimate.
     Each scheduled step (delta, m) shifts the coin by the interval's lower
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
-
-    Head probabilities come from the closed form sin^2((2m+1) asin(f - E)),
-    one expression per step over all repetitions, or from the statevector
-    when an ``integrand`` is given and there is no noise, for one repetition;
-    each step's oracle is the integrand ``shifted`` to its offset, so only
-    the offset is checked per step.  A non-zero noise model maps the closed
-    form through ``noise.noisy_coin_probability``; step 0 evaluates
-    ``noise.coin_head_probability`` once, whose range check refuses a bad
-    target mean first.  It takes one target mean per call; a model that could
-    act only on multi-qubit gates is refused.  Each step makes one binomial
-    draw, with an integer trial count of at least one.  ``ledger`` counts
-    the queries of all repetitions.  Returns the estimates and a trace of
-    repetition 0's e_minus, e_plus, fraction and f_i per step, each a float
-    or a NumPy scalar, so the trace does not grow with the repetitions.
+    The coin, picked once, gives step 0's head probability ``p0`` and
+    ``head(E, m)``.  Each step makes one binomial draw, with an integer trial
+    count of at least one.  ``ledger`` counts the queries of all repetitions.
+    Returns the estimates and a trace of repetition 0's e_minus, e_plus,
+    fraction and f_i per step, each a float or a NumPy scalar, so the trace
+    does not grow with the repetitions.
     """
     shape = np.shape(f)
     f = np.ravel(np.asarray(f, dtype=float))
@@ -218,16 +200,18 @@ def run_shift_scale(
         raise ValueError("every step needs at least one trial")
 
     noisy = noise is not None and not noise.is_zero
-    on_statevector = integrand is not None and not noisy
-    if on_statevector and size != 1:
-        raise ValueError("the statevector route takes one target mean per call")
-    if schedule and (noisy or on_statevector):
-        # the last step runs the largest circuit: refuse it before any gate runs
-        largest = coin_circuit(0 if noisy else integrand.n_input_qubits, schedule[-1][1])
-        largest.check_size(on_statevector=not noisy)
     f = f.item() if size == 1 else f
     sin, asin, sqrt, maximum, minimum, binomial, first = _FLOATS if size == 1 else _ARRAYS
+
+    def closed_form(e_minus, m):
+        s = sin((2 * m + 1) * asin(f - e_minus))
+        return s * s
+
+    # the last step runs the largest circuit: refuse it before any gate runs
     if noisy:
+        # The noisy one-qubit coin: the closed form through noisy_coin_probability.
+        if schedule:
+            coin_template(0, schedule[-1][1]).check_size()
         if not (noise.readout_flip_prob or noise.gate_error_1q):
             raise ValueError("the one-qubit coin has no multi-qubit gate, so a noise model "
                              "whose only non-zero rate is gate_error_mq would change nothing")
@@ -235,11 +219,25 @@ def run_shift_scale(
         p0 = noise_mod.coin_head_probability(float(first(f)), 0.0, 0, noise) if size else f
         if size > 1 and (f != f[0]).any():
             raise ValueError("noisy estimation needs a single target mean per call")
-    elif on_statevector:
+
+        def head(e_minus, m):
+            return noise_mod.noisy_coin_probability(closed_form(e_minus, m), m, noise)
+    elif integrand is not None:
+        # The statevector coin, one repetition; each step's oracle is the integrand ``shifted``.
+        if size != 1:
+            raise ValueError("the statevector route takes one target mean per call")
+        if schedule:
+            coin_template(integrand.n_input_qubits, schedule[-1][1]).check_size(on_statevector=True)
         state = prepare_qss_state(_sqrt_oracle(integrand))
         p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
+
+        def head(e_minus, m):
+            coin_oracle = integrand.shifted(e_minus)
+            state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, m).bind(coin_oracle))
+            return float(state.probabilities()[head_state_index(coin_oracle)])
     else:
-        p0 = f
+        # The closed form sin^2((2m+1) asin(f - E)), one expression over all repetitions.
+        p0, head = f, closed_form
 
     fraction = binomial(rng, trials[0], p0, size) / trials[0]
     e_minus, e_plus = 0.0, 1.0
@@ -252,14 +250,8 @@ def run_shift_scale(
     for step, ((delta, reps), n_trials) in enumerate(zip(schedule, trials[1:]), start=1):
         e_minus = maximum(f_cur - delta / 2.0, e_minus)
         e_plus = minimum(f_cur + delta / 2.0, e_plus)
-        if on_statevector:
-            p = _statevector_coin_probability(integrand, e_minus, reps)
-        else:
-            s = sin((2 * reps + 1) * asin(f - e_minus))
-            p = s * s
-            if noisy:
-                p = noise_mod.noisy_coin_probability(p, reps, noise)
-        fraction = binomial(rng, n_trials, minimum(maximum(p, 0.0), 1.0), size) / n_trials
+        p = minimum(maximum(head(e_minus, reps), 0.0), 1.0)
+        fraction = binomial(rng, n_trials, p, size) / n_trials
         trace.append({"step": step, "e_minus": first(e_minus), "e_plus": first(e_plus),
                       "fraction": first(fraction)})
         f_cur = minimum(e_minus + sin(asin(sqrt(fraction)) / (2 * reps + 1)), e_plus)
@@ -285,12 +277,18 @@ def estimate_qcoin(
     seed, produces the identical estimate.
     """
     schedule = shift_scale_schedule(k)
+    value, queries, trace = _coin_estimate(oracle, schedule, trials_per_step, seed, noise, rng)
+    return Estimate("qcoin", value, queries, seed, trace)
+
+
+def _coin_estimate(oracle, schedule, trials, seed, noise, rng):
+    """The shift-and-scale loop on ``oracle``'s coin: (value, queries, trace)."""
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
-    value, trace = run_shift_scale(oracle.mean, schedule, trials_per_step, rng, noise,
+    value, trace = run_shift_scale(oracle.mean, schedule, trials, rng, noise,
                                    integrand=oracle, ledger=ledger)
-    return Estimate("qcoin", value, ledger.count, seed, trace)
+    return value, ledger.count, trace
 
 
 def select_optimal_k(budget: int, error_table: dict[int, dict[int, float]]) -> int:

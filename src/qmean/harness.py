@@ -644,7 +644,8 @@ def config_list(cfg: dict, key: str, parse, default=None) -> list:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
-def noise_from_config(cfg: dict) -> NoiseModel | None:
+def noise_from_config(cfg: dict) -> NoiseModel:
+    """The config's ``noise`` preset or "readout,1q,mq" rates; ``none`` is the all-zero model."""
     name = cfg.get("noise", "none")
     if name in noise_mod.PRESETS:
         return noise_mod.PRESETS[name]

@@ -20,10 +20,12 @@ from qmean.estimators import (
     shift_scale_schedule,
 )
 from qmean.harness import calibrate_optimal_k, fast_qcoin_estimate, qss_theoretical_distribution
-from qmean.noise import HARDWARE_PRESET, coin_head_probability, noisy_coin_probability
+from qmean.noise import HARDWARE_PRESET, NoiseModel, coin_head_probability, noisy_coin_probability
 from qmean.primitives import (
     LINEAR_AMPLITUDE,
+    OracleError,
     OracleSpec,
+    WORK,
     coin_circuit,
     head_state_index,
     prepare_qss_state,
@@ -315,6 +317,42 @@ class TestOneRepetitionOnFloats:
         with pytest.raises(ValueError, match="one target mean per call"):
             run_shift_scale(np.full(2, 0.5), shift_scale_schedule(2), 10,
                             np.random.default_rng(0), integrand=OracleSpec([0.5]))
+
+
+class TestCoinRefusals:
+    """Each coin refuses what it cannot run before the first draw or gate:
+    the caller's generator and the simulator's work counter are untouched.
+    The last two cases have two faults each and pin which is named first."""
+
+    BIG = OracleSpec(np.random.default_rng(4).uniform(0.0, 1.0, 4096))
+    CASES = {
+        "statevector-amplitude-cap": (BIG.mean, 11, None, BIG, ValueError,
+                                      r"53274 ops x 2\^13 amplitudes"),
+        "statevector-two-means": (np.full(2, 0.5), 2, None, OracleSpec([0.5]), ValueError,
+                                  "one target mean per call"),
+        "noisy-op-cap": (0.3, 40, HARDWARE_PRESET, None, ValueError, r"has \d+ ops, more than the cap"),
+        "noisy-mq-only": (0.3, 2, NoiseModel(0.0, 0.0, 0.05), None, ValueError,
+                          "only non-zero rate is gate_error_mq"),
+        "noisy-out-of-range": (-0.2, 2, HARDWARE_PRESET, None, OracleError,
+                               r"must lie in \[0, 1\]"),
+        "noisy-two-means": (np.array([0.1, 0.9]), 2, HARDWARE_PRESET, None, ValueError,
+                            "single target mean per call"),
+        "statevector-two-means-past-the-cap": (np.full(2, 0.5), 11, None, BIG, ValueError,
+                                               "one target mean per call"),
+        "noisy-op-cap-before-mq-only": (0.3, 40, NoiseModel(0.0, 0.0, 0.05), None, ValueError,
+                                        r"has \d+ ops, more than the cap"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_before_the_first_draw(self, case):
+        f, k, noise, integrand, error, message = self.CASES[case]
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        WORK.reset()
+        with pytest.raises(error, match=message):
+            run_shift_scale(f, shift_scale_schedule(k), 10, rng, noise, integrand=integrand)
+        assert rng.bit_generator.state == state
+        assert WORK.amplitude_updates == 0
 
 
 class TestAmplifiedCoinHeadProbability:
