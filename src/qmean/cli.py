@@ -216,11 +216,10 @@ def cmd_sweep_convergence(args):
 
 
 def cmd_supersample(args):
-    cfg = _load_config(args, ("seed", "noise", "width", "height", "qcoin_k", "qss_P"))
-    sized = [key for key in ("width", "height") if key in cfg]
-    if args.image and sized:
-        raise CliError(f"supersample --image does not read config key {sized[0]!r} "
-                       f"(the image sets its own size)", EXIT_CONFIG)
+    # the test card's size without an image, and each algorithm's own key
+    reads = (("seed", "noise") + (() if args.image else ("width", "height"))
+             + {"qcoin": ("qcoin_k",), "qss": ("qss_P",)}.get(args.algorithm, ()))
+    cfg = _load_config(args, reads)
     seed = _required(args, cfg, "seed", int, "a seed")
     flags = _algorithm_flags(args, {"monte-carlo": {"budget": 240}, "qcoin": {"budget": 240},
                                     "qss": {}, "ideal": {}})

@@ -142,8 +142,9 @@ def shift_scale_schedule(k: int) -> list[tuple[float, int]]:
 
 
 def _asin(x: np.ndarray) -> np.ndarray:
-    # math.asin per element, not np.arcsin: NumPy's SIMD arcsin can differ from
-    # libm in the last bit, which would change fixed-seed single estimates.
+    # math.asin per element, not NumPy's SIMD arcsin, which can differ in the last
+    # bit: the array path stays bit-equal to a single estimate's float path, and
+    # the sweeps, calibration, supersampling and ``harness._qss_rows`` unchanged.
     return np.fromiter(map(math.asin, x.tolist()), float, x.size)
 
 

@@ -19,6 +19,7 @@ from .primitives import (
     Circuit,
     OracleError,
     OracleSpec,
+    _check_offset,
     coin_circuit,
     coin_template,
 )
@@ -78,15 +79,18 @@ def noisy_execute(
     on a qubit after its ``M`` is refused), and the readout is
     ``circuit.measured_qubits``, whose bits then flip independently with the
     readout probability; a circuit that measures nothing is refused before
-    any gate runs.  With an all-zero model no random draws happen
-    before measurement, so the trajectory is bit-identical to the noiseless
-    path for any seed.  The returned post_state is the collapsed pre-readout
-    state; only the observed bits carry readout flips.
+    any gate runs, and one past the statevector's cap (``Circuit.check_size``)
+    before its state is allocated.  With an all-zero model no random draws
+    happen before measurement, so the trajectory is bit-identical to the
+    noiseless path for any seed.  The returned post_state is the collapsed
+    pre-readout state; only the observed bits carry readout flips.
     The gates' kernels come from the circuit's bind (``Circuit.kernel``),
     and each Pauli is lowered at most once per call.
     """
     n = circuit.n_qubits
     readout = Measurement(n, circuit.measured_qubits)
+    circuit = _bound(circuit)
+    circuit.check_size(on_statevector=True)
     amps = StateVector.zero(n).amplitudes
     psi = qubit_axes(amps, n)
     paulis: dict = {}
@@ -208,10 +212,7 @@ def coin_head_probability(f: float, offset: float, m: int, model: NoiseModel) ->
     """
     if not 0.0 <= f <= 1.0:
         raise OracleError("integrand values must lie in [0, 1]")
-    if not 0.0 <= offset < 1.0:
-        raise OracleError(f"offset must lie in [0, 1), got {offset}")
-    if abs(f - offset) > 1.0:
-        raise OracleError("|F(i) - offset| must not exceed 1")
+    _check_offset(offset)
     return noisy_coin_probability(math.sin((2 * m + 1) * math.asin(f - offset)) ** 2, m, model)
 
 

@@ -8,12 +8,11 @@ blocks of amplification steps G, a phase flip then the reflection S^-1 RZERO
 S (``_g_block``), each run of them of one variant on the same coin qubits
 as one step (``ReflectionKernel``): in each branch of the other qubits a
 rotation, by that branch's power of G, in the plane of the reflection's
-vector, that vector built on the coin qubits alone the first time the step
-runs.  ``Circuit.bind`` adds a run schedule beside the description and
-leaves its ops as they are: every op but Q and Q_INV is lowered once per
-circuit shape, in its ``_Template``, cached by its builder's arguments, and
-a bind checks the oracle and builds Q from it only where a step or
-``Circuit.kernel`` first asks for it (``_Binding``).
+vector, built on the coin qubits alone.  ``Circuit.bind`` adds a run
+schedule beside the description and leaves its ops as they are: every op
+but Q and Q_INV is lowered once per circuit shape, in its ``_Template``,
+cached by its builder's arguments, and a bind checks the oracle and builds
+from it each Q its schedule runs and each reflection's plane (``_Binding``).
 ``run_circuit`` applies the bound schedule in place, each register of H as a
 few dense products and each measurement as one collapse of the amplitudes in
 place (``Measurement``).  The estimators run these circuits; the noise layer
@@ -43,11 +42,11 @@ from .statevector import (
     GateMatrix,
     FourierKernel,
     Kernel,
-    MatrixKernel,
     Measurement,
     MeasurementOutcome,
     PairKernel,
     PhaseKernel,
+    ReflectionKernel,
     SimulatorError,
     StateVector,
     check_qubits,
@@ -237,7 +236,7 @@ class Circuit:
     """A straight-line list of ops and repeated blocks.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
-    ``schedule`` is what ``run_circuit`` runs and ``binding`` builds the Q
+    ``schedule`` is what ``run_circuit`` runs and ``binding`` holds the Q
     and Q_INV kernels of the bind; ``bind`` sets both, from ``template``
     (``_Template``), which a circuit from ``coin_circuit``, ``qss_circuit``
     or ``bind`` shares with every circuit of its shape.  A bound circuit's
@@ -312,13 +311,12 @@ class _Template:
     (``_schedule``), in which each Q and Q_INV stays an op, and the index
     arrays of each placement of Q (``_placement``).
 
-    ``bind`` checks the oracle against every Q and Q_INV that runs and
-    builds no kernel; its ``_Binding`` builds each one when it is first
-    asked for.  The op counts that ``run_circuit`` adds to ``WORK`` and the
-    ledger, and the size the caps check, are computed here once.  The
-    schedule waits for the first bind, and each kernel and placement for its
-    first use, since ``resources`` and ``dump-circuit`` build circuits they
-    never bind.
+    ``bind`` checks the oracle against every Q and Q_INV that runs, and its
+    ``_Binding`` builds the kernels of the steps that depend on it.  The op
+    counts that ``run_circuit`` adds to ``WORK`` and the ledger, and the
+    size the caps check, are computed here once.  The schedule waits for
+    the first bind, and each kernel and placement for its first use, since
+    ``resources`` and ``dump-circuit`` build circuits they never bind.
     """
 
     def __init__(self, circuit: Circuit):
@@ -370,7 +368,7 @@ class _Template:
                                   f"oracle has {oracle.n_input_qubits}")
         binding = _Binding(self, _rotation(oracle) if self.sites else None)
         return Circuit(self.n_qubits, list(self.nodes), self.measured_qubits,
-                       _fill(self.steps, binding), self, binding)
+                       binding.steps(self.steps, self.n_qubits), self, binding)
 
 
 def _circuit(template: _Template) -> Circuit:
@@ -381,11 +379,10 @@ def _circuit(template: _Template) -> Circuit:
 
 class _Binding:
     """One bind of a template to an oracle: the oracle's ``_rotation`` and
-    the Q and Q_INV kernels built from it.  Q is built at a placement the
-    first time a step or ``Circuit.kernel`` asks for it, and kept by
-    register size and placement, so qcoin's reflection, whose mirror runs
-    on the whole register, reuses the preparation's Q.  Only the noise layer
-    asks for Q_INV."""
+    the Q and Q_INV kernels built from it, kept by register size and
+    placement, so qcoin's reflection, whose mirror runs on the whole
+    register, reuses the preparation's Q.  The bind builds those its
+    schedule runs (``steps``), ``Circuit.kernel`` any other, Q_INV among them."""
 
     def __init__(self, template: _Template, rotation):
         self.template, self.rotation = template, rotation
@@ -404,11 +401,18 @@ class _Binding:
             self.kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
         return self.kernels[op.name, site]
 
-
-def _fill(steps: list, binding: _Binding) -> list:
-    """The steps of one bind: each ``ReflectionKernel`` bound
-    (``ReflectionKernel.bound``), every other step as it is."""
-    return [step.bound(binding) if isinstance(step, ReflectionKernel) else step for step in steps]
+    def steps(self, steps: list, n_qubits: int) -> list:
+        """A template's schedule on an n-qubit register in this bind: each Q
+        and Q_INV op its kernel, each ``ReflectionKernel`` bound with its
+        mirror's kernels on its k target qubits, every other step as it is."""
+        bound = []
+        for step in steps:
+            if isinstance(step, CircuitOp):
+                step = self.kernel(step, n_qubits)
+            elif isinstance(step, ReflectionKernel):
+                step = step.bound(self.steps(step.mirror, step.size.bit_length() - 1))
+            bound.append(step)
+        return bound
 
 
 def _schedule(nodes, template: _Template) -> list:
@@ -416,8 +420,8 @@ def _schedule(nodes, template: _Template) -> list:
     kernel, a ``Measurement``, a block's or a ladder's one declared step or
     a block's own steps (``_steps``).  Each maximal run of formula H ops
     with the same controls and distinct targets is a few dense kernels
-    (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel a
-    bind builds at its first run.
+    (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel
+    each bind builds (``_Binding.steps``).
     """
     return [step for run in _runs(nodes) for step in _steps(run, template)]
 
@@ -502,115 +506,6 @@ def _reflection(ladder: _Ladder, template: _Template) -> ReflectionKernel:
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
     return ReflectionKernel(template.n_qubits, coin, terms, signs.real,
                             _schedule(mirror.nodes, mirror))
-
-
-# the signs of sin in the rows of ``ReflectionKernel``'s M(e)
-_TURN = np.array([-1.0, 1.0])[:, None, None]
-
-
-class ReflectionKernel(MatrixKernel):
-    """A ladder of powers of one G = (2|a><a| - I) D on the target qubits,
-    G^count of each term (controls, count) where its controls are |1>, as
-    one step, in O(2^n) per call for any counts.  Each term is a declared G
-    block (``_g_block``): a phase D and the reflection S^-1 RZERO S.
-
-    Powers of one G commute, so the ladder is |b>|y> -> |b> G^e(b) |y>
-    (Brassard, Hoyer, Mosca and Tapp, arXiv:quant-ph/0005055, Lambda_M(Q)),
-    where e(b) (``exponents``) sums the counts of the terms whose controls
-    are all 1 in the branch b of the other qubits.  D is ``signs``, a +-1
-    diagonal on the targets, read from the first block's first op
-    (``_reflection``).  With u and v the unit parts of a = S^-1 |0>
-    where D is +1 and -1, B = [u, v] and phi = atan2(|a-|, |a+|), G turns
-    the plane of B by 2 phi and acts as -D on the rest of the space, so in
-    each branch
-
-        G^e x = (-D)^e x + B M(e) B^T x,
-        M(e) = Rot(2 e phi) - diag((-1)^e, 1).
-
-    e and its parity are computed here, once per template; cos and sin of
-    2 e phi once per bind.  ``mirror`` is S^-1 lowered on the k target
-    qubits alone (``_reflection``).  A bound step (``bound``) builds B and
-    phi (``_plane``) with the bind's Q at its first call, so a bound circuit
-    that never runs on the statevector (the noise layer's) pays only for
-    this object.  a is real: S^-1 holds only H, Q and Q_INV.
-    """
-
-    def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
-                 signs: np.ndarray, mirror: list):
-        super().__init__(n_qubits, None, targets)
-        self.terms, self.signs, self.mirror = terms, signs, mirror
-        # ``columns`` with psi's own columns (its last axis) before the other
-        # qubits, so that an array over the branches broadcasts over them
-        k = len(targets)
-        self.perm = self.perm[:k] + self.perm[-1:] + self.perm[k:-1]
-        # with the targets in order, ``columns`` is a view of psi
-        self.in_place = self.perm == tuple(sorted(self.perm))
-        # e of each branch of the other qubits, whose j-th lowest is bit j
-        others = [q for q in range(n_qubits) if q not in targets]
-        branch = np.arange(1 << len(others))
-        exponents = np.zeros_like(branch)
-        for controls, count in terms:
-            on = np.ones_like(branch)
-            for q in controls:
-                on &= branch >> others.index(q)
-            exponents += count * (on & 1)
-        # e, diag((-1)^e, 1) and (-D)^e by float column, a branch's (re, im)
-        # pair; no (-D)^e where every e is even
-        self.exponents = np.repeat(exponents, 2).astype(float)  # exact below 2^53
-        odd = np.repeat(exponents & 1, 2).astype(bool)
-        self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
-        self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
-
-    def bound(self, binding: _Binding) -> "ReflectionKernel":
-        """This step in the bind ``binding``."""
-        # a shallow copy, without copy.copy's cost: it runs at every bind
-        kernel = object.__new__(type(self))
-        kernel.__dict__.update(self.__dict__, binding=binding)
-        return kernel
-
-    def __call__(self, psi: np.ndarray):
-        if self.gate is None:
-            self._build()
-        sub, x = self.columns(psi, True)
-        width = len(self.exponents)
-        # y = B^T x, then M(e) y = C y + S y[::-1] by float column
-        y = (self.bra @ x).reshape(2, -1, width)
-        cos_part, sin_part = self.gate
-        new = self.basis @ (cos_part * y + sin_part * y[::-1]).reshape(2, -1)
-        if self.flip is not None:
-            by_column = x.reshape(self.size, -1, width)
-            by_column *= self.flip
-        x += new
-        if not self.in_place:
-            sub[...] = x.view(np.complex128).reshape(sub.shape)
-
-    def _build(self):
-        self.basis, phi = _plane(self, self.binding)
-        self.bra = self.basis.T
-        angle = self.exponents * (2 * phi)
-        # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
-        # C = [C0, C1] and S = [-s, s], by float column
-        self.gate = np.cos(angle) - self.diagonal, np.sin(angle) * _TURN
-
-
-def _plane(kernel: ReflectionKernel, binding: _Binding) -> tuple[np.ndarray, float]:
-    """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> on its k
-    coin qubits, its mirror run on 2^k amplitudes with Q from ``binding``,
-    split by its signs; a part that is zero stays zero.  B is the transpose
-    of a C-ordered B^T, which the kernel multiplies by without a copy."""
-    k = len(kernel.signs).bit_length() - 1
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    amps[0] = 1.0
-    psi = qubit_axes(amps, k)
-    for step in kernel.mirror:
-        (binding.kernel(step, k) if isinstance(step, CircuitOp) else step)(psi)
-    a = amps.real
-    plus = a * (kernel.signs > 0)
-    minus = a - plus
-    # np.linalg.norm's own sum for a real vector, without its checks
-    norms = [math.sqrt(part @ part) for part in (plus, minus)]
-    bra = np.array([part / norm if norm else part for part, norm in zip((plus, minus), norms)])
-    return bra.T, math.atan2(norms[1], norms[0])
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -704,17 +599,17 @@ def run_circuit(
     ``M`` collapses its targets in place with ``rng`` (its ``Measurement``)
     and records the observed bits, with no post-state: the returned state is
     the final one.  Without a generator it is skipped, which leaves the
-    amplitudes the caller reads a distribution from.  A Q or Q_INV step
-    runs the bind's kernel (``_Binding.kernel``).  Each Q or Q_INV is one
-    query on ``ledger``; the ops applied and their amplitude updates are
-    added to ``WORK``, one per op (a register of H counts as its H ops, a
-    Fourier transform as its textbook ops, a reflection as the ops it
-    replaces), from the counts of the circuit's template.  Refused past
-    MAX_AMPLITUDE_WORK before the state is allocated.
+    amplitudes the caller reads a distribution from.  Every other step is a
+    kernel that the bind built.  Each Q or Q_INV is one query on ``ledger``;
+    the ops applied and their amplitude updates are added to ``WORK``, one
+    per op (a register of H counts as its H ops, a Fourier transform as its
+    textbook ops, a reflection as the ops it replaces), from the counts of
+    the circuit's template.  Refused past MAX_AMPLITUDE_WORK before the
+    state is allocated.
     """
     if circuit.schedule is None:
         raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
-    template, binding = circuit.template, circuit.binding
+    template = circuit.template
     template.check_size(on_statevector=True)
     n = circuit.n_qubits
     if state is None:
@@ -725,9 +620,7 @@ def run_circuit(
     psi = qubit_axes(amps, n)
     outcomes = []
     for step in circuit.schedule:
-        if isinstance(step, CircuitOp):
-            binding.kernel(step, n)(psi)
-        elif not isinstance(step, Measurement):
+        if not isinstance(step, Measurement):
             step(psi)
         elif rng is not None:
             outcomes.append(MeasurementOutcome(list(step.qubits), step.collapse(amps, rng)))

@@ -5,10 +5,11 @@ gate on several qubits, ``MatrixKernel``) built once per op and applied in
 place to a view of the amplitudes with one axis per qubit, so a structured op
 costs O(2^n) and needs no dense 2^n x 2^n matrix.  A ``MatrixKernel`` also
 applies H to a register of qubits (``hadamard_kernels``), the Fourier
-transform of a register as one FFT (``FourierKernel``) and, as
-``primitives.ReflectionKernel``, a ladder of controlled powers of one phase
-flip and reflection about one vector, as an update of rank two in each
-branch of the other qubits.  A ``Measurement`` draws an outcome and
+transform of a register as one FFT (``FourierKernel``) and
+(``ReflectionKernel``) a ladder of controlled powers of one phase flip and
+reflection about one vector, as an update of rank two in each branch of the
+other qubits, its plane built once per bind from the reflection's own
+kernels on its few target qubits.  A ``Measurement`` draws an outcome and
 collapses the amplitudes in place; ``measure`` runs one on a copy of a
 state.
 
@@ -249,6 +250,110 @@ class FourierKernel(MatrixKernel):
     def __call__(self, psi: np.ndarray):
         sub, x = self.columns(psi, False)
         sub[...] = np.fft.fft(x, axis=0, norm="ortho").reshape(sub.shape)
+
+
+# the signs of sin in the rows of ``ReflectionKernel``'s M(e)
+_TURN = np.array([-1.0, 1.0])[:, None, None]
+
+
+class ReflectionKernel(MatrixKernel):
+    """A ladder of powers of one G = (2|a><a| - I) D on the target qubits,
+    G^count of each term (controls, count) where its controls are |1>, as
+    one step, in O(2^n) per call for any counts.  Each term is a declared G
+    block (``primitives._g_block``): a phase D and the reflection S^-1 RZERO S.
+
+    Powers of one G commute, so the ladder is |b>|y> -> |b> G^e(b) |y>
+    (Brassard, Hoyer, Mosca and Tapp, arXiv:quant-ph/0005055, Lambda_M(Q)),
+    where e(b) (``exponents``) sums the counts of the terms whose controls
+    are all 1 in the branch b of the other qubits.  D is ``signs``, a +-1
+    diagonal on the targets, read from the first block's first op
+    (``primitives._reflection``).  With u and v the unit parts of
+    a = S^-1 |0> where D is +1 and -1, B = [u, v] and phi = atan2(|a-|, |a+|),
+    G turns the plane of B by 2 phi and acts as -D on the rest of the space,
+    so in each branch
+
+        G^e x = (-D)^e x + B M(e) B^T x,
+        M(e) = Rot(2 e phi) - diag((-1)^e, 1).
+
+    e and its parity are computed here, once per circuit shape, where
+    ``mirror`` is S^-1 on the k target qubits alone as its template lists
+    it.  ``bound`` makes the step that runs, with ``mirror`` as kernels:
+    B and phi (``_plane``), and cos and sin of 2 e phi, once per bind.  a is
+    real: S^-1 holds only H, Q and Q_INV.
+    """
+
+    def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
+                 signs: np.ndarray, mirror: list):
+        super().__init__(n_qubits, None, targets)
+        self.terms, self.signs, self.mirror = terms, signs, mirror
+        # ``columns`` with psi's own columns (its last axis) before the other
+        # qubits, so that an array over the branches broadcasts over them
+        k = len(targets)
+        self.perm = self.perm[:k] + self.perm[-1:] + self.perm[k:-1]
+        # with the targets in order, ``columns`` is a view of psi
+        self.in_place = self.perm == tuple(sorted(self.perm))
+        # e of each branch of the other qubits, whose j-th lowest is bit j
+        others = [q for q in range(n_qubits) if q not in targets]
+        branch = np.arange(1 << len(others))
+        exponents = np.zeros_like(branch)
+        for controls, count in terms:
+            on = np.ones_like(branch)
+            for q in controls:
+                on &= branch >> others.index(q)
+            exponents += count * (on & 1)
+        # e, diag((-1)^e, 1) and (-D)^e by float column, a branch's (re, im)
+        # pair; no (-D)^e where every e is even
+        self.exponents = np.repeat(exponents, 2).astype(float)  # exact below 2^53
+        odd = np.repeat(exponents & 1, 2).astype(bool)
+        self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
+        self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
+
+    def bound(self, mirror: list) -> "ReflectionKernel":
+        """This step with S^-1 as ``mirror``, kernels on the k target qubits."""
+        # a shallow copy, without copy.copy's cost: it runs at every bind
+        kernel = object.__new__(type(self))
+        kernel.__dict__.update(self.__dict__, mirror=mirror)
+        kernel.basis, phi = _plane(kernel)
+        kernel.bra = kernel.basis.T
+        angle = self.exponents * (2 * phi)
+        # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
+        # C = [C0, C1] and S = [-s, s], by float column
+        kernel.gate = np.cos(angle) - self.diagonal, np.sin(angle) * _TURN
+        return kernel
+
+    def __call__(self, psi: np.ndarray):
+        sub, x = self.columns(psi, True)
+        width = len(self.exponents)
+        # y = B^T x, then M(e) y = C y + S y[::-1] by float column
+        y = (self.bra @ x).reshape(2, -1, width)
+        cos_part, sin_part = self.gate
+        new = self.basis @ (cos_part * y + sin_part * y[::-1]).reshape(2, -1)
+        if self.flip is not None:
+            by_column = x.reshape(self.size, -1, width)
+            by_column *= self.flip
+        x += new
+        if not self.in_place:
+            sub[...] = x.view(np.complex128).reshape(sub.shape)
+
+
+def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
+    """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> on its k
+    target qubits, its mirror's kernels run on 2^k amplitudes, split by its
+    signs; a part that is zero stays zero.  B is the transpose of a
+    C-ordered B^T, which the kernel multiplies by without a copy."""
+    k = len(kernel.signs).bit_length() - 1
+    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps[0] = 1.0
+    psi = qubit_axes(amps, k)
+    for step in kernel.mirror:
+        step(psi)
+    a = amps.real
+    plus = a * (kernel.signs > 0)
+    minus = a - plus
+    # np.linalg.norm's own sum for a real vector, without its checks
+    norms = [math.sqrt(part @ part) for part in (plus, minus)]
+    bra = np.array([part / norm if norm else part for part, norm in zip((plus, minus), norms)])
+    return bra.T, math.atan2(norms[1], norms[0])
 
 
 # Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,

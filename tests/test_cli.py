@@ -260,6 +260,16 @@ class TestExitCodes:
      "supersample applies no noise to ideal"),
     (["sweep-convergence"], "algorithms = qss\nnoise = 0, 0, 0.05\n", EXIT_VALIDATION,
      "the convergence sweep applies no noise to qss"),
+    # a key that only another supersample algorithm reads (each ran without it)
+    (["supersample", "--algorithm", "qcoin"], "qss_P = 64\n", EXIT_CONFIG, "'qss_P'"),
+    (["supersample", "--algorithm", "monte-carlo"], "qcoin_k = 4\n", EXIT_CONFIG, "'qcoin_k'"),
+    (["supersample", "--algorithm", "ideal"], "qss_P = 64\n", EXIT_CONFIG, "'qss_P'"),
+    (["supersample", "--algorithm", "qss"], "qcoin_k = 4\n", EXIT_CONFIG, "'qcoin_k'"),
+    # noise rates that are no probability, or no number
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5"], "noise = 0.1, 2, 0\n", EXIT_CONFIG,
+     "bad noise spec"),
+    (["estimate", "--algorithm", "qcoin", "--f", "0.5"], "noise = 0.1, x, 0\n", EXIT_CONFIG,
+     "bad noise spec"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -116,6 +116,17 @@ class TestQssDistribution:
             assert np.min(np.abs(grid - est.value)) < 1e-12
 
 
+class TestAnyEncoding:
+    def test_estimates_read_the_bins_as_a_sqrt_oracle(self):
+        # qss and the first qcoin step read the bins under the sqrt-amplitude
+        # encoding with offset 0, whatever the oracle's own
+        values = [0.1, 0.9, 0.3, 0.7]
+        linear, sqrt = OracleSpec(values, 0.2, LINEAR_AMPLITUDE), OracleSpec(values)
+        for seed in range(3):
+            assert estimate_qss(linear, 16, seed) == estimate_qss(sqrt, 16, seed)
+            assert estimate_qcoin(linear, 3, 20, seed) == estimate_qcoin(sqrt, 3, 20, seed)
+
+
 class TestShiftScaleSchedule:
     def test_values(self):
         schedule = shift_scale_schedule(3)

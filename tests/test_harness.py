@@ -355,6 +355,10 @@ def rows():
 
 
 class TestValueSweep:
+    def test_needs_an_f_grid(self):
+        with pytest.raises(ValueError, match="needs an explicit f grid"):
+            run_value_sweep(SweepSpec(algorithms=["qss"], budgets=[100]))
+
     def test_monte_carlo_reduction_uniform_across_f(self, rows):
         for f in (0.1, 0.5):
             pts = [(r["queries"], r["mae"]) for r in rows
@@ -608,6 +612,10 @@ class TestConfigParsing:
         assert custom == NoiseModel(0.1, 0.01, 0.02)
         with pytest.raises(ConfigError):
             noise_from_config({"noise": "bogus"})
+        # a rate outside [0, 1], and one that is not a number
+        for spec in ("0.1, 2, 0", "0.1, x, 0"):
+            with pytest.raises(ConfigError, match="bad noise spec"):
+                noise_from_config({"noise": spec})
 
 
 class TestFileIo:

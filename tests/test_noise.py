@@ -361,6 +361,20 @@ class TestDensityCap:
             outcome_probabilities(circuit, NoiseModel(gate_error_mq=0.1))  # 1, then 1 + 6
 
 
+class TestTrajectoryCap:
+    def test_refused_before_the_state_is_allocated(self, monkeypatch):
+        # 20,002 ops on 14 qubits are 3.3e8 amplitude updates, past the
+        # statevector's cap, though the state itself is only 256 KiB
+        circuit = Circuit(14, [CircuitOp("H", (q % 14,)) for q in range(20001)]).measure([0])
+
+        def allocate(n_qubits):
+            raise AssertionError(f"a state of {n_qubits} qubits was allocated")
+
+        monkeypatch.setattr(StateVector, "zero", allocate)
+        with pytest.raises(ValueError, match="20002 ops x 2\\^14 .* more than the cap"):
+            noisy_execute(circuit, ZERO, np.random.default_rng(0))
+
+
 class TestErrorMonotonicity:
     def test_bias_grows_with_readout_flip(self):
         f = 0.5

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmean import primitives
+from qmean import primitives, statevector
 from qmean.noise import (
     HARDWARE_PRESET,
     NoiseModel,
@@ -185,6 +185,10 @@ class TestPrepareQssState:
     def test_rejects_linear_encoding(self):
         with pytest.raises(OracleError):
             prepare_qss_state(OracleSpec([0.5], encoding=LINEAR_AMPLITUDE))
+
+    def test_rejects_an_offset(self):
+        with pytest.raises(OracleError, match="requires offset 0"):
+            prepare_qss_state(OracleSpec([0.5, 0.5], 0.1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,6 +591,10 @@ LADDERS = {
 
 
 class TestCircuit:
+    def test_bind_refuses_an_oracle_of_another_size(self):
+        with pytest.raises(OracleError, match="Q on 2 input qubits, oracle has 1"):
+            coin_circuit(2, 1).bind(OracleSpec([0.5, 0.5], 0.1, LINEAR_AMPLITUDE))
+
     def test_bind_builds_each_gate_once(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], offset=0.1, encoding=LINEAR_AMPLITUDE)
         bound = coin_circuit(2, 3).bind(oracle)
@@ -861,22 +869,22 @@ class TestCircuit:
         assert bound.ops == circuit.ops
         assert bound.expand() == circuit.expand()
 
-    def test_shared_vector_is_built_once_at_the_first_run(self, monkeypatch):
+    def test_shared_vector_is_built_once_per_bind(self, monkeypatch):
         built = []
 
-        def counted(kernel, binding):
+        def counted(kernel):
             built.append(kernel)
-            return plane(kernel, binding)
+            return plane(kernel)
 
-        plane = primitives._plane
-        monkeypatch.setattr(primitives, "_plane", counted)
+        plane = statevector._plane
+        monkeypatch.setattr(statevector, "_plane", counted)
         # register qubits 0, 1 and 2 control G, G^2 and G^4: one step, one vector
         oracle = OracleSpec([0.1, 0.5, 0.8, 0.3])
         bound = qss_circuit(2, 8).bind(oracle)
         [block] = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
-        assert [count for _, count in block.terms] == [1, 2, 4] and not built
-        first, _ = run_circuit(bound)
+        assert [count for _, count in block.terms] == [1, 2, 4] and built == [block]
         gate = block.gate
+        first, _ = run_circuit(bound)
         second, _ = run_circuit(bound)
         assert len(built) == 1
         assert block.gate is gate
@@ -885,37 +893,42 @@ class TestCircuit:
         run_circuit(qss_circuit(2, 8).bind(oracle))
         assert len(built) == 2
 
-        # the noise layer evaluates the bound ops and never runs the schedule
+        # the noise layer evaluates the bound ops and never runs the schedule,
+        # whose plane its bind has built
         circuit = simple_qcoin_circuit(0.5, 0.2, 16)
         assert any(isinstance(step, ReflectionKernel) for step in circuit.schedule)
+        assert len(built) == 3
         head_probability(circuit, HARDWARE_PRESET)
-        assert len(built) == 2
+        assert len(built) == 3
 
     def test_a_run_builds_only_the_kernels_it_runs(self, monkeypatch):
         """qss at P = 64 on 4 inputs runs Q once to prepare the coin and once
         in the plane of its six G blocks, run on the 5 coin qubits alone: 2
-        kernels, where Q and Q_INV at all 7 placements would be 14.  In qcoin
-        the mirror's Q is the preparation's."""
+        kernels, where Q and Q_INV at all 7 placements would be 14.  The bind
+        builds them, and a run builds nothing.  In qcoin the mirror's Q is the
+        preparation's."""
         built, planes = [], []
-        pair_init, plane = PairKernel.__init__, primitives._plane
+        pair_init, plane = PairKernel.__init__, statevector._plane
 
         def counted_pair(kernel, n_qubits, *args):
             built.append(n_qubits)
             pair_init(kernel, n_qubits, *args)
 
-        def counted_plane(kernel, binding):
-            planes.append(plane(kernel, binding))
+        def counted_plane(kernel):
+            planes.append(plane(kernel))
             return planes[-1]
 
         monkeypatch.setattr(PairKernel, "__init__", counted_pair)
-        monkeypatch.setattr(primitives, "_plane", counted_plane)
+        monkeypatch.setattr(statevector, "_plane", counted_plane)
         oracle = OracleSpec(np.linspace(0.1, 0.9, 16))
         qss_circuit(4, 64).bind(oracle)  # the template's own kernels, once per shape
         built.clear()
+        planes.clear()
         bound = qss_circuit(4, 64).bind(oracle)
-        assert not built
-        run_circuit(bound)
         assert sorted(built) == [5, 11] and len(planes) == 1
+        built.clear()
+        run_circuit(bound)
+        assert not built and len(planes) == 1
         basis, _ = planes[0]
         assert basis.shape == (32, 2)
         assert all(step.n_qubits == 5 for block in bound.schedule
@@ -925,8 +938,9 @@ class TestCircuit:
         coin = OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)
         coin_circuit(4, 16).bind(coin)
         built.clear()
+        planes.clear()
         run_circuit(coin_circuit(4, 16).bind(coin))
-        assert built == [5] and len(planes) == 2
+        assert built == [5] and len(planes) == 1
 
     @pytest.mark.parametrize("build", [_qss_case(2, 8), _coin_case(2, 3), _qss_case(0, 4),
                                        _coin_case(3, 0)], ids=["qss", "qcoin", "qss-n0", "qcoin-m0"])
