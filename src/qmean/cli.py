@@ -98,6 +98,15 @@ def _required(args, cfg, key: str, parse, what: str):
     raise CliError(f"{what} is required (flag --{key} or config key '{key}')", EXIT_VALIDATION)
 
 
+def _seed(args, cfg) -> int:
+    """``_required``'s seed, refused by name when negative, as NumPy refuses it."""
+    seed = _required(args, cfg, "seed", int, "a seed")
+    if seed < 0:
+        raise CliError(f"a seed must be non-negative, got {seed} (flag --seed or config key "
+                       "'seed')", EXIT_VALIDATION)
+    return seed
+
+
 def _write_text(args, name: str, text: str):
     """``text`` into the file ``name`` of the ``--out`` directory, or onto stdout."""
     if args.out is None:
@@ -139,7 +148,7 @@ def _check_trials(value: int, name: str, least: int = 1):
 
 def cmd_estimate(args):
     cfg = _load_config(args, ("seed", "f", "noise"))
-    seed = _required(args, cfg, "seed", int, "a seed")
+    seed = _seed(args, cfg)
     flags = _algorithm_flags(args, {"monte-carlo": {"trials": 1000}, "qss": {"P": 64},
                                     "qcoin": {"k": 3, "L": 20}})
     f = _required(args, cfg, "f", float, "a target mean")
@@ -166,7 +175,7 @@ def cmd_estimate(args):
 def cmd_sweep_value(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "f_values", "k_values"))
-    seed = _required(args, cfg, "seed", int, "a seed")
+    seed = _seed(args, cfg)
     algorithms = harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS)
     noise = harness.noise_from_config(cfg)
     _check_noise(noise, algorithms, "sweep-value")
@@ -191,7 +200,7 @@ def cmd_sweep_value(args):
 def cmd_sweep_convergence(args):
     cfg = _load_config(args, ("seed", "algorithms", "noise", "budgets", "repetitions",
                               "k_values"))
-    seed = _required(args, cfg, "seed", int, "a seed")
+    seed = _seed(args, cfg)
     spec = SweepSpec(
         algorithms=harness.config_list(cfg, "algorithms", str, harness.SWEEP_ALGORITHMS),
         budgets=harness.config_list(cfg, "budgets", int, [100, 1000, 10000, 100000]),
@@ -220,7 +229,7 @@ def cmd_supersample(args):
     reads = (("seed", "noise") + (() if args.image else ("width", "height"))
              + {"qcoin": ("qcoin_k",), "qss": ("qss_P",)}.get(args.algorithm, ()))
     cfg = _load_config(args, reads)
-    seed = _required(args, cfg, "seed", int, "a seed")
+    seed = _seed(args, cfg)
     flags = _algorithm_flags(args, {"monte-carlo": {"budget": 240}, "qcoin": {"budget": 240},
                                     "qss": {}, "ideal": {}})
     noise = harness.noise_from_config(cfg)

@@ -21,7 +21,6 @@ from .primitives import (
     QueryLedger,
     SQRT_AMPLITUDE,
     coin_circuit,
-    coin_template,
     head_state_index,
     prepare_qss_state,
     qss_circuit,
@@ -212,7 +211,7 @@ def run_shift_scale(
     if noisy:
         # The noisy one-qubit coin: the closed form through noisy_coin_probability.
         if schedule:
-            coin_template(0, schedule[-1][1]).check_size()
+            coin_circuit(0, schedule[-1][1]).check_size()
         if not (noise.readout_flip_prob or noise.gate_error_1q):
             raise ValueError("the one-qubit coin has no multi-qubit gate, so a noise model "
                              "whose only non-zero rate is gate_error_mq would change nothing")
@@ -228,7 +227,7 @@ def run_shift_scale(
         if size != 1:
             raise ValueError("the statevector route takes one target mean per call")
         if schedule:
-            coin_template(integrand.n_input_qubits, schedule[-1][1]).check_size(on_statevector=True)
+            coin_circuit(integrand.n_input_qubits, schedule[-1][1]).check_size(on_statevector=True)
         state = prepare_qss_state(_sqrt_oracle(integrand))
         p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
 

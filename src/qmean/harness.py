@@ -445,7 +445,7 @@ MAX_TEASER_SUBPIXELS = 1 << 22
 
 @dataclass
 class SupersampleJob:
-    image: np.ndarray  # grayscale in [0, 1], dims divisible by 8
+    image: np.ndarray  # grayscale in [0, 1], at least 8 x 8, dims divisible by 8
     algorithm: str
     per_pixel_budget: int = 240
     qcoin_k: int = 3
@@ -458,10 +458,11 @@ class SupersampleJob:
             raise ValueError(f"supersample applies no noise to {self.algorithm}; leave noise unset")
         self.image = np.asarray(self.image, dtype=float)
         h, w = self.image.shape
-        if h % SUBPIXEL_GRID or w % SUBPIXEL_GRID:
-            raise ValueError("image dimensions must be divisible by 8")
-        if self.image.min() < 0 or self.image.max() > 1:
-            raise ValueError("pixel values must lie in [0, 1]")
+        if min(h, w) < SUBPIXEL_GRID or h % SUBPIXEL_GRID or w % SUBPIXEL_GRID:
+            raise ValueError(f"image must be at least 8 x 8 pixels, each side divisible by 8, "
+                             f"got {w} x {h}")
+        if not np.all((self.image >= 0) & (self.image <= 1)):  # NaN fails too
+            raise ValueError("pixel values must lie in [0, 1], and none may be NaN")
 
 
 def build_teaser_image(width: int = 128, height: int = 128) -> np.ndarray:

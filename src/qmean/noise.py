@@ -21,7 +21,6 @@ from .primitives import (
     OracleSpec,
     _check_offset,
     coin_circuit,
-    coin_template,
 )
 from .statevector import (
     Kernel,
@@ -223,11 +222,11 @@ def noisy_coin_probability(ideal, m: int, model: NoiseModel):
     depolarizing channel, which shrinks the Bloch vector by 1 - 4g/3 and
     commutes with every unitary, so the probability moves towards 1/2 by
     (1 - 4g/3)^n; readout flips with probability r then mix the outcomes.
-    The template's size check refuses a circuit past MAX_CIRCUIT_OPS with
+    The circuit's size check refuses one past MAX_CIRCUIT_OPS with
     ``ValueError``, as binding would."""
-    template = coin_template(0, m)
-    template.check_size()
-    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** template.unmeasured.total()
+    circuit = coin_circuit(0, m)
+    circuit.check_size()
+    shrink = (1.0 - 4.0 * model.gate_error_1q / 3.0) ** circuit.unmeasured.total()
     r = model.readout_flip_prob
     return r + (1.0 - 2.0 * r) * (0.5 + shrink * (ideal - 0.5))
 

@@ -1,25 +1,25 @@
 """Algorithmic building blocks: oracle gates, reflections, and the one
 description of each circuit.
 
-``coin_circuit`` and ``qss_circuit`` build a circuit once, as a list of named
-ops, and declare the blocks that run as one step: the register's textbook
-Fourier transform (``_fourier``) as one FFT (``FourierKernel``), and the
-blocks of amplification steps G, a phase flip then the reflection S^-1 RZERO
-S (``_g_block``), each run of them of one variant on the same coin qubits
-as one step (``ReflectionKernel``): in each branch of the other qubits a
-rotation, by that branch's power of G, in the plane of the reflection's
-vector, built on the coin qubits alone.  ``Circuit.bind`` adds a run
-schedule beside the description and leaves its ops as they are: every op
-but Q and Q_INV is lowered once per circuit shape, in its ``_Template``,
-cached by its builder's arguments, and a bind checks the oracle and builds
-from it each Q its schedule runs and each reflection's plane (``_Binding``).
-``run_circuit`` applies the bound schedule in place, each register of H as a
-few dense products and each measurement as one collapse of the amplitudes in
-place (``Measurement``).  The estimators run these circuits; the noise layer
-evaluates them op by op, each op's kernel from ``Circuit.kernel``;
-``dump_circuit`` prints them and the resource report counts them.  The
-dense gates (``oracle_gate`` and the reflections) and ``dft_matrix`` are the
-tests' references.
+``coin_circuit`` and ``qss_circuit`` build a circuit once, as a tuple of
+named ops, and declare the blocks that run as one step: the register's
+textbook Fourier transform (``_fourier``) as one FFT (``FourierKernel``),
+and the blocks of amplification steps G, a phase flip then the reflection
+S^-1 RZERO S (``_g_block``), each run of them of one variant on the same
+coin qubits as one step (``ReflectionKernel``): in each branch of the other
+qubits a rotation, by that branch's power of G, in the plane of the
+reflection's vector, built on the coin qubits alone.  A circuit is
+unchangeable, and the builders keep one per shape, cached by their
+arguments, so every op but Q and Q_INV is lowered once per shape.
+``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
+bind checks the oracle and builds from it each Q its schedule runs and each
+reflection's plane (``_Binding``).  ``run_circuit`` applies the bound
+schedule in place, each register of H as a few dense products and each
+measurement as one collapse of the amplitudes in place (``Measurement``).
+The estimators run these circuits; the noise layer evaluates them op by
+op, each op's kernel from ``Circuit.kernel``; ``dump_circuit`` prints them
+and the resource report counts them.  The dense gates (``oracle_gate`` and
+the reflections) and ``dft_matrix`` are the tests' references.
 
 Register layout used throughout: input qubits occupy indices
 ``0 .. n_input-1`` (least significant), the target qubit sits at index
@@ -231,35 +231,43 @@ class Repeat:
     step: str | None = None
 
 
-@dataclass
 class Circuit:
-    """A straight-line list of ops and repeated blocks.
+    """An unchangeable straight-line tuple of ops and repeated blocks, and
+    what every bind of it shares.  Its op counts, which ``run_circuit``
+    adds to ``WORK`` and the ledger, and its size, which the caps check,
+    are computed here.  The kernel of each distinct op but Q, Q_INV and M
+    (``lower``), the index arrays of each placement of Q (``placements``)
+    and the run schedule (``steps``), in which each Q and Q_INV stays an
+    op, wait for their first use: ``resources`` and ``dump-circuit`` build
+    circuits they never bind.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
-    ``schedule`` is what ``run_circuit`` runs and ``binding`` holds the Q
-    and Q_INV kernels of the bind; ``bind`` sets both, from ``template``
-    (``_Template``), which a circuit from ``coin_circuit``, ``qss_circuit``
-    or ``bind`` shares with every circuit of its shape.  A bound circuit's
-    ops are its template's.  Adding an op clears all three.
+    ``bind`` returns a bound copy, which adds what ``run_circuit`` runs
+    (``schedule``) and the Q and Q_INV kernels of the bind (``binding``);
+    the circuit itself stays unbound.  ``coin_circuit``, ``qss_circuit``
+    and ``prepare_qss_state`` keep one circuit per shape, so every bind of
+    a shape shares its lowering.
     """
 
-    n_qubits: int
-    ops: list[CircuitOp | Repeat] = field(default_factory=list)
-    measured_qubits: Sequence[int] = ()
-    schedule: list | None = field(default=None, repr=False, compare=False)
-    template: _Template | None = field(default=None, repr=False, compare=False)
-    binding: _Binding | None = field(default=None, repr=False, compare=False)
-
-    def add(self, gate: GateMatrix, targets: Sequence[int], controls: Sequence[int] = ()):
-        self.ops.append(CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate))
-        self.schedule = self.template = self.binding = None
-        return self
-
-    def measure(self, qubits: Sequence[int]):
-        self.ops.append(CircuitOp("M", tuple(qubits)))
-        self.measured_qubits = list(qubits)
-        self.schedule = self.template = self.binding = None
-        return self
+    def __init__(self, n_qubits: int, ops: Sequence[CircuitOp | Repeat] = ()):
+        self.n_qubits, self.ops = n_qubits, tuple(ops)
+        readouts = [op.targets for op in self.ops if isinstance(op, CircuitOp) and op.name == "M"]
+        self.measured_qubits = readouts[-1] if readouts else ()
+        self.counts: Counter = Counter()  # ops by name, M included
+        self.sites: set = set()  # the (targets, controls) of each Q and Q_INV that runs
+        for op, count in self.counted_ops():
+            if count:
+                self.counts[op.name] += count
+                if _needs_oracle(op):
+                    self.sites.add((op.targets, op.controls))
+        self.size = self.counts.total()
+        self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
+        self.queries = self.counts["Q"] + self.counts["Q_INV"]
+        self.kernels: dict = {}  # by op, filled by ``lower``
+        # Q's ``_placement`` by (register size, targets, controls), at its first use
+        self.placements: dict = {}
+        self.steps: list | None = None  # the schedule, set by the first bind
+        self.schedule = self.binding = None  # set on a bound copy only
 
     def counted_ops(self):
         """Each distinct op with the number of times it runs; repeats stay folded."""
@@ -273,7 +281,12 @@ class Circuit:
     def check_size(self, on_statevector: bool = False):
         """Refuse past MAX_CIRCUIT_OPS ops and, for a statevector run, past
         MAX_AMPLITUDE_WORK amplitude updates."""
-        (self.template or _Template(self)).check_size(on_statevector)
+        if self.size > MAX_CIRCUIT_OPS:
+            raise ValueError(f"circuit has {self.size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
+        work = self.size << self.n_qubits
+        if on_statevector and work > MAX_AMPLITUDE_WORK:
+            raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
+                             f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
 
     def expand(self) -> list[CircuitOp]:
         """The ops in run order, repeats expanded; refused past MAX_CIRCUIT_OPS."""
@@ -283,68 +296,6 @@ class Circuit:
             flat.extend(node.ops * node.count if isinstance(node, Repeat) else [node])
         return flat
 
-    def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
-        """The same ops with a run schedule and kernels, made from the
-        circuit's template (``_Template.bind``): the one of its shape, or one
-        made for this call.  ``oracle`` supplies Q and Q_INV.  Refused past
-        MAX_CIRCUIT_OPS."""
-        return (self.template or _Template(self)).bind(oracle)
-
-    def kernel(self, op: CircuitOp) -> Kernel:
-        """The statevector kernel of one of this bound circuit's ops other
-        than ``M``: Q and Q_INV from the bind, any other from the template."""
-        if self.binding is None:
-            raise SimulatorError("an op's kernel needs a bound circuit (Circuit.bind)")
-        if _needs_oracle(op):
-            return self.binding.kernel(op, self.n_qubits)
-        return self.template.lower(op)
-
-
-def _needs_oracle(op: CircuitOp) -> bool:
-    """Q or Q_INV from its formula."""
-    return op.gate is None and op.name in ("Q", "Q_INV")
-
-
-class _Template:
-    """A circuit bound to no oracle yet: its ops (``nodes``), the kernel of
-    each distinct op but Q, Q_INV and M (``lower``), the run schedule
-    (``_schedule``), in which each Q and Q_INV stays an op, and the index
-    arrays of each placement of Q (``_placement``).
-
-    ``bind`` checks the oracle against every Q and Q_INV that runs, and its
-    ``_Binding`` builds the kernels of the steps that depend on it.  The op
-    counts that ``run_circuit`` adds to ``WORK`` and the ledger, and the
-    size the caps check, are computed here once.  The schedule waits for
-    the first bind, and each kernel and placement for its first use, since
-    ``resources`` and ``dump-circuit`` build circuits they never bind.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.n_qubits, self.nodes = circuit.n_qubits, list(circuit.ops)
-        self.measured_qubits = list(circuit.measured_qubits)
-        self.counts: Counter = Counter()  # ops by name, M included
-        self.sites: set = set()  # the (targets, controls) of each Q and Q_INV that runs
-        for op, count in circuit.counted_ops():
-            if count:
-                self.counts[op.name] += count
-                if _needs_oracle(op):
-                    self.sites.add((op.targets, op.controls))
-        self.size = self.counts.total()
-        self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
-        self.queries = self.counts["Q"] + self.counts["Q_INV"]
-        self.kernels: dict = {}  # by op, filled by ``lower``
-        # Q's ``_placement`` by (register size, targets, controls), at its first use
-        self.placements: dict = {}
-        self.steps: list | None = None  # the schedule, set by the first bind
-
-    def check_size(self, on_statevector: bool = False):
-        if self.size > MAX_CIRCUIT_OPS:
-            raise ValueError(f"circuit has {self.size} ops, more than the cap of {MAX_CIRCUIT_OPS}")
-        work = self.size << self.n_qubits
-        if on_statevector and work > MAX_AMPLITUDE_WORK:
-            raise ValueError(f"circuit needs {self.size} ops x 2^{self.n_qubits} amplitudes = "
-                             f"{work} amplitude updates, more than the cap of {MAX_AMPLITUDE_WORK}")
-
     def lower(self, op: CircuitOp) -> Kernel:
         """The kernel of an op other than Q, Q_INV and M, lowered at its
         first call."""
@@ -353,13 +304,15 @@ class _Template:
             kernel = self.kernels[op] = _lower_op(op, self.n_qubits)
         return kernel
 
-    def bind(self, oracle: OracleSpec | None) -> Circuit:
-        """The circuit bound to ``oracle``."""
+    def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
+        """A copy of this circuit with a run schedule and kernels: every step
+        but Q and Q_INV is this circuit's, and ``oracle`` supplies those
+        (``_Binding``).  Refused past MAX_CIRCUIT_OPS."""
         self.check_size()
         if self.steps is None:
             for targets, controls in self.sites:
                 check_qubits(self.n_qubits, targets, controls)
-            self.steps = _schedule(self.nodes, self)
+            self.steps = _schedule(self.ops, self)
         if self.sites and oracle is None:
             raise OracleError("binding Q needs an oracle")
         for targets, _ in self.sites:
@@ -367,32 +320,43 @@ class _Template:
                 raise OracleError(f"Q on {len(targets) - 1} input qubits, "
                                   f"oracle has {oracle.n_input_qubits}")
         binding = _Binding(self, _rotation(oracle) if self.sites else None)
-        return Circuit(self.n_qubits, list(self.nodes), self.measured_qubits,
-                       binding.steps(self.steps, self.n_qubits), self, binding)
+        # a shallow copy, without copy.copy's cost: it runs at every estimate
+        bound = object.__new__(Circuit)
+        bound.__dict__.update(self.__dict__, schedule=binding.steps(self.steps, self.n_qubits),
+                              binding=binding)
+        return bound
+
+    def kernel(self, op: CircuitOp) -> Kernel:
+        """The statevector kernel of one of this bound circuit's ops other
+        than ``M``: Q and Q_INV from the bind, any other from the circuit."""
+        if self.binding is None:
+            raise SimulatorError("an op's kernel needs a bound circuit (Circuit.bind)")
+        if _needs_oracle(op):
+            return self.binding.kernel(op, self.n_qubits)
+        return self.lower(op)
 
 
-def _circuit(template: _Template) -> Circuit:
-    """A new circuit of the template's shape, bound through that template."""
-    return Circuit(template.n_qubits, list(template.nodes), template.measured_qubits,
-                   template=template)
+def _needs_oracle(op: CircuitOp) -> bool:
+    """Q or Q_INV from its formula."""
+    return op.gate is None and op.name in ("Q", "Q_INV")
 
 
 class _Binding:
-    """One bind of a template to an oracle: the oracle's ``_rotation`` and
+    """One bind of a circuit to an oracle: the oracle's ``_rotation`` and
     the Q and Q_INV kernels built from it, kept by register size and
     placement, so qcoin's reflection, whose mirror runs on the whole
     register, reuses the preparation's Q.  The bind builds those its
     schedule runs (``steps``), ``Circuit.kernel`` any other, Q_INV among them."""
 
-    def __init__(self, template: _Template, rotation):
-        self.template, self.rotation = template, rotation
+    def __init__(self, circuit: Circuit, rotation):
+        self.circuit, self.rotation = circuit, rotation
         self.kernels: dict = {}
 
     def kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
         """The kernel of a Q or Q_INV op on an n-qubit register."""
         site = n_qubits, op.targets, op.controls
         if (op.name, site) not in self.kernels:
-            placements = self.template.placements
+            placements = self.circuit.placements
             if site not in placements:
                 placements[site] = _placement(op.targets, op.controls, n_qubits)
             bins, lo, hi = placements[site]
@@ -402,7 +366,7 @@ class _Binding:
         return self.kernels[op.name, site]
 
     def steps(self, steps: list, n_qubits: int) -> list:
-        """A template's schedule on an n-qubit register in this bind: each Q
+        """A circuit's schedule on an n-qubit register in this bind: each Q
         and Q_INV op its kernel, each ``ReflectionKernel`` bound with its
         mirror's kernels on its k target qubits, every other step as it is."""
         bound = []
@@ -415,15 +379,15 @@ class _Binding:
         return bound
 
 
-def _schedule(nodes, template: _Template) -> list:
-    """The run steps of a list of ops, each lowered by ``template``: a
+def _schedule(nodes, circuit: Circuit) -> list:
+    """The run steps of a list of ops, each lowered by ``circuit``: a
     kernel, a ``Measurement``, a block's or a ladder's one declared step or
     a block's own steps (``_steps``).  Each maximal run of formula H ops
     with the same controls and distinct targets is a few dense kernels
     (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel
     each bind builds (``_Binding.steps``).
     """
-    return [step for run in _runs(nodes) for step in _steps(run, template)]
+    return [step for run in _runs(nodes) for step in _steps(run, circuit)]
 
 
 class _Ladder(NamedTuple):
@@ -465,47 +429,47 @@ def _rzero(block: Repeat) -> CircuitOp:
     return next(op for op in block.ops if op.name == "RZERO")
 
 
-def _steps(run, template: _Template) -> list:
+def _steps(run, circuit: Circuit) -> list:
     """The run steps of one item of ``_runs``.  A ladder of G blocks runs
     as one ``ReflectionKernel``; a block runs as the step it declares
     (``Repeat.step``), a transform of two or more qubits as one
     ``FourierKernel``.  Any other block runs op by op, its steps ``count``
     times in a row."""
-    n_qubits = template.n_qubits
+    n_qubits = circuit.n_qubits
     if isinstance(run, _Ladder):
-        return [_reflection(run, template)]
+        return [_reflection(run, circuit)]
     if isinstance(run, Repeat):
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
             register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
             if len(register) > 1:
                 return [FourierKernel(n_qubits, register)]
-        return _schedule(run.ops, template) * run.count
+        return _schedule(run.ops, circuit) * run.count
     if isinstance(run, list):
-        return (_steps(run[2], template) if len(run[1]) == 1
+        return (_steps(run[2], circuit) if len(run[1]) == 1
                 else hadamard_kernels(n_qubits, run[1], run[0]))
     if run.name == "M":
         return [Measurement(n_qubits, run.targets)]
-    return [run if _needs_oracle(run) else template.lower(run)]
+    return [run if _needs_oracle(run) else circuit.lower(run)]
 
 
-def _reflection(ladder: _Ladder, template: _Template) -> ReflectionKernel:
+def _reflection(ladder: _Ladder, circuit: Circuit) -> ReflectionKernel:
     """A ladder of G blocks, each D then S, RZERO and S^-1 (``_g_block``),
     as one ``ReflectionKernel`` with a term of (RZERO's controls, count) per
     block.  D, the first block's first op, and S^-1, its ops after RZERO,
-    are lowered here once per template on the k coin qubits alone: RZERO's
+    are lowered here once per circuit on the k coin qubits alone: RZERO's
     targets[j] is qubit j of a k-qubit register, with the controls
     stripped.  D applied to a vector of ones gives one sign per coin column."""
     first, coin = ladder.blocks[0], ladder.key[1]
     local = {q: j for j, q in enumerate(coin)}
     on_coin = [replace(op, targets=tuple(local[q] for q in op.targets), controls=())
                for op in first.ops]
-    mirror = _Template(Circuit(len(coin), on_coin[first.ops.index(_rzero(first)) + 1:]))
+    mirror = Circuit(len(coin), on_coin[first.ops.index(_rzero(first)) + 1:])
     signs = np.ones(1 << len(coin), dtype=np.complex128)
     _lower_op(on_coin[0], len(coin))(qubit_axes(signs, len(coin)))
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
-    return ReflectionKernel(template.n_qubits, coin, terms, signs.real,
-                            _schedule(mirror.nodes, mirror))
+    return ReflectionKernel(circuit.n_qubits, coin, terms, signs.real,
+                            _schedule(mirror.ops, mirror))
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -603,14 +567,13 @@ def run_circuit(
     kernel that the bind built.  Each Q or Q_INV is one query on ``ledger``;
     the ops applied and their amplitude updates are added to ``WORK``, one
     per op (a register of H counts as its H ops, a Fourier transform as its
-    textbook ops, a reflection as the ops it replaces), from the counts of
-    the circuit's template.  Refused past MAX_AMPLITUDE_WORK before the
-    state is allocated.
+    textbook ops, a reflection as the ops it replaces), from the circuit's
+    op counts.  Refused past MAX_AMPLITUDE_WORK before the state is
+    allocated.
     """
     if circuit.schedule is None:
         raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
-    template = circuit.template
-    template.check_size(on_statevector=True)
+    circuit.check_size(on_statevector=True)
     n = circuit.n_qubits
     if state is None:
         amps = np.zeros(1 << n, dtype=np.complex128)
@@ -624,11 +587,11 @@ def run_circuit(
             step(psi)
         elif rng is not None:
             outcomes.append(MeasurementOutcome(list(step.qubits), step.collapse(amps, rng)))
-    applied = template.counts if rng is not None else template.unmeasured
+    applied = circuit.counts if rng is not None else circuit.unmeasured
     WORK.ops.update(applied)
     WORK.amplitude_updates += applied.total() << n
     if ledger is not None:
-        ledger.add(template.queries)
+        ledger.add(circuit.queries)
     return StateVector(n, amps), outcomes
 
 
@@ -696,30 +659,25 @@ def check_resolution(resolution: int):
         raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
 
 
+# Each circuit below is the one of its shape for the process, cached by its
+# builder's arguments: bounded by the shapes a process builds, each holds index
+# tuples, small dense matrices and, per placement of Q, an index array of the
+# oracle's N bins.
+@functools.cache
 def coin_circuit(n_input: int, m: int) -> Circuit:
     """The qcoin circuit: coin preparation, ``m`` G blocks, readout of the coin.
 
     Its head probability, outcome |1> (x) |0), is sin^2((2m+1) asin(mean - E))
     under a linear-amplitude oracle with offset E.
     """
-    return _circuit(coin_template(n_input, m))
-
-
-# Each template below is the one of its shape for the process, cached by its
-# builder's arguments: bounded by the shapes a process builds, each holds index
-# tuples, small dense matrices and, per placement of Q, an index array of the
-# oracle's N bins.
-@functools.cache
-def coin_template(n_input: int, m: int) -> _Template:
-    """The template of ``coin_circuit(n_input, m)``, whose op counts and size
-    check it reads, without a new circuit."""
     inputs, target = _coin_layout(n_input)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     ops = _prepare_ops("qcoin", inputs, target) + [_g_block("qcoin", inputs, target, count=m)]
-    return _Template(Circuit(n_input + 1, ops).measure(inputs + (target,)))
+    return Circuit(n_input + 1, ops + [CircuitOp("M", inputs + (target,))])
 
 
+@functools.cache
 def qss_circuit(n_input: int, resolution: int) -> Circuit:
     """The Fourier-readout circuit at resolution P (a power of two >= 2).
 
@@ -727,25 +685,19 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     G^(2^j), a mid-circuit measurement of the target, the textbook transform
     of the register and its readout.  Query cost 2P - 1.
     """
-    return _circuit(_qss_template(n_input, resolution))
-
-
-@functools.cache
-def _qss_template(n_input: int, resolution: int) -> _Template:
     inputs, target = _coin_layout(n_input)
     check_resolution(resolution)
     register = tuple(range(target + 1, target + resolution.bit_length()))
     ops = _h(register) + _prepare_ops("qss", inputs, target)
     ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
-    circuit = Circuit(target + len(register) + 1, ops).measure([target])
-    circuit.ops.append(_fourier(register))
-    return _Template(circuit.measure(register))
+    ops += [CircuitOp("M", (target,)), _fourier(register), CircuitOp("M", register)]
+    return Circuit(target + len(register) + 1, ops)
 
 
 @functools.cache
-def _prepare_template(n_input: int) -> _Template:
+def _prepare_circuit(n_input: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
-    return _Template(Circuit(target + 1, _prepare_ops("qss", inputs, target)))
+    return Circuit(target + 1, _prepare_ops("qss", inputs, target))
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:
@@ -757,8 +709,7 @@ def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> 
         raise OracleError("prepare_qss_state requires a sqrt-amplitude oracle")
     if oracle.offset != 0.0:
         raise OracleError("prepare_qss_state requires offset 0")
-    template = _prepare_template(oracle.n_input_qubits)
-    return run_circuit(_circuit(template).bind(oracle), ledger=ledger)[0]
+    return run_circuit(_prepare_circuit(oracle.n_input_qubits).bind(oracle), ledger=ledger)[0]
 
 
 def head_state_index(oracle: OracleSpec) -> int:

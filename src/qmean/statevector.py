@@ -276,8 +276,8 @@ class ReflectionKernel(MatrixKernel):
         M(e) = Rot(2 e phi) - diag((-1)^e, 1).
 
     e and its parity are computed here, once per circuit shape, where
-    ``mirror`` is S^-1 on the k target qubits alone as its template lists
-    it.  ``bound`` makes the step that runs, with ``mirror`` as kernels:
+    ``mirror`` is S^-1 on the k target qubits alone as its circuit's
+    schedule lists it.  ``bound`` makes the step that runs, with ``mirror`` as kernels:
     B and phi (``_plane``), and cos and sin of 2 e phi, once per bind.  a is
     real: S^-1 holds only H, Q and Q_INV.
     """

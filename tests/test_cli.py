@@ -4,6 +4,8 @@ determinism of reruns."""
 import contextlib
 import hashlib
 import io
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,43 @@ from qmean.harness import read_pgm
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Each ``qmean`` line of the README's command-line block, as its
+    arguments, the config lines above it (``#   key = value``) and the files
+    its ``# writes`` comment names."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, config = [], []
+    for line in block.splitlines():
+        if line.startswith("qmean "):
+            commands.append((shlex.split(line)[1:], config, []))
+            config = []
+        elif match := re.match(r"#\s+(\w+ = .*)$", line):
+            config.append(match.group(1))
+        elif match := re.match(r"#\s+writes ([^:(]*)", line):
+            commands[-1][2].extend(name.strip() for name in match.group(1).split(","))
+    return commands
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv, config, writes in commands:
+        assert bool(config) == ("--config" in argv), argv
+        if config:
+            Path(argv[argv.index("--config") + 1]).write_text("\n".join(config) + "\n")
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        for name in writes:
+            if "<alg>" in name:
+                name = name.replace("<alg>", argv[argv.index("--algorithm") + 1])
+            assert (Path(argv[argv.index("--out") + 1]) / name).is_file(), (argv, name)
+    assert sum(len(writes) for _, _, writes in commands) == 7
 
 
 class TestEstimate:
@@ -270,12 +309,24 @@ class TestExitCodes:
      "bad noise spec"),
     (["estimate", "--algorithm", "qcoin", "--f", "0.5"], "noise = 0.1, x, 0\n", EXIT_CONFIG,
      "bad noise spec"),
+    # a negative seed, by flag (over the config's) or by key (each was NumPy's bare
+    # "expected non-negative integer")
+    *[(["estimate", "--algorithm", algorithm, "--f", "0.5", "--seed", "-1"], "seed = 1\n",
+       EXIT_VALIDATION, "--seed") for algorithm in ("monte-carlo", "qss", "qcoin")],
+    (["sweep-value", "--seed", "-1"], "seed = 1\n", EXIT_VALIDATION, "--seed"),
+    (["sweep-convergence"], "seed = -2\n", EXIT_VALIDATION, "config key 'seed'"),
+    *[(["supersample", "--algorithm", algorithm, "--seed", "-1"], "seed = 1\n",
+       EXIT_VALIDATION, "--seed") for algorithm in ("qss", "ideal")],
+    # a graymap with no pixels (it was NumPy's zero-size reduction error)
+    (["supersample", "--algorithm", "ideal", "--image", "{zero}"], "", EXIT_VALIDATION,
+     "at least 8 x 8"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     (tmp_path / "empty.pgm").write_bytes(b"")
-    argv = [a.format(empty=tmp_path / "empty.pgm") for a in argv]
+    (tmp_path / "zero.pgm").write_bytes(b"P5\n0 0\n255\n")
+    argv = [a.format(empty=tmp_path / "empty.pgm", zero=tmp_path / "zero.pgm") for a in argv]
     out = [] if argv[0] == "estimate" else ["--out", str(tmp_path / "out")]
     # dump-circuit and resources take neither a seed nor a config
     seeded = argv[0] not in ("dump-circuit", "resources")

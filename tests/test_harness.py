@@ -510,10 +510,23 @@ class TestSupersample:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             SupersampleJob(image=np.zeros((10, 16)), algorithm="ideal")
+        # an image with no pixels (it was NumPy's zero-size reduction error)
+        for shape in [(0, 0), (8, 0), (0, 16)]:
+            with pytest.raises(ValueError, match="at least 8 x 8"):
+                SupersampleJob(image=np.zeros(shape), algorithm="ideal")
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             SupersampleJob(image=np.full((16, 16), 1.5), algorithm="ideal")
+
+    @pytest.mark.parametrize("algorithm", ["monte-carlo", "qcoin", "qss", "ideal"])
+    def test_rejects_nan_pixels(self, algorithm):
+        # one output pixel of NaN: qcoin and monte-carlo estimated it as 0.0,
+        # qss raised NumPy's "Probabilities contain NaN"
+        image = np.full((16, 16), 0.5)
+        image[8:, :8] = np.nan
+        with pytest.raises(ValueError, match="none may be NaN"):
+            SupersampleJob(image=image, algorithm=algorithm)
 
     @pytest.mark.parametrize("algorithm", ["qss", "ideal"])
     def test_refuses_noise_it_would_drop(self, algorithm):

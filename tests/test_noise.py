@@ -57,6 +57,16 @@ def sqrt_coin(f):
     return coin_circuit(0, 0).bind(OracleSpec([f]))
 
 
+def gate_op(gate, targets, controls=()):
+    """An op that applies the user matrix ``gate``."""
+    return CircuitOp(gate.name, tuple(targets), tuple(controls), gate=gate)
+
+
+def bell_circuit():
+    """H on qubit 0, then X on 1 controlled by 0; both qubits read out."""
+    return Circuit(2, [gate_op(H_GATE, [0]), gate_op(X_GATE, [1], [0]), CircuitOp("M", (0, 1))])
+
+
 class TestNoiseModel:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -77,9 +87,7 @@ class TestNoiseModel:
 
 class TestZeroNoiseEquivalence:
     def test_bit_identical_to_noiseless_path(self):
-        circuit = Circuit(2, measured_qubits=[0, 1])
-        circuit.add(H_GATE, [0])
-        circuit.add(X_GATE, [1], controls=[0])
+        circuit = bell_circuit()
         for seed in range(50):
             noisy = noisy_execute(circuit, ZERO, np.random.default_rng(seed))
             state = apply_gate(StateVector.zero(2), H_GATE, [0])
@@ -111,7 +119,8 @@ class TestReadoutError:
 
     def test_each_measured_bit_flips_on_its_own(self):
         r = 0.1
-        circuit = Circuit(3).add(X_GATE, [0]).add(X_GATE, [2]).measure([2, 1, 0])
+        circuit = Circuit(3, [gate_op(X_GATE, [0]), gate_op(X_GATE, [2]),
+                              CircuitOp("M", (2, 1, 0))])
         probs = outcome_probabilities(circuit, NoiseModel(readout_flip_prob=r))
         actual = [1, 0, 1]  # qubits 2, 1 and 0, the readout's bits 0, 1 and 2
         expected = [math.prod(r if ((k >> j) & 1) != bit else 1.0 - r
@@ -123,9 +132,7 @@ class TestDensityMatrixAverage:
     def test_matches_trajectories_with_gate_noise(self):
         model = NoiseModel(readout_flip_prob=0.02, gate_error_1q=0.05,
                            gate_error_mq=0.1)
-        circuit = Circuit(2, measured_qubits=[0, 1])
-        circuit.add(H_GATE, [0])
-        circuit.add(X_GATE, [1], controls=[0])
+        circuit = bell_circuit()
         exact = outcome_probabilities(circuit, model)
 
         rng = np.random.default_rng(4)
@@ -179,7 +186,7 @@ class TestOneQubitClosedForm:
                            int(rng.integers(0, 9)))
             ops = random_one_qubit_ops(rng, int(rng.integers(0, 4)))
             ops += [block] + random_one_qubit_ops(rng, int(rng.integers(0, 4)))
-            circuit = Circuit(1, ops).measure([0])
+            circuit = Circuit(1, ops + [CircuitOp("M", (0,))])
             model = random_model(rng)
             gates = [op.gate.matrix for op in circuit.expand() if op.name != "M"]
             u = np.eye(2)
@@ -202,7 +209,7 @@ class TestOneQubitClosedForm:
 
     def test_bound_circuit_is_not_bound_again(self, monkeypatch):
         circuit = simple_qcoin_circuit(0.5, 0.2, 16)
-        unbound = Circuit(1, circuit.ops, circuit.measured_qubits)
+        unbound = Circuit(1, circuit.ops)
         binds = []
         bind = Circuit.bind
         monkeypatch.setattr(Circuit, "bind", lambda self, *a: binds.append(self) or bind(self, *a))
@@ -219,15 +226,15 @@ class TestOneQubitClosedForm:
             f = rng.uniform(0.0, 1.0)
             offset = rng.uniform(0.0, f)
             circuit = simple_qcoin_circuit(f, offset, int(rng.integers(0, 33)))
-            fresh = Circuit(1, circuit.ops, circuit.measured_qubits).bind(
-                OracleSpec([f], offset, LINEAR_AMPLITUDE))
-            assert fresh.template is not circuit.template
+            fresh = Circuit(1, circuit.ops).bind(OracleSpec([f], offset, LINEAR_AMPLITUDE))
+            # a circuit of its own shares no lowering with the cached shape
+            assert fresh.steps is not circuit.steps
             assert (head_probability(circuit, HARDWARE_PRESET)
                     == head_probability(fresh, HARDWARE_PRESET))
 
     def test_circuit_without_readout_is_refused(self):
         # every route refuses a circuit that measures nothing, before it runs
-        circuit = Circuit(1).add(H_GATE, [0])
+        circuit = Circuit(1, [gate_op(H_GATE, [0])])
         for route in (lambda: outcome_probabilities(circuit, HARDWARE_PRESET),
                       lambda: head_probability(circuit, HARDWARE_PRESET),
                       lambda: noisy_execute(circuit, HARDWARE_PRESET, np.random.default_rng(0))):
@@ -300,7 +307,7 @@ class TestCoinHeadProbability:
             estimate_qcoin(oracle, 5, 20, seed=7, noise=HARDWARE_PRESET)
             fast_qcoin_estimate(0.6, 7, 40, rng, HARDWARE_PRESET)
 
-        run()  # the first evaluation of each shape builds its template
+        run()  # the first evaluation of each shape builds its circuit
         calls = []
 
         def count(cls, name):
@@ -337,7 +344,7 @@ class TestDensityCap:
             tracemalloc.stop()
         assert peak < 16 << 18  # a rho on 9 qubits is 16 x 2^18 bytes
         with pytest.raises(ValueError, match="cap"):
-            outcome_probabilities(Circuit(40).measure([0]), ZERO)
+            outcome_probabilities(Circuit(40, [CircuitOp("M", (0,))]), ZERO)
 
     def test_qss_at_p64_is_evolved(self):
         # 1,942 products on 7 qubits, 3.2e7 products x 4^n
@@ -349,12 +356,15 @@ class TestDensityCap:
         # one gate on 11 qubits is 4^11 = 4.2e6 products x 4^n, under the work
         # cap, but its rho would be 64 MiB
         with pytest.raises(ValueError, match="on 11 qubits .* cap of 10 qubits"):
-            outcome_probabilities(Circuit(11, [CircuitOp("H", (10,))]).measure([10]), ZERO)
-        ten = outcome_probabilities(Circuit(10, [CircuitOp("H", (9,))]).measure([9]), ZERO)
+            outcome_probabilities(Circuit(11, [CircuitOp("H", (10,)), CircuitOp("M", (10,))]),
+                                  ZERO)
+        ten = outcome_probabilities(Circuit(10, [CircuitOp("H", (9,)), CircuitOp("M", (9,))]),
+                                    ZERO)
         np.testing.assert_allclose(ten, [0.5, 0.5], rtol=0, atol=1e-12)
 
     def test_each_noisy_qubit_adds_three_products(self, monkeypatch):
-        circuit = Circuit(2, [CircuitOp("H", (0,)), CircuitOp("SWAP", (0, 1))]).measure([0, 1])
+        circuit = Circuit(2, [CircuitOp("H", (0,)), CircuitOp("SWAP", (0, 1)),
+                              CircuitOp("M", (0, 1))])
         monkeypatch.setattr(noise, "MAX_DENSITY_WORK", 5 << 4)  # 5 products x 4^2
         outcome_probabilities(circuit, NoiseModel(gate_error_1q=0.1))  # 1 + 3, then 1
         with pytest.raises(ValueError, match="8 products"):
@@ -365,7 +375,8 @@ class TestTrajectoryCap:
     def test_refused_before_the_state_is_allocated(self, monkeypatch):
         # 20,002 ops on 14 qubits are 3.3e8 amplitude updates, past the
         # statevector's cap, though the state itself is only 256 KiB
-        circuit = Circuit(14, [CircuitOp("H", (q % 14,)) for q in range(20001)]).measure([0])
+        circuit = Circuit(14, [CircuitOp("H", (q % 14,)) for q in range(20001)]
+                          + [CircuitOp("M", (0,))])
 
         def allocate(n_qubits):
             raise AssertionError(f"a state of {n_qubits} qubits was allocated")
@@ -443,9 +454,10 @@ class TestGateAfterMeasurement:
 
     @staticmethod
     def circuits():
-        yield Circuit(1).add(H_GATE, [0]).measure([0]).add(H_GATE, [0]).measure([0]), 0
+        m0, m1 = CircuitOp("M", (0,)), CircuitOp("M", (1,))
+        yield Circuit(1, [gate_op(H_GATE, [0]), m0, gate_op(H_GATE, [0]), m0]), 0
         # a measured qubit as a control
-        yield Circuit(2).add(H_GATE, [1]).measure([1]).add(X_GATE, [0], [1]).measure([0]), 1
+        yield Circuit(2, [gate_op(H_GATE, [1]), m1, gate_op(X_GATE, [0], [1]), m0]), 1
 
     @pytest.mark.parametrize("route", [
         lambda circuit: outcome_probabilities(circuit, HARDWARE_PRESET),
@@ -463,11 +475,9 @@ class TestMultiQubitGateErrors:
     def test_controlled_gates_use_mq_rate(self):
         # only the controlled gate is noisy under a pure-mq model
         model = NoiseModel(gate_error_mq=0.3)
-        single = Circuit(2, measured_qubits=[0])
-        single.add(X_GATE, [0])
+        single = Circuit(2, [gate_op(X_GATE, [0]), CircuitOp("M", (0,))])
         assert abs(head_probability(single, model) - 1.0) < 1e-12
 
-        controlled = Circuit(2, measured_qubits=[0])
-        controlled.add(X_GATE, [1])
-        controlled.add(X_GATE, [0], controls=[1])
+        controlled = Circuit(2, [gate_op(X_GATE, [1]), gate_op(X_GATE, [0], [1]),
+                                 CircuitOp("M", (0,))])
         assert head_probability(controlled, model) < 1.0

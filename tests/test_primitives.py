@@ -711,7 +711,7 @@ class TestCircuit:
                 nodes += node.ops
             else:
                 nodes.append(Repeat(list(node.ops), node.count))
-        undeclared = Circuit(declared.n_qubits, nodes, declared.measured_qubits)
+        undeclared = Circuit(declared.n_qubits, nodes)
         assert undeclared.expand() == declared.expand()
         ran = [circuit.bind(oracle).schedule for circuit in (declared, undeclared)]
         assert any(isinstance(step, ReflectionKernel) for step in ran[0])
@@ -757,25 +757,48 @@ class TestCircuit:
     ], ids=["qcoin-fused", "qcoin-reflections", "qss"])
     def test_binds_of_one_shape_are_independent(self, build, n_in, encoding):
         """Two oracles bound to one shape, run interleaved: each amplitude
-        vector is, bit for bit, that of a bind with a template of its own."""
+        vector is, bit for bit, that of a bind of a circuit of its own."""
         circuit, rng = build(), np.random.default_rng(11)
         offset = 0.05 if encoding == LINEAR_AMPLITUDE else 0.0
         oracles = [OracleSpec(rng.uniform(0.1, 0.9, 1 << n_in), offset, encoding) for _ in range(2)]
         bound = [build().bind(oracle) for oracle in oracles]
-        assert bound[0].template is bound[1].template
-        fresh = [run_circuit(Circuit(circuit.n_qubits, list(circuit.ops), circuit.measured_qubits)
-                             .bind(oracle))[0].amplitudes for oracle in oracles]
+        assert bound[0].steps is bound[1].steps
+        fresh = [run_circuit(Circuit(circuit.n_qubits, circuit.ops).bind(oracle))[0].amplitudes
+                 for oracle in oracles]
         for _ in range(2):
             for b, expected in zip(bound, fresh):
                 np.testing.assert_array_equal(run_circuit(b)[0].amplitudes, expected)
 
+    def test_a_shape_is_one_unchangeable_circuit(self):
+        circuit = coin_circuit(2, 3)
+        assert circuit is coin_circuit(2, 3) and isinstance(circuit.ops, tuple)
+        assert qss_circuit(2, 8) is qss_circuit(2, 8)
+        oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE)
+        bound = [circuit.bind(oracle) for _ in range(2)]
+        # binding leaves the circuit unbound; its binds share its ops and
+        # lowering, and each has its own Q kernels
+        assert circuit.schedule is None and circuit.binding is None
+        assert bound[0].ops is bound[1].ops is circuit.ops
+        assert bound[0].steps is bound[1].steps is circuit.steps
+        assert bound[0].kernels is bound[1].kernels is circuit.kernels
+        assert bound[0].binding is not bound[1].binding
+        # the readout is the targets of the last M, or none
+        assert circuit.measured_qubits == (0, 1, 2)
+        assert Circuit(2, [CircuitOp("M", (0,)), CircuitOp("H", (0,)),
+                           CircuitOp("M", (1, 0))]).measured_qubits == (1, 0)
+        assert Circuit(1, [CircuitOp("H", (0,))]).measured_qubits == ()
+
     def test_changed_circuit_is_not_bound_from_its_template(self):
+        # a shape's ops with one more op are a circuit of their own, bound
+        # from their own ops, not from the shape's schedule
         oracle = OracleSpec([0.2, 0.7], 0.1, LINEAR_AMPLITUDE)
-        for change in (lambda c: c.add(X_GATE, [0]), lambda c: c.measure([1])):
-            circuit = coin_circuit(1, 2)
-            change(circuit)
-            assert circuit.template is None
+        shape = coin_circuit(1, 2)
+        shape.bind(oracle)
+        for extra in (CircuitOp(X_GATE.name, (0,), gate=X_GATE), CircuitOp("M", (1,))):
+            circuit = Circuit(2, shape.ops + (extra,))
+            assert circuit.steps is None
             bound = circuit.bind(oracle)
+            assert bound.steps is not shape.steps
             assert [op.name for op in bound.expand()] == [op.name for op in circuit.expand()]
             assert bound.measured_qubits == circuit.measured_qubits
             expected = StateVector.zero(2).amplitudes.copy()
@@ -786,7 +809,7 @@ class TestCircuit:
                                        rtol=0, atol=1e-12)
         # the shape itself is unchanged
         assert len(coin_circuit(1, 2).ops) == len(circuit.ops) - 1
-        assert coin_circuit(1, 2).measured_qubits == [0, 1]
+        assert coin_circuit(1, 2).measured_qubits == (0, 1)
 
     def test_registers_of_h_run_as_one_kernel(self):
         # each H register on 6 inputs is two dense kernels of 3 targets, then Q
@@ -921,7 +944,7 @@ class TestCircuit:
         monkeypatch.setattr(PairKernel, "__init__", counted_pair)
         monkeypatch.setattr(statevector, "_plane", counted_plane)
         oracle = OracleSpec(np.linspace(0.1, 0.9, 16))
-        qss_circuit(4, 64).bind(oracle)  # the template's own kernels, once per shape
+        qss_circuit(4, 64).bind(oracle)  # the circuit's own kernels, once per shape
         built.clear()
         planes.clear()
         bound = qss_circuit(4, 64).bind(oracle)
@@ -988,10 +1011,11 @@ class TestCircuit:
     def test_unbound_circuit_is_refused(self):
         with pytest.raises(SimulatorError, match="bound"):
             run_circuit(coin_circuit(1, 1))
-        bound = Circuit(1, [CircuitOp("H", (0,))]).bind()
-        bound.add(Z_GATE, [0])
+        circuit = Circuit(1, [CircuitOp("H", (0,))])
+        run_circuit(circuit.bind())
+        # a bind returns a bound copy and leaves the circuit unbound
         with pytest.raises(SimulatorError, match="bound"):
-            run_circuit(bound)
+            run_circuit(circuit)
 
     def test_kernel_needs_a_bound_circuit(self):
         circuit = coin_circuit(1, 1)
@@ -999,9 +1023,8 @@ class TestCircuit:
             circuit.kernel(circuit.ops[0])
         bound = circuit.bind(OracleSpec([0.2, 0.7], 0.1, LINEAR_AMPLITUDE))
         bound.kernel(bound.ops[0])
-        bound.add(Z_GATE, [0])
         with pytest.raises(SimulatorError, match="bound"):
-            bound.kernel(bound.ops[0])
+            circuit.kernel(circuit.ops[0])
 
     def test_op_without_formula_or_matrix_is_refused(self):
         with pytest.raises(SimulatorError, match="no formula"):
@@ -1141,7 +1164,7 @@ class TestKernelsAgainstDenseReference:
             ops.append(Repeat(tuple(random_op(rng, n, n_in) for _ in range(2)),
                               int(rng.integers(0, 4))))
             measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
-            bound = Circuit(n, ops).measure(measured).bind(oracle)
+            bound = Circuit(n, ops + [CircuitOp("M", tuple(measured))]).bind(oracle)
             model = NoiseModel(*(float(x) for x in rng.uniform(0.0, 0.2, 3)))
 
             rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)

@@ -341,15 +341,15 @@ class TestOneCollapse:
     def test_paths_match_the_projector_reference(self, qubits):
         rng = np.random.default_rng(17)
         ops = [CircuitOp("H", (q,)) for q in range(4)] + [CircuitOp("CPHASE", (2,), (0,), 0.7)]
-        circuit = Circuit(4, ops)
         for targets in [(3, 1), (0, 2)]:
             q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            circuit.add(GateMatrix(q * (np.diag(r) / np.abs(np.diag(r)))), targets)
-        circuit.measure(qubits)
+            gate = GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+            ops.append(CircuitOp(gate.name, targets, gate=gate))
+        circuit = Circuit(4, ops + [CircuitOp("M", tuple(qubits))])
         psi = run_circuit(circuit.bind())[0].amplitudes  # M is skipped without a generator
         branches = [_projected(psi, qubits, k) for k in range(1 << len(qubits))]
         weights = np.array([np.vdot(b, b).real for b in branches])
-        readout = Circuit(4).measure(qubits).bind()
+        readout = Circuit(4, [CircuitOp("M", tuple(qubits))]).bind()
         drawn = set()
         for seed in range(200):
             k = int(np.random.default_rng(seed).choice(len(weights), p=weights / weights.sum()))
@@ -409,7 +409,7 @@ class TestOneCollapse:
         circuit = qss_circuit(2, 16).bind(OracleSpec([0.1, 0.5, 0.7, 0.2]))
         cases.append((circuit.n_qubits, circuit.measured_qubits,
                       run_circuit(circuit)[0].probabilities()))
-        assert circuit.measured_qubits == [3, 4, 5, 6]
+        assert circuit.measured_qubits == (3, 4, 5, 6)
         for n, qubits, probs in cases:
             basis = np.arange(1 << n)
             keys = sum(((basis >> q) & 1) << j for j, q in enumerate(qubits))
@@ -418,14 +418,15 @@ class TestOneCollapse:
             np.testing.assert_array_equal(Measurement(n, qubits).marginal(probs), expected)
 
     def test_a_run_without_a_generator_builds_no_keys(self):
-        bound = Circuit(3, [CircuitOp("H", (q,)) for q in range(3)]).measure([0, 2]).bind()
+        ops = [CircuitOp("H", (q,)) for q in range(3)] + [CircuitOp("M", (0, 2))]
+        bound = Circuit(3, ops).bind()
         (step,) = [step for step in bound.schedule if isinstance(step, Measurement)]
         run_circuit(bound)
         assert step.keys is None
         run_circuit(bound, rng=np.random.default_rng(1))
         keys = step.keys
         np.testing.assert_array_equal(keys, [0, 1, 0, 1, 2, 3, 2, 3])
-        # a later bind of the same template keeps the step and its keys
+        # a later bind of the same circuit keeps the step and its keys
         again = bound.bind()
         assert [s for s in again.schedule if isinstance(s, Measurement)] == [step]
         run_circuit(again, rng=np.random.default_rng(2))
