@@ -113,6 +113,7 @@ def estimate_qss(
 ) -> Estimate:
     """Fourier-readout estimate: measure the target, transform the register,
     map the measured register value t to sin^2(t pi / P)."""
+    check_seed(seed, "seed")
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()
@@ -132,6 +133,14 @@ def check_qcoin_k(k: int, name: str):
     gave it, before its schedule is built."""
     if not 0 <= k <= 61:
         raise ValueError(f"{name} must be from 0 to 61, got {k}")
+
+
+def check_seed(seed: int | None, name: str):
+    """A seed is None or a non-negative integer.  A negative one, which NumPy
+    refuses with a bare "expected non-negative integer", is refused by the
+    parameter ``name`` that gave it, before any generator is built."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
 
 
 def shift_scale_schedule(k: int) -> list[tuple[float, int]]:
@@ -180,7 +189,7 @@ def run_shift_scale(
     bound E, amplifies it m times and recovers the angle with divisor 2m+1.
     The coin, picked once, gives step 0's head probability ``p0`` and
     ``head(E, m)``.  Each step makes one binomial draw, with an integer trial
-    count of at least one.  ``ledger`` counts the queries of all repetitions.
+    count from 1 to 2^63 - 1.  ``ledger`` counts the queries of all repetitions.
     Returns the estimates and a trace of repetition 0's e_minus, e_plus,
     fraction and f_i per step, each a float or a NumPy scalar, so the trace
     does not grow with the repetitions.
@@ -196,8 +205,9 @@ def run_shift_scale(
         trials = [operator.index(t) for t in trials]
     except TypeError:
         raise ValueError(f"each trial count must be an integer, got {trials_per_step!r}") from None
-    if any(t < 1 for t in trials):
-        raise ValueError("every step needs at least one trial")
+    # NumPy's binomial draw takes counts below 2^63
+    if not all(1 <= t < 2**63 for t in trials):
+        raise ValueError(f"each trial count must be from 1 to 2^63 - 1, got {trials_per_step!r}")
 
     noisy = noise is not None and not noise.is_zero
     f = f.item() if size == 1 else f
@@ -283,6 +293,7 @@ def estimate_qcoin(
 
 def _coin_estimate(oracle, schedule, trials, seed, noise, rng):
     """The shift-and-scale loop on ``oracle``'s coin: (value, queries, trace)."""
+    check_seed(seed, "seed")
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = QueryLedger()

@@ -17,6 +17,7 @@ from . import noise as noise_mod
 from .estimators import (
     _asin,
     check_qcoin_k,
+    check_seed,
     qcoin_queries,
     qss_queries,
     qss_value_grid,
@@ -188,6 +189,7 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed_base, "seed_base")
         if not self.algorithms or not set(self.algorithms) <= set(SWEEP_ALGORITHMS):
             raise ValueError(f"algorithms must be one or more of "
                              f"{', '.join(SWEEP_ALGORITHMS)}, got {self.algorithms}")
@@ -301,6 +303,7 @@ def calibrate_optimal_k(
     whose schedule does not fit in the budget are skipped (k=0 fits every
     budget of at least 1, the least a sweep takes).
     """
+    check_seed(seed, "seed")
     return {budget: {k: mae for k, (_, mae) in row.items()}
             for budget, row in _coin_table(budgets, k_values, repetitions, seed).items()}
 
@@ -379,6 +382,7 @@ def run_delta_scaling_sweep(
     shrinks as delta^2, so the fitted slope of the step cost should sit near
     -2/3.
     """
+    check_seed(seed, "seed")
     rows = []
     queries, errors = [], []
     for i in step_indices:
@@ -411,6 +415,7 @@ def run_noise_comparison(
     """Noisy-machine emulation: Monte Carlo error across budgets, each row from
     one generator seeded [seed_base, 0, budget], versus the coin estimator at
     several k, whose rows share the per-repetition seeds [seed_base, 1, r]."""
+    check_seed(seed_base, "seed_base")
     rows = []
     mc_errors = {}
     for budget in mc_budgets:
@@ -454,6 +459,7 @@ class SupersampleJob:
     seed_base: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed_base, "seed_base")
         if self.algorithm in ("qss", "ideal") and self.noise is not None and not self.noise.is_zero:
             raise ValueError(f"supersample applies no noise to {self.algorithm}; leave noise unset")
         self.image = np.asarray(self.image, dtype=float)
@@ -618,7 +624,7 @@ class ConfigError(Exception):
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """`key = value` lines; '#' starts a comment; blank lines ignored."""
+    """`key = value` lines, each key once; '#' starts a comment; blank lines ignored."""
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -626,8 +632,10 @@ def parse_config(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise ConfigError(f"line {lineno}: key {key!r} is given a second time")
+        cfg[key] = value
     return cfg
 
 

@@ -12,8 +12,8 @@ reflection's vector, built on the coin qubits alone.  A circuit is
 unchangeable, and the builders keep one per shape, cached by their
 arguments, so every op but Q and Q_INV is lowered once per shape.
 ``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
-bind checks the oracle and builds from it each Q its schedule runs and each
-reflection's plane (``_Binding``).  ``run_circuit`` applies the bound
+bind checks the oracle, keeps its rotation and builds from it each Q its
+schedule runs and each reflection's plane.  ``run_circuit`` applies the bound
 schedule in place, each register of H as a few dense products and each
 measurement as one collapse of the amplitudes in place (``Measurement``).
 The estimators run these circuits; the noise layer evaluates them op by
@@ -243,10 +243,10 @@ class Circuit:
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
     ``bind`` returns a bound copy, which adds what ``run_circuit`` runs
-    (``schedule``) and the Q and Q_INV kernels of the bind (``binding``);
-    the circuit itself stays unbound.  ``coin_circuit``, ``qss_circuit``
-    and ``prepare_qss_state`` keep one circuit per shape, so every bind of
-    a shape shares its lowering.
+    (``schedule``), the oracle's ``_rotation`` (``rotation``) and the Q and
+    Q_INV kernels built from it (``q_kernels``); the circuit itself stays
+    unbound.  ``coin_circuit``, ``qss_circuit`` and ``prepare_qss_state``
+    keep one circuit per shape, so every bind of a shape shares its lowering.
     """
 
     def __init__(self, n_qubits: int, ops: Sequence[CircuitOp | Repeat] = ()):
@@ -267,7 +267,7 @@ class Circuit:
         # Q's ``_placement`` by (register size, targets, controls), at its first use
         self.placements: dict = {}
         self.steps: list | None = None  # the schedule, set by the first bind
-        self.schedule = self.binding = None  # set on a bound copy only
+        self.schedule = self.rotation = self.q_kernels = None  # set on a bound copy only
 
     def counted_ops(self):
         """Each distinct op with the number of times it runs; repeats stay folded."""
@@ -306,8 +306,8 @@ class Circuit:
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
         """A copy of this circuit with a run schedule and kernels: every step
-        but Q and Q_INV is this circuit's, and ``oracle`` supplies those
-        (``_Binding``).  Refused past MAX_CIRCUIT_OPS."""
+        but Q and Q_INV is this circuit's, and the copy builds those from
+        ``oracle``'s rotation.  Refused past MAX_CIRCUIT_OPS."""
         self.check_size()
         if self.steps is None:
             for targets, controls in self.sites:
@@ -319,64 +319,53 @@ class Circuit:
             if len(targets) - 1 != oracle.n_input_qubits:
                 raise OracleError(f"Q on {len(targets) - 1} input qubits, "
                                   f"oracle has {oracle.n_input_qubits}")
-        binding = _Binding(self, _rotation(oracle) if self.sites else None)
         # a shallow copy, without copy.copy's cost: it runs at every estimate
         bound = object.__new__(Circuit)
-        bound.__dict__.update(self.__dict__, schedule=binding.steps(self.steps, self.n_qubits),
-                              binding=binding)
+        bound.__dict__.update(self.__dict__, rotation=_rotation(oracle) if self.sites else None,
+                              q_kernels={})
+        bound.schedule = bound._bind_steps(self.steps, self.n_qubits)
         return bound
 
     def kernel(self, op: CircuitOp) -> Kernel:
         """The statevector kernel of one of this bound circuit's ops other
         than ``M``: Q and Q_INV from the bind, any other from the circuit."""
-        if self.binding is None:
+        if self.q_kernels is None:
             raise SimulatorError("an op's kernel needs a bound circuit (Circuit.bind)")
         if _needs_oracle(op):
-            return self.binding.kernel(op, self.n_qubits)
+            return self._q_kernel(op, self.n_qubits)
         return self.lower(op)
+
+    def _q_kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
+        """The bind's kernel of a Q or Q_INV op on an n-qubit register, kept
+        by register size and placement, so that qcoin's reflection, whose
+        mirror runs on the whole register, reuses the preparation's Q."""
+        site = n_qubits, op.targets, op.controls
+        if (op.name, site) not in self.q_kernels:
+            if site not in self.placements:
+                self.placements[site] = _placement(op.targets, op.controls, n_qubits)
+            bins, lo, hi = self.placements[site]
+            c, s = self.rotation
+            q = PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+            self.q_kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
+        return self.q_kernels[op.name, site]
+
+    def _bind_steps(self, steps: list, n_qubits: int) -> list:
+        """A schedule on an n-qubit register in this bind: each Q and Q_INV
+        op its kernel, each ``ReflectionKernel`` bound with its mirror's
+        kernels on its k target qubits, every other step as it is."""
+        bound = []
+        for step in steps:
+            if isinstance(step, CircuitOp):
+                step = self._q_kernel(step, n_qubits)
+            elif isinstance(step, ReflectionKernel):
+                step = step.bound(self._bind_steps(step.mirror, step.size.bit_length() - 1))
+            bound.append(step)
+        return bound
 
 
 def _needs_oracle(op: CircuitOp) -> bool:
     """Q or Q_INV from its formula."""
     return op.gate is None and op.name in ("Q", "Q_INV")
-
-
-class _Binding:
-    """One bind of a circuit to an oracle: the oracle's ``_rotation`` and
-    the Q and Q_INV kernels built from it, kept by register size and
-    placement, so qcoin's reflection, whose mirror runs on the whole
-    register, reuses the preparation's Q.  The bind builds those its
-    schedule runs (``steps``), ``Circuit.kernel`` any other, Q_INV among them."""
-
-    def __init__(self, circuit: Circuit, rotation):
-        self.circuit, self.rotation = circuit, rotation
-        self.kernels: dict = {}
-
-    def kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
-        """The kernel of a Q or Q_INV op on an n-qubit register."""
-        site = n_qubits, op.targets, op.controls
-        if (op.name, site) not in self.kernels:
-            placements = self.circuit.placements
-            if site not in placements:
-                placements[site] = _placement(op.targets, op.controls, n_qubits)
-            bins, lo, hi = placements[site]
-            c, s = self.rotation
-            q = PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
-            self.kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
-        return self.kernels[op.name, site]
-
-    def steps(self, steps: list, n_qubits: int) -> list:
-        """A circuit's schedule on an n-qubit register in this bind: each Q
-        and Q_INV op its kernel, each ``ReflectionKernel`` bound with its
-        mirror's kernels on its k target qubits, every other step as it is."""
-        bound = []
-        for step in steps:
-            if isinstance(step, CircuitOp):
-                step = self.kernel(step, n_qubits)
-            elif isinstance(step, ReflectionKernel):
-                step = step.bound(self.steps(step.mirror, step.size.bit_length() - 1))
-            bound.append(step)
-        return bound
 
 
 def _schedule(nodes, circuit: Circuit) -> list:
@@ -385,7 +374,7 @@ def _schedule(nodes, circuit: Circuit) -> list:
     a block's own steps (``_steps``).  Each maximal run of formula H ops
     with the same controls and distinct targets is a few dense kernels
     (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel
-    each bind builds (``_Binding.steps``).
+    each bind builds (``Circuit._bind_steps``).
     """
     return [step for run in _runs(nodes) for step in _steps(run, circuit)]
 

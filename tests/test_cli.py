@@ -320,6 +320,9 @@ class TestExitCodes:
     # a graymap with no pixels (it was NumPy's zero-size reduction error)
     (["supersample", "--algorithm", "ideal", "--image", "{zero}"], "", EXIT_VALIDATION,
      "at least 8 x 8"),
+    # a key given twice (the last value was kept, so the first took no effect)
+    (["estimate", "--algorithm", "qss", "--f", "0.5"], "seed = 1\nseed = 2\n", EXIT_CONFIG,
+     "line 2: key 'seed'"),
 ])
 def test_bad_input_exit_code_without_traceback(argv, config, code, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

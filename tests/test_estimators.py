@@ -19,7 +19,12 @@ from qmean.estimators import (
     select_optimal_k,
     shift_scale_schedule,
 )
-from qmean.harness import calibrate_optimal_k, fast_qcoin_estimate, qss_theoretical_distribution
+from qmean.harness import (
+    calibrate_optimal_k,
+    fast_qcoin_estimate,
+    qss_theoretical_distribution,
+    sample_monte_carlo,
+)
 from qmean.noise import HARDWARE_PRESET, NoiseModel, coin_head_probability, noisy_coin_probability
 from qmean.primitives import (
     LINEAR_AMPLITUDE,
@@ -56,8 +61,16 @@ class TestMonteCarlo:
         assert abs(np.mean(values) - 0.5) < 0.005
 
     def test_needs_a_trial(self):
-        with pytest.raises(ValueError):
-            estimate_monte_carlo(OracleSpec([0.5]), 0)
+        # 2^63 or more is past NumPy's binomial draw (it was an OverflowError);
+        # the qcoin steps are checked as step 0 is
+        rng = np.random.default_rng(0)
+        for trials in (0, 2**63):
+            for call in (lambda: estimate_monte_carlo(OracleSpec([0.5]), trials),
+                         lambda: sample_monte_carlo(0.5, trials, rng),
+                         lambda: estimate_qcoin(OracleSpec([0.5]), 1, trials),
+                         lambda: fast_qcoin_estimate(0.5, 1, trials, rng)):
+                with pytest.raises(ValueError, match=r"from 1 to 2\^63 - 1"):
+                    call()
 
     @pytest.mark.parametrize("trials", [10.7, 10.0, np.float64(3.5)])
     def test_needs_an_integral_trial_count(self, trials):

@@ -26,7 +26,8 @@ supersampled image digests stayed the same, as did ``estimate-records.txt``.
 
 ``python tests/test_golden.py digest`` prints one sha256 per part of
 ``digest_lines``: fixed-seed estimates, the work counter, the final
-amplitudes of bound circuits, circuit listings and the resource report.  It
+amplitudes of bound circuits, the noise layer's distributions and
+trajectories, circuit listings and the resource report.  It
 is a guard for changes meant to leave every number and every bit of the
 simulator's state as it was: run it at the parent commit and at the change,
 on one machine, and compare.  It is not a golden file, because amplitudes
@@ -48,7 +49,7 @@ from qmean import primitives
 from qmean.cli import main
 from qmean.estimators import estimate_monte_carlo, estimate_qcoin, estimate_qss
 from qmean.harness import qss_mean_error, run_noise_comparison
-from qmean.noise import HARDWARE_PRESET
+from qmean.noise import HARDWARE_PRESET, noisy_execute, outcome_probabilities
 from qmean.primitives import OracleSpec, coin_circuit, prepare_qss_state, qss_circuit, run_circuit
 
 DATA = Path(__file__).parent / "data"
@@ -69,6 +70,11 @@ RUNS = (
 
 def _integrand(n_bins: int) -> OracleSpec:
     return OracleSpec(0.5 + 0.4 * np.sin(2.0 * np.arange(n_bins)))
+
+
+def _linear(n_in: int) -> OracleSpec:
+    """The digest's linear-amplitude oracle on ``n_in`` input qubits."""
+    return OracleSpec(0.3 + 0.2 * np.sin(np.arange(1 << n_in)), 0.25, "linear-amplitude")
 
 
 def _run(argv: list[str]) -> str:
@@ -170,7 +176,10 @@ def digest_lines(work_dir: Path) -> list[str]:
     """The sha256 of each part: the ``repr`` of fixed-seed qcoin (k = 5,
     L = 20), qss (P = 64 and 8) and Monte Carlo (100 trials) estimates at
     n_in 0, 2, 4 and 8 by 40 seeds; ``primitives.WORK`` after them; the final
-    amplitudes of seven bound circuits; two ``dump-circuit`` listings; and the
+    amplitudes of seven bound circuits; under ``HARDWARE_PRESET``, the exact
+    outcome distribution of two bound circuits, a qss and a coin circuit,
+    and the observed bits and post-state of each at seeds 0 to 19
+    (``noisy_execute``); two ``dump-circuit`` listings; and the
     ``resources --N 16 --P 64`` report."""
     parts = {}
     primitives.WORK.reset()
@@ -186,9 +195,15 @@ def digest_lines(work_dir: Path) -> list[str]:
     for p in (2, 8, 64):
         amplitudes.append(run_circuit(qss_circuit(2, p).bind(_integrand(4)))[0].amplitudes)
     for n_in in (0, 3, 6):
-        oracle = OracleSpec(0.3 + 0.2 * np.sin(np.arange(1 << n_in)), 0.25, "linear-amplitude")
-        amplitudes.append(run_circuit(coin_circuit(n_in, 3).bind(oracle))[0].amplitudes)
+        amplitudes.append(run_circuit(coin_circuit(n_in, 3).bind(_linear(n_in)))[0].amplitudes)
     parts["amplitudes"] = b"".join(a.tobytes() for a in amplitudes)
+    noisy = []
+    for circuit in (qss_circuit(0, 8).bind(OracleSpec([0.3])), coin_circuit(2, 3).bind(_linear(2))):
+        noisy.append(outcome_probabilities(circuit, HARDWARE_PRESET).tobytes())
+        for seed in range(20):
+            outcome = noisy_execute(circuit, HARDWARE_PRESET, np.random.default_rng(seed))
+            noisy += [bytes(outcome.observed_bits), outcome.post_state.amplitudes.tobytes()]
+    parts["noise"] = b"".join(noisy)
     parts["dump-circuit qss"] = _run(["dump-circuit", "--algorithm", "qss", "--n-input", "2",
                                       "--P", "8"]).encode()
     parts["dump-circuit qcoin"] = _run(["dump-circuit", "--algorithm", "qcoin", "--n-input", "2",

@@ -33,6 +33,7 @@ from qmean.harness import (
     report_resources,
     run_convergence_sweep,
     run_delta_scaling_sweep,
+    run_noise_comparison,
     run_supersample,
     run_value_sweep,
     sample_monte_carlo,
@@ -41,7 +42,12 @@ from qmean.harness import (
 )
 from qmean.noise import HARDWARE_PRESET, NoiseModel
 from qmean.primitives import OracleSpec
-from qmean.estimators import estimate_qcoin, qss_exact_distribution
+from qmean.estimators import (
+    estimate_monte_carlo,
+    estimate_qcoin,
+    estimate_qss,
+    qss_exact_distribution,
+)
 
 
 class TestQssExactError:
@@ -328,6 +334,31 @@ class TestSweepSpec:
             SweepSpec(algorithms=algorithms, budgets=[100])
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: estimate_monte_carlo(OracleSpec([0.5]), 20, seed=-1), "seed"),
+    (lambda: estimate_qss(OracleSpec([0.5]), 8, seed=-1), "seed"),
+    (lambda: estimate_qcoin(OracleSpec([0.5]), 3, 20, seed=-1), "seed"),
+    (lambda: run_value_sweep(SweepSpec(["monte-carlo"], [100], 10, [0.5], seed_base=-1)),
+     "seed_base"),
+    (lambda: run_supersample(SupersampleJob(np.full((8, 8), 0.5), "monte-carlo", seed_base=-1)),
+     "seed_base"),
+    (lambda: calibrate_optimal_k([100], [0], 5, seed=-1), "seed"),
+    (lambda: run_delta_scaling_sweep([2], 5, seed=-1), "seed"),
+    (lambda: run_noise_comparison(0.3, [10], 100, [0], 2, HARDWARE_PRESET, seed_base=-1),
+     "seed_base"),
+], ids=["estimate_monte_carlo", "estimate_qss", "estimate_qcoin", "SweepSpec", "SupersampleJob",
+        "calibrate_optimal_k", "run_delta_scaling_sweep", "run_noise_comparison"])
+def test_a_negative_seed_is_refused_by_name(call, name, monkeypatch):
+    # each was NumPy's bare "expected non-negative integer"; the check comes
+    # before any generator is built
+    def no_generator(*args):
+        raise AssertionError("a generator was built before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        call()
+
+
 class TestConvergenceSweep:
     @pytest.mark.parametrize("dropped", [{"f_values": [0.5]}, {"noise": HARDWARE_PRESET}])
     def test_refuses_what_it_would_drop(self, dropped):
@@ -600,6 +631,11 @@ class TestConfigParsing:
     def test_rejects_bad_line(self):
         with pytest.raises(ConfigError):
             parse_config("just words\n")
+
+    def test_rejects_a_repeated_key(self):
+        # the last value was kept, so the first line took no effect
+        with pytest.raises(ConfigError, match="line 3: key 'seed' is given a second time"):
+            parse_config("seed = 1\n# note\nseed = 2\n")
 
     def test_config_list_of_ints(self):
         cfg = {"budgets": "100, 1000"}

@@ -775,13 +775,18 @@ class TestCircuit:
         assert qss_circuit(2, 8) is qss_circuit(2, 8)
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE)
         bound = [circuit.bind(oracle) for _ in range(2)]
-        # binding leaves the circuit unbound; its binds share its ops and
-        # lowering, and each has its own Q kernels
-        assert circuit.schedule is None and circuit.binding is None
+        # binding leaves the circuit unbound, with no rotation and no Q
+        # kernels; its binds share its ops and lowering, and each has its
+        # own Q kernels
+        assert circuit.schedule is None
+        assert circuit.rotation is None and circuit.q_kernels is None
         assert bound[0].ops is bound[1].ops is circuit.ops
         assert bound[0].steps is bound[1].steps is circuit.steps
         assert bound[0].kernels is bound[1].kernels is circuit.kernels
-        assert bound[0].binding is not bound[1].binding
+        assert bound[0].q_kernels is not bound[1].q_kernels
+        # the preparation's Q from ``kernel`` is the one its schedule runs
+        q = next(op for op in circuit.ops if isinstance(op, CircuitOp) and op.name == "Q")
+        assert sum(step is bound[0].kernel(q) for step in bound[0].schedule) == 1
         # the readout is the targets of the last M, or none
         assert circuit.measured_qubits == (0, 1, 2)
         assert Circuit(2, [CircuitOp("M", (0,)), CircuitOp("H", (0,)),
