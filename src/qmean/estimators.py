@@ -244,7 +244,11 @@ def run_shift_scale(
         def head(e_minus, m):
             coin_oracle = integrand.shifted(e_minus)
             state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, m).bind(coin_oracle))
-            return float(state.probabilities()[head_state_index(coin_oracle)])
+            # |amplitude|^2 of the head state alone, as ``probabilities()``
+            # rounds it: the array abs (a scalar's abs rounds otherwise), squared
+            index = head_state_index(coin_oracle)
+            amplitude = float(np.abs(state.amplitudes[index:index + 1])[0])
+            return amplitude * amplitude
     else:
         # The closed form sin^2((2m+1) asin(f - E)), one expression over all repetitions.
         p0, head = f, closed_form

@@ -4,16 +4,18 @@ description of each circuit.
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a tuple of
 named ops, and declare the blocks that run as one step: the register's
 textbook Fourier transform (``_fourier``) as one FFT (``FourierKernel``),
+the coin preparation A (``_preparation``; not in ``qss_circuit``, where it
+shares the register's H layer) as one write of A|0> (``PrepareKernel``),
 and the blocks of amplification steps G, a phase flip then the reflection
-S^-1 RZERO S (``_g_block``), each run of them of one variant on the same
-coin qubits as one step (``ReflectionKernel``): in each branch of the other
-qubits a rotation, by that branch's power of G, in the plane of the
-reflection's vector, built on the coin qubits alone.  A circuit is
-unchangeable, and the builders keep one per shape, cached by their
-arguments, so every op but Q and Q_INV is lowered once per shape.
-``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
-bind checks the oracle, keeps its rotation and builds from it each Q its
-schedule runs and each reflection's plane.  ``run_circuit`` applies the bound
+S^-1 RZERO S with S^-1 = A (``_g_block``), each run of them of one variant
+on the same coin qubits as one step (``ReflectionKernel``): in each branch
+of the other qubits a rotation, by that branch's power of G, in the plane
+of A|0>, built on the coin qubits alone.  A circuit is unchangeable, and
+the builders keep one per shape, cached by their arguments, so every op
+but Q and Q_INV is lowered once per shape.  ``Circuit.bind`` returns a
+copy with a run schedule beside the same ops: a bind checks the oracle,
+keeps its rotation and builds from it each Q its schedule runs, A|0> once
+per variant and coin, and each reflection's plane.  ``run_circuit`` applies the bound
 schedule in place, each register of H as a few dense products and each
 measurement as one collapse of the amplitudes in place (``Measurement``).
 The estimators run these circuits; the noise layer evaluates them op by
@@ -46,14 +48,17 @@ from .statevector import (
     MeasurementOutcome,
     PairKernel,
     PhaseKernel,
+    PrepareKernel,
     ReflectionKernel,
     SimulatorError,
     StateVector,
     check_qubits,
     hadamard_kernels,
     lower_gate,
+    prepared_state,
     qubit_axes,
     qubit_index,
+    zero_amplitudes,
 )
 
 SQRT_AMPLITUDE = "sqrt-amplitude"
@@ -181,8 +186,9 @@ MAX_CIRCUIT_OPS = 1 << 20
 # op on a 2-core Xeon, Python 3.11.7, NumPy 2.4.6).  It counts the ops, not
 # the steps they run as (that qss runs its 4095 G as one step), so it
 # still bounds a circuit whose blocks run op by op.  The kernels hold no index
-# array larger than the oracle's N bins, so memory at the cap is the state and
-# its temporaries: a coin circuit fits with at most 22 qubits (a 64 MiB state).
+# array larger than the oracle's N bins, so memory at the cap is the state, its
+# temporaries and a bound coin circuit's A|0>: a coin circuit fits with at most
+# 22 qubits (a 64 MiB state).
 MAX_AMPLITUDE_WORK = 1 << 28
 
 
@@ -218,7 +224,9 @@ class Repeat:
     the builders declare it: ``"fourier"`` for the transform of a register
     (``_fourier``), ``"qss"`` or ``"qcoin"`` for G of that variant
     (``_g_block``), which runs as one step with the blocks next to it of
-    that variant on the same coin qubits (``_runs``).  A block without one
+    that variant on the same coin qubits (``_runs``), and ``"prepare-qss"``
+    or ``"prepare-qcoin"`` for that variant's coin preparation A
+    (``_preparation``), a write of the bind's A|0>.  A block without one
     runs op by op.
 
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
@@ -323,7 +331,7 @@ class Circuit:
         bound = object.__new__(Circuit)
         bound.__dict__.update(self.__dict__, rotation=_rotation(oracle) if self.sites else None,
                               q_kernels={})
-        bound.schedule = bound._bind_steps(self.steps, self.n_qubits)
+        bound.schedule = bound._bind_steps(self.steps, self.n_qubits, {})
         return bound
 
     def kernel(self, op: CircuitOp) -> Kernel:
@@ -344,21 +352,28 @@ class Circuit:
             if site not in self.placements:
                 self.placements[site] = _placement(op.targets, op.controls, n_qubits)
             bins, lo, hi = self.placements[site]
-            c, s = self.rotation
-            q = PairKernel(n_qubits, lo, hi, c[bins], -s[bins], s[bins], c[bins])
+            c, s, minus_s = self.rotation
+            q = PairKernel(n_qubits, lo, hi, c[bins], minus_s[bins], s[bins], c[bins])
             self.q_kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
         return self.q_kernels[op.name, site]
 
-    def _bind_steps(self, steps: list, n_qubits: int) -> list:
+    def _bind_steps(self, steps: list, n_qubits: int, states: dict) -> list:
         """A schedule on an n-qubit register in this bind: each Q and Q_INV
-        op its kernel, each ``ReflectionKernel`` bound with its mirror's
-        kernels on its k target qubits, every other step as it is."""
+        op its kernel, each ``PrepareKernel`` and ``ReflectionKernel`` bound
+        with its mirror's kernels on its k coin qubits and A|0> there, every
+        other step as it is.  ``states`` keeps A|0> by ``key``, (variant,
+        coin qubits), computed by the key's first step: every mirror of a
+        key is ``_prepare_ops``' A of that variant."""
         bound = []
         for step in steps:
             if isinstance(step, CircuitOp):
                 step = self._q_kernel(step, n_qubits)
-            elif isinstance(step, ReflectionKernel):
-                step = step.bound(self._bind_steps(step.mirror, step.size.bit_length() - 1))
+            elif isinstance(step, (PrepareKernel, ReflectionKernel)):
+                k = len(step.key[1])
+                mirror = self._bind_steps(step.mirror, k, states)
+                if step.key not in states:
+                    states[step.key] = prepared_state(mirror, k)
+                step = step.bound(mirror, states[step.key])
             bound.append(step)
         return bound
 
@@ -422,12 +437,19 @@ def _steps(run, circuit: Circuit) -> list:
     """The run steps of one item of ``_runs``.  A ladder of G blocks runs
     as one ``ReflectionKernel``; a block runs as the step it declares
     (``Repeat.step``), a transform of two or more qubits as one
-    ``FourierKernel``.  Any other block runs op by op, its steps ``count``
-    times in a row."""
+    ``FourierKernel`` and a preparation, once on the whole register in
+    order, as one ``PrepareKernel``.  Any other block runs op by op, its
+    steps ``count`` times in a row."""
     n_qubits = circuit.n_qubits
     if isinstance(run, _Ladder):
         return [_reflection(run, circuit)]
     if isinstance(run, Repeat):
+        variant = _PREPARATIONS.get(run.step)
+        if variant and run.count == 1:
+            # the coin qubits are Q's targets, as RZERO's in a G block on that coin
+            coin = next(op.targets for op in run.ops if op.name == "Q")
+            if coin == tuple(range(n_qubits)):
+                return [PrepareKernel(n_qubits, _schedule(run.ops, circuit), (variant, coin))]
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
             register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
@@ -458,7 +480,7 @@ def _reflection(ladder: _Ladder, circuit: Circuit) -> ReflectionKernel:
     _lower_op(on_coin[0], len(coin))(qubit_axes(signs, len(coin)))
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
     return ReflectionKernel(circuit.n_qubits, coin, terms, signs.real,
-                            _schedule(mirror.ops, mirror))
+                            _schedule(mirror.ops, mirror), ladder.key)
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -513,15 +535,18 @@ def _placement(targets: tuple[int, ...], controls: tuple[int, ...], n_qubits: in
     return bins, lo, hi
 
 
-def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each bin's rotation: Q turns the pair (i, i | 1<<target)
-    by (c, -s; s, c), s the bin's target amplitude and c = sqrt((1 - s)(1 + s)),
-    cos(asin(s)) without the three libm calls per bin."""
-    s = np.clip(oracle.target_amplitudes(), -1.0, 1.0)
+def _rotation(oracle: OracleSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos, sin and -sin of each bin's rotation: Q turns the pair (i, i |
+    1<<target) by (c, -s; s, c), s the bin's target amplitude and c =
+    sqrt((1 - s)(1 + s)), cos(asin(s)) without the three libm calls per bin.
+    Complex, so that each Q kernel gathers its coefficients with no cast."""
+    s = oracle.target_amplitudes()  # a fresh array, clamped in place
+    np.minimum(np.maximum(s, -1.0, out=s), 1.0, out=s)
     c = np.sqrt((1.0 - s) * (1.0 + s))
     if not np.abs(c * c + s * s - 1.0).max() <= UNITARY_TOL:  # NaN fails too
         raise SimulatorError("oracle rotation is not unitary")
-    return c, s
+    # -s negated as a float, so that its imaginary parts are +0.0
+    return c.astype(np.complex128), s.astype(np.complex128), (-s).astype(np.complex128)
 
 
 @dataclass
@@ -565,8 +590,9 @@ def run_circuit(
     circuit.check_size(on_statevector=True)
     n = circuit.n_qubits
     if state is None:
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[0] = 1.0
+        amps = zero_amplitudes(n)
+    elif state.n_qubits != n:
+        raise SimulatorError(f"state has {state.n_qubits} qubits, the circuit {n}")
     else:
         amps = state.amplitudes.copy()
     psi = qubit_axes(amps, n)
@@ -588,10 +614,24 @@ def _h(qubits, controls=()) -> list[CircuitOp]:
     return [CircuitOp("H", (q,), controls) for q in qubits]
 
 
-def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int) -> list[CircuitOp]:
-    """Coin preparation: H on the inputs, then Q; the qcoin frames Q with H."""
-    ops = _h(inputs) + [CircuitOp("Q", inputs + (target,))]
-    return ops + _h(inputs) if variant == "qcoin" else ops
+def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int,
+                 controls=()) -> list[CircuitOp]:
+    """Coin preparation A, every op conditioned on ``controls``: H on the
+    inputs, then Q; the qcoin frames Q with H."""
+    h = _h(inputs, controls)
+    ops = h + [CircuitOp("Q", inputs + (target,), controls)]
+    return ops + h if variant == "qcoin" else ops
+
+
+# a declared preparation's step, and its variant: a G ladder of the other
+# variant on the same coin qubits has another A
+_PREPARATIONS = {"prepare-qss": "qss", "prepare-qcoin": "qcoin"}
+
+
+def _preparation(variant: str, inputs: tuple[int, ...], target: int) -> Repeat:
+    """The coin preparation (``_prepare_ops``) as a block declared to run
+    as one ``PrepareKernel``, which writes the bind's A|0>."""
+    return Repeat(_prepare_ops(variant, inputs, target), 1, "prepare-" + variant)
 
 
 def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
@@ -599,7 +639,8 @@ def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
     """``count`` amplification steps G, every op conditioned on ``controls``,
     as a block declared to run as one ``ReflectionKernel``, a term of it
     with each block next to it of this variant on the same coin qubits
-    (``_runs``).  D is its first op, and S^-1 its ops after RZERO.
+    (``_runs``).  D is its first op, and S^-1, its ops after RZERO, is the
+    coin preparation A (``_prepare_ops``).
 
     ``qss``: G = Q (H in) (2|0><0| - I) (H in) Q^-1 Z_target.
     ``qcoin``: G = (H in) Q (H in) (2|0><0| - I) (H in) Q^-1 (H in) F_{|1>|0)}
@@ -607,11 +648,12 @@ def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
     """
     coin = inputs + (target,)
     h = _h(inputs, controls)
-    q, q_inv, rzero = (CircuitOp(name, coin, controls) for name in ("Q", "Q_INV", "RZERO"))
+    q_inv, rzero = (CircuitOp(name, coin, controls) for name in ("Q_INV", "RZERO"))
+    mirror = _prepare_ops(variant, inputs, target, controls)
     if variant == "qss":
-        ops = [CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *h, q]
+        ops = [CircuitOp("Z", (target,), controls), q_inv, *h, rzero, *mirror]
     else:
-        ops = [CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *h, q, *h]
+        ops = [CircuitOp("FLIP_HEAD", coin, controls), *h, q_inv, *h, rzero, *mirror]
     return Repeat(ops, count, variant)
 
 
@@ -662,7 +704,7 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    ops = _prepare_ops("qcoin", inputs, target) + [_g_block("qcoin", inputs, target, count=m)]
+    ops = [_preparation("qcoin", inputs, target), _g_block("qcoin", inputs, target, count=m)]
     return Circuit(n_input + 1, ops + [CircuitOp("M", inputs + (target,))])
 
 
@@ -677,6 +719,8 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
     check_resolution(resolution)
     register = tuple(range(target + 1, target + resolution.bit_length()))
+    # undeclared: A shares the register's H layer, and a write of A|0>
+    # beside the register would be an outer product that rounds otherwise
     ops = _h(register) + _prepare_ops("qss", inputs, target)
     ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
     ops += [CircuitOp("M", (target,)), _fourier(register), CircuitOp("M", register)]
@@ -686,7 +730,7 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
 @functools.cache
 def _prepare_circuit(n_input: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
-    return Circuit(target + 1, _prepare_ops("qss", inputs, target))
+    return Circuit(target + 1, [_preparation("qss", inputs, target)])
 
 
 def prepare_qss_state(oracle: OracleSpec, ledger: QueryLedger | None = None) -> StateVector:

@@ -8,10 +8,11 @@ applies H to a register of qubits (``hadamard_kernels``), the Fourier
 transform of a register as one FFT (``FourierKernel``) and
 (``ReflectionKernel``) a ladder of controlled powers of one phase flip and
 reflection about one vector, as an update of rank two in each branch of the
-other qubits, its plane built once per bind from the reflection's own
-kernels on its few target qubits.  A ``Measurement`` draws an outcome and
-collapses the amplitudes in place; ``measure`` runs one on a copy of a
-state.
+other qubits, its plane built once per bind from the reflected vector
+A|0> on its few target qubits (``prepared_state``).  A ``PrepareKernel``
+writes that A|0> where a preparation A would run on the whole register
+from |0...0>.  A ``Measurement`` draws an outcome and collapses the
+amplitudes in place; ``measure`` runs one on a copy of a state.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -59,9 +60,7 @@ class StateVector:
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
         """The all-|0> computational basis state."""
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return cls(n_qubits, zero_amplitudes(n_qubits))
 
     @classmethod
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "StateVector":
@@ -70,7 +69,7 @@ class StateVector:
         return cls(n, amps)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -114,6 +113,13 @@ class MeasurementOutcome:
     qubit_indices: list[int]
     observed_bits: list[int]
     post_state: StateVector | None = None
+
+
+def zero_amplitudes(n_qubits: int) -> np.ndarray:
+    """The 2^n amplitudes of |0...0>."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
 
 
 def check_qubits(n_qubits: int, targets: Sequence[int], controls: Sequence[int]):
@@ -213,13 +219,14 @@ class MatrixKernel(Kernel):
     The amplitudes are viewed with the target axes first, the last target
     leading, then one matrix product and a write back in place.  A real
     matrix (a float dtype) multiplies the amplitudes as (re, im) pairs of
-    float64 columns.
+    float64 columns; the path is picked here, once (``real``).
     """
 
     def __init__(self, n_qubits: int, gate: np.ndarray | None, targets: Sequence[int],
                  controls: Sequence[int] = ()):
         check_qubits(n_qubits, targets, controls)
         self.n_qubits, self.gate, self.size = n_qubits, gate, 1 << len(targets)
+        self.real = np.isrealobj(gate)
         self.index = qubit_index(n_qubits, dict.fromkeys(controls, 1))
         # the axes of psi[index]: the free qubits, highest first, then the columns
         free = [q for q in reversed(range(n_qubits)) if q not in controls]
@@ -227,7 +234,7 @@ class MatrixKernel(Kernel):
         self.perm = tuple(first + [a for a in range(len(free) + 1) if a not in first])
 
     def __call__(self, psi: np.ndarray):
-        sub, x = self.columns(psi, np.isrealobj(self.gate))
+        sub, x = self.columns(psi, self.real)
         sub[...] = (self.gate @ x).view(np.complex128).reshape(sub.shape)
 
     def columns(self, psi: np.ndarray, real: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -277,15 +284,18 @@ class ReflectionKernel(MatrixKernel):
 
     e and its parity are computed here, once per circuit shape, where
     ``mirror`` is S^-1 on the k target qubits alone as its circuit's
-    schedule lists it.  ``bound`` makes the step that runs, with ``mirror`` as kernels:
-    B and phi (``_plane``), and cos and sin of 2 e phi, once per bind.  a is
-    real: S^-1 holds only H, Q and Q_INV.
+    schedule lists it.  S^-1 is the coin's preparation A, so a is A|0>,
+    which a bind computes once per ``key``, A's variant and coin register
+    (``prepared_state``), and shares with a declared preparation of that key
+    (``PrepareKernel``).  ``bound`` makes the step that runs from a: B and
+    phi (``_plane``), and cos and sin of 2 e phi, once per bind.  a is real:
+    S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
-                 signs: np.ndarray, mirror: list):
+                 signs: np.ndarray, mirror: list, key: tuple):
         super().__init__(n_qubits, None, targets)
-        self.terms, self.signs, self.mirror = terms, signs, mirror
+        self.terms, self.signs, self.mirror, self.key = terms, signs, mirror, key
         # ``columns`` with psi's own columns (its last axis) before the other
         # qubits, so that an array over the branches broadcasts over them
         k = len(targets)
@@ -308,12 +318,13 @@ class ReflectionKernel(MatrixKernel):
         self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
         self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
 
-    def bound(self, mirror: list) -> "ReflectionKernel":
-        """This step with S^-1 as ``mirror``, kernels on the k target qubits."""
+    def bound(self, mirror: list, state: np.ndarray) -> "ReflectionKernel":
+        """This step with S^-1 as ``mirror``, kernels on the k target qubits,
+        and a = S^-1 |0> as ``state``, 2^k amplitudes."""
         # a shallow copy, without copy.copy's cost: it runs at every bind
         kernel = object.__new__(type(self))
         kernel.__dict__.update(self.__dict__, mirror=mirror)
-        kernel.basis, phi = _plane(kernel)
+        kernel.basis, phi = _plane(kernel, state)
         kernel.bra = kernel.basis.T
         angle = self.exponents * (2 * phi)
         # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
@@ -336,24 +347,62 @@ class ReflectionKernel(MatrixKernel):
             sub[...] = x.view(np.complex128).reshape(sub.shape)
 
 
-def _plane(kernel: ReflectionKernel) -> tuple[np.ndarray, float]:
+def _plane(kernel: ReflectionKernel, state: np.ndarray) -> tuple[np.ndarray, float]:
     """B = [u, v] (2^k x 2) and phi of ``kernel``: a = S^-1 |0> on its k
-    target qubits, its mirror's kernels run on 2^k amplitudes, split by its
-    signs; a part that is zero stays zero.  B is the transpose of a
-    C-ordered B^T, which the kernel multiplies by without a copy."""
-    k = len(kernel.signs).bit_length() - 1
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    amps[0] = 1.0
-    psi = qubit_axes(amps, k)
-    for step in kernel.mirror:
-        step(psi)
-    a = amps.real
+    target qubits (``state``), split by its signs; a part that is zero stays
+    zero.  B is the transpose of a C-ordered B^T, which the kernel
+    multiplies by without a copy."""
+    a = state.real
     plus = a * (kernel.signs > 0)
     minus = a - plus
     # np.linalg.norm's own sum for a real vector, without its checks
     norms = [math.sqrt(part @ part) for part in (plus, minus)]
     bra = np.array([part / norm if norm else part for part, norm in zip((plus, minus), norms)])
     return bra.T, math.atan2(norms[1], norms[0])
+
+
+def prepared_state(steps: list, n_qubits: int) -> np.ndarray:
+    """A|0> on an n-qubit register: ``steps``, the kernels of a preparation
+    A, run in turn on the amplitudes of |0...0>."""
+    amps = zero_amplitudes(n_qubits)
+    psi = qubit_axes(amps, n_qubits)
+    for step in steps:
+        step(psi)
+    return amps
+
+
+# the bits of 1.0, the real part of |0...0>'s first amplitude
+_ONE = int(np.float64(1.0).view(np.uint64))
+
+
+class PrepareKernel(Kernel):
+    """A preparation A on the whole register, qubit j of its steps qubit j,
+    as one step.  ``mirror`` is A's steps (a ladder of G of the same
+    ``key``, A's variant and register, runs them as its S^-1) and ``state``
+    A|0> (``prepared_state``), which a bind computes once per key and
+    ``bound`` adds.  On the amplitudes of |0...0>, bit for bit, the step
+    writes ``state``, what its steps would give; on any others it runs its
+    steps in turn.
+    """
+
+    def __init__(self, n_qubits: int, mirror: list, key: tuple):
+        self.n_qubits, self.mirror, self.key, self.state = n_qubits, mirror, key, None
+
+    def bound(self, mirror: list, state: np.ndarray) -> "PrepareKernel":
+        """This step with A as ``mirror``, kernels, and A|0> as ``state``."""
+        kernel = object.__new__(PrepareKernel)
+        kernel.__dict__.update(self.__dict__, mirror=mirror,
+                               state=qubit_axes(state, self.n_qubits))
+        return kernel
+
+    def __call__(self, psi: np.ndarray):
+        bits = psi.reshape(-1).view(np.uint64)
+        # one column, whose only non-zero word is the real part 1.0 of |0...0>
+        if psi.shape[-1] == 1 and np.count_nonzero(bits) == 1 and bits[0] == _ONE:
+            psi[...] = self.state
+        else:
+            for step in self.mirror:
+                step(psi)
 
 
 # Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,

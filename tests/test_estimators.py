@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qmean.harness import (
 )
 from qmean.noise import HARDWARE_PRESET, NoiseModel, coin_head_probability, noisy_coin_probability
 from qmean.primitives import (
+    Circuit,
     LINEAR_AMPLITUDE,
     OracleError,
     OracleSpec,
@@ -36,6 +38,7 @@ from qmean.primitives import (
     prepare_qss_state,
     run_circuit,
 )
+from qmean.statevector import MatrixKernel, PairKernel
 
 
 class TestMonteCarlo:
@@ -401,6 +404,33 @@ class TestAmplifiedCoinHeadProbability:
         p = float(state.probabilities()[head_state_index(oracle)])
         expected = math.sin(7 * math.asin(float(np.mean(values)) - 0.25)) ** 2
         assert abs(p - expected) < 1e-10
+
+
+def test_statevector_qcoin_step_runs_its_preparation_once(monkeypatch):
+    """A statevector qcoin estimate at k = 1 binds twice: step 0's
+    ``prepare_qss_state`` (H on the inputs, Q) and step 1's coin circuit (H,
+    Q, H, then G as one reflection).  Each bind runs its preparation's
+    kernels once, for A|0>, which the coin's ladder reads too; the runs
+    write that vector and run none of them."""
+    calls, phase = Counter(), ["run"]
+    for kernel_class in (MatrixKernel, PairKernel):
+        def counted(kernel, psi, call=kernel_class.__call__):
+            calls[phase[0]] += 1
+            call(kernel, psi)
+        monkeypatch.setattr(kernel_class, "__call__", counted)
+    bind = Circuit.bind
+
+    def counted_bind(circuit, oracle=None):
+        phase[0] = "bind"
+        try:
+            return bind(circuit, oracle)
+        finally:
+            phase[0] = "run"
+
+    monkeypatch.setattr(Circuit, "bind", counted_bind)
+    # 16 bins: H on the 4 inputs is one MatrixKernel, Q a PairKernel
+    estimate_qcoin(OracleSpec(np.linspace(0.1, 0.9, 16)), 1, 20, seed=3)
+    assert calls == {"bind": 2 + 3}
 
 
 class TestSelectOptimalK:

@@ -175,7 +175,7 @@ def coin_sweep_lines(work_dir: Path) -> list[str]:
 def digest_lines(work_dir: Path) -> list[str]:
     """The sha256 of each part: the ``repr`` of fixed-seed qcoin (k = 5,
     L = 20), qss (P = 64 and 8) and Monte Carlo (100 trials) estimates at
-    n_in 0, 2, 4 and 8 by 40 seeds; ``primitives.WORK`` after them; the final
+    n_in 0, 1, 2, 3, 4 and 8 by 40 seeds; ``primitives.WORK`` after them; the final
     amplitudes of seven bound circuits; under ``HARDWARE_PRESET``, the exact
     outcome distribution of two bound circuits, a qss and a coin circuit,
     and the observed bits and post-state of each at seeds 0 to 19
@@ -184,7 +184,9 @@ def digest_lines(work_dir: Path) -> list[str]:
     parts = {}
     primitives.WORK.reset()
     estimates = []
-    for n_in in (0, 2, 4, 8):
+    # n_in 1 and 3 give Hadamard entries that are not powers of two, where a
+    # reordered product rounds differently
+    for n_in in (0, 1, 2, 3, 4, 8):
         oracle = _integrand(1 << n_in)
         for seed in range(40):
             estimates += [estimate_qcoin(oracle, 5, 20, seed), estimate_qss(oracle, 64, seed),

@@ -42,6 +42,7 @@ from qmean.primitives import (
     WORK,
     _fourier,
     _g_block,
+    _prepare_circuit,
     _qft_ops,
     coin_circuit,
     dft_matrix,
@@ -61,6 +62,7 @@ from qmean.statevector import (
     MatrixKernel,
     PairKernel,
     PhaseKernel,
+    PrepareKernel,
     SimulatorError,
     StateVector,
     X_GATE,
@@ -590,6 +592,16 @@ LADDERS = {
 }
 
 
+# circuits whose coin preparation is declared, each with an oracle
+PREPARED = [
+    *[pytest.param(_coin_case(n_in, m), id=f"qcoin-n{n_in}-m{m}")
+      for n_in in range(7) for m in (0, 1, 3)],
+    *[pytest.param(lambda n_in=n_in: (_prepare_circuit(n_in),
+                                      OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))),
+                   id=f"prepare-n{n_in}") for n_in in range(7)],
+]
+
+
 class TestCircuit:
     def test_bind_refuses_an_oracle_of_another_size(self):
         with pytest.raises(OracleError, match="Q on 2 input qubits, oracle has 1"):
@@ -784,9 +796,10 @@ class TestCircuit:
         assert bound[0].steps is bound[1].steps is circuit.steps
         assert bound[0].kernels is bound[1].kernels is circuit.kernels
         assert bound[0].q_kernels is not bound[1].q_kernels
-        # the preparation's Q from ``kernel`` is the one its schedule runs
-        q = next(op for op in circuit.ops if isinstance(op, CircuitOp) and op.name == "Q")
-        assert sum(step is bound[0].kernel(q) for step in bound[0].schedule) == 1
+        # the preparation's Q from ``kernel`` is the one its step runs
+        q = next(op for op in circuit.expand() if op.name == "Q")
+        [prepare] = [step for step in bound[0].schedule if isinstance(step, PrepareKernel)]
+        assert sum(step is bound[0].kernel(q) for step in prepare.mirror) == 1
         # the readout is the targets of the last M, or none
         assert circuit.measured_qubits == (0, 1, 2)
         assert Circuit(2, [CircuitOp("M", (0,)), CircuitOp("H", (0,)),
@@ -821,15 +834,18 @@ class TestCircuit:
         n_in = 6
         oracle = OracleSpec([0.5] * (1 << n_in), 0.1, LINEAR_AMPLITUDE)
         steps = coin_circuit(n_in, 2).bind(oracle).schedule
-        assert [isinstance(s, MatrixKernel) for s in steps[:5]] == [True, True, False, True, True]
-        assert [len(s.gate) for s in steps[:2]] == [8, 8]
+        # the declared preparation is one step, whose own steps are H, Q, H
+        prepare = steps[0].mirror
+        assert [isinstance(s, MatrixKernel) for s in prepare] == [True, True, False, True, True]
+        assert [len(s.gate) for s in prepare[:2]] == [8, 8]
         # G^2, G being FLIP_HEAD then H, Q_INV, H, RZERO, H, Q, H, as one
         # raised reflection, and the readout
-        assert isinstance(steps[5], ReflectionKernel) and steps[5].terms == [((), 2)]
-        assert len(steps) == 7
+        assert isinstance(steps[1], ReflectionKernel) and steps[1].terms == [((), 2)]
+        assert len(steps) == 3
         # on 3 inputs, one kernel per H register
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
-        assert isinstance(steps[3], ReflectionKernel) and len(steps) == 5
+        assert len(steps[0].mirror) == 3
+        assert isinstance(steps[1], ReflectionKernel) and len(steps) == 3
         # H on a repeated qubit, or under other controls, starts a new register
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
                               CircuitOp("H", (2,), (1,))])
@@ -898,11 +914,12 @@ class TestCircuit:
         assert bound.expand() == circuit.expand()
 
     def test_shared_vector_is_built_once_per_bind(self, monkeypatch):
-        built = []
+        built, read = [], []
 
-        def counted(kernel):
+        def counted(kernel, state):
             built.append(kernel)
-            return plane(kernel)
+            read.append(state)
+            return plane(kernel, state)
 
         plane = statevector._plane
         monkeypatch.setattr(statevector, "_plane", counted)
@@ -929,6 +946,21 @@ class TestCircuit:
         head_probability(circuit, HARDWARE_PRESET)
         assert len(built) == 3
 
+        # in qcoin the declared preparation and the ladder share one A|0> per bind
+        states = []
+
+        def counted_state(steps, n_qubits):
+            states.append(prepared(steps, n_qubits))
+            return states[-1]
+
+        prepared = statevector.prepared_state
+        monkeypatch.setattr(primitives, "prepared_state", counted_state)
+        bound = coin_circuit(2, 3).bind(OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE))
+        assert len(states) == 1 and len(built) == 4 and read[-1] is states[0]
+        assert np.shares_memory(bound.schedule[0].state, states[0])
+        run_circuit(bound)
+        assert len(states) == 1 and len(built) == 4
+
     def test_a_run_builds_only_the_kernels_it_runs(self, monkeypatch):
         """qss at P = 64 on 4 inputs runs Q once to prepare the coin and once
         in the plane of its six G blocks, run on the 5 coin qubits alone: 2
@@ -942,8 +974,8 @@ class TestCircuit:
             built.append(n_qubits)
             pair_init(kernel, n_qubits, *args)
 
-        def counted_plane(kernel):
-            planes.append(plane(kernel))
+        def counted_plane(kernel, state):
+            planes.append(plane(kernel, state))
             return planes[-1]
 
         monkeypatch.setattr(PairKernel, "__init__", counted_pair)
@@ -1022,14 +1054,47 @@ class TestCircuit:
         with pytest.raises(SimulatorError, match="bound"):
             run_circuit(circuit)
 
+    def test_run_refuses_a_state_of_another_size(self):
+        # by name, before any kernel runs on a view of the wrong shape
+        bound = coin_circuit(2, 1).bind(OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE))
+        for n in (2, 4):
+            with pytest.raises(SimulatorError, match=f"state has {n} qubits, the circuit 3"):
+                run_circuit(bound, StateVector.zero(n))
+
+    @pytest.mark.parametrize("build", PREPARED)
+    def test_declared_preparation_runs_bit_for_bit_as_its_ops(self, build):
+        """A run from |0...0> writes the bind's A|0> where the same ops,
+        the preparation undeclared, run A's kernels: the amplitudes agree
+        bit for bit, signed zeros too.  So does each ladder's plane from
+        that shared A|0> with the plane from its own mirror."""
+        circuit, oracle = build()
+        [prepare] = [node for node in circuit.ops
+                     if isinstance(node, Repeat) and node.step in primitives._PREPARATIONS]
+        undeclared = Circuit(circuit.n_qubits, [
+            op for node in circuit.ops for op in (prepare.ops if node is prepare else [node])])
+        assert undeclared.expand() == circuit.expand()
+        bound = circuit.bind(oracle)
+        assert isinstance(bound.schedule[0], PrepareKernel)
+        assert not any(isinstance(step, PrepareKernel) for step in undeclared.bind(oracle).schedule)
+        declared_run, undeclared_run = (run_circuit(c.bind(oracle))[0].amplitudes
+                                        for c in (circuit, undeclared))
+        np.testing.assert_array_equal(declared_run.view(np.uint64), undeclared_run.view(np.uint64))
+        for block in bound.schedule:
+            if isinstance(block, ReflectionKernel):
+                own = block.bound(block.mirror,
+                                  statevector.prepared_state(block.mirror, len(block.key[1])))
+                for mine, shared in [(own.basis, block.basis), *zip(own.gate, block.gate)]:
+                    np.testing.assert_array_equal(mine.view(np.uint64), shared.view(np.uint64))
+
     def test_kernel_needs_a_bound_circuit(self):
         circuit = coin_circuit(1, 1)
+        op = circuit.expand()[0]
         with pytest.raises(SimulatorError, match="bound"):
-            circuit.kernel(circuit.ops[0])
+            circuit.kernel(op)
         bound = circuit.bind(OracleSpec([0.2, 0.7], 0.1, LINEAR_AMPLITUDE))
-        bound.kernel(bound.ops[0])
+        bound.kernel(op)
         with pytest.raises(SimulatorError, match="bound"):
-            circuit.kernel(circuit.ops[0])
+            circuit.kernel(op)
 
     def test_op_without_formula_or_matrix_is_refused(self):
         with pytest.raises(SimulatorError, match="no formula"):
