@@ -4,20 +4,22 @@ description of each circuit.
 ``coin_circuit`` and ``qss_circuit`` build a circuit once, as a tuple of
 named ops, and declare the blocks that run as one step: the register's
 textbook Fourier transform (``_fourier``) as one FFT (``FourierKernel``),
-the coin preparation A (``_preparation``; not in ``qss_circuit``, where it
-shares the register's H layer) as one write of A|0> (``PrepareKernel``),
-and the blocks of amplification steps G, a phase flip then the reflection
-S^-1 RZERO S with S^-1 = A (``_g_block``), each run of them of one variant
-on the same coin qubits as one step (``ReflectionKernel``): in each branch
-of the other qubits a rotation, by that branch's power of G, in the plane
-of A|0>, built on the coin qubits alone.  A circuit is unchangeable, and
-the builders keep one per shape, cached by their arguments, so every op
-but Q and Q_INV is lowered once per shape.  ``Circuit.bind`` returns a
-copy with a run schedule beside the same ops: a bind checks the oracle,
-keeps its rotation and builds from it each Q its schedule runs, A|0> once
-per variant and coin, and each reflection's plane.  ``run_circuit`` applies the bound
-schedule in place, each register of H as a few dense products and each
-measurement as one collapse of the amplitudes in place (``Measurement``).
+the coin preparation A, in ``qss_circuit`` after H on the register
+(``_preparation``), as one write of A|0> in each branch of the register
+(``PrepareKernel``), and the blocks of amplification steps G, a phase flip
+then the reflection S^-1 RZERO S with S^-1 = A (``_g_block``), each run
+of them of one variant on the same coin qubits as one step
+(``ReflectionKernel``): in each branch of the other qubits a rotation, by
+that branch's power of G, in the plane of A|0>, built on the coin qubits
+alone.  A circuit is unchangeable, and the builders keep one per shape,
+cached by their integer arguments, so every op but Q and Q_INV is lowered
+once per shape, and each A's Hadamard layer runs once per shape.
+``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
+bind checks the oracle, keeps its rotation and builds from it each Q its
+schedule runs, A|0> once per key from the layer's value, and each
+reflection's plane.  ``run_circuit`` applies the bound schedule in place,
+each register of H as a few dense products and each measurement as one
+collapse of the amplitudes in place (``Measurement``).
 The estimators run these circuits; the noise layer evaluates them op by
 op, each op's kernel from ``Circuit.kernel``; ``dump_circuit`` prints them
 and the resource report counts them.  The dense gates (``oracle_gate`` and
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -95,6 +98,8 @@ class OracleSpec:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 1:
+            raise OracleError(f"integrand values must be a 1-D array, got shape {self.values.shape}")
         n = self.values.shape[0]
         if n < 1 or n & (n - 1):
             raise OracleError(f"number of bins must be a power of two, got {n}")
@@ -188,7 +193,8 @@ MAX_CIRCUIT_OPS = 1 << 20
 # still bounds a circuit whose blocks run op by op.  The kernels hold no index
 # array larger than the oracle's N bins, so memory at the cap is the state, its
 # temporaries and a bound coin circuit's A|0>: a coin circuit fits with at most
-# 22 qubits (a 64 MiB state).
+# 22 qubits (a 64 MiB state).  A shape's first bind runs its preparation's
+# Hadamard layer on a state of its own, freed before any run.
 MAX_AMPLITUDE_WORK = 1 << 28
 
 
@@ -225,9 +231,9 @@ class Repeat:
     (``_fourier``), ``"qss"`` or ``"qcoin"`` for G of that variant
     (``_g_block``), which runs as one step with the blocks next to it of
     that variant on the same coin qubits (``_runs``), and ``"prepare-qss"``
-    or ``"prepare-qcoin"`` for that variant's coin preparation A
-    (``_preparation``), a write of the bind's A|0>.  A block without one
-    runs op by op.
+    or ``"prepare-qcoin"`` for that variant's coin preparation A, in qss
+    after the register's H (``_preparation``), a write of the bind's A|0>.
+    A block without one runs op by op.
 
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
     every freed tuple of exactly 20 items (the qcoin G block on 4 input
@@ -244,10 +250,11 @@ class Circuit:
     what every bind of it shares.  Its op counts, which ``run_circuit``
     adds to ``WORK`` and the ledger, and its size, which the caps check,
     are computed here.  The kernel of each distinct op but Q, Q_INV and M
-    (``lower``), the index arrays of each placement of Q (``placements``)
-    and the run schedule (``steps``), in which each Q and Q_INV stays an
-    op, wait for their first use: ``resources`` and ``dump-circuit`` build
-    circuits they never bind.
+    (``lower``), the index arrays of each placement of Q (``placements``),
+    the value of each preparation's Hadamard layer (``layers``) and the run
+    schedule (``steps``), in which each Q and Q_INV stays an op, wait for
+    their first use: ``resources`` and ``dump-circuit`` build circuits they
+    never bind.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
     ``bind`` returns a bound copy, which adds what ``run_circuit`` runs
@@ -274,6 +281,8 @@ class Circuit:
         self.kernels: dict = {}  # by op, filled by ``lower``
         # Q's ``_placement`` by (register size, targets, controls), at its first use
         self.placements: dict = {}
+        # each declared preparation's and ladder's A, by key, as ``_prepared`` keeps it
+        self.layers: dict = {}
         self.steps: list | None = None  # the schedule, set by the first bind
         self.schedule = self.rotation = self.q_kernels = None  # set on a bound copy only
 
@@ -360,19 +369,20 @@ class Circuit:
     def _bind_steps(self, steps: list, n_qubits: int, states: dict) -> list:
         """A schedule on an n-qubit register in this bind: each Q and Q_INV
         op its kernel, each ``PrepareKernel`` and ``ReflectionKernel`` bound
-        with its mirror's kernels on its k coin qubits and A|0> there, every
-        other step as it is.  ``states`` keeps A|0> by ``key``, (variant,
-        coin qubits), computed by the key's first step: every mirror of a
-        key is ``_prepare_ops``' A of that variant."""
+        with its mirror's kernels on the qubits of its ``key`` and A|0> on
+        its coin, every other step as it is.  ``states`` keeps A|0> by key,
+        computed by the key's first step: A's steps after its Hadamard layer
+        run on the layer's output, the value it keeps in ``layers``, so no
+        bind runs the layer.  Every A is ``_prepare_ops``' of the key's variant."""
         bound = []
         for step in steps:
             if isinstance(step, CircuitOp):
                 step = self._q_kernel(step, n_qubits)
             elif isinstance(step, (PrepareKernel, ReflectionKernel)):
-                k = len(step.key[1])
-                mirror = self._bind_steps(step.mirror, k, states)
+                mirror = self._bind_steps(step.mirror, len(step.key[1]), states)
                 if step.key not in states:
-                    states[step.key] = prepared_state(mirror, k)
+                    value, k, rest = self.layers[step.key]
+                    states[step.key] = prepared_state(self._bind_steps(rest, k, states), k, value)
                 step = step.bound(mirror, states[step.key])
             bound.append(step)
         return bound
@@ -437,19 +447,24 @@ def _steps(run, circuit: Circuit) -> list:
     """The run steps of one item of ``_runs``.  A ladder of G blocks runs
     as one ``ReflectionKernel``; a block runs as the step it declares
     (``Repeat.step``), a transform of two or more qubits as one
-    ``FourierKernel`` and a preparation, once on the whole register in
-    order, as one ``PrepareKernel``.  Any other block runs op by op, its
-    steps ``count`` times in a row."""
+    ``FourierKernel`` and a preparation, once, its coin on the low qubits
+    and its Hadamard layer on the others, as one ``PrepareKernel`` where
+    the circuit fits the amplitude cap (its layer runs here).  Any other
+    block runs op by op, its steps ``count`` times in a row."""
     n_qubits = circuit.n_qubits
     if isinstance(run, _Ladder):
         return [_reflection(run, circuit)]
     if isinstance(run, Repeat):
         variant = _PREPARATIONS.get(run.step)
-        if variant and run.count == 1:
+        if variant and run.count == 1 and circuit.size << n_qubits <= MAX_AMPLITUDE_WORK:
             # the coin qubits are Q's targets, as RZERO's in a G block on that coin
             coin = next(op.targets for op in run.ops if op.name == "Q")
-            if coin == tuple(range(n_qubits)):
-                return [PrepareKernel(n_qubits, _schedule(run.ops, circuit), (variant, coin))]
+            covered = {q for op in run.ops for q in op.targets}
+            if coin == tuple(range(len(coin))) and covered == set(range(n_qubits)):
+                key = variant, tuple(range(n_qubits))
+                on_coin = circuit if len(coin) == n_qubits else Circuit(len(coin))
+                return [PrepareKernel(n_qubits, _prepared(run.ops, circuit, on_coin, circuit.layers,
+                                                          key), key)]
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
             register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
@@ -480,7 +495,22 @@ def _reflection(ladder: _Ladder, circuit: Circuit) -> ReflectionKernel:
     _lower_op(on_coin[0], len(coin))(qubit_axes(signs, len(coin)))
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
     return ReflectionKernel(circuit.n_qubits, coin, terms, signs.real,
-                            _schedule(mirror.ops, mirror), ladder.key)
+                            _prepared(mirror.ops, mirror, mirror, circuit.layers, ladder.key),
+                            ladder.key)
+
+
+def _prepared(ops, circuit: Circuit, on_coin: Circuit, layers: dict, key: tuple) -> list:
+    """The steps of a preparation A (``_prepare_ops``) lowered by
+    ``circuit``.  Once per key, ``layers`` keeps (v, k, A's steps after its
+    Hadamard layer, the ops before Q, lowered by ``on_coin``): v is the one
+    value the layer puts on every amplitude it reaches from |0...0>, and the
+    coin is the k low qubits, ``on_coin``'s register."""
+    split = next(j for j, op in enumerate(ops) if op.name == "Q")
+    layer = _schedule(ops[:split], circuit)
+    if key not in layers:
+        layers[key] = (prepared_state(layer, circuit.n_qubits)[0], on_coin.n_qubits,
+                       _schedule(ops[split:], on_coin))
+    return layer + _schedule(ops[split:], circuit)
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -628,10 +658,12 @@ def _prepare_ops(variant: str, inputs: tuple[int, ...], target: int,
 _PREPARATIONS = {"prepare-qss": "qss", "prepare-qcoin": "qcoin"}
 
 
-def _preparation(variant: str, inputs: tuple[int, ...], target: int) -> Repeat:
-    """The coin preparation (``_prepare_ops``) as a block declared to run
-    as one ``PrepareKernel``, which writes the bind's A|0>."""
-    return Repeat(_prepare_ops(variant, inputs, target), 1, "prepare-" + variant)
+def _preparation(variant: str, inputs: tuple[int, ...], target: int,
+                 register: tuple[int, ...] = ()) -> Repeat:
+    """The coin preparation (``_prepare_ops``), after H on ``register``, as
+    a block declared to run as one ``PrepareKernel``, which writes the
+    bind's A|0> in every branch of the register."""
+    return Repeat(_h(register) + _prepare_ops(variant, inputs, target), 1, "prepare-" + variant)
 
 
 def _g_block(variant: str, inputs: tuple[int, ...], target: int, controls=(),
@@ -690,11 +722,31 @@ def check_resolution(resolution: int):
         raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
 
 
+def _cached(builder):
+    """``builder`` cached by its arguments, each refused by name unless it
+    is an integer before the cache is read: ``functools.cache`` would
+    answer 8.0 with the circuit built for 8."""
+    cached = functools.cache(builder)
+
+    @functools.wraps(builder)
+    def build(*args):
+        for arg in args:
+            if type(arg) is not int:  # a NumPy integer, say, or not an integer
+                for name, value in zip(builder.__code__.co_varnames, args):
+                    if not hasattr(value, "__index__"):
+                        raise ValueError(f"{name} must be an integer, got {value!r}")
+                return cached(*map(operator.index, args))
+        return cached(*args)
+
+    build.cache_clear = cached.cache_clear
+    return build
+
+
 # Each circuit below is the one of its shape for the process, cached by its
 # builder's arguments: bounded by the shapes a process builds, each holds index
 # tuples, small dense matrices and, per placement of Q, an index array of the
 # oracle's N bins.
-@functools.cache
+@_cached
 def coin_circuit(n_input: int, m: int) -> Circuit:
     """The qcoin circuit: coin preparation, ``m`` G blocks, readout of the coin.
 
@@ -708,7 +760,7 @@ def coin_circuit(n_input: int, m: int) -> Circuit:
     return Circuit(n_input + 1, ops + [CircuitOp("M", inputs + (target,))])
 
 
-@functools.cache
+@_cached
 def qss_circuit(n_input: int, resolution: int) -> Circuit:
     """The Fourier-readout circuit at resolution P (a power of two >= 2).
 
@@ -719,15 +771,14 @@ def qss_circuit(n_input: int, resolution: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
     check_resolution(resolution)
     register = tuple(range(target + 1, target + resolution.bit_length()))
-    # undeclared: A shares the register's H layer, and a write of A|0>
-    # beside the register would be an outer product that rounds otherwise
-    ops = _h(register) + _prepare_ops("qss", inputs, target)
+    # the register's H and A as one block: their H ops are one layer
+    ops = [_preparation("qss", inputs, target, register)]
     ops += [_g_block("qss", inputs, target, (ctrl,), 1 << j) for j, ctrl in enumerate(register)]
     ops += [CircuitOp("M", (target,)), _fourier(register), CircuitOp("M", register)]
     return Circuit(target + len(register) + 1, ops)
 
 
-@functools.cache
+@_cached
 def _prepare_circuit(n_input: int) -> Circuit:
     inputs, target = _coin_layout(n_input)
     return Circuit(target + 1, [_preparation("qss", inputs, target)])

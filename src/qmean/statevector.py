@@ -10,9 +10,10 @@ transform of a register as one FFT (``FourierKernel``) and
 reflection about one vector, as an update of rank two in each branch of the
 other qubits, its plane built once per bind from the reflected vector
 A|0> on its few target qubits (``prepared_state``).  A ``PrepareKernel``
-writes that A|0> where a preparation A would run on the whole register
-from |0...0>.  A ``Measurement`` draws an outcome and collapses the
-amplitudes in place; ``measure`` runs one on a copy of a state.
+writes that A|0> in every branch of the other qubits where a Hadamard
+layer and then A would run from |0...0>.  A ``Measurement`` draws an
+outcome and collapses the amplitudes in place; ``measure`` runs one on a
+copy of a state.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -361,10 +362,14 @@ def _plane(kernel: ReflectionKernel, state: np.ndarray) -> tuple[np.ndarray, flo
     return bra.T, math.atan2(norms[1], norms[0])
 
 
-def prepared_state(steps: list, n_qubits: int) -> np.ndarray:
+def prepared_state(steps: list, n_qubits: int, value: complex | None = None) -> np.ndarray:
     """A|0> on an n-qubit register: ``steps``, the kernels of a preparation
-    A, run in turn on the amplitudes of |0...0>."""
+    A, run in turn on the amplitudes of |0...0>, or A's steps after its
+    Hadamard layer on that layer's output, ``value`` wherever the top
+    qubit, A's target, is 0."""
     amps = zero_amplitudes(n_qubits)
+    if value is not None:
+        amps[:1 << n_qubits - 1] = value
     psi = qubit_axes(amps, n_qubits)
     for step in steps:
         step(psi)
@@ -376,23 +381,26 @@ _ONE = int(np.float64(1.0).view(np.uint64))
 
 
 class PrepareKernel(Kernel):
-    """A preparation A on the whole register, qubit j of its steps qubit j,
-    as one step.  ``mirror`` is A's steps (a ladder of G of the same
-    ``key``, A's variant and register, runs them as its S^-1) and ``state``
-    A|0> (``prepared_state``), which a bind computes once per key and
+    """A Hadamard layer on the whole register, then the rest of a
+    preparation A on the coin, its k low qubits, as one step.  ``mirror``
+    is its steps (a ladder of G of the same ``key``, A's variant and the
+    qubits it covers, runs them as its S^-1) and ``state`` A|0> on the
+    coin, which a bind computes once per key (``prepared_state``) and
     ``bound`` adds.  On the amplitudes of |0...0>, bit for bit, the step
-    writes ``state``, what its steps would give; on any others it runs its
-    steps in turn.
+    writes ``state`` in every branch of the other qubits, what its steps
+    would give, since the layer puts one value on every amplitude it
+    reaches; on any others it runs its steps in turn.
     """
 
     def __init__(self, n_qubits: int, mirror: list, key: tuple):
         self.n_qubits, self.mirror, self.key, self.state = n_qubits, mirror, key, None
 
     def bound(self, mirror: list, state: np.ndarray) -> "PrepareKernel":
-        """This step with A as ``mirror``, kernels, and A|0> as ``state``."""
+        """This step with its steps as ``mirror``, kernels, and A|0> on the
+        coin as ``state``."""
         kernel = object.__new__(PrepareKernel)
         kernel.__dict__.update(self.__dict__, mirror=mirror,
-                               state=qubit_axes(state, self.n_qubits))
+                               state=qubit_axes(state, state.size.bit_length() - 1))
         return kernel
 
     def __call__(self, psi: np.ndarray):

@@ -33,6 +33,7 @@ from qmean.primitives import (
     OracleError,
     OracleSpec,
     WORK,
+    _prepare_circuit,
     coin_circuit,
     head_state_index,
     prepare_qss_state,
@@ -409,9 +410,10 @@ class TestAmplifiedCoinHeadProbability:
 def test_statevector_qcoin_step_runs_its_preparation_once(monkeypatch):
     """A statevector qcoin estimate at k = 1 binds twice: step 0's
     ``prepare_qss_state`` (H on the inputs, Q) and step 1's coin circuit (H,
-    Q, H, then G as one reflection).  Each bind runs its preparation's
-    kernels once, for A|0>, which the coin's ladder reads too; the runs
-    write that vector and run none of them."""
+    Q, H, then G as one reflection).  The first bind of each shape runs the
+    Hadamard layer of its preparation once, for the shape; each bind runs
+    the preparation's kernels after the layer once, for A|0>, which the
+    coin's ladder reads too; the runs write that vector and run none."""
     calls, phase = Counter(), ["run"]
     for kernel_class in (MatrixKernel, PairKernel):
         def counted(kernel, psi, call=kernel_class.__call__):
@@ -429,8 +431,14 @@ def test_statevector_qcoin_step_runs_its_preparation_once(monkeypatch):
 
     monkeypatch.setattr(Circuit, "bind", counted_bind)
     # 16 bins: H on the 4 inputs is one MatrixKernel, Q a PairKernel
-    estimate_qcoin(OracleSpec(np.linspace(0.1, 0.9, 16)), 1, 20, seed=3)
+    oracle = OracleSpec(np.linspace(0.1, 0.9, 16))
+    coin_circuit.cache_clear()
+    _prepare_circuit.cache_clear()
+    estimate_qcoin(oracle, 1, 20, seed=3)
     assert calls == {"bind": 2 + 3}
+    calls.clear()
+    estimate_qcoin(oracle, 1, 20, seed=3)
+    assert calls == {"bind": 1 + 2}
 
 
 class TestSelectOptimalK:

@@ -176,7 +176,7 @@ def digest_lines(work_dir: Path) -> list[str]:
     """The sha256 of each part: the ``repr`` of fixed-seed qcoin (k = 5,
     L = 20), qss (P = 64 and 8) and Monte Carlo (100 trials) estimates at
     n_in 0, 1, 2, 3, 4 and 8 by 40 seeds; ``primitives.WORK`` after them; the final
-    amplitudes of seven bound circuits; under ``HARDWARE_PRESET``, the exact
+    amplitudes of ten bound circuits; under ``HARDWARE_PRESET``, the exact
     outcome distribution of two bound circuits, a qss and a coin circuit,
     and the observed bits and post-state of each at seeds 0 to 19
     (``noisy_execute``); two ``dump-circuit`` listings; and the
@@ -196,6 +196,11 @@ def digest_lines(work_dir: Path) -> list[str]:
     amplitudes = [prepare_qss_state(_integrand(8)).amplitudes]
     for p in (2, 8, 64):
         amplitudes.append(run_circuit(qss_circuit(2, p).bind(_integrand(4)))[0].amplitudes)
+    # the lone H of qss_circuit(0, 2) is a pair kernel; on 1 and 3 inputs the
+    # Hadamard layer's entries are not powers of two
+    for n_in, p in ((0, 2), (1, 8), (3, 8)):
+        bound = qss_circuit(n_in, p).bind(_integrand(1 << n_in))
+        amplitudes.append(run_circuit(bound)[0].amplitudes)
     for n_in in (0, 3, 6):
         amplitudes.append(run_circuit(coin_circuit(n_in, 3).bind(_linear(n_in)))[0].amplitudes)
     parts["amplitudes"] = b"".join(a.tobytes() for a in amplitudes)

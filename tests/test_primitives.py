@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmean import primitives, statevector
+from qmean.estimators import estimate_qss
 from qmean.noise import (
     HARDWARE_PRESET,
     NoiseModel,
@@ -133,6 +134,13 @@ class TestOracleSpec:
         with pytest.raises(OracleError):
             OracleSpec([0.5], encoding="bogus")
 
+    @pytest.mark.parametrize("values, shape", [(0.5, r"\(\)"), (np.full((2, 2), 0.5), r"\(2, 2\)")],
+                             ids=["scalar", "2-D"])
+    def test_values_must_be_one_dimensional(self, values, shape):
+        # a scalar has no bins to count, and a 2-D table failed mid-run
+        with pytest.raises(OracleError, match=f"1-D array, got shape {shape}"):
+            OracleSpec(values)
+
     def test_mean(self):
         oracle = OracleSpec([0.2, 0.4, 0.6, 0.8])
         assert abs(oracle.mean - 0.5) < 1e-15
@@ -145,6 +153,34 @@ class TestOracleSpec:
         np.testing.assert_allclose(
             gate.matrix @ gate.matrix.conj().T, np.eye(dim), atol=1e-10
         )
+
+
+class TestBuilderArguments:
+    """The cached builders refuse an argument that is not an integer by
+    name, before their cache is read: the answer is the same whatever ran
+    before (``cache_clear`` gives a fresh process's order)."""
+
+    CALLS = {
+        "estimate_qss": (lambda p: estimate_qss(OracleSpec([0.5, 0.5]), p, seed=1), 8, "resolution"),
+        "dump-qcoin": (lambda m: dump_circuit("qcoin", 1, 0, m), 1, "m"),
+        "dump-qss": (lambda n: dump_circuit("qss", n, 8), 1, "n_input"),
+    }
+
+    @pytest.mark.parametrize("after_an_integer", [False, True], ids=["fresh", "after-an-integer"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_non_integer_is_refused_in_either_order(self, name, after_an_integer):
+        call, value, arg = self.CALLS[name]
+        for builder in (coin_circuit, qss_circuit, _prepare_circuit):
+            builder.cache_clear()
+        if after_an_integer:
+            call(value)
+        with pytest.raises(ValueError, match=f"{arg} must be an integer, got {float(value)}"):
+            call(float(value))
+
+    def test_numpy_integers_are_accepted(self):
+        assert qss_circuit(np.int64(1), np.int64(8)) is qss_circuit(1, 8)
+        assert coin_circuit(np.int32(2), np.uint8(3)) is coin_circuit(2, 3)
+        assert _prepare_circuit(np.int64(2)) is _prepare_circuit(2)
 
 
 class TestQueryLedger:
@@ -599,6 +635,9 @@ PREPARED = [
     *[pytest.param(lambda n_in=n_in: (_prepare_circuit(n_in),
                                       OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))),
                    id=f"prepare-n{n_in}") for n_in in range(7)],
+    # the register's H and A: one Hadamard layer, whose chunks mix the two
+    *[pytest.param(_qss_case(n_in, 1 << j), id=f"qss-n{n_in}-P{1 << j}")
+      for n_in in range(7) for j in range(1, 8)],
 ]
 
 
@@ -846,6 +885,13 @@ class TestCircuit:
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
         assert len(steps[0].mirror) == 3
         assert isinstance(steps[1], ReflectionKernel) and len(steps) == 3
+        # qss: H on the 6 register qubits and the 2 inputs is one layer of two
+        # kernels of 4 targets, inside the declared prefix, whose step is one
+        steps = qss_circuit(2, 64).bind(OracleSpec([0.5] * 4)).schedule
+        assert isinstance(steps[0], PrepareKernel)
+        assert [isinstance(s, MatrixKernel) for s in steps[0].mirror] == [True, True, False]
+        assert [len(s.gate) for s in steps[0].mirror[:2]] == [16, 16]
+        assert isinstance(steps[1], ReflectionKernel) and len(steps) == 5
         # H on a repeated qubit, or under other controls, starts a new register
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
                               CircuitOp("H", (2,), (1,))])
@@ -946,16 +992,20 @@ class TestCircuit:
         head_probability(circuit, HARDWARE_PRESET)
         assert len(built) == 3
 
-        # in qcoin the declared preparation and the ladder share one A|0> per bind
+        # in qcoin the declared preparation and the ladder share one A|0> per
+        # bind, from the Hadamard layer's value that the shape keeps
         states = []
 
-        def counted_state(steps, n_qubits):
-            states.append(prepared(steps, n_qubits))
+        def counted_state(steps, n_qubits, value=None):
+            states.append(prepared(steps, n_qubits, value))
             return states[-1]
 
         prepared = statevector.prepared_state
+        oracle = OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE)
+        coin_circuit(2, 3).bind(oracle)  # the shape's layer runs here, once
+        del built[3:]  # and this bind's plane is not counted
         monkeypatch.setattr(primitives, "prepared_state", counted_state)
-        bound = coin_circuit(2, 3).bind(OracleSpec([0.2, 0.4, 0.6, 0.8], 0.1, LINEAR_AMPLITUDE))
+        bound = coin_circuit(2, 3).bind(oracle)
         assert len(states) == 1 and len(built) == 4 and read[-1] is states[0]
         assert np.shares_memory(bound.schedule[0].state, states[0])
         run_circuit(bound)
