@@ -26,7 +26,7 @@ from .estimators import (
     shift_scale_schedule,
 )
 from .noise import NoiseModel
-from .primitives import Circuit, check_resolution, coin_circuit, qss_circuit
+from .primitives import Circuit, check_integer, check_resolution, coin_circuit, qss_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +595,7 @@ def report_resources(n_bins: int, resolution: int) -> dict[str, ResourceReport]:
     amplifications plus the register transform) and, for the coin method,
     the matched number of amplification applications.
     """
+    n_bins = check_integer("n_bins", n_bins)
     if n_bins < 1 or n_bins & (n_bins - 1):
         raise ValueError(f"n_bins must be a power of two, got {n_bins}")
     n_in = n_bins.bit_length() - 1

@@ -13,10 +13,10 @@ of them of one variant on the same coin qubits as one step
 that branch's power of G, in the plane of A|0>, built on the coin qubits
 alone.  A circuit is unchangeable, and the builders keep one per shape,
 cached by their integer arguments, so every op but Q and Q_INV is lowered
-once per shape, and each A's Hadamard layer runs once per shape.
+once per shape, and each A once per shape on its coin (``_prepared``).
 ``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
-bind checks the oracle, keeps its rotation and builds from it each Q its
-schedule runs, A|0> once per key from the layer's value, and each
+bind checks the oracle, keeps its rotation and builds from it, in one
+pass, each Q its schedule and its coins run, A|0> once per key, and each
 reflection's plane.  ``run_circuit`` applies the bound schedule in place,
 each register of H as a few dense products and each measurement as one
 collapse of the amplitudes in place (``Measurement``).
@@ -251,10 +251,10 @@ class Circuit:
     adds to ``WORK`` and the ledger, and its size, which the caps check,
     are computed here.  The kernel of each distinct op but Q, Q_INV and M
     (``lower``), the index arrays of each placement of Q (``placements``),
-    the value of each preparation's Hadamard layer (``layers``) and the run
-    schedule (``steps``), in which each Q and Q_INV stays an op, wait for
-    their first use: ``resources`` and ``dump-circuit`` build circuits they
-    never bind.
+    each A lowered on its coin (``layers``) and the run schedule
+    (``steps``), in which each Q and Q_INV stays an op, wait for their
+    first use: ``resources`` and ``dump-circuit`` build circuits they never
+    bind.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
     ``bind`` returns a bound copy, which adds what ``run_circuit`` runs
@@ -281,7 +281,7 @@ class Circuit:
         self.kernels: dict = {}  # by op, filled by ``lower``
         # Q's ``_placement`` by (register size, targets, controls), at its first use
         self.placements: dict = {}
-        # each declared preparation's and ladder's A, by key, as ``_prepared`` keeps it
+        # each declared preparation's and ladder's A on its coin, by key (``_prepared``)
         self.layers: dict = {}
         self.steps: list | None = None  # the schedule, set by the first bind
         self.schedule = self.rotation = self.q_kernels = None  # set on a bound copy only
@@ -340,7 +340,15 @@ class Circuit:
         bound = object.__new__(Circuit)
         bound.__dict__.update(self.__dict__, rotation=_rotation(oracle) if self.sites else None,
                               q_kernels={})
-        bound.schedule = bound._bind_steps(self.steps, self.n_qubits, {})
+        # each key's A on its coin, bound, and A|0> from its layer's value v
+        coins = {}
+        for key, (v, k, rest) in self.layers.items():
+            coin = [bound._q_kernel(s, k) if isinstance(s, CircuitOp) else s for s in rest]
+            coins[key] = coin, prepared_state(coin, k, v)
+        bound.schedule = [bound.kernel(step) if isinstance(step, CircuitOp)
+                          else step.bound(*coins[step.key]) if isinstance(step, PrepareKernel)
+                          else step.bound(coins[step.key][1]) if isinstance(step, ReflectionKernel)
+                          else step for step in self.steps]
         return bound
 
     def kernel(self, op: CircuitOp) -> Kernel:
@@ -354,8 +362,9 @@ class Circuit:
 
     def _q_kernel(self, op: CircuitOp, n_qubits: int) -> PairKernel:
         """The bind's kernel of a Q or Q_INV op on an n-qubit register, kept
-        by register size and placement, so that qcoin's reflection, whose
-        mirror runs on the whole register, reuses the preparation's Q."""
+        by register size and placement: one Q on the k coin qubits serves
+        every A on that coin, and in qcoin, whose coin is the whole
+        register, it is the circuit's own Q too."""
         site = n_qubits, op.targets, op.controls
         if (op.name, site) not in self.q_kernels:
             if site not in self.placements:
@@ -365,27 +374,6 @@ class Circuit:
             q = PairKernel(n_qubits, lo, hi, c[bins], minus_s[bins], s[bins], c[bins])
             self.q_kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
         return self.q_kernels[op.name, site]
-
-    def _bind_steps(self, steps: list, n_qubits: int, states: dict) -> list:
-        """A schedule on an n-qubit register in this bind: each Q and Q_INV
-        op its kernel, each ``PrepareKernel`` and ``ReflectionKernel`` bound
-        with its mirror's kernels on the qubits of its ``key`` and A|0> on
-        its coin, every other step as it is.  ``states`` keeps A|0> by key,
-        computed by the key's first step: A's steps after its Hadamard layer
-        run on the layer's output, the value it keeps in ``layers``, so no
-        bind runs the layer.  Every A is ``_prepare_ops``' of the key's variant."""
-        bound = []
-        for step in steps:
-            if isinstance(step, CircuitOp):
-                step = self._q_kernel(step, n_qubits)
-            elif isinstance(step, (PrepareKernel, ReflectionKernel)):
-                mirror = self._bind_steps(step.mirror, len(step.key[1]), states)
-                if step.key not in states:
-                    value, k, rest = self.layers[step.key]
-                    states[step.key] = prepared_state(self._bind_steps(rest, k, states), k, value)
-                step = step.bound(mirror, states[step.key])
-            bound.append(step)
-        return bound
 
 
 def _needs_oracle(op: CircuitOp) -> bool:
@@ -399,7 +387,7 @@ def _schedule(nodes, circuit: Circuit) -> list:
     a block's own steps (``_steps``).  Each maximal run of formula H ops
     with the same controls and distinct targets is a few dense kernels
     (``hadamard_kernels``).  A Q or Q_INV op stays an op, whose kernel
-    each bind builds (``Circuit._bind_steps``).
+    each bind builds (``Circuit.bind``).
     """
     return [step for run in _runs(nodes) for step in _steps(run, circuit)]
 
@@ -449,8 +437,8 @@ def _steps(run, circuit: Circuit) -> list:
     (``Repeat.step``), a transform of two or more qubits as one
     ``FourierKernel`` and a preparation, once, its coin on the low qubits
     and its Hadamard layer on the others, as one ``PrepareKernel`` where
-    the circuit fits the amplitude cap (its layer runs here).  Any other
-    block runs op by op, its steps ``count`` times in a row."""
+    the circuit fits the amplitude cap (its layer runs here, once).  Any
+    other block runs op by op, its steps ``count`` times in a row."""
     n_qubits = circuit.n_qubits
     if isinstance(run, _Ladder):
         return [_reflection(run, circuit)]
@@ -462,9 +450,8 @@ def _steps(run, circuit: Circuit) -> list:
             covered = {q for op in run.ops for q in op.targets}
             if coin == tuple(range(len(coin))) and covered == set(range(n_qubits)):
                 key = variant, tuple(range(n_qubits))
-                on_coin = circuit if len(coin) == n_qubits else Circuit(len(coin))
-                return [PrepareKernel(n_qubits, _prepared(run.ops, circuit, on_coin, circuit.layers,
-                                                          key), key)]
+                return [PrepareKernel(n_qubits, _prepared(run.ops, circuit, circuit.layers, key),
+                                      key)]
         if run.step == "fourier":
             # ``_qft_ops`` puts H on the register's qubits from the top one down
             register = tuple(op.targets[0] for op in reversed(run.ops) if op.name == "H")
@@ -483,34 +470,34 @@ def _reflection(ladder: _Ladder, circuit: Circuit) -> ReflectionKernel:
     """A ladder of G blocks, each D then S, RZERO and S^-1 (``_g_block``),
     as one ``ReflectionKernel`` with a term of (RZERO's controls, count) per
     block.  D, the first block's first op, and S^-1, its ops after RZERO,
-    are lowered here once per circuit on the k coin qubits alone: RZERO's
-    targets[j] is qubit j of a k-qubit register, with the controls
-    stripped.  D applied to a vector of ones gives one sign per coin column."""
+    are read here once per circuit on the k coin qubits alone (RZERO's
+    targets[j] is qubit j), with the controls stripped: D applied to a
+    vector of ones gives one sign per coin column, and S^-1 is A (``_prepared``)."""
     first, coin = ladder.blocks[0], ladder.key[1]
     local = {q: j for j, q in enumerate(coin)}
     on_coin = [replace(op, targets=tuple(local[q] for q in op.targets), controls=())
                for op in first.ops]
-    mirror = Circuit(len(coin), on_coin[first.ops.index(_rzero(first)) + 1:])
+    _prepared(on_coin[first.ops.index(_rzero(first)) + 1:], Circuit(len(coin)), circuit.layers,
+              ladder.key)
     signs = np.ones(1 << len(coin), dtype=np.complex128)
     _lower_op(on_coin[0], len(coin))(qubit_axes(signs, len(coin)))
     terms = [(_rzero(block).controls, block.count) for block in ladder.blocks]
-    return ReflectionKernel(circuit.n_qubits, coin, terms, signs.real,
-                            _prepared(mirror.ops, mirror, mirror, circuit.layers, ladder.key),
-                            ladder.key)
+    return ReflectionKernel(circuit.n_qubits, coin, terms, signs.real, ladder.key)
 
 
-def _prepared(ops, circuit: Circuit, on_coin: Circuit, layers: dict, key: tuple) -> list:
-    """The steps of a preparation A (``_prepare_ops``) lowered by
-    ``circuit``.  Once per key, ``layers`` keeps (v, k, A's steps after its
-    Hadamard layer, the ops before Q, lowered by ``on_coin``): v is the one
-    value the layer puts on every amplitude it reaches from |0...0>, and the
-    coin is the k low qubits, ``on_coin``'s register."""
+def _prepared(ops, circuit: Circuit, layers: dict, key: tuple) -> list:
+    """The steps of the Hadamard layer of a preparation A (``_prepare_ops``),
+    its ops before Q, lowered by ``circuit``.  Once per key, ``layers``
+    keeps A lowered on its coin, Q's targets, the k low qubits: (v, k, A's
+    steps after the layer on k qubits), v the one value the layer puts on
+    every amplitude it reaches from |0...0>."""
     split = next(j for j, op in enumerate(ops) if op.name == "Q")
     layer = _schedule(ops[:split], circuit)
     if key not in layers:
-        layers[key] = (prepared_state(layer, circuit.n_qubits)[0], on_coin.n_qubits,
-                       _schedule(ops[split:], on_coin))
-    return layer + _schedule(ops[split:], circuit)
+        k = len(ops[split].targets)
+        layers[key] = (prepared_state(layer, circuit.n_qubits)[0], k,
+                       _schedule(ops[split:], Circuit(k)))
+    return layer
 
 
 _H = 1.0 / math.sqrt(2.0)
@@ -716,9 +703,17 @@ def _coin_layout(n_input: int) -> tuple[tuple[int, ...], int]:
     return tuple(range(n_input)), n_input
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, refused by name unless it is an integer (a NumPy
+    integer is one)."""
+    if not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def check_resolution(resolution: int):
     """Refuse a QSS resolution P that is not a power of two >= 2."""
-    if resolution < 2 or resolution & (resolution - 1):
+    if check_integer("resolution", resolution) < 2 or resolution & (resolution - 1):
         raise ValueError(f"resolution must be a power of two >= 2, got {resolution}")
 
 
@@ -732,10 +727,7 @@ def _cached(builder):
     def build(*args):
         for arg in args:
             if type(arg) is not int:  # a NumPy integer, say, or not an integer
-                for name, value in zip(builder.__code__.co_varnames, args):
-                    if not hasattr(value, "__index__"):
-                        raise ValueError(f"{name} must be an integer, got {value!r}")
-                return cached(*map(operator.index, args))
+                return cached(*map(check_integer, builder.__code__.co_varnames, args))
         return cached(*args)
 
     build.cache_clear = cached.cache_clear

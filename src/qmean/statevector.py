@@ -11,9 +11,10 @@ reflection about one vector, as an update of rank two in each branch of the
 other qubits, its plane built once per bind from the reflected vector
 A|0> on its few target qubits (``prepared_state``).  A ``PrepareKernel``
 writes that A|0> in every branch of the other qubits where a Hadamard
-layer and then A would run from |0...0>.  A ``Measurement`` draws an
-outcome and collapses the amplitudes in place; ``measure`` runs one on a
-copy of a state.
+layer and then A would run from |0...0>; on other amplitudes it runs the
+layer, then A's steps on the coin qubits alone, in each branch.  A
+``Measurement`` draws an outcome and collapses the amplitudes in place;
+``measure`` runs one on a copy of a state.
 
 Qubit ordering convention: qubit 0 is the least-significant bit of the
 basis-state index.  A basis state ``|i)`` with binary expansion
@@ -283,20 +284,19 @@ class ReflectionKernel(MatrixKernel):
         G^e x = (-D)^e x + B M(e) B^T x,
         M(e) = Rot(2 e phi) - diag((-1)^e, 1).
 
-    e and its parity are computed here, once per circuit shape, where
-    ``mirror`` is S^-1 on the k target qubits alone as its circuit's
-    schedule lists it.  S^-1 is the coin's preparation A, so a is A|0>,
-    which a bind computes once per ``key``, A's variant and coin register
-    (``prepared_state``), and shares with a declared preparation of that key
-    (``PrepareKernel``).  ``bound`` makes the step that runs from a: B and
-    phi (``_plane``), and cos and sin of 2 e phi, once per bind.  a is real:
-    S^-1 holds only H, Q and Q_INV.
+    e and its parity are computed here, once per circuit shape.  S^-1 is
+    the coin's preparation A, so a is A|0>, which a bind computes once per
+    ``key``, A's variant and coin register, from A lowered once on the k
+    target qubits (``prepared_state``), and shares with a declared
+    preparation of that key (``PrepareKernel``).  ``bound`` makes the step
+    that runs from a: B and phi (``_plane``), and cos and sin of 2 e phi,
+    once per bind.  a is real: S^-1 holds only H, Q and Q_INV.
     """
 
     def __init__(self, n_qubits: int, targets: Sequence[int], terms: list,
-                 signs: np.ndarray, mirror: list, key: tuple):
+                 signs: np.ndarray, key: tuple):
         super().__init__(n_qubits, None, targets)
-        self.terms, self.signs, self.mirror, self.key = terms, signs, mirror, key
+        self.terms, self.signs, self.key = terms, signs, key
         # ``columns`` with psi's own columns (its last axis) before the other
         # qubits, so that an array over the branches broadcasts over them
         k = len(targets)
@@ -319,12 +319,11 @@ class ReflectionKernel(MatrixKernel):
         self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
         self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
 
-    def bound(self, mirror: list, state: np.ndarray) -> "ReflectionKernel":
-        """This step with S^-1 as ``mirror``, kernels on the k target qubits,
-        and a = S^-1 |0> as ``state``, 2^k amplitudes."""
+    def bound(self, state: np.ndarray) -> "ReflectionKernel":
+        """This step with a = S^-1 |0> as ``state``, 2^k amplitudes."""
         # a shallow copy, without copy.copy's cost: it runs at every bind
         kernel = object.__new__(type(self))
-        kernel.__dict__.update(self.__dict__, mirror=mirror)
+        kernel.__dict__.update(self.__dict__)
         kernel.basis, phi = _plane(kernel, state)
         kernel.bra = kernel.basis.T
         angle = self.exponents * (2 * phi)
@@ -381,25 +380,26 @@ _ONE = int(np.float64(1.0).view(np.uint64))
 
 
 class PrepareKernel(Kernel):
-    """A Hadamard layer on the whole register, then the rest of a
-    preparation A on the coin, its k low qubits, as one step.  ``mirror``
-    is its steps (a ladder of G of the same ``key``, A's variant and the
-    qubits it covers, runs them as its S^-1) and ``state`` A|0> on the
-    coin, which a bind computes once per key (``prepared_state``) and
-    ``bound`` adds.  On the amplitudes of |0...0>, bit for bit, the step
-    writes ``state`` in every branch of the other qubits, what its steps
-    would give, since the layer puts one value on every amplitude it
-    reaches; on any others it runs its steps in turn.
+    """A Hadamard layer on the whole register (``layer``, its kernels), then
+    the rest of a preparation A on the coin, its k low qubits, as one step.
+    ``bound`` adds A's steps after the layer on the coin alone (``coin``)
+    and A|0> there (``state``), which a bind computes once per ``key``, A's
+    variant and the qubits it covers (``prepared_state``).  On the
+    amplitudes of |0...0>, bit for bit, the step writes ``state`` in every
+    branch of the other qubits, what the layer and A give, since the layer
+    puts one value on every amplitude it reaches.  On any others it runs
+    the layer, then ``coin`` in each column, on a view of it whose columns
+    are the branches of the other qubits.
     """
 
-    def __init__(self, n_qubits: int, mirror: list, key: tuple):
-        self.n_qubits, self.mirror, self.key, self.state = n_qubits, mirror, key, None
+    def __init__(self, n_qubits: int, layer: list, key: tuple):
+        self.n_qubits, self.layer, self.key = n_qubits, layer, key
 
-    def bound(self, mirror: list, state: np.ndarray) -> "PrepareKernel":
-        """This step with its steps as ``mirror``, kernels, and A|0> on the
-        coin as ``state``."""
+    def bound(self, coin: list, state: np.ndarray) -> "PrepareKernel":
+        """This step with ``coin``, kernels on the coin, and A|0> there as
+        ``state``."""
         kernel = object.__new__(PrepareKernel)
-        kernel.__dict__.update(self.__dict__, mirror=mirror,
+        kernel.__dict__.update(self.__dict__, coin=coin,
                                state=qubit_axes(state, state.size.bit_length() - 1))
         return kernel
 
@@ -408,9 +408,15 @@ class PrepareKernel(Kernel):
         # one column, whose only non-zero word is the real part 1.0 of |0...0>
         if psi.shape[-1] == 1 and np.count_nonzero(bits) == 1 and bits[0] == _ONE:
             psi[...] = self.state
-        else:
-            for step in self.mirror:
-                step(psi)
+            return
+        for step in self.layer:
+            step(psi)
+        k = self.state.ndim - 1
+        for j in range(psi.shape[-1]):
+            # column j with the coin's axes first: a view, psi being C-ordered
+            coin = psi[..., j].reshape(-1, 1 << k).T.reshape((2,) * k + (-1,))
+            for step in self.coin:
+                step(coin)
 
 
 # Most target qubits one Hadamard-layer product covers: H^(x)c is 2^c x 2^c,

@@ -359,6 +359,19 @@ def test_a_negative_seed_is_refused_by_name(call, name, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize("call, name, size", [
+    (lambda kind: qss_expected_error(0.5, kind(8)), "resolution", 8),
+    (lambda kind: qss_theoretical_distribution(0.5, kind(8)), "resolution", 8),
+    (lambda kind: report_resources(kind(16), 8), "n_bins", 16),
+], ids=["qss_expected_error", "qss_theoretical_distribution", "report_resources"])
+def test_a_float_size_is_refused_by_name(call, name, size):
+    # each was a bare TypeError from the power-of-two bit test on the float
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {size}.0$"):
+        call(float)
+    # a NumPy integer is an integer, with the same answer
+    np.testing.assert_equal(call(np.int64), call(int))
+
+
 class TestConvergenceSweep:
     @pytest.mark.parametrize("dropped", [{"f_values": [0.5]}, {"noise": HARDWARE_PRESET}])
     def test_refuses_what_it_would_drop(self, dropped):

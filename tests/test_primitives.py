@@ -835,10 +835,10 @@ class TestCircuit:
         assert bound[0].steps is bound[1].steps is circuit.steps
         assert bound[0].kernels is bound[1].kernels is circuit.kernels
         assert bound[0].q_kernels is not bound[1].q_kernels
-        # the preparation's Q from ``kernel`` is the one its step runs
+        # the preparation's Q from ``kernel`` is the one its coin steps run
         q = next(op for op in circuit.expand() if op.name == "Q")
         [prepare] = [step for step in bound[0].schedule if isinstance(step, PrepareKernel)]
-        assert sum(step is bound[0].kernel(q) for step in prepare.mirror) == 1
+        assert sum(step is bound[0].kernel(q) for step in prepare.coin) == 1
         # the readout is the targets of the last M, or none
         assert circuit.measured_qubits == (0, 1, 2)
         assert Circuit(2, [CircuitOp("M", (0,)), CircuitOp("H", (0,)),
@@ -873,8 +873,9 @@ class TestCircuit:
         n_in = 6
         oracle = OracleSpec([0.5] * (1 << n_in), 0.1, LINEAR_AMPLITUDE)
         steps = coin_circuit(n_in, 2).bind(oracle).schedule
-        # the declared preparation is one step, whose own steps are H, Q, H
-        prepare = steps[0].mirror
+        # the declared preparation is one step: its layer H, then its coin
+        # steps Q, H
+        prepare = steps[0].layer + steps[0].coin
         assert [isinstance(s, MatrixKernel) for s in prepare] == [True, True, False, True, True]
         assert [len(s.gate) for s in prepare[:2]] == [8, 8]
         # G^2, G being FLIP_HEAD then H, Q_INV, H, RZERO, H, Q, H, as one
@@ -883,14 +884,15 @@ class TestCircuit:
         assert len(steps) == 3
         # on 3 inputs, one kernel per H register
         steps = coin_circuit(3, 2).bind(OracleSpec([0.5] * 8, 0.1, LINEAR_AMPLITUDE)).schedule
-        assert len(steps[0].mirror) == 3
+        assert len(steps[0].layer + steps[0].coin) == 3
         assert isinstance(steps[1], ReflectionKernel) and len(steps) == 3
         # qss: H on the 6 register qubits and the 2 inputs is one layer of two
         # kernels of 4 targets, inside the declared prefix, whose step is one
         steps = qss_circuit(2, 64).bind(OracleSpec([0.5] * 4)).schedule
         assert isinstance(steps[0], PrepareKernel)
-        assert [isinstance(s, MatrixKernel) for s in steps[0].mirror] == [True, True, False]
-        assert [len(s.gate) for s in steps[0].mirror[:2]] == [16, 16]
+        prepare = steps[0].layer + steps[0].coin
+        assert [isinstance(s, MatrixKernel) for s in prepare] == [True, True, False]
+        assert [len(s.gate) for s in prepare[:2]] == [16, 16]
         assert isinstance(steps[1], ReflectionKernel) and len(steps) == 5
         # H on a repeated qubit, or under other controls, starts a new register
         circuit = Circuit(3, [CircuitOp("H", (0,)), CircuitOp("H", (1,)), CircuitOp("H", (0,)),
@@ -1012,11 +1014,11 @@ class TestCircuit:
         assert len(states) == 1 and len(built) == 4
 
     def test_a_run_builds_only_the_kernels_it_runs(self, monkeypatch):
-        """qss at P = 64 on 4 inputs runs Q once to prepare the coin and once
-        in the plane of its six G blocks, run on the 5 coin qubits alone: 2
-        kernels, where Q and Q_INV at all 7 placements would be 14.  The bind
-        builds them, and a run builds nothing.  In qcoin the mirror's Q is the
-        preparation's."""
+        """qss at P = 64 on 4 inputs runs Q in A on the 5 coin qubits alone,
+        once for the prefix and once for the plane of its six G blocks: one
+        kernel, where Q and Q_INV at all 7 placements would be 14.  The bind
+        builds it, and a run builds nothing.  In qcoin, whose coin is the
+        whole register, the ladder's Q is the preparation's."""
         built, planes = [], []
         pair_init, plane = PairKernel.__init__, statevector._plane
 
@@ -1035,15 +1037,17 @@ class TestCircuit:
         built.clear()
         planes.clear()
         bound = qss_circuit(4, 64).bind(oracle)
-        assert sorted(built) == [5, 11] and len(planes) == 1
+        assert sorted(built) == [5] and len(planes) == 1
         built.clear()
         run_circuit(bound)
         assert not built and len(planes) == 1
         basis, _ = planes[0]
         assert basis.shape == (32, 2)
-        assert all(step.n_qubits == 5 for block in bound.schedule
-                   if isinstance(block, ReflectionKernel)
-                   for step in block.mirror if not isinstance(step, CircuitOp))
+        # A is lowered once per key, the prefix's and the ladder's, on the coin
+        layers = qss_circuit(4, 64).layers
+        assert len(layers) == 2 and all(k == 5 for _, k, _ in layers.values())
+        [prepare] = [step for step in bound.schedule if isinstance(step, PrepareKernel)]
+        assert [step.n_qubits for step in prepare.coin] == [5]
 
         coin = OracleSpec(np.linspace(0.2, 0.8, 16), 0.1, LINEAR_AMPLITUDE)
         coin_circuit(4, 16).bind(coin)
@@ -1116,7 +1120,7 @@ class TestCircuit:
         """A run from |0...0> writes the bind's A|0> where the same ops,
         the preparation undeclared, run A's kernels: the amplitudes agree
         bit for bit, signed zeros too.  So does each ladder's plane from
-        that shared A|0> with the plane from its own mirror."""
+        that shared A|0> with the plane from A's ops run on its coin."""
         circuit, oracle = build()
         [prepare] = [node for node in circuit.ops
                      if isinstance(node, Repeat) and node.step in primitives._PREPARATIONS]
@@ -1131,10 +1135,46 @@ class TestCircuit:
         np.testing.assert_array_equal(declared_run.view(np.uint64), undeclared_run.view(np.uint64))
         for block in bound.schedule:
             if isinstance(block, ReflectionKernel):
-                own = block.bound(block.mirror,
-                                  statevector.prepared_state(block.mirror, len(block.key[1])))
+                variant, k = block.key[0], len(block.key[1])
+                coin = Circuit(k, primitives._prepare_ops(variant, tuple(range(k - 1)), k - 1))
+                own = block.bound(run_circuit(coin.bind(oracle))[0].amplitudes)
                 for mine, shared in [(own.basis, block.basis), *zip(own.gate, block.gate)]:
                     np.testing.assert_array_equal(mine.view(np.uint64), shared.view(np.uint64))
+
+    @pytest.mark.parametrize("build", [
+        *[pytest.param(_qss_case(n_in, p), id=f"qss-n{n_in}-P{p}")
+          for n_in in (0, 2) for p in (2, 8)],
+        pytest.param(_coin_case(2, 1), id="qcoin-n2-m1")])
+    def test_declared_preparation_runs_on_every_column(self, build):
+        """On the columns of a matrix, none of them |0...0>'s amplitudes, a
+        bound preparation runs its layer, then its coin steps on each
+        column's branches; in qss the coin sits below the register."""
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        [prepare] = [node for node in circuit.ops
+                     if isinstance(node, Repeat) and node.step in primitives._PREPARATIONS]
+        [step] = [step for step in bound.schedule if isinstance(step, PrepareKernel)]
+        n = circuit.n_qubits
+        expected = np.eye(1 << n, dtype=complex)
+        for op in Circuit(n, [prepare]).expand():
+            bound.kernel(op)(qubit_axes(expected, n))
+        np.testing.assert_allclose(step.matrix(), expected, rtol=0, atol=1e-12)
+
+    def test_preparation_off_the_low_qubits_runs_op_by_op(self):
+        """A declared preparation whose coin is not the low qubits is no
+        ``PrepareKernel``, which reads its coin from the low bits: it runs
+        op by op, as each op's kernel in turn."""
+        circuit = Circuit(4, [primitives._preparation("qss", (2,), 3, (0, 1))])
+        bound = circuit.bind(OracleSpec([0.3, 0.8]))
+        assert not any(isinstance(step, PrepareKernel) for step in bound.schedule)
+        rng = np.random.default_rng(23)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = StateVector(4, amps / np.linalg.norm(amps))
+        expected = state.amplitudes.copy()
+        for op in bound.expand():
+            bound.kernel(op)(qubit_axes(expected, 4))
+        out, _ = run_circuit(bound, state)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_kernel_needs_a_bound_circuit(self):
         circuit = coin_circuit(1, 1)
