@@ -20,6 +20,8 @@ from .primitives import (
     OracleSpec,
     QueryLedger,
     SQRT_AMPLITUDE,
+    check_integer,
+    check_resolution,
     coin_circuit,
     head_state_index,
     prepare_qss_state,
@@ -55,11 +57,13 @@ class Estimate:
 
 def qss_queries(resolution: int) -> int:
     """State preparation plus two queries per amplification: 2P - 1."""
+    check_resolution(resolution)
     return 2 * resolution - 1
 
 
 def qcoin_queries(k: int, trials_per_step: int) -> int:
     """Closed form: L for step 0, L * (1 + 2 * 2^(i-1)) for step i."""
+    k = check_integer("k", k)
     return trials_per_step * (k + (1 << (k + 1)) - 1)
 
 
@@ -101,6 +105,7 @@ def qss_exact_distribution(oracle: OracleSpec, resolution: int) -> np.ndarray:
 
 def qss_value_grid(resolution: int) -> np.ndarray:
     """The estimator's support: sin^2(t pi / P) for t = 0..P-1."""
+    check_resolution(resolution)
     t = np.arange(resolution)
     return np.sin(t * np.pi / resolution) ** 2
 
@@ -130,16 +135,16 @@ def check_qcoin_k(k: int, name: str):
     """A qcoin k counts shift-and-scale steps.  A negative one, and one from
     62 on, whose one trial costs 2^63 queries or more, past every count that
     NumPy's binomial draw takes, are refused by the key or flag ``name`` that
-    gave it, before its schedule is built."""
-    if not 0 <= k <= 61:
+    gave it, before its schedule is built; so is one that is not an integer."""
+    if not 0 <= check_integer(name, k) <= 61:
         raise ValueError(f"{name} must be from 0 to 61, got {k}")
 
 
 def check_seed(seed: int | None, name: str):
-    """A seed is None or a non-negative integer.  A negative one, which NumPy
-    refuses with a bare "expected non-negative integer", is refused by the
-    parameter ``name`` that gave it, before any generator is built."""
-    if seed is not None and seed < 0:
+    """A seed is None or a non-negative integer.  Any other, which NumPy refuses
+    with a bare "expected non-negative integer" or TypeError, is refused by
+    the parameter ``name`` that gave it, before any generator is built."""
+    if seed is not None and check_integer(name, seed) < 0:
         raise ValueError(f"{name} must be non-negative, got {seed}")
 
 
@@ -239,14 +244,13 @@ def run_shift_scale(
         if schedule:
             coin_circuit(integrand.n_input_qubits, schedule[-1][1]).check_size(on_statevector=True)
         state = prepare_qss_state(_sqrt_oracle(integrand))
-        p0 = float(np.sum(state.probabilities()[head_state_index(integrand):]))
+        n_in, index = integrand.n_input_qubits, head_state_index(integrand)
+        p0 = float(np.sum(state.probabilities()[index:]))
 
         def head(e_minus, m):
-            coin_oracle = integrand.shifted(e_minus)
-            state, _ = run_circuit(coin_circuit(coin_oracle.n_input_qubits, m).bind(coin_oracle))
+            state, _ = run_circuit(coin_circuit(n_in, m).bind(integrand.shifted(e_minus)))
             # |amplitude|^2 of the head state alone, as ``probabilities()``
             # rounds it: the array abs (a scalar's abs rounds otherwise), squared
-            index = head_state_index(coin_oracle)
             amplitude = float(np.abs(state.amplitudes[index:index + 1])[0])
             return amplitude * amplitude
     else:

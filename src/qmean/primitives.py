@@ -15,11 +15,11 @@ alone.  A circuit is unchangeable, and the builders keep one per shape,
 cached by their integer arguments, so every op but Q and Q_INV is lowered
 once per shape, and each A once per shape on its coin (``_prepared``).
 ``Circuit.bind`` returns a copy with a run schedule beside the same ops: a
-bind checks the oracle, keeps its rotation and builds from it, in one
-pass, each Q its schedule and its coins run, A|0> once per key, and each
-reflection's plane.  ``run_circuit`` applies the bound schedule in place,
-each register of H as a few dense products and each measurement as one
-collapse of the amplitudes in place (``Measurement``).
+bind checks the oracle, keeps its rotation and fills only the slots that
+the oracle changes, found once per shape: each Q, A|0> once per key, and
+each step that reads it.  ``run_circuit`` applies the bound schedule in
+place, from A|0> where it starts at a preparation, each register of H as a
+few dense products and each measurement as one collapse (``Measurement``).
 The estimators run these circuits; the noise layer evaluates them op by
 op, each op's kernel from ``Circuit.kernel``; ``dump_circuit`` prints them
 and the resource report counts them.  The dense gates (``oracle_gate`` and
@@ -115,7 +115,7 @@ class OracleSpec:
         when this spec was made."""
         _check_offset(offset)
         spec = object.__new__(OracleSpec)
-        spec.__dict__.update(self.__dict__, offset=offset, encoding=LINEAR_AMPLITUDE)
+        spec.__dict__ = {"values": self.values, "offset": offset, "encoding": LINEAR_AMPLITUDE}
         return spec
 
     @property
@@ -232,7 +232,7 @@ class Repeat:
     (``_g_block``), which runs as one step with the blocks next to it of
     that variant on the same coin qubits (``_runs``), and ``"prepare-qss"``
     or ``"prepare-qcoin"`` for that variant's coin preparation A, in qss
-    after the register's H (``_preparation``), a write of the bind's A|0>.
+    after the register's H (``_preparation``), where a run starts at A|0>.
     A block without one runs op by op.
 
     The package builds ``ops`` as a list, not a tuple: CPython 3.11 keeps
@@ -251,16 +251,15 @@ class Circuit:
     adds to ``WORK`` and the ledger, and its size, which the caps check,
     are computed here.  The kernel of each distinct op but Q, Q_INV and M
     (``lower``), the index arrays of each placement of Q (``placements``),
-    each A lowered on its coin (``layers``) and the run schedule
-    (``steps``), in which each Q and Q_INV stays an op, wait for their
-    first use: ``resources`` and ``dump-circuit`` build circuits they never
-    bind.
+    each A lowered on its coin (``layers``), the run schedule (``steps``),
+    in which each Q and Q_INV stays an op, and the slots a bind fills
+    (``fills``, ``coins``) wait for their first use: ``resources`` and
+    ``dump-circuit`` build circuits they never bind.
 
     ``measured_qubits`` is the final readout, the targets of the last ``M``.
     ``bind`` returns a bound copy, which adds what ``run_circuit`` runs
-    (``schedule``), the oracle's ``_rotation`` (``rotation``) and the Q and
-    Q_INV kernels built from it (``q_kernels``); the circuit itself stays
-    unbound.  ``coin_circuit``, ``qss_circuit`` and ``prepare_qss_state``
+    (``schedule``), the oracle's ``_rotation`` (``rotation``) and its Q and
+    Q_INV kernels (``q_kernels``); the circuit stays unbound.  The builders
     keep one circuit per shape, so every bind of a shape shares its lowering.
     """
 
@@ -276,6 +275,7 @@ class Circuit:
                 if _needs_oracle(op):
                     self.sites.add((op.targets, op.controls))
         self.size = self.counts.total()
+        self.inputs = {len(targets) - 1 for targets, _ in self.sites}
         self.unmeasured = Counter({name: c for name, c in self.counts.items() if name != "M"})
         self.queries = self.counts["Q"] + self.counts["Q_INV"]
         self.kernels: dict = {}  # by op, filled by ``lower``
@@ -283,7 +283,7 @@ class Circuit:
         self.placements: dict = {}
         # each declared preparation's and ladder's A on its coin, by key (``_prepared``)
         self.layers: dict = {}
-        self.steps: list | None = None  # the schedule, set by the first bind
+        self.steps = self.fills = self.coins = None  # set by the first bind
         self.schedule = self.rotation = self.q_kernels = None  # set on a bound copy only
 
     def counted_ops(self):
@@ -322,33 +322,38 @@ class Circuit:
         return kernel
 
     def bind(self, oracle: OracleSpec | None = None) -> "Circuit":
-        """A copy of this circuit with a run schedule and kernels: every step
-        but Q and Q_INV is this circuit's, and the copy builds those from
-        ``oracle``'s rotation.  Refused past MAX_CIRCUIT_OPS."""
-        self.check_size()
+        """A copy with a run schedule: this circuit's steps but for each Q and
+        Q_INV (``fills``) and, per key, A|0> and its readers (``coins``), found
+        at the first bind and filled from ``oracle``.  Refused past MAX_CIRCUIT_OPS."""
         if self.steps is None:
+            self.check_size()
             for targets, controls in self.sites:
                 check_qubits(self.n_qubits, targets, controls)
             self.steps = _schedule(self.ops, self)
+            self.fills = [(i, op) for i, op in enumerate(self.steps) if isinstance(op, CircuitOp)]
+            self.coins = [(v, k, rest, [(j, op) for j, op in enumerate(rest) if isinstance(op, CircuitOp)],
+                           [i for i, step in enumerate(self.steps) if getattr(step, "key", None) == key])
+                          for key, (v, k, rest) in self.layers.items()]
         if self.sites and oracle is None:
             raise OracleError("binding Q needs an oracle")
-        for targets, _ in self.sites:
-            if len(targets) - 1 != oracle.n_input_qubits:
-                raise OracleError(f"Q on {len(targets) - 1} input qubits, "
-                                  f"oracle has {oracle.n_input_qubits}")
+        for inputs in self.inputs:
+            if inputs != oracle.n_input_qubits:
+                raise OracleError(f"Q on {inputs} input qubits, oracle has {oracle.n_input_qubits}")
         # a shallow copy, without copy.copy's cost: it runs at every estimate
         bound = object.__new__(Circuit)
-        bound.__dict__.update(self.__dict__, rotation=_rotation(oracle) if self.sites else None,
-                              q_kernels={})
-        # each key's A on its coin, bound, and A|0> from its layer's value v
-        coins = {}
-        for key, (v, k, rest) in self.layers.items():
-            coin = [bound._q_kernel(s, k) if isinstance(s, CircuitOp) else s for s in rest]
-            coins[key] = coin, prepared_state(coin, k, v)
-        bound.schedule = [bound.kernel(step) if isinstance(step, CircuitOp)
-                          else step.bound(*coins[step.key]) if isinstance(step, PrepareKernel)
-                          else step.bound(coins[step.key][1]) if isinstance(step, ReflectionKernel)
-                          else step for step in self.steps]
+        bound.__dict__ = self.__dict__.copy()
+        bound.rotation, bound.q_kernels = _rotation(oracle) if self.sites else None, {}
+        bound.schedule = schedule = self.steps.copy()
+        for i, op in self.fills:
+            schedule[i] = bound._q_kernel(op, self.n_qubits)
+        # each key's A after its layer, its Q bound, and A|0> from the layer's v
+        for v, k, rest, slots, readers in self.coins:
+            coin = rest.copy()
+            for j, op in slots:
+                coin[j] = bound._q_kernel(op, k)
+            state = prepared_state(coin, k, v)
+            for i in readers:
+                schedule[i] = schedule[i].bound(state, coin)
         return bound
 
     def kernel(self, op: CircuitOp) -> Kernel:
@@ -366,14 +371,15 @@ class Circuit:
         every A on that coin, and in qcoin, whose coin is the whole
         register, it is the circuit's own Q too."""
         site = n_qubits, op.targets, op.controls
-        if (op.name, site) not in self.q_kernels:
+        q = self.q_kernels.get((op.name, site))
+        if q is None:
             if site not in self.placements:
                 self.placements[site] = _placement(op.targets, op.controls, n_qubits)
             bins, lo, hi = self.placements[site]
             c, s, minus_s = self.rotation
             q = PairKernel(n_qubits, lo, hi, c[bins], minus_s[bins], s[bins], c[bins])
-            self.q_kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
-        return self.q_kernels[op.name, site]
+            q = self.q_kernels[op.name, site] = q.inverse() if op.name == "Q_INV" else q
+        return q
 
 
 def _needs_oracle(op: CircuitOp) -> bool:
@@ -588,8 +594,9 @@ def run_circuit(
     rng: np.random.Generator | None = None,
     ledger: QueryLedger | None = None,
 ) -> tuple[StateVector, list[MeasurementOutcome]]:
-    """Run a bound circuit's schedule in place on a copy of ``state``, or
-    on a new all-|0> array; the norm is checked once, on the result.
+    """Run a bound circuit's schedule in place on a copy of ``state``, or from
+    |0...0>: a first ``PrepareKernel``'s A|0>, broadcast over the other
+    qubits, or else a new all-|0> array; the norm is checked on the result.
 
     ``M`` collapses its targets in place with ``rng`` (its ``Measurement``)
     and records the observed bits, with no post-state: the returned state is
@@ -605,16 +612,20 @@ def run_circuit(
     if circuit.schedule is None:
         raise SimulatorError("run_circuit needs a bound circuit (Circuit.bind)")
     circuit.check_size(on_statevector=True)
-    n = circuit.n_qubits
-    if state is None:
-        amps = zero_amplitudes(n)
-    elif state.n_qubits != n:
-        raise SimulatorError(f"state has {state.n_qubits} qubits, the circuit {n}")
-    else:
+    n, schedule = circuit.n_qubits, circuit.schedule
+    if state is not None:
+        if state.n_qubits != n:
+            raise SimulatorError(f"state has {state.n_qubits} qubits, the circuit {n}")
         amps = state.amplitudes.copy()
+    elif schedule and isinstance(schedule[0], PrepareKernel):
+        amps = np.empty(1 << n, dtype=np.complex128)
+        amps.reshape(-1, schedule[0].state.size)[...] = schedule[0].state
+        schedule = schedule[1:]
+    else:
+        amps = zero_amplitudes(n)
     psi = qubit_axes(amps, n)
     outcomes = []
-    for step in circuit.schedule:
+    for step in schedule:
         if not isinstance(step, Measurement):
             step(psi)
         elif rng is not None:
@@ -648,8 +659,8 @@ _PREPARATIONS = {"prepare-qss": "qss", "prepare-qcoin": "qcoin"}
 def _preparation(variant: str, inputs: tuple[int, ...], target: int,
                  register: tuple[int, ...] = ()) -> Repeat:
     """The coin preparation (``_prepare_ops``), after H on ``register``, as
-    a block declared to run as one ``PrepareKernel``, which writes the
-    bind's A|0> in every branch of the register."""
+    a block declared to run as one ``PrepareKernel``: a run from |0...0>
+    starts at the bind's A|0> in every branch of the register."""
     return Repeat(_h(register) + _prepare_ops(variant, inputs, target), 1, "prepare-" + variant)
 
 

@@ -10,9 +10,8 @@ transform of a register as one FFT (``FourierKernel``) and
 reflection about one vector, as an update of rank two in each branch of the
 other qubits, its plane built once per bind from the reflected vector
 A|0> on its few target qubits (``prepared_state``).  A ``PrepareKernel``
-writes that A|0> in every branch of the other qubits where a Hadamard
-layer and then A would run from |0...0>; on other amplitudes it runs the
-layer, then A's steps on the coin qubits alone, in each branch.  A
+holds that A|0>, where a run from |0...0> starts; called, it runs a
+Hadamard layer, then A's steps on the coin qubits alone, in each branch.  A
 ``Measurement`` draws an outcome and collapses the amplitudes in place;
 ``measure`` runs one on a copy of a state.
 
@@ -318,17 +317,16 @@ class ReflectionKernel(MatrixKernel):
         odd = np.repeat(exponents & 1, 2).astype(bool)
         self.diagonal = np.array([np.where(odd, -1.0, 1.0), np.ones(len(odd))])[:, None]
         self.flip = np.where(odd, -signs[:, None], 1.0)[:, None] if odd.any() else None
+        self.positive = signs > 0  # where D is +1, for ``_plane``
 
-    def bound(self, state: np.ndarray) -> "ReflectionKernel":
-        """This step with a = S^-1 |0> as ``state``, 2^k amplitudes."""
-        # a shallow copy, without copy.copy's cost: it runs at every bind
-        kernel = object.__new__(type(self))
-        kernel.__dict__.update(self.__dict__)
-        kernel.basis, phi = _plane(kernel, state)
-        kernel.bra = kernel.basis.T
+    def bound(self, state: np.ndarray, coin: list = ()) -> "ReflectionKernel":
+        """This step with a = S^-1 |0> as ``state``; ``coin``, which computed it, is unused."""
+        basis, phi = _plane(self, state)
         angle = self.exponents * (2 * phi)
-        # M(e) = Rot(2 e phi) - diag((-1)^e, 1) = [[C0, -s], [s, C1]] as
-        # C = [C0, C1] and S = [-s, s], by float column
+        # M(e) = [[C0, -s], [s, C1]] as C = [C0, C1] and S = [-s, s], by float column
+        kernel = object.__new__(type(self))
+        kernel.__dict__ = self.__dict__.copy()
+        kernel.basis, kernel.bra = basis, basis.T
         kernel.gate = np.cos(angle) - self.diagonal, np.sin(angle) * _TURN
         return kernel
 
@@ -353,11 +351,11 @@ def _plane(kernel: ReflectionKernel, state: np.ndarray) -> tuple[np.ndarray, flo
     zero.  B is the transpose of a C-ordered B^T, which the kernel
     multiplies by without a copy."""
     a = state.real
-    plus = a * (kernel.signs > 0)
+    plus = a * kernel.positive
     minus = a - plus
-    # np.linalg.norm's own sum for a real vector, without its checks
-    norms = [math.sqrt(part @ part) for part in (plus, minus)]
-    bra = np.array([part / norm if norm else part for part, norm in zip((plus, minus), norms)])
+    # np.linalg.norm's own sum for a real vector, without its checks; x / 1.0 is x
+    norms = math.sqrt(plus.dot(plus)), math.sqrt(minus.dot(minus))
+    bra = np.array((plus / (norms[0] or 1.0), minus / (norms[1] or 1.0)))
     return bra.T, math.atan2(norms[1], norms[0])
 
 
@@ -375,43 +373,30 @@ def prepared_state(steps: list, n_qubits: int, value: complex | None = None) -> 
     return amps
 
 
-# the bits of 1.0, the real part of |0...0>'s first amplitude
-_ONE = int(np.float64(1.0).view(np.uint64))
-
-
 class PrepareKernel(Kernel):
     """A Hadamard layer on the whole register (``layer``, its kernels), then
     the rest of a preparation A on the coin, its k low qubits, as one step.
-    ``bound`` adds A's steps after the layer on the coin alone (``coin``)
-    and A|0> there (``state``), which a bind computes once per ``key``, A's
-    variant and the qubits it covers (``prepared_state``).  On the
-    amplitudes of |0...0>, bit for bit, the step writes ``state`` in every
-    branch of the other qubits, what the layer and A give, since the layer
-    puts one value on every amplitude it reaches.  On any others it runs
-    the layer, then ``coin`` in each column, on a view of it whose columns
-    are the branches of the other qubits.
+    ``bound`` adds A|0> on the coin (``state``), which a bind computes once
+    per ``key``, A's variant and the qubits it covers (``prepared_state``),
+    from A's steps after the layer on the coin alone (``coin``).  A run from
+    |0...0> starts at ``state`` in every branch of the other qubits: the
+    layer puts one value on every amplitude it reaches.  Called, the step
+    runs the layer, then ``coin`` on each column's branches of the others.
     """
 
     def __init__(self, n_qubits: int, layer: list, key: tuple):
         self.n_qubits, self.layer, self.key = n_qubits, layer, key
 
-    def bound(self, coin: list, state: np.ndarray) -> "PrepareKernel":
-        """This step with ``coin``, kernels on the coin, and A|0> there as
-        ``state``."""
+    def bound(self, state: np.ndarray, coin: list) -> "PrepareKernel":
+        """This step with A|0> as ``state`` and ``coin``, kernels on the coin."""
         kernel = object.__new__(PrepareKernel)
-        kernel.__dict__.update(self.__dict__, coin=coin,
-                               state=qubit_axes(state, state.size.bit_length() - 1))
+        kernel.__dict__.update(self.__dict__, state=state, coin=coin)
         return kernel
 
     def __call__(self, psi: np.ndarray):
-        bits = psi.reshape(-1).view(np.uint64)
-        # one column, whose only non-zero word is the real part 1.0 of |0...0>
-        if psi.shape[-1] == 1 and np.count_nonzero(bits) == 1 and bits[0] == _ONE:
-            psi[...] = self.state
-            return
         for step in self.layer:
             step(psi)
-        k = self.state.ndim - 1
+        k = self.state.size.bit_length() - 1
         for j in range(psi.shape[-1]):
             # column j with the coin's axes first: a view, psi being C-ordered
             coin = psi[..., j].reshape(-1, 1 << k).T.reshape((2,) * k + (-1,))

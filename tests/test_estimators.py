@@ -99,6 +99,10 @@ class TestQssAccounting:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             estimate_qss(OracleSpec([0.3]), 12, seed=1)
+        # so do the closed forms: qss_queries(12) was 23, qss_value_grid(12) 12 points
+        for closed_form in (qss_queries, qss_value_grid):
+            with pytest.raises(ValueError, match="resolution must be a power of two >= 2, got 12"):
+                closed_form(12)
 
 
 class TestQssDistribution:

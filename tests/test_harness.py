@@ -363,9 +363,16 @@ def test_a_negative_seed_is_refused_by_name(call, name, monkeypatch):
     (lambda kind: qss_expected_error(0.5, kind(8)), "resolution", 8),
     (lambda kind: qss_theoretical_distribution(0.5, kind(8)), "resolution", 8),
     (lambda kind: report_resources(kind(16), 8), "n_bins", 16),
-], ids=["qss_expected_error", "qss_theoretical_distribution", "report_resources"])
+    (lambda kind: estimate_qcoin(OracleSpec([0.5]), kind(2), 20, seed=1), "k", 2),
+    (lambda kind: estimate_qcoin(OracleSpec([0.5]), 2, 20, seed=kind(1)), "seed", 1),
+    (lambda kind: qcoin_queries(kind(2), 20), "k", 2),
+    (lambda kind: qss_queries(kind(8)), "resolution", 8),
+    (lambda kind: qss_value_grid(kind(8)), "resolution", 8),
+], ids=["qss_expected_error", "qss_theoretical_distribution", "report_resources",
+        "estimate_qcoin-k", "estimate_qcoin-seed", "qcoin_queries", "qss_queries", "qss_value_grid"])
 def test_a_float_size_is_refused_by_name(call, name, size):
-    # each was a bare TypeError from the power-of-two bit test on the float
+    # each was a bare TypeError (from a bit test, a shift or a range) on the
+    # float, or an answer: qss_queries(8.0) was 15.0, qss_value_grid(8.0) a grid
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {size}.0$"):
         call(float)
     # a NumPy integer is an integer, with the same answer

@@ -971,11 +971,13 @@ class TestCircuit:
 
         plane = statevector._plane
         monkeypatch.setattr(statevector, "_plane", counted)
-        # register qubits 0, 1 and 2 control G, G^2 and G^4: one step, one vector
+        # register qubits 0, 1 and 2 control G, G^2 and G^4: one step, one
+        # vector, the plane of the shape's step, whose bound copy runs it
         oracle = OracleSpec([0.1, 0.5, 0.8, 0.3])
         bound = qss_circuit(2, 8).bind(oracle)
         [block] = [step for step in bound.schedule if isinstance(step, ReflectionKernel)]
-        assert [count for _, count in block.terms] == [1, 2, 4] and built == [block]
+        [shape_block] = [step for step in qss_circuit(2, 8).steps if isinstance(step, ReflectionKernel)]
+        assert [count for _, count in block.terms] == [1, 2, 4] and built == [shape_block]
         gate = block.gate
         first, _ = run_circuit(bound)
         second, _ = run_circuit(bound)
@@ -1159,6 +1161,57 @@ class TestCircuit:
         for op in Circuit(n, [prepare]).expand():
             bound.kernel(op)(qubit_axes(expected, n))
         np.testing.assert_allclose(step.matrix(), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        *[pytest.param(_qss_case(n_in, 1 << j), id=f"qss-n{n_in}-P{1 << j}")
+          for n_in in range(5) for j in range(1, 7)],
+        *[pytest.param(_coin_case(n_in, m), id=f"qcoin-n{n_in}-m{m}")
+          for n_in in range(7) for m in (0, 1, 2, 8, 16)],
+        *[pytest.param(lambda n_in=n_in: (_prepare_circuit(n_in),
+                                          OracleSpec(np.linspace(0.1, 0.9, 1 << n_in))),
+                       id=f"prepare-n{n_in}") for n_in in range(7)]])
+    def test_a_run_from_zero_starts_at_the_prepared_state(self, build):
+        """A run from |0...0> whose first step is a bound preparation starts
+        from its A|0>, broadcast over the register; given |0...0> as a state,
+        the step runs its layer and coin steps instead: bit for bit alike."""
+        circuit, oracle = build()
+        bound = circuit.bind(oracle)
+        assert isinstance(bound.schedule[0], PrepareKernel)
+        written = run_circuit(bound)[0].amplitudes
+        ran = run_circuit(bound, StateVector.zero(circuit.n_qubits))[0].amplitudes
+        np.testing.assert_array_equal(written.view(np.uint64), ran.view(np.uint64))
+
+    @pytest.mark.parametrize("build", [
+        _coin_case(4, 8), _qss_case(2, 64), _coin_case(0, 0),
+        lambda: (_prepare_circuit(3), OracleSpec(np.linspace(0.1, 0.9, 8))),
+        # a bare Q and Q_INV op each, and two ladders on one coin register
+        _ops_case([_H0, CircuitOp("Q", (0, 1)), _RZERO, CircuitOp("Q_INV", (0, 1)), _H0]),
+        lambda: (Circuit(6, LADDERS["split-by-variant"][0]),
+                 OracleSpec([0.1, 0.5, 0.8, 0.3], 0.05, LINEAR_AMPLITUDE)),
+    ], ids=["qcoin", "qss", "qcoin-n0-m0", "prepare", "bare-q", "split-by-variant"])
+    def test_a_second_bind_lowers_nothing(self, build, monkeypatch):
+        """After a shape's first bind, a bind schedules, prepares, places and
+        lowers nothing.  Two binds to different oracles share by identity
+        every step that does not depend on the oracle, and none that does:
+        a Q or Q_INV, a preparation (its layer shared, its Q not) and a
+        ladder."""
+        circuit, oracle = build()
+        circuit.bind(oracle)
+        calls = []
+        for name in ("_schedule", "_prepared", "_placement", "_lower_op"):
+            monkeypatch.setattr(primitives, name, lambda *args, name=name: calls.append(name))
+        other = OracleSpec(oracle.values[::-1] * 0.9, oracle.offset, oracle.encoding)
+        bound = [circuit.bind(spec) for spec in (oracle, other)]
+        assert not calls
+        for step, first, second in zip(circuit.steps, *(b.schedule for b in bound)):
+            depends = isinstance(step, (CircuitOp, PrepareKernel, ReflectionKernel))
+            assert (first is second) is not depends
+            if isinstance(step, PrepareKernel):
+                assert first.layer is second.layer is step.layer
+                # A's steps after the layer: Q is the oracle's, as an op on the shape
+                _, _, rest = circuit.layers[step.key]
+                assert [a is b for a, b in zip(first.coin, second.coin)] == [
+                    not isinstance(op, CircuitOp) for op in rest]
 
     def test_preparation_off_the_low_qubits_runs_op_by_op(self):
         """A declared preparation whose coin is not the low qubits is no
